@@ -1,9 +1,8 @@
-// Command dwarnd serves the SMT simulator over HTTP: submit
-// simulations as async jobs and policy × workload sweeps into the
-// shared parallel execution layer, poll status (sweeps report partial
-// per-cell progress), follow a sweep's SSE completion stream, cancel
-// cooperatively, and let the content-addressed result cache absorb
-// repeated work. See README.md for the API walkthrough and DESIGN.md
+// Command dwarnd serves the SMT simulator over HTTP: submit single
+// runs and policy × workload sweeps into one shared parallel execution
+// layer, poll status (sweeps report partial per-cell progress), follow
+// a sweep's SSE completion stream, cancel cooperatively, and let the
+// content-addressed result store absorb repeated work. See README.md for the API walkthrough and DESIGN.md
 // §dwarnd for the architecture.
 //
 // Every request is logged as a structured key=value line with a
@@ -68,8 +67,8 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
-		queueDepth   = flag.Int("queue", 256, "job queue depth")
-		cacheEntries = flag.Int("cache", 4096, "result cache entries")
+		queueDepth   = flag.Int("queue", 256, "runs that may wait for an executor slot before submissions fail fast with 503")
+		cacheEntries = flag.Int("cache", 4096, "in-memory result tier entries")
 		maxCycles    = flag.Int64("max-cycles", 5_000_000, "per-request cycle cap (warmup and measure each; <0 = uncapped)")
 		maxCells     = flag.Int("max-sweep-cells", 1024, "largest sweep expansion one request may fan out")
 		maxSweeps    = flag.Int("max-active-sweeps", 16, "concurrently executing sweeps before submissions fail fast with 503")
@@ -87,9 +86,8 @@ func main() {
 		coordURL     = flag.String("coordinator", "", "coordinator base URL for -worker mode (e.g. http://host:8080)")
 		workerName   = flag.String("worker-name", "", "worker label in fabric status (default host-pid)")
 		workerCap    = flag.Int("worker-capacity", runtime.GOMAXPROCS(0), "cells this worker runs concurrently in -worker mode")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain jobs on shutdown")
+		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain runs and sweeps on shutdown")
 		adminAddr    = flag.String("admin", "", "serve the admin mux (/metrics, /debug/pprof/*, /healthz, /buildinfo) on this address (e.g. localhost:6060; empty = disabled)")
-		pprofAddr    = flag.String("pprof", "", "deprecated synonym for -admin")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, error, off")
 	)
 	flag.Parse()
@@ -112,10 +110,6 @@ func main() {
 		}
 		chaos.Set(h)
 		logger.Warn("chaos handler armed", "spec", spec)
-	}
-
-	if *adminAddr == "" {
-		*adminAddr = *pprofAddr // -pprof kept as a deprecated synonym
 	}
 
 	if *workerMode {
@@ -208,17 +202,12 @@ func main() {
 			logger.Error("spec load", "path", *specPath, "err", err)
 			os.Exit(1)
 		}
-		views, err := srv.Preload(f)
-		switch {
-		case errors.Is(err, service.ErrQueueFull):
-			// A grid larger than the free queue is a partial warm-up,
-			// not a reason to refuse to serve.
-			logger.Warn("partial preload", "path", *specPath, "err", err)
-		case err != nil:
+		st, err := srv.Preload(f)
+		if err != nil {
 			logger.Error("preload", "path", *specPath, "err", err)
 			os.Exit(1)
 		}
-		logger.Info("preloaded", "runs", len(views), "path", *specPath)
+		logger.Info("preloading", "sweep", st.ID, "cells", st.Total, "done", st.Done, "path", *specPath)
 	}
 
 	httpSrv := &http.Server{
@@ -245,7 +234,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Stop accepting connections, then drain queued and in-flight jobs.
+	// Stop accepting connections, then drain queued and in-flight work.
 	logger.Info("shutting down", "drain_timeout", *drainTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -253,7 +242,7 @@ func main() {
 		logger.Warn("http shutdown", "err", err)
 	}
 	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Error("job drain", "err", err)
+		logger.Error("drain", "err", err)
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")

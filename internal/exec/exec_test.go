@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 )
@@ -238,6 +239,57 @@ func TestConcurrentExecutesShareOneFlight(t *testing.T) {
 	}
 	if !out[0][0].Cached && !out[1][0].Cached {
 		t.Error("neither sweep joined the other's flight")
+	}
+}
+
+// TestLeaderFailureRetry: a canceled leader must not poison the cells
+// waiting on its flight — a waiter whose own context is live retries as
+// leader and pays for the simulation itself.
+func TestLeaderFailureRetry(t *testing.T) {
+	cells := resolveCells(t, []string{"icount"}, []uint64{5})
+	leaderIn := make(chan struct{})
+	leaderGo := make(chan struct{})
+	var runs atomic.Int64
+	ex := New(Options{Workers: 2, Registry: obs.NewRegistry(), Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		if runs.Add(1) == 1 {
+			close(leaderIn)
+			<-leaderGo
+			return nil, ctx.Err()
+		}
+		return fakeResult(res), nil
+	}})
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	var leader, waiter []CellResult
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		leader = ex.Execute(leaderCtx, cells, nil)
+	}()
+	<-leaderIn // the leader is mid-run and owns the flight
+	cancelLeader()
+	go func() {
+		defer wg.Done()
+		waiter = ex.Execute(context.Background(), cells, nil)
+	}()
+	for ex.met.dedup.Value() == 0 { // the waiter has joined the flight
+		time.Sleep(time.Millisecond)
+	}
+	close(leaderGo)
+	wg.Wait()
+
+	if !errors.Is(leader[0].Err, context.Canceled) {
+		t.Fatalf("canceled leader: err = %v, want context.Canceled", leader[0].Err)
+	}
+	if waiter[0].Err != nil || waiter[0].Result == nil {
+		t.Fatalf("waiter inherited the leader's failure: %+v", waiter[0])
+	}
+	if waiter[0].Cached {
+		t.Fatal("waiter reported cached; it had to retry as leader")
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("%d runs, want 2 (failed leader + retrying waiter)", n)
 	}
 }
 

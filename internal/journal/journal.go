@@ -4,9 +4,11 @@
 // exist, what they were asked to run, how far they got — were
 // in-memory only, so a restart forgot every in-flight sweep. The
 // journal closes that gap: an append-only, fsync'd, checksummed log of
-// small records (submit / cell-done / finish / cancel, keyed by id and
+// small records (submit / finish / cancel, keyed by id, the submit
 // carrying the canonical cell specs) that the service replays on
-// startup to resume unfinished work.
+// startup to resume unfinished work. Which cells of a resumed entry
+// are already done is not journaled: the result store answers that at
+// the resume's precheck.
 //
 // Format: a fixed header line, then length-prefixed frames — 4-byte
 // little-endian payload length, 4-byte CRC-32C of the payload, JSON
@@ -42,8 +44,10 @@ const (
 	// TypeSubmit opens an entry: id, kind, and (for sweeps) the
 	// canonical cell specs to re-resolve on recovery.
 	TypeSubmit = "submit"
-	// TypeCell marks one cell fingerprint durably stored. Idempotent on
-	// replay: duplicates collapse into the same set entry.
+	// TypeCell marks one cell fingerprint durably stored. Fold accepts
+	// and ignores it, so journals that carry it still replay: the
+	// store precheck, not the journal, decides which cells a resumed
+	// entry skips.
 	TypeCell = "cell"
 	// TypeFinish closes an entry with a terminal state.
 	TypeFinish = "finish"
@@ -332,16 +336,13 @@ func (j *Journal) Close() error {
 }
 
 // Entry is one submitted unit of work reconstructed from the log: a
-// sweep or a run job, its canonical cells, which fingerprints were
-// durably completed, and its terminal state if it reached one.
+// sweep or a run, its canonical cells, and its terminal state if it
+// reached one.
 type Entry struct {
 	ID          string
 	Kind        string
 	SubmittedAt time.Time
 	Cells       []spec.RunSpec
-	// Done is the set of cell fingerprints with TypeCell records.
-	// Replay is idempotent: duplicate cell records collapse here.
-	Done map[string]bool
 	// State is the terminal state from a finish record, "canceled" if
 	// only a cancel record was seen, or "" for an unfinished entry —
 	// the ones recovery resumes.
@@ -371,14 +372,9 @@ func Fold(recs []Record) []*Entry {
 				Kind:        rec.Kind,
 				SubmittedAt: rec.Time,
 				Cells:       rec.Cells,
-				Done:        make(map[string]bool),
 			}
 			byID[rec.ID] = e
 			order = append(order, e)
-		case TypeCell:
-			if e, ok := byID[rec.ID]; ok && rec.Fingerprint != "" {
-				e.Done[rec.Fingerprint] = true
-			}
 		case TypeFinish:
 			if e, ok := byID[rec.ID]; ok {
 				e.State = rec.State
@@ -409,9 +405,6 @@ func Live(entries []*Entry) []Record {
 			Time:  e.SubmittedAt,
 			Cells: e.Cells,
 		})
-		for fp := range e.Done {
-			out = append(out, Record{Type: TypeCell, ID: e.ID, Fingerprint: fp})
-		}
 	}
 	return out
 }

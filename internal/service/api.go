@@ -1,20 +1,24 @@
-// Package service exposes the simulator as a long-lived HTTP service.
-// Single runs queue as jobs over a bounded worker pool with per-job
-// cancellation; sweeps fan their cells into the shared execution layer
-// (internal/exec) — one server-wide bounded pool with per-sweep
-// cancellation, partial progress, an SSE completion stream, and
-// per-cell error isolation. Both paths memoise through one
-// content-addressed LRU result cache keyed by the spec fingerprint, so
-// identical requests — including the solo-IPC baselines behind every
-// Hmean/weighted-speedup computation — are paid for once across
-// requests, sweeps, and API versions. The /v2 endpoints speak
-// internal/spec natively; the /v1 handlers are thin adapters that
-// translate their request shapes into the same RunSpecs, so a v1
-// request and its v2 spelling share one cache entry. See DESIGN.md
-// §dwarnd for the architecture.
+// Package service exposes the simulator as a long-lived HTTP service
+// with one execution path. Every submission is a record that
+// startSweep admits: a sweep is a record of grid cells, and a single
+// run (POST /v2/runs, or its /v1/simulations adapter) is a record with
+// one public cell. Each record is prechecked against the result store
+// (a stored result completes it at submission time), durably journaled
+// when a journal is configured, and executed on one server-wide
+// internal/exec executor: one bounded pool, one single-flight domain,
+// per-record cancellation. Baselines cells add hidden solo-ICOUNT
+// cells to the same batch, and the record's summary is derived from
+// them when it finishes. The executor's store is a count-bounded LRU
+// of results, tiered over a durable store with -store, so identical
+// requests — including the solo baselines behind every Hmean — are
+// paid for once across runs, sweeps, and API versions. The /v2
+// endpoints speak internal/spec natively; the /v1 handlers are thin
+// adapters that translate their request shapes into the same RunSpecs.
+// See DESIGN.md §dwarnd for the architecture.
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -76,9 +80,9 @@ func (req *SimulationRequest) Spec() spec.RunSpec {
 	}
 }
 
-// SimulationResult is the payload of a finished simulation job. Repeat
-// submissions of an identical request are served byte-for-byte from the
-// result cache.
+// SimulationResult is the payload of a finished run. Repeat
+// submissions of an identical request are served byte-for-byte
+// identical payloads from the result store.
 type SimulationResult struct {
 	// Fingerprint is the content-addressed identity of the run.
 	Fingerprint string `json:"fingerprint"`
@@ -88,8 +92,23 @@ type SimulationResult struct {
 	Summary *stats.Summary `json:"summary,omitempty"`
 }
 
+// JobView is the JSON shape of a run in API responses
+// (/v1/simulations and /v2/runs).
+type JobView struct {
+	ID          string          `json:"id"`
+	Kind        string          `json:"kind"`
+	State       string          `json:"state"`
+	Cached      bool            `json:"cached"`
+	Request     any             `json:"request,omitempty"`
+	Result      json.RawMessage `json:"result,omitempty"`
+	Error       string          `json:"error,omitempty"`
+	SubmittedAt time.Time       `json:"submitted_at"`
+	StartedAt   *time.Time      `json:"started_at,omitempty"`
+	FinishedAt  *time.Time      `json:"finished_at,omitempty"`
+}
+
 // SweepRequest is the body of POST /v1/sweeps: the cross product of
-// machines × policies × workloads fans out into one job per cell. Like
+// machines × policies × workloads fans out into one cell each. Like
 // SimulationRequest it is an adapter over the spec grid form.
 type SweepRequest struct {
 	// Machines defaults to ["baseline"].
@@ -151,11 +170,9 @@ func (req *SweepRequest) Spec() (spec.SweepSpec, error) {
 	}, nil
 }
 
-// SweepCell is one grid point of a sweep's status. Cells execute
-// through the shared execution layer (internal/exec), not the job
-// queue: a cell has no job id, and one failing cell never aborts its
-// siblings — its error is recorded here while the rest of the sweep
-// completes.
+// SweepCell is one grid point of a sweep's status. A cell has no run
+// id, and one failing cell never aborts its siblings — its error is
+// recorded here while the rest of the sweep completes.
 type SweepCell struct {
 	Machine  string `json:"machine"`
 	Policy   string `json:"policy"`

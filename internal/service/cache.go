@@ -2,44 +2,34 @@ package service
 
 import (
 	"container/list"
-	"context"
 	"sync"
+
+	"dwarn/internal/sim"
 )
 
-// Cache is a bounded, content-addressed result cache: keys are
-// sim.Fingerprint identities (plus payload-shape suffixes), values are
-// the exact marshaled response bytes, so a repeat request is served
-// byte-for-byte identical to the first. Eviction is LRU by entry count;
-// values are immutable once stored and must not be modified by callers.
-//
-// GetOrCompute adds single-flight semantics on top: concurrent requests
-// for the same key run the compute function once and share its result,
-// which is what makes shared sub-results (the solo-IPC baselines behind
-// every relative-IPC metric) cost one simulation no matter how many
-// in-flight requests need them.
+// Cache is the service's in-memory result tier: a count-bounded LRU of
+// finished results keyed by spec fingerprint. It implements exec.Store
+// directly, so it is the executor's store (or, with Options.Store, the
+// fast tier of tieredStore over the durable one). Results are immutable
+// once stored and every caller gets the same pointer; run payloads are
+// marshaled from them on demand, and json.Marshal of one *sim.Result is
+// deterministic, so a repeat request is served byte-for-byte identical
+// to the first.
 type Cache struct {
-	mu       sync.Mutex
-	max      int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*flight
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 
 	hits, misses uint64
 }
 
 type centry struct {
-	key string
-	val []byte
+	fp  string
+	res *sim.Result
 }
 
-// flight is one in-progress computation; waiters block on done.
-type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
-
-// CacheStats is a point-in-time snapshot for /healthz.
+// CacheStats is a point-in-time snapshot for /healthz and /metrics.
 type CacheStats struct {
 	Entries int    `json:"entries"`
 	Max     int    `json:"max"`
@@ -52,108 +42,37 @@ func NewCache(max int) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{
-		max:      max,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
-	}
+	return &Cache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached bytes for key, recording a hit or miss.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get implements exec.Store, recording a hit or miss.
+func (c *Cache) Get(fp string) (*sim.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.getLocked(key)
-}
-
-// Peek is Get for callers that will come back through GetOrCompute on
-// absence: a present entry records a hit, but absence records nothing,
-// so the eventual GetOrCompute outcome is counted exactly once.
-func (c *Cache) Peek(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[fp]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*centry).val, true
-	}
-	return nil, false
-}
-
-func (c *Cache) getLocked(key string) ([]byte, bool) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*centry).val, true
+		return el.Value.(*centry).res, true
 	}
 	c.misses++
 	return nil, false
 }
 
-// Put stores val under key, evicting the least recently used entry if
-// the cache is full. val must not be mutated afterwards.
-func (c *Cache) Put(key string, val []byte) {
+// Put implements exec.Store, evicting the least recently used entry
+// when the cache is full.
+func (c *Cache) Put(fp string, res *sim.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.putLocked(key, val)
-}
-
-func (c *Cache) putLocked(key string, val []byte) {
-	if el, ok := c.items[key]; ok {
+	if el, ok := c.items[fp]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*centry).val = val
+		el.Value.(*centry).res = res
 		return
 	}
-	c.items[key] = c.ll.PushFront(&centry{key: key, val: val})
+	c.items[fp] = c.ll.PushFront(&centry{fp: fp, res: res})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*centry).key)
-	}
-}
-
-// GetOrCompute returns the cached bytes for key, computing and storing
-// them via fn on a miss. Concurrent callers with the same key share one
-// computation: the first becomes the leader, the rest wait. hit reports
-// whether this caller avoided paying for the computation (a stored
-// entry or another caller's in-flight result). If the leader fails —
-// including cancellation of its context — waiters retry leadership with
-// their own context rather than inheriting the failure, so one
-// cancelled request cannot poison an identical healthy one.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, fn func() ([]byte, error)) (val []byte, hit bool, err error) {
-	for {
-		c.mu.Lock()
-		if v, ok := c.getLocked(key); ok {
-			c.mu.Unlock()
-			return v, true, nil
-		}
-		if f, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-				if f.err == nil {
-					return f.val, true, nil
-				}
-				// Leader failed; loop to retry as leader.
-				continue
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		f := &flight{done: make(chan struct{})}
-		c.inflight[key] = f
-		c.mu.Unlock()
-
-		f.val, f.err = fn()
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if f.err == nil {
-			c.putLocked(key, f.val)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return f.val, false, f.err
+		delete(c.items, oldest.Value.(*centry).fp)
 	}
 }
 

@@ -1,34 +1,39 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
+
+	"dwarn/internal/exec"
+	"dwarn/internal/sim"
 )
+
+// The in-memory result tier is an exec.Store.
+var _ exec.Store = (*Cache)(nil)
 
 func TestCacheGetPut(t *testing.T) {
 	c := NewCache(2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache returned a value")
 	}
-	c.Put("a", []byte("1"))
-	if v, ok := c.Get("a"); !ok || string(v) != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	want := &sim.Result{Throughput: 1}
+	c.Put("a", want)
+	if got, ok := c.Get("a"); !ok || got != want {
+		t.Fatalf("Get(a) = %p, %v; want the stored pointer", got, ok)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Max != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
-	c.Get("a")              // a is now most recent
-	c.Put("c", []byte("3")) // evicts b
+	c.Put("a", &sim.Result{})
+	c.Put("b", &sim.Result{})
+	c.Get("a")                // a is now most recent
+	c.Put("c", &sim.Result{}) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -37,52 +42,34 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s evicted unexpectedly", k)
 		}
 	}
-}
-
-func TestCacheGetOrComputeSingleFlight(t *testing.T) {
-	c := NewCache(8)
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	const goroutines = 32
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, _, err := c.GetOrCompute(context.Background(), "key", func() ([]byte, error) {
-				computes.Add(1)
-				return []byte("value"), nil
-			})
-			if err != nil || string(v) != "value" {
-				t.Errorf("GetOrCompute = %q, %v", v, err)
-			}
-		}()
+	// Re-putting a present key refreshes it without growing the cache.
+	c.Put("a", &sim.Result{Throughput: 2})
+	if got, _ := c.Get("a"); got.Throughput != 2 {
+		t.Fatalf("re-put value not stored: %+v", got)
 	}
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("computed %d times, want 1", n)
+	if st := c.Stats(); st.Entries != 2 || st.Hits != 4 || st.Misses != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
 // TestCacheHammer drives many goroutines over a small key space with a
-// cache too small to hold it, exercising eviction, single-flight, and
-// counter updates together under -race.
+// cache too small to hold it, exercising eviction and counter updates
+// together under -race.
 func TestCacheHammer(t *testing.T) {
 	c := NewCache(4)
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+	const goroutines, rounds = 16, 200
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < rounds; i++ {
 				key := fmt.Sprintf("key-%d", (g+i)%10)
-				want := "v:" + key
-				v, _, err := c.GetOrCompute(context.Background(), key, func() ([]byte, error) {
-					return []byte("v:" + key), nil
-				})
-				if err != nil || string(v) != want {
-					t.Errorf("GetOrCompute(%s) = %q, %v", key, v, err)
+				if res, ok := c.Get(key); ok && res.Workload != key {
+					t.Errorf("Get(%s) returned the entry for %s", key, res.Workload)
 					return
 				}
+				c.Put(key, &sim.Result{Workload: key})
 			}
 		}(g)
 	}
@@ -91,47 +78,7 @@ func TestCacheHammer(t *testing.T) {
 	if st.Entries > 4 {
 		t.Fatalf("cache grew past its bound: %+v", st)
 	}
-}
-
-// TestCacheLeaderFailureRetry checks that a cancelled leader does not
-// poison waiters: a waiter retries with its own context and succeeds.
-func TestCacheLeaderFailureRetry(t *testing.T) {
-	c := NewCache(4)
-	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderIn := make(chan struct{})
-	leaderGo := make(chan struct{})
-
-	var leaderErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _, leaderErr = c.GetOrCompute(leaderCtx, "k", func() ([]byte, error) {
-			close(leaderIn)
-			<-leaderGo
-			return nil, leaderCtx.Err()
-		})
-	}()
-
-	<-leaderIn // leader is mid-compute and owns the flight
-	cancelLeader()
-
-	wg.Add(1)
-	var waiterVal []byte
-	var waiterErr error
-	go func() {
-		defer wg.Done()
-		waiterVal, _, waiterErr = c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			return []byte("recovered"), nil
-		})
-	}()
-
-	close(leaderGo)
-	wg.Wait()
-	if leaderErr == nil {
-		t.Fatal("cancelled leader reported success")
-	}
-	if waiterErr != nil || string(waiterVal) != "recovered" {
-		t.Fatalf("waiter got %q, %v; want recovered", waiterVal, waiterErr)
+	if st.Hits+st.Misses != goroutines*rounds {
+		t.Fatalf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, goroutines*rounds)
 	}
 }

@@ -33,14 +33,14 @@ type FabricOptions struct {
 	WorkerTTL time.Duration
 }
 
-// tieredStore layers the in-memory LRU cache over a durable store
-// (dwarnd -store DIR): gets fall through to the durable tier and refill
-// the LRU, puts write both. The durable tier holds the same one-file-
+// tieredStore layers the in-memory result tier (Cache) over a durable
+// store (dwarnd -store DIR): gets fall through to the durable tier and
+// refill the LRU, puts write both. The durable tier holds the same one-file-
 // per-fingerprint layout CLI sweeps resume from, so a result computed
 // by any frontend — or pushed back by a remote fabric worker — is
 // served from disk across dwarnd restarts and LRU evictions alike.
 type tieredStore struct {
-	fast exec.Store // LRU cacheStore: fast, evicting
+	fast exec.Store // Cache: fast, evicting
 	slow exec.Store // DirStore: durable, unbounded
 }
 

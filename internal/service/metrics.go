@@ -10,7 +10,7 @@ import (
 
 // The service's observability: every request passes through obsHandler
 // (latency/status by route, request-ID access log), and GET /metrics
-// serves the server's registry — HTTP series, job/sweep/cache gauges,
+// serves the server's registry — HTTP series, run/sweep/cache gauges,
 // and the shared executor's counters — merged with obs.Default, where
 // the simulation engine records its end-of-run snapshots. One scrape
 // therefore sees the whole stack: HTTP → queue → executor → engine.
@@ -19,34 +19,23 @@ import (
 // func-backed series, sampled at scrape time.
 func (s *Server) registerGauges() {
 	r := s.reg
-	r.GaugeFunc("dwarn_jobs_queue_depth", "Jobs waiting in the FIFO queue.",
-		func() float64 { return float64(s.mgr.QueueLen()) })
-	r.Gauge("dwarn_jobs_queue_capacity", "Capacity of the FIFO job queue.").Set(float64(s.opts.QueueDepth))
+	r.GaugeFunc("dwarn_jobs_queue_depth", "Runs waiting for an executor slot.",
+		func() float64 { return float64(s.queueLen()) })
+	r.Gauge("dwarn_jobs_queue_capacity", "Bound on runs waiting for an executor slot.").Set(float64(s.opts.QueueDepth))
 	for _, state := range []string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		state := state
-		r.GaugeFunc("dwarn_jobs", "Retained job records by state.",
-			func() float64 { return float64(s.mgr.Counts()[state]) }, obs.L("state", state))
+		r.GaugeFunc("dwarn_jobs", "Retained run records by state.",
+			func() float64 { return float64(s.runCounts()[state]) }, obs.L("state", state))
 	}
 	r.GaugeFunc("dwarn_sweeps_active", "Sweeps currently executing (admission is bounded by max_active_sweeps).",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := 0
-			for _, sw := range s.sweeps {
-				if !sw.terminal() {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(s.activeSweeps()) })
 	r.Gauge("dwarn_sweeps_active_max", "Admission bound on concurrently executing sweeps.").Set(float64(s.opts.MaxActiveSweeps))
 	r.GaugeFunc("dwarn_sse_subscribers", "Open sweep SSE event streams.",
 		func() float64 { return float64(s.sseSubs.Load()) })
-	r.GaugeFunc("dwarn_cache_entries", "Entries in the content-addressed result cache.",
+	r.GaugeFunc("dwarn_cache_entries", "Results in the in-memory result tier.",
 		func() float64 { return float64(s.cache.Stats().Entries) })
-	r.CounterFunc("dwarn_cache_hits_total", "Result-cache hits (byte-level LRU shared by runs and sweep cells).",
+	r.CounterFunc("dwarn_cache_hits_total", "In-memory result tier hits (the LRU every run and sweep cell reads through).",
 		func() float64 { return float64(s.cache.Stats().Hits) })
-	r.CounterFunc("dwarn_cache_misses_total", "Result-cache misses.",
+	r.CounterFunc("dwarn_cache_misses_total", "In-memory result tier misses.",
 		func() float64 { return float64(s.cache.Stats().Misses) })
 	r.GaugeFunc("dwarn_traces", "Uploaded uop traces held in memory.",
 		func() float64 { return float64(s.traces.Len()) })
@@ -121,7 +110,7 @@ func saneID(id string) bool {
 // access logs. The route label is the mux's registered pattern (bounded
 // cardinality), never the raw URL. The request ID doubles as the trace
 // ID: it rides the request context (with the server's logger) into
-// handlers, job closures, exec cells, and ultimately the sim run — one
+// handlers, record contexts, exec cells, and ultimately the sim run — one
 // ID from HTTP accept to cycle loop.
 func (s *Server) obsHandler() http.Handler {
 	const reqHelp = "HTTP requests by route pattern and status code."

@@ -16,15 +16,15 @@ import (
 )
 
 // ErrSaturated reports load shedding: a submission refused because the
-// corresponding backlog bound (job queue, active-sweep cap) is already
-// full. Mapped to 503 + Retry-After.
+// corresponding backlog bound (runs waiting for an executor slot, the
+// active-sweep cap) is already full. Mapped to 503 + Retry-After.
 var ErrSaturated = errors.New("service: saturated")
 
 // Admission control: every request (except the health and metrics
 // probes) passes through admitHandler before reaching the API mux. In
 // order: bearer-token auth (constant-time compare), per-client token
 // bucket rate limiting (429 + Retry-After), load shedding for the
-// expensive submission routes when the job queue or sweep admission
+// expensive submission routes when the run queue or sweep admission
 // bound is already saturated (503 + Retry-After, before any body is
 // read), a request-body byte cap, and a server-wide handling deadline
 // for non-streaming routes. The fabric lease protocol (/v2/fabric/*)
@@ -166,23 +166,6 @@ func streamingRoute(route string) bool {
 	return route == "GET /v2/sweeps/{id}/events" || route == "POST /v2/fabric/lease"
 }
 
-// activeSweepsLocked counts non-terminal sweeps; callers hold s.mu.
-func (s *Server) activeSweepsLocked() int {
-	n := 0
-	for _, sw := range s.sweeps {
-		if !sw.terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Server) activeSweeps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activeSweepsLocked()
-}
-
 // admitHandler wraps the API mux with the admission-control chain. It
 // sits inside obsHandler, so rejected requests still land in the HTTP
 // metrics and access log with their 401/429/503 codes.
@@ -220,7 +203,7 @@ func (s *Server) admitHandler() http.Handler {
 		// request fully parsed, or queue unboundedly.
 		switch route {
 		case "POST /v1/simulations", "POST /v2/runs":
-			if s.mgr.QueueLen() >= s.opts.QueueDepth {
+			if s.queueLen() >= s.opts.QueueDepth {
 				s.shed(w, fmt.Errorf("%w: job queue full", ErrSaturated))
 				return
 			}

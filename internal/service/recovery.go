@@ -1,23 +1,24 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
+	"time"
 
 	"dwarn/internal/journal"
 )
 
 // Restart recovery: New folds the record stream journal.Open replayed
-// (Options.Recovered) into entries and resumes every unfinished one
-// through the normal submission paths. Canonical cell specs re-resolve
+// (Options.Recovered) into entries and re-registers them through
+// startSweep under their original ids. Canonical cell specs re-resolve
 // to the same fingerprints they had before the crash, so cells a
 // durable store (-store) already holds complete instantly at the
 // precheck — recovery's cost is only the cells that were genuinely in
-// flight when the process died. Entries whose specs no longer resolve
-// (a trace uploaded to the dead process's memory, a removed workload)
-// are registered terminal failed and get a finish record: failed, not
-// wedged, and never re-resumed.
+// flight when the process died. Unfinished entries resume; runs that
+// had finished stay listed with their journaled state, a done run
+// re-attaching its payload (summary included) from the store. Entries
+// whose specs no longer resolve (a trace uploaded to the dead process's
+// memory, a removed workload) are registered terminal failed and get a
+// finish record: failed, not wedged, and never re-resumed.
 
 // recoverFromJournal is called once from New, after the executor and
 // routes exist but before the listener serves traffic.
@@ -31,80 +32,84 @@ func (s *Server) recoverFromJournal() {
 	// (including terminal entries that are not re-registered).
 	s.mu.Lock()
 	for _, e := range entries {
-		if e.Kind == journal.KindSweep {
-			if n := trailingSeq(e.ID); n > s.sweepSeq {
-				s.sweepSeq = n
-			}
-		}
+		s.registry(e.Kind == journal.KindRun).advance(e.ID)
 	}
 	s.mu.Unlock()
 
-	unfinished := 0
+	resumed := 0
 	for _, e := range entries {
-		if !e.Unfinished() {
-			// Terminal run jobs stay listed across a crash restart: GET
-			// /v1/simulations must not forget work that finished before
-			// the process died. (Clean shutdown compacts them away along
-			// with everything else.)
-			if e.Kind == journal.KindRun {
-				s.restoreTerminalRun(e)
-			}
+		switch {
+		case e.Kind != journal.KindRun && e.Kind != journal.KindSweep:
+			s.log.Warn("journal entry with unknown kind", "id", e.ID, "kind", e.Kind)
+			continue
+		case e.Unfinished():
+			resumed++
+		case e.Kind == journal.KindSweep:
+			// Terminal sweeps are not re-listed; terminal runs are, so
+			// GET /v1/simulations does not forget work that finished
+			// before the process died. (Clean shutdown compacts both
+			// away along with everything else.)
 			continue
 		}
-		unfinished++
-		switch e.Kind {
-		case journal.KindSweep:
-			s.recoverSweep(e)
-		case journal.KindRun:
-			s.recoverRun(e)
-		default:
-			s.log.Warn("journal entry with unknown kind", "id", e.ID, "kind", e.Kind)
-		}
+		s.recoverEntry(e)
 	}
 	s.log.Info("journal recovery", "replayed", len(s.opts.Recovered),
-		"entries", len(entries), "resumed", unfinished)
+		"entries", len(entries), "resumed", resumed)
 }
 
-// recoverSweep re-resolves a sweep's canonical cells and resumes it
-// under its original id, flagged recovered in status responses.
-func (s *Server) recoverSweep(e *journal.Entry) {
-	cells := make([]sweepCell, 0, len(e.Cells))
-	for _, rs := range e.Cells {
-		res, err := s.resolveSpec(rs)
-		if err != nil {
-			s.failRecoveredSweep(e, fmt.Errorf("service: recovery: %w", err))
-			return
-		}
-		cells = append(cells, sweepCell{resolved: res, view: cellIdentity(res)})
-	}
-	st, err := s.startSweep(sweepStart{
-		cells:       cells,
+// recoverEntry re-resolves an entry's canonical cells and registers it
+// under its original id, flagged recovered.
+func (s *Server) recoverEntry(e *journal.Entry) {
+	p := sweepStart{
+		run:         e.Kind == journal.KindRun,
 		trace:       "recovery",
 		id:          e.ID,
 		recovered:   true,
 		submittedAt: e.SubmittedAt,
-	})
-	if err != nil {
-		s.failRecoveredSweep(e, fmt.Errorf("service: recovery: %w", err))
-		return
+		final:       e.State,
+		finalErr:    e.Error,
 	}
-	s.log.Info("sweep recovered", "sweep", e.ID, "cells", len(cells),
-		"done_on_record", len(e.Done), "state", st.State)
+	if p.run && len(e.Cells) == 1 {
+		p.request = e.Cells[0]
+	}
+	cells, err := s.resolveCells(e.Cells)
+	if err == nil && p.run && len(cells) != 1 {
+		err = fmt.Errorf("run %s journal entry carries %d specs, want 1", e.ID, len(cells))
+	}
+	if err == nil {
+		p.cells = cells
+		if _, err = s.startSweep(p); err == nil {
+			s.log.Debug("entry recovered", "id", e.ID, "cells", len(cells), "final", e.State)
+			return
+		}
+	}
+	s.failRecovered(e, p, fmt.Errorf("service: recovery: %w", err))
 }
 
-// failRecoveredSweep registers an unresumable sweep as terminal failed
-// — observable via GET with the cause — and journals the terminal
-// record so the next restart does not retry it forever.
-func (s *Server) failRecoveredSweep(e *journal.Entry, cause error) {
+// failRecovered registers an entry that cannot be re-registered
+// normally as terminal — observable via GET with the cause — and, if
+// it was unfinished, journals a failed terminal record so the next
+// restart does not retry it forever. A terminal entry keeps its
+// journaled state.
+func (s *Server) failRecovered(e *journal.Entry, p sweepStart, cause error) {
+	state, msg := StateFailed, cause.Error()
+	if !e.Unfinished() {
+		state, msg = e.State, e.Error
+		if state == StateCanceled && msg == "" {
+			msg = "canceled"
+		}
+	}
 	sw := &sweep{
 		id:          e.ID,
+		run:         p.run,
+		request:     p.request,
 		submittedAt: e.SubmittedAt,
-		state:       StateFailed,
+		finishedAt:  time.Now(),
+		state:       state,
 		recovered:   true,
-		cancel:      func() {},
 	}
 	for _, rs := range e.Cells {
-		view := SweepCell{Policy: rs.Policy.ID(), Seed: rs.Seed}
+		view := SweepCell{Policy: rs.Policy.ID(), Seed: rs.Seed, State: state}
 		if rs.Workload.Trace != "" {
 			view.Trace = rs.Workload.Trace
 		} else {
@@ -113,101 +118,17 @@ func (s *Server) failRecoveredSweep(e *journal.Entry, cause error) {
 		if rs.Machine != nil {
 			view.Machine = rs.Machine.Name
 		}
-		view.State = StateFailed
 		sw.cells = append(sw.cells, sweepCell{view: view})
-		sw.progress = append(sw.progress, cellProgress{state: StateFailed, err: cause.Error()})
+		sw.progress = append(sw.progress, cellProgress{state: state, err: msg})
 	}
+	reg := s.registry(p.run)
 	s.mu.Lock()
-	if _, ok := s.sweeps[sw.id]; !ok {
-		s.sweeps[sw.id] = sw
-		s.sweepOrder = append(s.sweepOrder, sw.id)
-		s.pruneSweepsLocked()
+	if _, ok := reg.byID[sw.id]; !ok {
+		reg.add(sw)
 	}
 	s.mu.Unlock()
-	s.journalFinish(sw.id, StateFailed, cause.Error())
-	s.log.Warn("sweep recovery failed", "sweep", e.ID, "err", cause)
-}
-
-// restoreTerminalRun re-registers a run job that had already finished
-// before the crash. A done job's result is re-attached from the durable
-// result cache when it still holds the payload; otherwise the terminal
-// state (and failure message) is served without one.
-func (s *Server) restoreTerminalRun(e *journal.Entry) {
-	var req any
-	var result json.RawMessage
-	cached := false
-	if len(e.Cells) == 1 {
-		req = e.Cells[0]
-		if e.State == StateDone {
-			if res, err := s.resolveSpec(e.Cells[0]); err == nil {
-				switch {
-				case res.Spec.Baselines:
-					// The relative-IPC summary only lives in the in-memory
-					// response cache; after a restart the job serves its
-					// terminal state without a payload.
-					if raw, ok := s.cache.Peek(simBaselinesKey(res.Fingerprint)); ok {
-						result, cached = raw, true
-					}
-				default:
-					// The executor's store reaches the durable tier (-store),
-					// so the job re-attaches the exact pre-crash payload.
-					if r, ok := s.exec.Store().Get(res.Fingerprint); ok {
-						raw, merr := json.Marshal(&SimulationResult{Fingerprint: res.Fingerprint, Result: r})
-						if merr == nil {
-							result, cached = raw, true
-						}
-					}
-				}
-			}
-		}
+	if e.Unfinished() {
+		s.journalFinish(sw.id, StateFailed, msg)
 	}
-	errMsg := e.Error
-	if e.State == StateCanceled && errMsg == "" {
-		errMsg = "canceled"
-	}
-	if _, err := s.mgr.RestoreTerminal(e.ID, "sim", req, e.State, errMsg, result, cached, e.SubmittedAt); err != nil {
-		s.log.Warn("terminal job restore failed", "job", e.ID, "err", err)
-		return
-	}
-	s.log.Debug("terminal job restored", "job", e.ID, "state", e.State)
-}
-
-// recoverRun re-enqueues an unfinished single-run job under its
-// original id. A spec that no longer resolves runs as an immediate
-// failure, which records the terminal state through the normal path.
-func (s *Server) recoverRun(e *journal.Entry) {
-	var run func(context.Context) (json.RawMessage, bool, error)
-	var req any
-	switch {
-	case len(e.Cells) != 1:
-		cause := fmt.Errorf("service: recovery: job %s journal entry carries %d specs, want 1", e.ID, len(e.Cells))
-		run = func(context.Context) (json.RawMessage, bool, error) { return nil, false, cause }
-	default:
-		req = e.Cells[0]
-		res, err := s.resolveSpec(e.Cells[0])
-		if err != nil {
-			cause := fmt.Errorf("service: recovery: %w", err)
-			run = func(context.Context) (json.RawMessage, bool, error) { return nil, false, cause }
-			break
-		}
-		runner := s.runSim
-		if res.Spec.Baselines {
-			runner = s.runSimWithBaselines
-		}
-		run = func(ctx context.Context) (json.RawMessage, bool, error) {
-			return runner(ctx, res)
-		}
-	}
-	wrapped := func(ctx context.Context) (json.RawMessage, bool, error) {
-		raw, cached, err := run(ctx)
-		s.journalRunFinish(e.ID, ctx, err)
-		return raw, cached, err
-	}
-	if _, err := s.mgr.Restore(e.ID, "sim", req, e.SubmittedAt, wrapped); err != nil {
-		// Queue full or double restore: leave the entry unfinished — the
-		// next restart tries again with a drained queue.
-		s.log.Warn("job recovery failed", "job", e.ID, "err", err)
-		return
-	}
-	s.log.Info("job recovered", "job", e.ID)
+	s.log.Warn("entry recovery failed", "id", e.ID, "err", cause)
 }

@@ -57,7 +57,7 @@ func waitSweep(t *testing.T, srv *Server, id string) *SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		sw, ok := srv.lookupSweep(id)
+		sw, ok := srv.lookup(srv.sweeps, id)
 		if !ok {
 			t.Fatalf("sweep %s not registered", id)
 		}
@@ -355,6 +355,68 @@ func TestTerminalRunJobsSurviveRestart(t *testing.T) {
 	}
 }
 
+// A done baselines run stays whole across a crash restart on -store:
+// its payload is re-attached with the relative-IPC summary, derived
+// again from the stored run and solo-baseline results.
+func TestTerminalBaselinesRunKeepsSummary(t *testing.T) {
+	dir := t.TempDir()
+	rs := spec.RunSpec{
+		Policy:        spec.Policy{Name: "dwarn"},
+		Workload:      spec.Workload{Name: "2-MIX"},
+		WarmupCycles:  testWarmup,
+		MeasureCycles: testMeasure,
+		Baselines:     true,
+	}
+	res, err := rs.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Pre-crash life: the durable store pays for the run and its solos.
+	srvA, tsA := newTestServer(t, Options{Workers: 2, Store: openStore(t, filepath.Join(dir, "store"))})
+	preCrash := waitJob(t, tsA, submitV2Run(t, tsA, rs).ID, StateDone)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	_ = srvA.Shutdown(ctx)
+	cancel()
+	tsA.Close()
+
+	jpath := filepath.Join(dir, "journal.log")
+	j, _ := openJournal(t, jpath)
+	for _, rec := range []journal.Record{
+		{Type: journal.TypeSubmit, ID: "sim-000051", Kind: journal.KindRun, Time: time.Now().UTC(), Cells: []spec.RunSpec{res.Spec}},
+		{Type: journal.TypeFinish, ID: "sim-000051", State: StateDone},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	j2, recs := openJournal(t, jpath)
+	_, tsB := newTestServer(t, Options{
+		Workers: 1,
+		Store:   openStore(t, filepath.Join(dir, "store")),
+		Journal: j2, Recovered: recs,
+	})
+	var done JobView
+	if resp := getJSON(t, tsB, "/v2/runs/sim-000051", &done); resp.StatusCode != http.StatusOK {
+		t.Fatalf("done run forgotten after restart: %d", resp.StatusCode)
+	}
+	if done.State != StateDone || !done.Cached {
+		t.Fatalf("done run state %q cached %v", done.State, done.Cached)
+	}
+	sr, err := decodeSim(done.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Summary == nil || sr.Summary.Hmean <= 0 {
+		t.Fatalf("restored baselines run lost its summary: %s", done.Result)
+	}
+	if string(done.Result) != string(preCrash.Result) {
+		t.Fatalf("restored payload drifted from pre-crash:\n%s\nvs\n%s", done.Result, preCrash.Result)
+	}
+}
+
 // Shutdown-canceled sweeps write terminal records before the journal
 // compacts, so a canceled-at-shutdown sweep is never re-resumed.
 func TestShutdownCancelWritesTerminalRecord(t *testing.T) {
@@ -389,8 +451,8 @@ func TestShutdownCancelWritesTerminalRecord(t *testing.T) {
 	_, recs := openJournal(t, jpath)
 	entries := journal.Fold(recs)
 	for _, e := range entries {
-		if e.ID == st.ID && e.Unfinished() {
-			t.Fatalf("shutdown-canceled sweep %s still unfinished in journal", st.ID)
+		if e.ID == st.id && e.Unfinished() {
+			t.Fatalf("shutdown-canceled sweep %s still unfinished in journal", st.id)
 		}
 	}
 	if live := journal.Live(entries); len(live) != 0 {

@@ -20,28 +20,25 @@ import (
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
-	"dwarn/internal/stats"
 	"dwarn/internal/timeline"
 	"dwarn/internal/workload"
 )
 
 // Options configures a Server; zero values take the defaults below.
 type Options struct {
-	// Workers is the simulation worker pool size (default 4).
+	// Workers sizes the executor pool every run and sweep cell shares
+	// (default 4).
 	Workers int
-	// QueueDepth bounds the FIFO job queue (default 256).
+	// QueueDepth bounds runs waiting for an executor slot (default
+	// 256); a run submitted beyond it fails fast with a 503.
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 4096).
+	// CacheEntries bounds the in-memory result tier (default 4096).
 	CacheEntries int
 	// MaxCycles caps per-request warmup and measure cycles; 0 applies
 	// the default cap of 5M, negative disables the cap.
 	MaxCycles int64
 	// MaxBodyBytes caps request bodies (default 1MB).
 	MaxBodyBytes int64
-	// MaxJobRecords bounds retained terminal job records (default 4096).
-	MaxJobRecords int
-	// MaxSweepRecords bounds retained sweep records (default 256).
-	MaxSweepRecords int
 	// MaxSweepCells bounds one sweep's expansion (default 1024); a
 	// larger grid is rejected with a 400 rather than fanning out
 	// unbounded jobs.
@@ -50,7 +47,7 @@ type Options struct {
 	// 16). Together with MaxSweepCells this caps the sweep backlog —
 	// at most MaxActiveSweeps × MaxSweepCells cells waiting on the
 	// executor pool; further submissions fail fast with a 503, the
-	// sweep-side analogue of the job queue's full-queue fast-fail.
+	// sweep-side analogue of QueueDepth for runs.
 	MaxActiveSweeps int
 	// MaxTraceBytes caps an uploaded trace file (compressed bytes on
 	// the wire; default 32MB).
@@ -63,11 +60,11 @@ type Options struct {
 	// MaxTraceStoreBytes bounds the traces' total in-memory payload
 	// (default 1GB).
 	MaxTraceStoreBytes int64
-	// Store, when non-nil, durably backs the result cache: misses fall
-	// through to it, results are written to it, and entries survive
-	// restarts and LRU eviction (dwarnd -store DIR passes a DirStore —
-	// the same layout resumable CLI sweeps use, so the two share cache
-	// identity through the filesystem).
+	// Store, when non-nil, durably backs the in-memory result tier:
+	// misses fall through to it, results are written to it, and entries
+	// survive restarts and LRU eviction (dwarnd -store DIR passes a
+	// DirStore — the same layout resumable CLI sweeps use, so the two
+	// share cache identity through the filesystem).
 	Store exec.Store
 	// Checkpoints backs the checkpoint/fork engine: sweep cells sharing
 	// a (machine, workload, seed) group warm once and fork the group's
@@ -104,9 +101,9 @@ type Options struct {
 	// RequestTimeout bounds the handling time of non-streaming,
 	// non-fabric requests (0 disables; dwarnd defaults it to 60s).
 	RequestTimeout time.Duration
-	// Journal, when non-nil, durably records sweep and run-job registry
-	// transitions; the Server appends to it as work is admitted and
-	// completed, and compacts + closes it on Shutdown.
+	// Journal, when non-nil, durably records run and sweep admissions
+	// and terminal states; the Server appends to it as work is admitted
+	// and completed, and compacts + closes it on Shutdown.
 	Journal *journal.Journal
 	// Recovered is the record stream journal.Open replayed before the
 	// Server was built. New folds it and resumes unfinished entries
@@ -132,12 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
-	}
-	if o.MaxJobRecords <= 0 {
-		o.MaxJobRecords = 4096
-	}
-	if o.MaxSweepRecords <= 0 {
-		o.MaxSweepRecords = 256
 	}
 	if o.MaxSweepCells <= 0 {
 		o.MaxSweepCells = 1024
@@ -169,15 +160,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the dwarnd HTTP service: REST handlers over a job Manager
-// (single runs) and the shared execution layer (sweeps), both memoised
-// by one content-addressed result Cache.
+// Server is the dwarnd HTTP service: REST handlers over one registry of
+// run and sweep records, all executing on one shared executor whose
+// store is the in-memory result Cache (over Options.Store when set).
 type Server struct {
 	opts   Options
 	cache  *Cache
-	mgr    *Manager
 	traces *TraceStore
-	exec   *exec.Executor      // shared sweep pool over the cache-backed store
+	exec   *exec.Executor      // the one pool every run and sweep cell executes on
 	fabric *fabric.Coordinator // non-nil when Options.Fabric is set
 	mux    *http.ServeMux
 	start  time.Time
@@ -202,15 +192,15 @@ type Server struct {
 	jmu   sync.Mutex
 	jrecs []journal.Record
 
-	sweepWG    sync.WaitGroup
-	sweepCtx   context.Context // parent of every sweep's context
-	stopSweeps context.CancelFunc
+	wg      sync.WaitGroup  // executing records
+	baseCtx context.Context // parent of every record's context
+	stopAll context.CancelFunc
 
-	mu          sync.Mutex
-	sweeps      map[string]*sweep
-	sweepOrder  []string
-	sweepSeq    uint64
-	sweepClosed bool
+	mu         sync.Mutex
+	runs       *records
+	sweeps     *records
+	queuedRuns int // runs whose cell waits for an executor slot
+	closed     bool
 }
 
 // New builds a Server and starts its worker pool.
@@ -218,17 +208,17 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:       opts,
-		cache:      NewCache(opts.CacheEntries),
-		mgr:        NewManager(opts.Workers, opts.QueueDepth, opts.MaxJobRecords),
-		traces:     NewTraceStore(opts.MaxTraces, opts.MaxTraceStoreBytes),
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		reg:        opts.Registry,
-		log:        opts.Logger,
-		sweepCtx:   ctx,
-		stopSweeps: cancel,
-		sweeps:     make(map[string]*sweep),
+		opts:    opts,
+		cache:   NewCache(opts.CacheEntries),
+		traces:  NewTraceStore(opts.MaxTraces, opts.MaxTraceStoreBytes),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		reg:     opts.Registry,
+		log:     opts.Logger,
+		baseCtx: ctx,
+		stopAll: cancel,
+		runs:    newRecords("sim", maxJobRecords),
+		sweeps:  newRecords("sweep", maxSweepRecords),
 	}
 	if opts.AuthToken != "" {
 		s.authHash = sha256.Sum256([]byte(opts.AuthToken))
@@ -236,16 +226,16 @@ func New(opts Options) *Server {
 	s.limiter = newRateLimiter(opts.RateLimit, opts.RateBurst)
 	s.jrnl = opts.Journal
 	s.jrecs = append(s.jrecs, opts.Recovered...)
-	// Every sweep cell executes through this one executor: N concurrent
-	// sweeps share one bounded pool and one store identity — the same
-	// cache entries /v1/simulations and /v2/runs are served from. Its
+	// Every run and sweep cell executes through this one executor: one
+	// bounded pool, one single-flight domain, one store identity. Its
 	// metrics (store hits/misses, dedup, per-policy cell times) land in
-	// the server's registry. With Options.Store the LRU is layered over
-	// the durable tier; with Options.Fabric leader cells dispatch into
-	// the coordinator's lease queue instead of a local pool.
-	store := exec.Store(cacheStore{c: s.cache})
+	// the server's registry. With Options.Store the in-memory tier is
+	// layered over the durable one; with Options.Fabric leader cells
+	// dispatch into the coordinator's lease queue instead of a local
+	// pool.
+	store := exec.Store(s.cache)
 	if opts.Store != nil {
-		store = tieredStore{fast: cacheStore{c: s.cache}, slow: opts.Store}
+		store = tieredStore{fast: s.cache, slow: opts.Store}
 	}
 	if opts.Fabric != nil {
 		s.fabric = s.startFabric(opts.Fabric)
@@ -266,12 +256,12 @@ func New(opts Options) *Server {
 }
 
 // runCell computes one resolved cell. It is the one RunFunc under the
-// executor's local pool, the fabric's local workers, and (via job
-// closures) single runs — so every execution path streams interval
-// frames the same way: when the executing context carries a frame sink
-// (attached per sweep in submitSweep) and the cell's spec requested
-// timeline sampling, each closing frame is forwarded as it happens
-// instead of waiting for the cell's result.
+// executor's local pool and the fabric's local workers — so every
+// execution path streams interval frames the same way: when the
+// executing context carries a frame sink (attached per sweep in
+// startSweep) and the cell's spec requested timeline sampling, each
+// closing frame is forwarded as it happens instead of waiting for the
+// cell's result.
 func (s *Server) runCell(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 	opts := res.Options
 	if sink := frameSinkFrom(ctx); sink != nil && opts.Timeline != nil {
@@ -318,32 +308,29 @@ func (s *Server) routes() {
 // still counted and logged.
 func (s *Server) Handler() http.Handler { return s.obsHandler() }
 
-// Shutdown stops accepting work and drains both execution paths: the
-// job Manager's queue (single runs) and every active sweep. Queued and
-// running work completes normally; if ctx expires first, every
-// remaining job and sweep context is cancelled and Shutdown waits for
-// the workers to observe that before returning ctx.Err().
+// Shutdown stops accepting work and drains every executing run and
+// sweep. Queued and running work completes normally; if ctx expires
+// first, every remaining record's context is cancelled and Shutdown
+// waits for the cells to observe that before returning ctx.Err().
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.sweepClosed = true
+	s.closed = true
 	s.mu.Unlock()
 
-	sweepsDone := make(chan struct{})
+	drained := make(chan struct{})
 	go func() {
-		s.sweepWG.Wait()
-		close(sweepsDone)
+		s.wg.Wait()
+		close(drained)
 	}()
-	err := s.mgr.Shutdown(ctx)
+	var err error
 	select {
-	case <-sweepsDone:
+	case <-drained:
 	case <-ctx.Done():
-		s.stopSweeps()
-		<-sweepsDone
-		if err == nil {
-			err = ctx.Err()
-		}
+		s.stopAll()
+		<-drained
+		err = ctx.Err()
 	}
-	// The fabric closes after the sweeps drain: every cell is resolved
+	// The fabric closes after the records drain: every cell is resolved
 	// by then, so closing only parks the local workers and tells remote
 	// workers (on their next RPC) to back off.
 	if s.fabric != nil {
@@ -408,25 +395,22 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// submitError maps submission failures (job queue or sweep admission)
-// to HTTP statuses. Saturation 503s carry a Retry-After hint so
-// well-behaved clients back off instead of hot-looping.
+// submitError maps submission failures to HTTP statuses: saturation
+// and shutdown to 503 with a Retry-After hint (so well-behaved clients
+// back off instead of hot-looping), a failed durable append to 500,
+// anything else (solo-baseline resolution) to 400.
 func submitError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) ||
-		errors.Is(err, ErrTooManySweeps) || errors.Is(err, ErrSaturated) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrShuttingDown),
+		errors.Is(err, ErrTooManySweeps), errors.Is(err, ErrSaturated):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", retryAfterHeader(retryAfterShed))
+	case errors.Is(err, errJournal):
+		status = http.StatusInternalServerError
 	}
 	writeError(w, status, err)
 }
-
-// ---- simulation execution ----
-
-// simKey is the cache key for a plain simulation payload;
-// simBaselinesKey for the payload that adds relative-IPC metrics.
-func simKey(fp string) string          { return "sim:" + fp }
-func simBaselinesKey(fp string) string { return "sim+baselines:" + fp }
 
 // resolveSpec compiles a spec against the server's trace store and
 // enforces the per-run cycle cap.
@@ -441,188 +425,36 @@ func (s *Server) resolveSpec(rs spec.RunSpec) (*spec.Resolved, error) {
 	return res, nil
 }
 
-// runSim returns the marshaled SimulationResult for a resolved run (no
-// summary), computing and caching it under the spec fingerprint on a
-// miss. The computation itself goes through the shared executor, so a
-// run job and a sweep cell with the same fingerprint join one
-// in-flight simulation (and one bounded pool) instead of simulating
-// twice — the cache's single-flight dedupes identical run jobs, the
-// executor's dedupes across the run/sweep boundary.
-func (s *Server) runSim(ctx context.Context, res *spec.Resolved) (json.RawMessage, bool, error) {
-	return s.cache.GetOrCompute(ctx, simKey(res.Fingerprint), func() ([]byte, error) {
-		results := s.exec.Execute(ctx, []*spec.Resolved{res}, nil)
-		if err := results[0].Err; err != nil {
-			return nil, err
-		}
-		return json.Marshal(&SimulationResult{Fingerprint: res.Fingerprint, Result: results[0].Result})
-	})
-}
-
-// decodeSim recovers the result record from cached payload bytes.
-func decodeSim(raw []byte) (*SimulationResult, error) {
-	var sr SimulationResult
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		return nil, fmt.Errorf("service: corrupt cached result: %w", err)
-	}
-	return &sr, nil
-}
-
-// runSimWithBaselines additionally runs each distinct benchmark solo
-// under ICOUNT — every solo run is a canonical spec of its own, so its
-// cache entry is shared with any other request (v1 or v2) that needs
-// the same baseline — and attaches the relative-IPC summary.
-func (s *Server) runSimWithBaselines(ctx context.Context, res *spec.Resolved) (json.RawMessage, bool, error) {
-	return s.cache.GetOrCompute(ctx, simBaselinesKey(res.Fingerprint), func() ([]byte, error) {
-		raw, _, err := s.runSim(ctx, res)
-		if err != nil {
-			return nil, err
-		}
-		sr, err := decodeSim(raw)
-		if err != nil {
-			return nil, err
-		}
-
-		soloIPC := make(map[string]float64)
-		for _, bench := range res.Options.Workload.Benchmarks {
-			if _, ok := soloIPC[bench]; ok {
-				continue
-			}
-			soloSpec := spec.SoloBaseline(res.Spec, bench)
-			soloRes, err := soloSpec.Resolve(nil)
-			if err != nil {
-				return nil, err
-			}
-			soloRaw, _, err := s.runSim(ctx, soloRes)
-			if err != nil {
-				return nil, err
-			}
-			soloOut, err := decodeSim(soloRaw)
-			if err != nil {
-				return nil, err
-			}
-			soloIPC[bench] = soloOut.Result.Threads[0].IPC
-		}
-
-		smt := sr.Result.IPCs()
-		solo := make([]float64, len(sr.Result.Threads))
-		for i, t := range sr.Result.Threads {
-			solo[i] = soloIPC[t.Benchmark]
-		}
-		sr.Summary, err = stats.Summarize(smt, solo)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(sr)
-	})
-}
-
-// submitResolved either completes the run instantly from the cache or
-// enqueues it. record is echoed in job status responses: the original
+// submitRun starts one resolved run: a record with one public cell
+// through startSweep, so a result already stored completes at
+// submission time. request is echoed in the JobView: the original
 // request for v1 submissions, the canonical spec for v2. ctx is the
-// submitting request's context: its trace ID and logger are re-attached
-// to the job's own (queue-lifetime) context so the run executes under
-// the trace of the request that submitted it.
-func (s *Server) submitResolved(ctx context.Context, res *spec.Resolved, record any) (JobView, error) {
-	key := simKey(res.Fingerprint)
-	run := s.runSim
-	if res.Spec.Baselines {
-		key = simBaselinesKey(res.Fingerprint)
-		run = s.runSimWithBaselines
-	}
-
-	// Fast path: an identical request already paid for this result, so
-	// the job completes at submission time without taking a queue slot.
-	// Peek rather than Get: a miss here is not an outcome — the queued
-	// job's GetOrCompute records it.
-	if raw, ok := s.cache.Peek(key); ok {
-		j, err := s.mgr.SubmitCompleted("sim", record, raw, true)
-		if err != nil {
-			return JobView{}, err
-		}
-		v, _ := s.mgr.Get(j.ID)
-		return v, nil
-	}
-
-	trace := obs.TraceID(ctx)
-	base := func(jobCtx context.Context) (json.RawMessage, bool, error) {
-		return run(obs.WithLogger(obs.WithTrace(jobCtx, trace), s.log), res)
-	}
-	runJob := base
-	var ready chan struct{}
-	var jobID *string
-	if s.jrnl != nil {
-		// The worker closure waits for the submit record (which carries
-		// the job id) to be durably appended before executing, so the
-		// journal never holds a finish record ahead of its submit.
-		ready = make(chan struct{})
-		jobID = new(string)
-		runJob = func(jobCtx context.Context) (json.RawMessage, bool, error) {
-			<-ready
-			raw, cached, err := base(jobCtx)
-			s.journalRunFinish(*jobID, jobCtx, err)
-			return raw, cached, err
-		}
-	}
-	j, err := s.mgr.Submit("sim", record, runJob)
+// submitting request's context, whose trace the run executes under.
+func (s *Server) submitRun(ctx context.Context, res *spec.Resolved, request any) (JobView, error) {
+	sw, err := s.startSweep(sweepStart{
+		cells:   []sweepCell{{resolved: res, view: cellIdentity(res)}},
+		run:     true,
+		request: request,
+		trace:   obs.TraceID(ctx),
+	})
 	if err != nil {
 		return JobView{}, err
 	}
-	if s.jrnl != nil {
-		*jobID = j.ID
-		if jerr := s.journalAppend(journal.Record{
-			Type: journal.TypeSubmit, ID: j.ID, Kind: journal.KindRun,
-			Time: j.SubmittedAt, Cells: []spec.RunSpec{res.Spec},
-		}); jerr != nil {
-			// Best effort for single runs (availability over strict
-			// durability): the job still runs, it just won't be resumed
-			// if the process dies first.
-			s.log.Warn("journal job append failed", "job", j.ID, "err", jerr)
-		}
-		close(ready)
-	}
-	v, _ := s.mgr.Get(j.ID)
-	return v, nil
-}
-
-// journalRunFinish appends a run job's terminal record, mirroring the
-// Manager's state mapping for the job itself.
-func (s *Server) journalRunFinish(id string, ctx context.Context, err error) {
-	rec := journal.Record{Type: journal.TypeFinish, ID: id, State: StateDone}
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
-		rec.State = StateCanceled
-	default:
-		rec.State = StateFailed
-		rec.Error = err.Error()
-	}
-	if aerr := s.journalAppend(rec); aerr != nil {
-		s.log.Warn("journal job finish append failed", "job", id, "err", aerr)
-	}
-}
-
-// submitSpecJob resolves and submits one spec.
-func (s *Server) submitSpecJob(ctx context.Context, rs spec.RunSpec, record any) (JobView, *spec.Resolved, error) {
-	res, err := s.resolveSpec(rs)
-	if err != nil {
-		return JobView{}, nil, err
-	}
-	v, err := s.submitResolved(ctx, res, record)
-	return v, res, err
+	return s.jobView(sw), nil
 }
 
 // ---- handlers ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	sweeps := len(s.sweeps)
+	sweeps := len(s.sweeps.byID)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"workers":        s.opts.Workers,
 		"queue_depth":    s.opts.QueueDepth,
-		"jobs":           s.mgr.Counts(),
+		"jobs":           s.runCounts(),
 		"sweeps":         sweeps,
 		"traces":         s.traces.Len(),
 		"cache":          s.cache.Stats(),
@@ -675,48 +507,46 @@ func (s *Server) handleSubmitSimulation(w http.ResponseWriter, r *http.Request) 
 	if !s.decode(w, r, &req) {
 		return
 	}
-	v, _, err := s.submitSpecJob(r.Context(), req.Spec(), req)
+	res, err := s.resolveSpec(req.Spec())
 	if err != nil {
-		if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
-			submitError(w, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	v, err := s.submitRun(r.Context(), res, req)
+	if err != nil {
+		submitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, v)
 }
 
 func (s *Server) handleListSimulations(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.mgr.List()})
+	s.mu.Lock()
+	runs := make([]*sweep, len(s.runs.order))
+	for i, id := range s.runs.order {
+		runs[i] = s.runs.byID[id]
+	}
+	s.mu.Unlock()
+	jobs := make([]JobView, len(runs))
+	for i, sw := range runs {
+		jobs[i] = s.jobView(sw)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
 func (s *Server) handleGetSimulation(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.mgr.Get(r.PathValue("id"))
+	sw, ok := s.lookup(s.runs, r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, v)
+	writeJSON(w, http.StatusOK, s.jobView(sw))
 }
 
 func (s *Server) handleCancelSimulation(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.mgr.Get(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no job %q", id))
-		return
+	if sw, ok := s.cancelRecord(w, s.runs, "job", r.PathValue("id")); ok {
+		writeJSON(w, http.StatusOK, s.jobView(sw))
 	}
-	if !s.mgr.Cancel(id) {
-		writeError(w, http.StatusConflict, fmt.Errorf("service: job %q already finished", id))
-		return
-	}
-	// Durable cancel: a job canceled while still queued never runs its
-	// closure, so without this record a restart would resume it.
-	if err := s.journalAppend(journal.Record{Type: journal.TypeCancel, ID: id}); err != nil {
-		s.log.Warn("journal cancel append failed", "job", id, "err", err)
-	}
-	v, _ := s.mgr.Get(id)
-	writeJSON(w, http.StatusOK, v)
 }
 
 // resolveSweep expands a sweep spec under the cell bound and resolves
@@ -726,6 +556,12 @@ func (s *Server) resolveSweep(ss spec.SweepSpec) ([]sweepCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.resolveCells(runs)
+}
+
+// resolveCells resolves every cell of a grid, failing on the first
+// that does not resolve.
+func (s *Server) resolveCells(runs []spec.RunSpec) ([]sweepCell, error) {
 	cells := make([]sweepCell, 0, len(runs))
 	for _, rs := range runs {
 		res, err := s.resolveSpec(rs)
@@ -779,4 +615,15 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.submitSweep(w, r, cells)
+}
+
+// submitSweep starts resolved sweep cells and answers 202 with the
+// sweep's status, or maps the submission failure.
+func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request, cells []sweepCell) {
+	sw, err := s.startSweep(sweepStart{cells: cells, trace: obs.TraceID(r.Context())})
+	if err != nil {
+		submitError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, s.sweepStatus(sw))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"dwarn/internal/exec"
+	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 	"dwarn/internal/workload"
@@ -34,16 +36,21 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		// Cancel whatever is still active so the drain is immediate.
-		for _, v := range srv.mgr.List() {
-			if !terminal(v.State) {
-				srv.mgr.Cancel(v.ID)
-			}
-		}
+		srv.stopAll()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
 	return srv, ts
+}
+
+// decodeSim recovers the payload of a done run's JobView.
+func decodeSim(raw []byte) (*SimulationResult, error) {
+	var sr SimulationResult
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		return nil, fmt.Errorf("corrupt run payload %q: %w", raw, err)
+	}
+	return &sr, nil
 }
 
 func getJSON(t *testing.T, ts *httptest.Server, path string, v any) *http.Response {
@@ -471,27 +478,34 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	}
 }
 
+// TestJobRecordPruning: terminal run records beyond the retention
+// bound are pruned oldest first; the newest survives.
 func TestJobRecordPruning(t *testing.T) {
-	m := NewManager(1, 4, 2)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = m.Shutdown(ctx)
-	}()
+	srv, ts := newTestServer(t, Options{Workers: 1})
+	srv.mu.Lock()
+	srv.runs.max = 2
+	srv.mu.Unlock()
+	req := SimulationRequest{
+		Policy: "icount", Workload: "2-ILP",
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
+	}
+	waitJob(t, ts, submitSim(t, ts, req).ID, StateDone)
 	var last string
-	for i := 0; i < 5; i++ {
-		j, err := m.SubmitCompleted("sim", nil, nil, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = j.ID
+	for i := 0; i < 4; i++ {
+		last = submitSim(t, ts, req).ID // served from the store: terminal at submit
 	}
-	views := m.List()
-	if len(views) != 2 {
-		t.Fatalf("retained %d records, want 2", len(views))
+	var list struct {
+		Jobs []JobView `json:"jobs"`
 	}
-	if views[len(views)-1].ID != last {
-		t.Fatalf("newest record %s pruned (kept %s)", last, views[len(views)-1].ID)
+	getJSON(t, ts, "/v1/simulations", &list)
+	if len(list.Jobs) != 2 {
+		t.Fatalf("retained %d records, want 2", len(list.Jobs))
+	}
+	if list.Jobs[len(list.Jobs)-1].ID != last {
+		t.Fatalf("newest record %s pruned (kept %s)", last, list.Jobs[len(list.Jobs)-1].ID)
+	}
+	if resp := getJSON(t, ts, "/v1/simulations/sim-000001", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("oldest record still served: status %d", resp.StatusCode)
 	}
 }
 
@@ -503,8 +517,9 @@ func TestSweepCellErrorIsolated(t *testing.T) {
 	// Swap in an executor whose RunFunc fails exactly the FLUSH cell;
 	// everything else runs the real simulator over the same store.
 	srv.exec = exec.New(exec.Options{
-		Workers: 2,
-		Store:   cacheStore{c: srv.cache},
+		Workers:  2,
+		Store:    srv.cache,
+		Registry: obs.NewRegistry(), // not obs.Default, which /metrics merges in later tests
 		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			if res.Spec.Policy.Name == "flush" {
 				return nil, errBoom
@@ -668,6 +683,8 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	}
 }
 
+// TestManagerDrainsOnShutdown: Shutdown drains every admitted run to
+// done, and refuses submissions after it began.
 func TestManagerDrainsOnShutdown(t *testing.T) {
 	srv := New(Options{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -687,12 +704,16 @@ func TestManagerDrainsOnShutdown(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	for _, id := range ids {
-		v, ok := srv.mgr.Get(id)
-		if !ok || v.State != StateDone {
-			t.Fatalf("job %s not drained to done: %+v", id, v)
+		var v JobView
+		if resp := getJSON(t, ts, "/v1/simulations/"+id, &v); resp.StatusCode != http.StatusOK || v.State != StateDone {
+			t.Fatalf("job %s not drained to done: status %d %+v", id, resp.StatusCode, v)
 		}
 	}
-	if _, err := srv.mgr.Submit("sim", nil, nil); err != ErrShuttingDown {
-		t.Fatalf("submit after shutdown: %v", err)
+	resp, raw := postJSON(t, ts, "/v1/simulations", SimulationRequest{
+		Policy: "dg", Workload: "2-ILP", Seed: 99,
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
+	})
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), ErrShuttingDown.Error()) {
+		t.Fatalf("submit after shutdown: status %d body %s", resp.StatusCode, raw)
 	}
 }

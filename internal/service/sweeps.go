@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"dwarn/internal/chaos"
@@ -18,55 +20,53 @@ import (
 	"dwarn/internal/timeline"
 )
 
-// Sweeps execute through the shared execution layer (internal/exec),
-// not the job queue: every cell of every sweep fans into one bounded
-// executor pool, memoised by the same cache-backed store /v1 and /v2
-// run jobs are served from. A sweep is registered, prechecked against
-// the store (cells already paid for complete at submission time), and
-// its remaining cells run under a per-sweep context — DELETE cancels
-// them cooperatively mid-simulation. Per-cell completions append to an
-// event log that both the status endpoint (partial/progress results)
-// and the SSE stream (GET /v2/sweeps/{id}/events) are views of. One
-// failing cell records its error in its slot; the sweep keeps going.
+// One execution path: every submission — a sweep, a single run (a
+// sweep record with one public cell), a preloaded spec file, and every
+// journal-recovered entry — goes through startSweep. A record is
+// prechecked against the executor's store (cells already paid for are
+// done at submission time), durably journaled, and its remaining cells
+// fan into the one shared executor pool under a per-record context, so
+// DELETE cancels them cooperatively mid-simulation. Per-cell events
+// fold into the record's progress, which the status endpoints, the SSE
+// stream (GET /v2/sweeps/{id}/events) and the run JobView are views of.
+// One failing cell records its error in its slot; the rest keep going.
+// Baselines cells add hidden solo-ICOUNT cells to the same batch, and
+// finishSweepLocked derives their relative-IPC summaries.
 
-// ErrTooManySweeps reports sweep admission hitting MaxActiveSweeps;
-// the HTTP layer maps it to a 503, like a full job queue.
-var ErrTooManySweeps = errors.New("service: too many active sweeps")
+// Record states. A record is terminal in StateDone, StateFailed, or
+// StateCanceled; a run reports StateQueued until its cell takes an
+// executor slot.
+const (
+	StateQueued   = "queued"
+	StateRunning  = "running"
+	StateDone     = "done"
+	StateFailed   = "failed"
+	StateCanceled = "canceled"
+)
 
-// errJournal reports a failed durable append at sweep admission. The
+// Submission errors the HTTP layer maps to 503.
+var (
+	// ErrQueueFull reports QueueDepth runs already waiting for an
+	// executor slot.
+	ErrQueueFull = errors.New("service: job queue full")
+	// ErrShuttingDown reports a submission after Shutdown began.
+	ErrShuttingDown = errors.New("service: shutting down")
+	// ErrTooManySweeps reports sweep admission hitting MaxActiveSweeps.
+	ErrTooManySweeps = errors.New("service: too many active sweeps")
+)
+
+// errJournal reports a failed durable append at admission. The
 // submission is refused (500): admitting work the journal cannot
 // remember would silently reintroduce the forget-on-restart bug the
 // journal exists to fix.
 var errJournal = errors.New("service: journal write failed")
 
-// cacheStore adapts the service's byte-level LRU result cache onto the
-// execution layer's Store interface. Entries are the exact marshaled
-// SimulationResult payloads the run endpoints serve, so a sweep cell
-// and a single-run request for the same spec share one cache entry in
-// both directions.
-type cacheStore struct{ c *Cache }
-
-// Get implements exec.Store.
-func (cs cacheStore) Get(fp string) (*sim.Result, bool) {
-	raw, ok := cs.c.Peek(simKey(fp))
-	if !ok {
-		return nil, false
-	}
-	sr, err := decodeSim(raw)
-	if err != nil {
-		return nil, false
-	}
-	return sr.Result, true
-}
-
-// Put implements exec.Store.
-func (cs cacheStore) Put(fp string, res *sim.Result) {
-	raw, err := json.Marshal(&SimulationResult{Fingerprint: fp, Result: res})
-	if err != nil {
-		return
-	}
-	cs.c.Put(simKey(fp), raw)
-}
+// Record retention: terminal records beyond these bounds are pruned,
+// oldest first; active records never are.
+const (
+	maxJobRecords   = 4096
+	maxSweepRecords = 256
+)
 
 // sweepCell is one resolved grid point: the canonical spec to run plus
 // the static display identity shown in status responses.
@@ -82,22 +82,26 @@ type cellProgress struct {
 	cached     bool
 	err        string
 	throughput *float64
-	hmean      *float64
-	wspeedup   *float64
+	summary    *stats.Summary // Baselines cells, once their solos are done
 }
 
-// sweep tracks one sweep's execution. cells are the public grid points;
-// solos are the hidden solo-ICOUNT baseline cells a Baselines sweep
-// additionally executes (through the same store, so they are shared
-// with every other consumer needing the same denominator).
+// sweep is one registered submission: a sweep, or a run (run set,
+// exactly one public cell). cells are the public grid points; soloFor
+// maps each Baselines cell's benchmarks to the hidden solo-ICOUNT cells
+// the record additionally executes (through the same store, so they
+// are shared with every other consumer needing the same denominator).
 type sweep struct {
 	id          string
+	run         bool
+	request     any // a run's submitted request, echoed in its JobView
 	submittedAt time.Time
+	startedAt   time.Time
+	finishedAt  time.Time
 	cells       []sweepCell
-	solos       []sweepCell
-	soloFor     []map[string]string // per public cell: benchmark → solo fingerprint
+	soloFor     []map[string]*spec.Resolved // per public cell: benchmark → solo cell
 
 	progress    []cellProgress
+	result      *sim.Result // a done run's result
 	events      []SweepEvent
 	frameEvents int             // timeline frame events retained so far
 	waiters     []chan struct{} // SSE streams blocked until the next event
@@ -106,33 +110,74 @@ type sweep struct {
 	cancel      context.CancelFunc
 }
 
-// terminal reports whether the sweep has finished (all cells terminal
+// terminal reports whether the record has finished (all cells terminal
 // and summaries filled).
 func (sw *sweep) terminal() bool { return sw.state != StateRunning }
 
-// soloBaselines resolves the hidden solo cells a baselines cell needs:
-// each distinct benchmark solo under ICOUNT at the cell's own machine,
-// seed, and protocol — the canonical baseline identity every other
-// consumer shares.
-func soloBaselines(res *spec.Resolved) (map[string]string, []sweepCell, error) {
-	if !res.Spec.Baselines || res.Options.Trace != nil {
-		return nil, nil, nil
+// records is one id space of the registry — runs ("sim-000001") or
+// sweeps ("sweep-000001") — in submission order. Guarded by the server
+// mutex.
+type records struct {
+	prefix string
+	max    int
+	seq    uint64
+	byID   map[string]*sweep
+	order  []string
+}
+
+func newRecords(prefix string, max int) *records {
+	return &records{prefix: prefix, max: max, byID: make(map[string]*sweep)}
+}
+
+// advance moves the id sequence past a journaled id, so fresh ids
+// never collide with recovered ones.
+func (r *records) advance(id string) {
+	if n := trailingSeq(id); n > r.seq {
+		r.seq = n
 	}
-	solos := map[string]string{}
-	var cells []sweepCell
-	for _, b := range res.Options.Workload.Benchmarks {
-		if _, ok := solos[b]; ok {
+}
+
+// add registers sw, allocating its id when it has none, and prunes the
+// oldest terminal records beyond max.
+func (r *records) add(sw *sweep) {
+	if sw.id == "" {
+		r.seq++
+		sw.id = fmt.Sprintf("%s-%06d", r.prefix, r.seq)
+	}
+	r.byID[sw.id] = sw
+	r.order = append(r.order, sw.id)
+	excess := len(r.order) - r.max
+	if excess <= 0 {
+		return
+	}
+	kept := r.order[:0]
+	for _, id := range r.order {
+		if excess > 0 && r.byID[id].terminal() {
+			delete(r.byID, id)
+			excess--
 			continue
 		}
-		soloSpec := spec.SoloBaseline(res.Spec, b)
-		sr, err := soloSpec.Resolve(nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		solos[b] = sr.Fingerprint
-		cells = append(cells, sweepCell{resolved: sr, view: cellIdentity(sr)})
+		kept = append(kept, id)
 	}
-	return solos, cells, nil
+	r.order = kept
+}
+
+// remove unregisters an id (a submission refused after registration).
+func (r *records) remove(id string) {
+	delete(r.byID, id)
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if r.order[i] == id {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			return
+		}
+	}
+}
+
+// trailingSeq parses the numeric suffix of a "name-000042" style id (0
+// when absent), used to advance id sequences past recovered entries.
+func trailingSeq(id string) uint64 {
+	n, _ := strconv.ParseUint(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
+	return n
 }
 
 // maxSweepFrameEvents bounds the timeline frame events one sweep's
@@ -187,58 +232,46 @@ func (s *Server) sweepFrameSink(sw *sweep, fpIndex map[string]int) frameSink {
 	}
 }
 
-// submitSweep runs the HTTP side of sweep admission: startSweep does
-// the work, and failures map to statuses here — saturation and
-// shutdown to 503, a failed durable append to 500, anything else
-// (solo-baseline resolution) to 400.
-func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request, cells []sweepCell) {
-	st, err := s.startSweep(sweepStart{cells: cells, trace: obs.TraceID(r.Context())})
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrShuttingDown), errors.Is(err, ErrTooManySweeps):
-			submitError(w, err)
-		case errors.Is(err, errJournal):
-			writeError(w, http.StatusInternalServerError, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-// sweepStart parameterises startSweep for its two callers: HTTP
-// submission (fresh id, journaled, admission-bounded) and journal
-// recovery (preassigned id, already journaled, bypasses the bound).
+// sweepStart parameterises startSweep for its callers: HTTP and
+// preload submissions (fresh id, journaled, admission-bounded) and
+// journal recovery (preassigned id, already journaled, bypasses the
+// bounds).
 type sweepStart struct {
 	cells       []sweepCell
+	run         bool // a single run: one cell, a sim-NNNNNN id, rendered as a JobView
+	request     any  // a run's submitted request
 	trace       string
 	id          string    // preassigned id (recovery); "" allocates
 	recovered   bool      // resumed from the journal: skip admission + submit record
 	submittedAt time.Time // original submit time (recovery); zero = now
+	// final is the journaled terminal state of an entry that finished
+	// before a restart (with finalErr, its error): the record is
+	// re-registered, never re-executed. A done entry re-attaches what
+	// the store still holds.
+	final, finalErr string
 }
 
 // startSweep registers resolved cells, durably journals the admission,
 // completes what the store already holds, and fans the remainder into
 // the shared executor. The submit trace ID is re-attached to the
-// sweep's own (server-lifetime) execution context, so every cell the
-// sweep pays for — and the sim runs underneath — logs under it.
-func (s *Server) startSweep(p sweepStart) (*SweepStatus, error) {
-	cells, trace := p.cells, p.trace
+// record's own (server-lifetime) execution context, so every cell it
+// pays for — and the sim runs underneath — logs under it.
+func (s *Server) startSweep(p sweepStart) (*sweep, error) {
+	cells := p.cells
 	// Resolve the hidden baseline cells before taking any locks.
-	soloFor := make([]map[string]string, len(cells))
-	var solos []sweepCell
+	soloFor := make([]map[string]*spec.Resolved, len(cells))
+	var solos []*spec.Resolved
 	seenSolo := map[string]bool{}
 	for i, c := range cells {
-		m, sc, err := soloBaselines(c.resolved)
+		m, err := exec.Solos(c.resolved)
 		if err != nil {
 			return nil, err
 		}
 		soloFor[i] = m
-		for _, cell := range sc {
-			if !seenSolo[cell.resolved.Fingerprint] {
-				seenSolo[cell.resolved.Fingerprint] = true
-				solos = append(solos, cell)
+		for _, b := range c.resolved.Options.Workload.Benchmarks {
+			if sr := m[b]; sr != nil && !seenSolo[sr.Fingerprint] {
+				seenSolo[sr.Fingerprint] = true
+				solos = append(solos, sr)
 			}
 		}
 	}
@@ -246,172 +279,176 @@ func (s *Server) startSweep(p sweepStart) (*SweepStatus, error) {
 	// Precheck every cell (public and solo) against the store: cells an
 	// earlier run, another sweep, or a duplicate already paid for are
 	// done at submission time, which is also what lets a re-submitted
-	// sweep resume exactly where a cancelled or failed one stopped.
-	all := append(append([]sweepCell(nil), cells...), solos...)
+	// or recovered sweep resume exactly where it stopped. An entry that
+	// ended failed or canceled keeps that state: nothing is looked up.
+	all := make([]*spec.Resolved, 0, len(cells)+len(solos))
+	for _, c := range cells {
+		all = append(all, c.resolved)
+	}
+	all = append(all, solos...)
 	resByFp := make(map[string]*sim.Result)
 	hit := make([]bool, len(all))
+	var pending []*spec.Resolved
+	var pendingIdx []int // index in all, so events map back
 	for i, c := range all {
-		if res, ok := s.exec.Store().Get(c.resolved.Fingerprint); ok {
-			hit[i] = true
-			resByFp[c.resolved.Fingerprint] = res
+		if p.final == "" || p.final == StateDone {
+			if res, ok := s.exec.Store().Get(c.Fingerprint); ok {
+				hit[i] = true
+				resByFp[c.Fingerprint] = res
+				continue
+			}
 		}
+		pending = append(pending, c)
+		pendingIdx = append(pendingIdx, i)
 	}
+	execute := len(pending) > 0 && p.final == ""
 
-	ctx, cancel := context.WithCancel(s.sweepCtx)
 	sw := &sweep{
+		id:          p.id,
+		run:         p.run,
+		request:     p.request,
 		submittedAt: p.submittedAt,
 		cells:       cells,
-		solos:       solos,
 		soloFor:     soloFor,
 		progress:    make([]cellProgress, len(cells)),
 		state:       StateRunning,
 		recovered:   p.recovered,
-		cancel:      cancel,
 	}
 	if sw.submittedAt.IsZero() {
 		sw.submittedAt = time.Now()
 	}
-
-	// The cells the executor still has to pay for, with their index in
-	// the combined cell list so events map back.
-	var pending []*spec.Resolved
-	var pendingIdx []int
-	for i, c := range all {
-		if !hit[i] {
-			pending = append(pending, c.resolved)
-			pendingIdx = append(pendingIdx, i)
-		}
-	}
+	reg := s.registry(p.run)
 
 	s.mu.Lock()
-	if s.sweepClosed {
+	if s.closed {
 		s.mu.Unlock()
-		cancel()
 		return nil, ErrShuttingDown
 	}
-	// Admission control: sweeps bypass the job queue, so they need
-	// their own fast-fail bound — without it a submit loop would pile
-	// up unbounded live sweeps (each with one blocked goroutine per
-	// pending cell). Fully-cached submissions are terminal on arrival
-	// and don't count against the cap. Recovery bypasses the bound:
-	// this work was already admitted (and journaled) before the
-	// restart, so refusing it now would wedge it forever.
-	if len(pending) > 0 && !p.recovered {
-		if s.activeSweepsLocked() >= s.opts.MaxActiveSweeps {
+	// Admission control, fast-fail instead of unbounded backlog: runs
+	// waiting for an executor slot are bounded by QueueDepth, live
+	// sweeps (each one blocked goroutine per pending cell) by
+	// MaxActiveSweeps. Work terminal on arrival is never refused, and
+	// recovery bypasses both bounds: that work was admitted (and
+	// journaled) before the restart, so refusing it now would wedge it.
+	if execute && !p.recovered {
+		if p.run && !hit[0] && s.queuedRuns >= s.opts.QueueDepth {
 			s.mu.Unlock()
-			cancel()
+			return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
+		}
+		if !p.run && s.activeSweepsLocked() >= s.opts.MaxActiveSweeps {
+			s.mu.Unlock()
 			return nil, fmt.Errorf("%w (max %d)", ErrTooManySweeps, s.opts.MaxActiveSweeps)
 		}
 	}
 	if p.id != "" {
-		if _, ok := s.sweeps[p.id]; ok {
+		if _, ok := reg.byID[p.id]; ok {
 			s.mu.Unlock()
-			cancel()
-			return nil, fmt.Errorf("service: sweep %q already registered", p.id)
+			return nil, fmt.Errorf("service: %q already registered", p.id)
 		}
-		sw.id = p.id
-		if n := trailingSeq(p.id); n > s.sweepSeq {
-			s.sweepSeq = n
-		}
-	} else {
-		s.sweepSeq++
-		sw.id = fmt.Sprintf("sweep-%06d", s.sweepSeq)
+		reg.advance(p.id)
 	}
-	s.sweeps[sw.id] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.id)
-	s.pruneSweepsLocked()
+	reg.add(sw)
 	for i := range sw.progress {
 		sw.progress[i].state = StateQueued
 	}
+	if p.run {
+		s.queuedRuns++ // cellEventLocked counts it down when the cell leaves queued
+	}
 	for i, c := range all {
 		if hit[i] {
-			s.cellEventLocked(sw, i, exec.Event{
-				Fingerprint: c.resolved.Fingerprint,
-				State:       exec.CellCached,
-				Result:      resByFp[c.resolved.Fingerprint],
-			})
+			s.cellEventLocked(sw, i, exec.Event{Fingerprint: c.Fingerprint, State: exec.CellCached, Result: resByFp[c.Fingerprint]})
 		}
 	}
-	if len(pending) == 0 {
+	if !execute {
+		if p.final != "" {
+			// Cells the store could not serve take the journaled state.
+			ev := exec.Event{State: exec.CellDone}
+			switch p.final {
+			case StateFailed:
+				ev.State, ev.Err = exec.CellFailed, errors.New(p.finalErr)
+			case StateCanceled:
+				ev.State = exec.CellCanceled
+			}
+			for _, i := range pendingIdx {
+				ev.Fingerprint = all[i].Fingerprint
+				s.cellEventLocked(sw, i, ev)
+			}
+		}
 		s.finishSweepLocked(sw, resByFp, nil)
-		st := s.sweepStatusLocked(sw)
 		state := sw.state
 		s.mu.Unlock()
-		// Terminal on arrival: release the per-sweep context now, or it
-		// would stay registered on the server-lifetime parent forever
-		// (DELETE refuses terminal sweeps, so nothing else frees it).
-		cancel()
-		// A fresh fully-cached sweep journals nothing (no durable state
-		// to resume); a recovered one must write its terminal record, or
+		// A fresh cached submission journals nothing (no durable state
+		// to resume); a resumed one must write its terminal record, or
 		// every restart would re-resume it.
-		if p.recovered {
+		if p.recovered && p.final == "" {
 			s.journalFinish(sw.id, state, "")
 		}
-		s.log.Info("sweep cached", "trace", trace, "sweep", sw.id, "cells", len(cells), "solos", len(solos))
-		return st, nil
+		if !p.run {
+			s.log.Info("sweep cached", "trace", p.trace, "sweep", sw.id, "cells", len(cells), "solos", len(solos))
+		}
+		return sw, nil
 	}
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	sw.cancel = cancel
+	s.wg.Add(1)
+	s.mu.Unlock()
 
-	// Durability point: the submit record must be on stable storage
+	// Durability point, outside the server mutex so its fsync never
+	// stalls status reads: the submit record must be on stable storage
 	// before any cell executes, so a crash from here on recovers the
-	// sweep instead of forgetting it. One fsync under the server mutex
-	// at admission time — cell completions sync outside it. A recovered
-	// sweep's record already survives in the journal.
+	// record instead of forgetting it. A recovered record's submit
+	// already survives in the journal.
 	if !p.recovered && s.jrnl != nil {
 		specs := make([]spec.RunSpec, len(cells))
 		for i, c := range cells {
 			specs[i] = c.resolved.Spec
 		}
-		rec := journal.Record{
-			Type: journal.TypeSubmit, ID: sw.id, Kind: journal.KindSweep,
-			Time: sw.submittedAt, Cells: specs,
+		kind := journal.KindSweep
+		if p.run {
+			kind = journal.KindRun
 		}
+		rec := journal.Record{Type: journal.TypeSubmit, ID: sw.id, Kind: kind, Time: sw.submittedAt, Cells: specs}
 		if err := s.journalAppend(rec); err != nil {
-			delete(s.sweeps, sw.id)
-			s.sweepOrder = s.sweepOrder[:len(s.sweepOrder)-1]
+			s.mu.Lock()
+			reg.remove(sw.id)
+			if p.run && sw.progress[0].state == StateQueued {
+				s.queuedRuns--
+			}
 			s.mu.Unlock()
 			cancel()
+			s.wg.Done()
 			return nil, fmt.Errorf("%w: %v", errJournal, err)
 		}
 	}
 	// Chaos point for the crash drills: a process exit injected here
-	// dies with the sweep journaled but not yet executing — exactly the
-	// window restart recovery must cover.
+	// dies with the record journaled but not yet executing — exactly
+	// the window restart recovery must cover.
 	_ = chaos.Fire("sweep.journal.appended", sw.id)
 
-	s.sweepWG.Add(1)
-	st := s.sweepStatusLocked(sw)
-	s.mu.Unlock()
-	s.log.Info("sweep submitted", "trace", trace, "sweep", sw.id,
-		"cells", len(cells), "solos", len(solos), "pending", len(pending), "recovered", p.recovered)
-
-	// First public cell per fingerprint, for routing live frames back to
-	// a cell index (duplicate cells share one simulation anyway).
-	fpIndex := make(map[string]int, len(cells))
-	for i, c := range cells {
-		if _, ok := fpIndex[c.resolved.Fingerprint]; !ok {
-			fpIndex[c.resolved.Fingerprint] = i
+	// The record's context derives from the server lifetime, not the
+	// submitting request (the work outlives the HTTP exchange), so the
+	// request's trace and the server's logger are re-attached here.
+	// Sweeps also stream live interval frames into their event log.
+	runCtx := obs.WithLogger(obs.WithTrace(ctx, p.trace), s.log)
+	if !p.run {
+		s.log.Info("sweep submitted", "trace", p.trace, "sweep", sw.id,
+			"cells", len(cells), "solos", len(solos), "pending", len(pending), "recovered", p.recovered)
+		// First public cell per fingerprint, for routing live frames back
+		// to a cell index (duplicate cells share one simulation anyway).
+		fpIndex := make(map[string]int, len(cells))
+		for i, c := range cells {
+			if _, ok := fpIndex[c.resolved.Fingerprint]; !ok {
+				fpIndex[c.resolved.Fingerprint] = i
+			}
 		}
+		runCtx = withFrameSink(runCtx, s.sweepFrameSink(sw, fpIndex))
 	}
-	// The sweep context derives from the server lifetime, not the
-	// submitting request (the sweep outlives the HTTP exchange) — so the
-	// request's trace, the server's logger, and the frame sink are
-	// re-attached here explicitly.
-	runCtx := withFrameSink(obs.WithLogger(obs.WithTrace(ctx, trace), s.log), s.sweepFrameSink(sw, fpIndex))
 
 	go func() {
-		defer s.sweepWG.Done()
+		defer s.wg.Done()
 		defer cancel()
 		start := time.Now()
 		results := s.exec.Execute(runCtx, pending, func(ev exec.Event) {
-			// Durable progress first, outside the server mutex (the
-			// append fsyncs): a public cell completion on record means a
-			// restart re-resolves it straight from the store precheck.
-			if idx := pendingIdx[ev.Index]; idx < len(sw.cells) &&
-				(ev.State == exec.CellDone || ev.State == exec.CellCached) {
-				if err := s.journalAppend(journal.Record{Type: journal.TypeCell, ID: sw.id, Fingerprint: ev.Fingerprint}); err != nil {
-					s.log.Warn("journal cell append failed", "sweep", sw.id, "err", err)
-				}
-			}
 			s.mu.Lock()
 			s.cellEventLocked(sw, pendingIdx[ev.Index], ev)
 			s.mu.Unlock()
@@ -426,17 +463,21 @@ func (s *Server) startSweep(p sweepStart) (*SweepStatus, error) {
 		}
 		s.mu.Lock()
 		s.finishSweepLocked(sw, resByFp, errByFp)
-		state := sw.state
+		state, errMsg := sw.state, ""
+		if p.run && state == StateFailed {
+			errMsg = sw.progress[0].err
+		}
 		s.mu.Unlock()
-		// Terminal record before sweepWG.Done: Shutdown's journal
-		// compaction waits on the drain, so a shutdown-canceled sweep is
-		// recorded canceled — never re-resumed on the next start.
-		s.journalFinish(sw.id, state, "")
-		s.log.Info("sweep finished", "trace", trace, "sweep", sw.id, "state", state,
-			"cells", len(cells), "dur", time.Since(start).Round(time.Millisecond))
+		// Terminal record before wg.Done: Shutdown's journal compaction
+		// waits on the drain, so a shutdown-canceled record is journaled
+		// canceled — never re-resumed on the next start.
+		s.journalFinish(sw.id, state, errMsg)
+		if !p.run {
+			s.log.Info("sweep finished", "trace", p.trace, "sweep", sw.id, "state", state,
+				"cells", len(cells), "dur", time.Since(start).Round(time.Millisecond))
+		}
 	}()
-
-	return st, nil
+	return sw, nil
 }
 
 // journalFinish appends an entry's terminal record (no-op without a
@@ -450,51 +491,18 @@ func (s *Server) journalFinish(id, state, errMsg string) {
 	}
 }
 
-// trailingSeq parses the numeric suffix of a "name-000042" style id (0
-// when absent), used to advance id sequences past recovered entries.
-func trailingSeq(id string) uint64 {
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '-' {
-			var n uint64
-			for _, c := range id[i+1:] {
-				if c < '0' || c > '9' {
-					return 0
-				}
-				n = n*10 + uint64(c-'0')
-			}
-			return n
-		}
-	}
-	return 0
-}
-
-// pruneSweepsLocked drops the oldest terminal sweep records beyond
-// MaxSweepRecords; active sweeps are never pruned.
-func (s *Server) pruneSweepsLocked() {
-	excess := len(s.sweepOrder) - s.opts.MaxSweepRecords
-	if excess <= 0 {
-		return
-	}
-	kept := s.sweepOrder[:0]
-	for _, id := range s.sweepOrder {
-		if excess > 0 && s.sweeps[id].terminal() {
-			delete(s.sweeps, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.sweepOrder = kept
-}
-
-// cellEventLocked folds one executor event into the sweep: public
+// cellEventLocked folds one executor event into the record: public
 // cells update their progress and append to the event log (waking SSE
 // streams); solo baseline cells are internal and only feed summaries.
 func (s *Server) cellEventLocked(sw *sweep, idx int, ev exec.Event) {
+	if ev.State == exec.CellStarted && sw.startedAt.IsZero() {
+		sw.startedAt = time.Now()
+	}
 	if idx >= len(sw.cells) {
 		return // hidden solo baseline cell
 	}
 	p := &sw.progress[idx]
+	wasQueued := p.state == StateQueued
 	switch ev.State {
 	case exec.CellStarted:
 		p.state = StateRunning
@@ -513,6 +521,9 @@ func (s *Server) cellEventLocked(sw *sweep, idx int, ev exec.Event) {
 	case exec.CellCanceled:
 		p.state = StateCanceled
 		p.err = "canceled"
+	}
+	if sw.run && wasQueued && p.state != StateQueued {
+		s.queuedRuns--
 	}
 
 	e := SweepEvent{
@@ -551,7 +562,7 @@ func (s *Server) wakeSweepLocked(sw *sweep) {
 }
 
 // finishSweepLocked fills relative-IPC summaries for baselines cells
-// and derives the sweep's terminal state. A baselines cell whose solo
+// and derives the record's terminal state. A baselines cell whose solo
 // denominator failed or was cancelled is demoted from done to
 // failed/canceled with the solo's error — the cell's requested metrics
 // could not be computed, and reporting it done-without-summary would
@@ -570,10 +581,14 @@ func (s *Server) finishSweepLocked(sw *sweep, resByFp map[string]*sim.Result, er
 		solo := make([]float64, len(res.Threads))
 		ok := true
 		for j, th := range res.Threads {
-			sr := resByFp[solos[th.Benchmark]]
+			var fp string
+			if c := solos[th.Benchmark]; c != nil {
+				fp = c.Fingerprint
+			}
+			sr := resByFp[fp]
 			if sr == nil || len(sr.Threads) == 0 {
 				ok = false
-				if err := errByFp[solos[th.Benchmark]]; err != nil {
+				if err := errByFp[fp]; err != nil {
 					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 						p.state = StateCanceled
 						p.err = fmt.Sprintf("solo baseline for %s canceled", th.Benchmark)
@@ -590,8 +605,7 @@ func (s *Server) finishSweepLocked(sw *sweep, resByFp map[string]*sim.Result, er
 			continue
 		}
 		if summary, err := stats.Summarize(res.IPCs(), solo); err == nil {
-			h, ws := summary.Hmean, summary.WeightedSpeedup
-			p.hmean, p.wspeedup = &h, &ws
+			p.summary = summary
 		}
 	}
 
@@ -611,6 +625,13 @@ func (s *Server) finishSweepLocked(sw *sweep, resByFp map[string]*sim.Result, er
 		sw.state = StateCanceled
 	default:
 		sw.state = StateDone
+	}
+	sw.finishedAt = time.Now()
+	if sw.startedAt.IsZero() {
+		sw.startedAt = sw.finishedAt
+	}
+	if sw.run && sw.state == StateDone {
+		sw.result = resByFp[sw.cells[0].resolved.Fingerprint]
 	}
 	s.wakeSweepLocked(sw)
 }
@@ -632,8 +653,10 @@ func (s *Server) sweepStatusLocked(sw *sweep) *SweepStatus {
 		cell.Cached = p.cached
 		cell.Error = p.err
 		cell.Throughput = p.throughput
-		cell.Hmean = p.hmean
-		cell.WeightedSpeedup = p.wspeedup
+		if p.summary != nil {
+			h, ws := p.summary.Hmean, p.summary.WeightedSpeedup
+			cell.Hmean, cell.WeightedSpeedup = &h, &ws
+		}
 		switch p.state {
 		case StateRunning:
 			st.Running++
@@ -649,54 +672,168 @@ func (s *Server) sweepStatusLocked(sw *sweep) *SweepStatus {
 	return st
 }
 
-// lookupSweep returns a sweep by id.
-func (s *Server) lookupSweep(id string) (*sweep, bool) {
+// sweepStatus is sweepStatusLocked under the server mutex.
+func (s *Server) sweepStatus(sw *sweep) *SweepStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	return s.sweepStatusLocked(sw)
+}
+
+// runState is a run's JobView state: queued until its cell takes an
+// executor slot, running until the record is terminal.
+func (sw *sweep) runState() string {
+	switch {
+	case sw.terminal():
+		return sw.state
+	case len(sw.progress) > 0 && sw.progress[0].state == StateQueued:
+		return StateQueued
+	}
+	return StateRunning
+}
+
+// runViewLocked renders a run record as a JobView. The payload is
+// returned separately, so callers marshal it outside the server mutex.
+func (s *Server) runViewLocked(sw *sweep) (JobView, *SimulationResult) {
+	v := JobView{
+		ID:          sw.id,
+		Kind:        "sim",
+		State:       sw.runState(),
+		Request:     sw.request,
+		SubmittedAt: sw.submittedAt,
+	}
+	if len(sw.progress) > 0 {
+		v.Cached = sw.progress[0].cached
+		if sw.terminal() {
+			v.Error = sw.progress[0].err
+		}
+	}
+	if !sw.startedAt.IsZero() {
+		t := sw.startedAt
+		v.StartedAt = &t
+	}
+	if !sw.finishedAt.IsZero() {
+		t := sw.finishedAt
+		v.FinishedAt = &t
+	}
+	if sw.result == nil {
+		return v, nil
+	}
+	return v, &SimulationResult{Fingerprint: sw.cells[0].view.Fingerprint, Result: sw.result, Summary: sw.progress[0].summary}
+}
+
+// withPayload attaches a marshaled run payload to its view.
+func withPayload(v JobView, payload *SimulationResult) JobView {
+	if payload != nil {
+		raw, err := json.Marshal(payload)
+		if err != nil {
+			v.Error = fmt.Sprintf("service: encode result: %v", err)
+		}
+		v.Result = raw
+	}
+	return v
+}
+
+// jobView renders a run record with its payload.
+func (s *Server) jobView(sw *sweep) JobView {
+	s.mu.Lock()
+	v, payload := s.runViewLocked(sw)
+	s.mu.Unlock()
+	return withPayload(v, payload)
+}
+
+// registry returns the id space for runs or sweeps.
+func (s *Server) registry(run bool) *records {
+	if run {
+		return s.runs
+	}
+	return s.sweeps
+}
+
+// lookup returns a registered record by id.
+func (s *Server) lookup(reg *records, id string) (*sweep, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw, ok := reg.byID[id]
 	return sw, ok
 }
 
-func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no sweep %q", r.PathValue("id")))
-		return
+// activeSweepsLocked counts non-terminal sweeps; callers hold s.mu.
+func (s *Server) activeSweepsLocked() int {
+	n := 0
+	for _, sw := range s.sweeps.byID {
+		if !sw.terminal() {
+			n++
+		}
 	}
-	s.mu.Lock()
-	st := s.sweepStatusLocked(sw)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	return n
 }
 
-// handleCancelSweep cancels a running sweep: cells already finished
-// keep their results, running cells stop at their next cooperative
-// check, queued cells never start.
-func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no sweep %q", r.PathValue("id")))
-		return
-	}
+func (s *Server) activeSweeps() int {
 	s.mu.Lock()
-	terminal := sw.terminal()
+	defer s.mu.Unlock()
+	return s.activeSweepsLocked()
+}
+
+// queueLen is the number of runs waiting for an executor slot (the
+// dwarn_jobs_queue_depth gauge and the QueueDepth bound).
+func (s *Server) queueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queuedRuns
+}
+
+// runCounts returns the number of retained runs per JobView state.
+func (s *Server) runCounts() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int)
+	for _, sw := range s.runs.byID {
+		out[sw.runState()]++
+	}
+	return out
+}
+
+// cancelRecord cancels a live run or sweep: cells already finished
+// keep their results, running cells stop at their next cooperative
+// check, queued cells never start. It answers 404 or 409 itself and
+// reports whether the caller should render the record.
+func (s *Server) cancelRecord(w http.ResponseWriter, reg *records, noun, id string) (*sweep, bool) {
+	s.mu.Lock()
+	sw, ok := reg.byID[id]
+	live := ok && !sw.terminal()
 	s.mu.Unlock()
-	if terminal {
-		writeError(w, http.StatusConflict, fmt.Errorf("service: sweep %q already finished", sw.id))
-		return
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, fmt.Errorf("service: no %s %q", noun, id))
+		return nil, false
+	case !live:
+		writeError(w, http.StatusConflict, fmt.Errorf("service: %s %q already finished", noun, id))
+		return nil, false
 	}
 	// The cancel record makes the request itself durable: if the
 	// process dies before the cells observe their context, the next
-	// start treats the sweep as terminal instead of re-resuming work
+	// start treats the record as terminal instead of re-resuming work
 	// the client asked to stop.
-	if err := s.journalAppend(journal.Record{Type: journal.TypeCancel, ID: sw.id}); err != nil {
-		s.log.Warn("journal cancel append failed", "sweep", sw.id, "err", err)
+	if err := s.journalAppend(journal.Record{Type: journal.TypeCancel, ID: id}); err != nil {
+		s.log.Warn("journal cancel append failed", "id", id, "err", err)
 	}
 	sw.cancel()
-	s.mu.Lock()
-	st := s.sweepStatusLocked(sw)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	return sw, true
+}
+
+func (s *Server) handleGetSweep(w http.ResponseWriter, r *http.Request) {
+	sw, ok := s.lookup(s.sweeps, r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("service: no sweep %q", r.PathValue("id")))
+		return
+	}
+	writeJSON(w, http.StatusOK, s.sweepStatus(sw))
+}
+
+func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
+	if sw, ok := s.cancelRecord(w, s.sweeps, "sweep", r.PathValue("id")); ok {
+		writeJSON(w, http.StatusOK, s.sweepStatus(sw))
+	}
 }
 
 // handleSweepEvents streams a sweep's per-cell progress as Server-Sent
@@ -706,7 +843,7 @@ func (s *Server) handleCancelSweep(w http.ResponseWriter, r *http.Request) {
 // stream to completion is therefore equivalent to polling the status
 // endpoint until terminal, without the polling.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(r.PathValue("id"))
+	sw, ok := s.lookup(s.sweeps, r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no sweep %q", r.PathValue("id")))
 		return

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -14,15 +12,15 @@ import (
 // spec.RunSpec, POST /v2/sweeps a spec.SweepSpec. Both are resolved
 // through exactly the code path the /v1 adapters use, so a run has one
 // fingerprint and one cache entry regardless of which API version (or
-// which CLI) asked for it. Jobs and sweeps share the /v1 id spaces:
-// a job submitted on one version can be polled on the other. Sweeps
+// which CLI) asked for it. Runs and sweeps share the /v1 id spaces:
+// a run submitted on one version can be polled on the other. Sweeps
 // additionally expose partial progress (GET /v2/sweeps/{id}), a live
 // SSE completion stream (GET /v2/sweeps/{id}/events), and cooperative
 // cancellation (DELETE /v2/sweeps/{id}).
 
-// RunAccepted is the response of POST /v2/runs: the job plus the
-// content-addressed identity of the run it executes (or was served
-// from cache for).
+// RunAccepted is the response of POST /v2/runs: the run's JobView plus
+// the content-addressed identity of the run it executes (or was served
+// from the store for).
 type RunAccepted struct {
 	JobView
 	Fingerprint string `json:"fingerprint"`
@@ -81,7 +79,7 @@ func (s *Server) handleSubmitRunV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := s.submitResolved(r.Context(), res, res.Spec)
+	v, err := s.submitRun(r.Context(), res, res.Spec)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -95,67 +93,51 @@ func (s *Server) handleSubmitRunV2(w http.ResponseWriter, r *http.Request) {
 // sampling legitimately has no frames — that case is a 404 naming the
 // cause, not an empty timeline.
 func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.mgr.Get(r.PathValue("id"))
+	sw, ok := s.lookup(s.runs, r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no job %q", r.PathValue("id")))
 		return
 	}
+	s.mu.Lock()
+	v, payload := s.runViewLocked(sw)
+	s.mu.Unlock()
 	if v.State != StateDone {
 		writeError(w, http.StatusConflict, fmt.Errorf("service: job %q is %s, not done", v.ID, v.State))
 		return
 	}
-	sr, err := decodeSim(v.Result)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	if sr.Result == nil || sr.Result.Timeline == nil {
+	if payload == nil || payload.Result.Timeline == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf(
 			"service: run %q has no timeline: the spec did not request sampling, or the result was served from a cache entry computed without it", v.ID))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":          v.ID,
-		"fingerprint": sr.Fingerprint,
-		"timeline":    sr.Result.Timeline,
+		"fingerprint": payload.Fingerprint,
+		"timeline":    payload.Result.Timeline,
 	})
 }
 
-// Preload expands a spec file and submits every cell, warming the
-// result cache before traffic arrives (dwarnd's -spec flag). Cells are
-// bounded like any sweep; trace references would resolve against the
-// trace store, which is empty at startup, so preload specs are
-// synthetic-workload only in practice.
-//
-// Every cell is resolved (validated) before anything is submitted, so
-// a bad spec file fails without side effects. Submission itself is
-// best-effort against the bounded job queue: a grid larger than the
-// free queue depth stops at ErrQueueFull, returning the views admitted
-// so far alongside the error — those keep warming the cache, and the
-// caller decides whether a partial preload is fatal.
-func (s *Server) Preload(f *spec.File) ([]JobView, error) {
+// Preload submits a spec file as one sweep, warming the result store
+// before traffic arrives (dwarnd's -spec flag), and returns its status.
+// Cells are bounded like any sweep; trace references would resolve
+// against the trace store, which is empty at startup, so preload specs
+// are synthetic-workload only in practice. Every cell is resolved
+// (validated) before anything is submitted, so a bad spec file fails
+// without side effects.
+func (s *Server) Preload(f *spec.File) (*SweepStatus, error) {
 	runs, err := f.Runs(s.opts.MaxSweepCells)
 	if err != nil {
 		return nil, err
 	}
-	resolved := make([]*spec.Resolved, len(runs))
-	for i, rs := range runs {
-		if resolved[i], err = s.resolveSpec(rs); err != nil {
-			return nil, err
-		}
+	cells, err := s.resolveCells(runs)
+	if err != nil {
+		return nil, err
 	}
-	views := make([]JobView, 0, len(resolved))
-	for _, res := range resolved {
-		v, err := s.submitResolved(context.Background(), res, res.Spec)
-		if err != nil {
-			if errors.Is(err, ErrQueueFull) {
-				return views, fmt.Errorf("%w after %d of %d runs", err, len(views), len(resolved))
-			}
-			return views, err
-		}
-		views = append(views, v)
+	sw, err := s.startSweep(sweepStart{cells: cells, trace: "preload"})
+	if err != nil {
+		return nil, err
 	}
-	return views, nil
+	return s.sweepStatus(sw), nil
 }
 
 func (s *Server) handleSubmitSweepV2(w http.ResponseWriter, r *http.Request) {
@@ -167,7 +149,7 @@ func (s *Server) handleSubmitSweepV2(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Validation failures — including a grid that fans out beyond
 		// the configured cell bound (spec.ErrTooManyCells names the
-		// limit) — are client errors, reported before any job exists.
+		// limit) — are client errors, reported before any record exists.
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -334,7 +334,7 @@ func TestV2SweepSSEStream(t *testing.T) {
 // TestV2SweepCellBound: a hostile grid is rejected with a 400 before
 // any job exists.
 func TestV2SweepCellBound(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 1, MaxSweepCells: 4})
+	_, ts := newTestServer(t, Options{Workers: 1, MaxSweepCells: 4})
 	sweep := spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "dwarn", Params: map[string][]int64{"warn": {1, 2, 4}}}},
 		Workloads: []spec.Workload{{Name: "2-MIX"}, {Name: "2-MEM"}},
@@ -346,8 +346,16 @@ func TestV2SweepCellBound(t *testing.T) {
 	if !strings.Contains(string(raw), "cells") {
 		t.Fatalf("error does not explain the cell bound: %s", raw)
 	}
-	if jobs := srv.mgr.List(); len(jobs) != 0 {
-		t.Fatalf("%d jobs created by a rejected sweep", len(jobs))
+	var list struct {
+		Jobs []JobView `json:"jobs"`
+	}
+	getJSON(t, ts, "/v2/runs", &list)
+	var health struct {
+		Sweeps int `json:"sweeps"`
+	}
+	getJSON(t, ts, "/healthz", &health)
+	if len(list.Jobs) != 0 || health.Sweeps != 0 {
+		t.Fatalf("rejected sweep created %d runs and %d sweeps", len(list.Jobs), health.Sweeps)
 	}
 
 	// The same bound applies to v1 sweeps (machines can be repeated to
