@@ -6,8 +6,9 @@
 //
 // A handler is a single function keyed by injection point names — the
 // code under test declares the points ("journal.append",
-// "sweep.journal.appended", "store.put", ...), the test or drill
-// decides what happens there: return an error the caller must absorb,
+// "sweep.journal.appended", "store.put" for every result and checkpoint
+// put, with detail "result:<fp>" or "ckpt:<key>", ...), the test or
+// drill decides what happens there: return an error the caller must absorb,
 // return ErrTorn to make a write land half-finished, or terminate the
 // process outright (the in-process equivalent of kill -9, which is how
 // scripts/chaos_service.sh crashes dwarnd between journal append and

@@ -89,7 +89,8 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 // A corrupt or truncated on-disk checkpoint is a miss: the cell
 // re-warms and overwrites it, never restores from it.
 func TestDirStoreCorruptFileIsMiss(t *testing.T) {
-	ds, err := NewDirStore(t.TempDir())
+	dir := t.TempDir()
+	ds, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestDirStoreCorruptFileIsMiss(t *testing.T) {
 		t.Fatal("stored checkpoint not readable")
 	}
 
-	path := ds.path(img.Key)
+	path := filepath.Join(dir, img.Key+".ckpt")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestDirStoreRejectsRenamedFile(t *testing.T) {
 	img := testImage()
 	ds.Put(img.Key, img)
 	other := "ccdd02"
-	if err := os.Rename(ds.path(img.Key), filepath.Join(dir, other+".ckpt")); err != nil {
+	if err := os.Rename(filepath.Join(dir, img.Key+".ckpt"), filepath.Join(dir, other+".ckpt")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := ds.Get(other); ok {
@@ -168,16 +169,39 @@ func TestMemStoreBoundAndChainRefill(t *testing.T) {
 	}
 }
 
-func TestValidKey(t *testing.T) {
-	for _, ok := range []string{"ab12", "0", "deadbeef"} {
-		if !ValidKey(ok) {
-			t.Errorf("ValidKey(%q) = false", ok)
-		}
+// FuzzCkptDecode feeds arbitrary bytes through the DirStore read path.
+// Decoding must never panic, and a hit must be an image that survives
+// re-encoding under the same key unchanged.
+func FuzzCkptDecode(f *testing.F) {
+	dir := f.TempDir()
+	ds, err := NewDirStore(dir)
+	if err != nil {
+		f.Fatal(err)
 	}
-	bad := []string{"", "AB", "xyz", "a/b", "../etc", "a.b", string(make([]byte, 129))}
-	for _, k := range bad {
-		if ValidKey(k) {
-			t.Errorf("ValidKey(%q) = true", k)
-		}
+	img := testImage()
+	path := filepath.Join(dir, img.Key+".ckpt")
+	ds.Put(img.Key, img)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
 	}
+	if _, ok := ds.Get(img.Key); !ok {
+		f.Fatal("seed encoding does not read back")
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add(raw[:len(raw)-4])
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := ds.Get(img.Key)
+		if !ok {
+			return
+		}
+		back, err := Decode(Encode(got))
+		if err != nil || !reflect.DeepEqual(got, back) {
+			t.Fatalf("decoded image does not round-trip (err %v):\n%+v\n%+v", err, got, back)
+		}
+	})
 }

@@ -1,27 +1,18 @@
 package ckpt
 
 import (
-	"container/list"
-	"os"
-	"path/filepath"
-	"sync"
+	"fmt"
 
-	"dwarn/internal/chaos"
+	"dwarn/internal/store"
 )
 
-// Store is the content-addressed checkpoint store: keys are
-// sim.CheckpointKey identities (the machine/workload/seed half of the
-// run fingerprint), values are decoded images. Mirrors exec.Store's
-// contract: implementations must be safe for concurrent use, Put is
-// best-effort (a store that cannot persist drops the entry rather than
-// failing the run), and images are immutable once stored — Get may
-// return the same pointer to every caller.
-type Store interface {
-	// Get returns the stored image for a checkpoint key, if present.
-	Get(key string) (*Image, bool)
-	// Put stores an image under its key.
-	Put(key string, img *Image)
-}
+// Store is the checkpoint store, keyed by sim.CheckpointKey (the
+// machine/workload/seed half of the run fingerprint).
+type Store = store.Store[*Image]
+
+// Chain layers checkpoint stores fastest-first: mem over dir, plus the
+// coordinator's remote tier on a fabric worker.
+type Chain = store.Chain[*Image]
 
 // DefaultMemBytes bounds the default in-memory tier: checkpoints are a
 // few hundred KB each (dominated by L2 line state), so this keeps tens
@@ -29,212 +20,42 @@ type Store interface {
 // unboundedly.
 const DefaultMemBytes = 256 << 20
 
-// MemStore is a bounded in-memory LRU checkpoint store — the fast tier
-// everywhere, and the whole store when no -ckpt-dir/-store is given.
-// The zero value is not ready; use NewMemStore.
-type MemStore struct {
-	mu       sync.Mutex
-	maxBytes int
-	curBytes int
-	order    *list.List // front = most recent
-	m        map[string]*list.Element
-}
-
-type memEntry struct {
-	key   string
-	img   *Image
-	bytes int
-}
-
-// NewMemStore returns an empty store bounded to roughly maxBytes of
-// encoded checkpoint state (0 = DefaultMemBytes). At least one entry is
-// always retained, so a single oversized checkpoint still forks its own
-// group.
-func NewMemStore(maxBytes int) *MemStore {
+// NewMemStore returns the in-memory checkpoint tier (the whole store
+// without -ckpt-dir/-store): an LRU bounded to roughly maxBytes of
+// encoded images (0 = DefaultMemBytes); an oversized newest image stays.
+func NewMemStore(maxBytes int) *store.Mem[*Image] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMemBytes
 	}
-	return &MemStore{
-		maxBytes: maxBytes,
-		order:    list.New(),
-		m:        make(map[string]*list.Element),
-	}
+	return store.NewMem(0, int64(maxBytes), func(img *Image) int64 { return int64(img.ApproxBytes()) })
 }
 
-// Get implements Store.
-func (s *MemStore) Get(key string) (*Image, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*memEntry).img, true
-}
+// DirStore is the durable tier (smtsim -ckpt-dir, dwarnd -store): one
+// file per key, DIR/<key>.ckpt. A damaged or renamed file is a miss:
+// the cell re-warms and overwrites it.
+type DirStore = store.Dir[*Image]
 
-// Put implements Store.
-func (s *MemStore) Put(key string, img *Image) {
-	size := img.ApproxBytes()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[key]; ok {
-		ent := el.Value.(*memEntry)
-		s.curBytes += size - ent.bytes
-		ent.img, ent.bytes = img, size
-		s.order.MoveToFront(el)
-	} else {
-		s.m[key] = s.order.PushFront(&memEntry{key: key, img: img, bytes: size})
-		s.curBytes += size
-	}
-	for s.curBytes > s.maxBytes && s.order.Len() > 1 {
-		el := s.order.Back()
-		ent := el.Value.(*memEntry)
-		s.order.Remove(el)
-		delete(s.m, ent.key)
-		s.curBytes -= ent.bytes
-	}
-}
+// NewDirStore creates the directory if needed and opens a store on it.
+func NewDirStore(dir string) (*DirStore, error) { return store.NewDir(dir, Codec) }
 
-// Len returns the number of stored images.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
-}
-
-// DirStore persists checkpoints as one binary file per key under a
-// directory — the durable tier behind smtsim -ckpt-dir and dwarnd
-// -store. Writes go through a temp file, fsync, and rename (exactly
-// like exec.DirStore), so a process killed mid-write never leaves a
-// torn checkpoint: the next reader either misses or decodes a complete,
-// checksum-verified image.
-type DirStore struct {
-	dir string
-}
-
-// NewDirStore creates the directory (if needed) and returns a store
-// over it.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-// ValidKey gates what may become a file name: checkpoint keys are
-// lowercase-hex digests, like result fingerprints, and the store is fed
-// keys from network peers (fabric workers pull from the coordinator),
-// so anything else is refused rather than joined into a path.
-func ValidKey(key string) bool {
-	if len(key) == 0 || len(key) > 128 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+// Codec is an image's bytes under a key, on disk and on the fabric
+// wire: Encode's form, with Decode additionally requiring the image's
+// own key to match, so a renamed file or a misrouted transfer cannot
+// impersonate another group.
+var Codec = store.Codec[*Image]{
+	Kind: "ckpt",
+	Ext:  ".ckpt",
+	Encode: func(key string, img *Image) ([]byte, error) {
+		if img.Key != key {
+			return nil, fmt.Errorf("ckpt: image for %q stored under %q", img.Key, key)
 		}
-	}
-	return true
-}
-
-func (s *DirStore) path(key string) string {
-	return filepath.Join(s.dir, key+".ckpt")
-}
-
-// Get implements Store. Unreadable, corrupt, or truncated files are
-// misses: the cell re-warms and overwrites the entry.
-func (s *DirStore) Get(key string) (*Image, bool) {
-	if !ValidKey(key) {
-		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	img, err := Decode(raw)
-	if err != nil || img.Key != key {
-		return nil, false
-	}
-	return img, true
-}
-
-// GetEncoded returns the raw encoded bytes for a key, if present and
-// well-formed — the fabric's serving path, which would otherwise decode
-// and immediately re-encode.
-func (s *DirStore) GetEncoded(key string) ([]byte, bool) {
-	if !ValidKey(key) {
-		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	if img, err := Decode(raw); err != nil || img.Key != key {
-		return nil, false
-	}
-	return raw, true
-}
-
-// Put implements Store; see DirStore for the atomicity contract.
-func (s *DirStore) Put(key string, img *Image) {
-	if !ValidKey(key) || img.Key != key {
-		return
-	}
-	s.PutEncoded(key, Encode(img))
-}
-
-// PutEncoded writes pre-encoded checkpoint bytes (the fabric's receive
-// path). The caller must have decoded data once to verify it.
-func (s *DirStore) PutEncoded(key string, data []byte) {
-	if !ValidKey(key) {
-		return
-	}
-	// Chaos seam: a drill simulating a full or failing disk drops the
-	// write here, exactly like the error paths below.
-	if chaos.Fire("ckpt.put", key) != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "."+key+".tmp*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// Chain layers stores fastest-first: Get tries each tier in order and
-// refills earlier tiers on a hit; Put writes through to every tier.
-// The standard compositions are Chain(mem, dir) for a durable local
-// store and Chain(mem, dir, remote) for a fabric worker that falls back
-// to pulling from its coordinator.
-type Chain []Store
-
-// Get implements Store.
-func (c Chain) Get(key string) (*Image, bool) {
-	for i, s := range c {
-		if img, ok := s.Get(key); ok {
-			for j := 0; j < i; j++ {
-				c[j].Put(key, img)
-			}
-			return img, true
+		return Encode(img), nil
+	},
+	Decode: func(key string, raw []byte) (*Image, error) {
+		img, err := Decode(raw)
+		if err == nil && img.Key != key {
+			err = fmt.Errorf("ckpt: image for %q read under %q", img.Key, key)
 		}
-	}
-	return nil, false
-}
-
-// Put implements Store.
-func (c Chain) Put(key string, img *Image) {
-	for _, s := range c {
-		s.Put(key, img)
-	}
+		return img, err
+	},
 }

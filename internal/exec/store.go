@@ -2,159 +2,61 @@ package exec
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"sync"
+	"fmt"
+	"hash/crc32"
 
-	"dwarn/internal/chaos"
 	"dwarn/internal/sim"
+	"dwarn/internal/store"
 )
 
-// Store is the content-addressed result store every executor memoizes
-// through: keys are sim.Fingerprint identities, values are finished
-// results. One Store interface backs all three frontends — the exp
-// runner's memoiser is a MemStore, the dwarnd result cache adapts its
-// byte-level LRU onto it, and the CLI's resumable sweeps use a DirStore
-// — so an identical cell is never simulated twice no matter which
-// frontend asks, and a killed sweep resumes by skipping stored cells.
-//
-// Implementations must be safe for concurrent use. Results are treated
-// as immutable once stored: callers must not modify a returned Result,
-// and Get may return the same pointer to every caller.
-type Store interface {
-	// Get returns the stored result for a fingerprint, if present.
-	Get(fingerprint string) (*sim.Result, bool)
-	// Put stores a finished result under its fingerprint. Put is
-	// best-effort: a store that cannot persist (e.g. a full disk behind
-	// a DirStore) drops the entry rather than failing the sweep.
-	Put(fingerprint string, res *sim.Result)
+// Store is the result store every executor memoizes through, keyed by
+// sim.Fingerprint, so an identical cell is never simulated twice and a
+// killed sweep resumes by skipping stored cells.
+type Store = store.Store[*sim.Result]
+
+// NewMemStore returns an empty, unbounded in-memory Store: the
+// executor's default.
+func NewMemStore() *store.Mem[*sim.Result] { return store.NewMem[*sim.Result](0, 0, nil) }
+
+// DirStore is the durable Store (smtsim and dwarnd -store DIR): one
+// checksummed JSON file per fingerprint, DIR/<fp>.json.
+type DirStore = store.Dir[*sim.Result]
+
+// NewDirStore creates the directory if needed and opens a store on it.
+func NewDirStore(dir string) (*DirStore, error) { return store.NewDir(dir, resultCodec) }
+
+// resultCodec writes {"crc32c":"%08x","result":{...}}, the CRC-32C taken
+// over the fingerprint, then the payload bytes. An edited, truncated or
+// renamed file fails the check and reads as a miss, so the cell
+// re-simulates; so does a file from before the checksum, which the
+// cell's next put rewrites.
+var resultCodec = store.Codec[*sim.Result]{Kind: "result", Ext: ".json", Encode: encodeResult, Decode: decodeResult}
+
+func resultCRC(fp string, payload []byte) string {
+	tab := crc32.MakeTable(crc32.Castagnoli) // built once, then cached by crc32
+	return fmt.Sprintf("%08x", crc32.Update(crc32.Checksum([]byte(fp), tab), tab, payload))
 }
 
-// MemStore is an unbounded in-memory Store: the memoiser behind the
-// experiment runner and the default for CLI sweeps. The zero value is
-// not ready; use NewMemStore.
-type MemStore struct {
-	mu sync.RWMutex
-	m  map[string]*sim.Result
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[string]*sim.Result)}
-}
-
-// Get implements Store.
-func (s *MemStore) Get(fp string) (*sim.Result, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.m[fp]
-	return r, ok
-}
-
-// Put implements Store.
-func (s *MemStore) Put(fp string, res *sim.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[fp] = res
-}
-
-// Len returns the number of stored results.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// DirStore persists results as one JSON file per fingerprint under a
-// directory — the durable Store behind resumable CLI sweeps (smtsim
-// -spec -store DIR). Writes go through a temp file and rename, so a
-// sweep killed mid-write never leaves a corrupt entry: on the next run
-// the cell simply reruns. Unreadable or unparsable entries are treated
-// as misses for the same reason.
-type DirStore struct {
-	dir string
-}
-
-// NewDirStore creates the directory (if needed) and returns a store
-// over it.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func encodeResult(fp string, res *sim.Result) ([]byte, error) {
+	payload, err := json.Marshal(res)
+	if err != nil {
 		return nil, err
 	}
-	return &DirStore{dir: dir}, nil
+	return fmt.Appendf(nil, `{"crc32c":%q,"result":%s}`, resultCRC(fp, payload), payload), nil
 }
 
-// validFingerprint gates what may become a file name: fingerprints are
-// lowercase-hex digests, so anything else — path separators, dots, an
-// empty string — is refused rather than joined into a path. The store
-// is also fed keys from network peers (fabric workers share a DirStore
-// with the coordinator), so this is a safety boundary, not lint.
-func validFingerprint(fp string) bool {
-	if len(fp) == 0 || len(fp) > 128 {
-		return false
+func decodeResult(fp string, raw []byte) (*sim.Result, error) {
+	var f struct {
+		CRC    string          `json:"crc32c"`
+		Result json.RawMessage `json:"result"`
 	}
-	for i := 0; i < len(fp); i++ {
-		c := fp[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, err
 	}
-	return true
-}
-
-func (s *DirStore) path(fp string) string {
-	return filepath.Join(s.dir, fp+".json")
-}
-
-// Get implements Store.
-func (s *DirStore) Get(fp string) (*sim.Result, bool) {
-	if !validFingerprint(fp) {
-		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(fp))
-	if err != nil {
-		return nil, false
+	if f.CRC != resultCRC(fp, f.Result) {
+		return nil, fmt.Errorf("exec: result checksum mismatch")
 	}
 	var res sim.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, false
-	}
-	return &res, true
-}
-
-// Put implements Store. Persistence is best-effort (see Store), but
-// what lands is atomic even across processes: the payload goes to a
-// private temp file in the same directory, is flushed to stable
-// storage, and only then renamed onto the final name — so a concurrent
-// opener (another goroutine, another process sharing the directory, a
-// fabric worker racing the coordinator) sees either no entry or a
-// complete one, never a torn write, and a crash between fsync and
-// rename leaves only a stray temp file behind.
-func (s *DirStore) Put(fp string, res *sim.Result) {
-	if !validFingerprint(fp) {
-		return
-	}
-	// Chaos seam: a drill simulating a full or failing disk drops the
-	// write here, exactly like the error paths below.
-	if chaos.Fire("store.put", fp) != nil {
-		return
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "."+fp+".tmp*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(fp)); err != nil {
-		os.Remove(tmp.Name())
-	}
+	err := json.Unmarshal(f.Result, &res)
+	return &res, err
 }

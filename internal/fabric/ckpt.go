@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"dwarn/internal/ckpt"
+	"dwarn/internal/store"
 )
 
 // Checkpoint transfer: the coordinator serves its checkpoint store
@@ -21,13 +22,13 @@ import (
 // miss, never a wrong answer.
 
 func (c *Coordinator) handleCkptGet(w http.ResponseWriter, r *http.Request) {
-	store := c.cfg.Checkpoints
+	cs := c.cfg.Checkpoints
 	key := r.PathValue("key")
-	if store == nil || !ckpt.ValidKey(key) {
+	if cs == nil || !store.ValidKey(key) {
 		http.Error(w, "fabric: no such checkpoint", http.StatusNotFound)
 		return
 	}
-	img, ok := store.Get(key)
+	img, ok := cs.Get(key)
 	if !ok {
 		http.Error(w, "fabric: no such checkpoint", http.StatusNotFound)
 		return
@@ -37,9 +38,9 @@ func (c *Coordinator) handleCkptGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleCkptPut(w http.ResponseWriter, r *http.Request) {
-	store := c.cfg.Checkpoints
+	cs := c.cfg.Checkpoints
 	key := r.PathValue("key")
-	if store == nil || !ckpt.ValidKey(key) {
+	if cs == nil || !store.ValidKey(key) {
 		http.Error(w, "fabric: checkpoints disabled or bad key", http.StatusNotFound)
 		return
 	}
@@ -48,16 +49,12 @@ func (c *Coordinator) handleCkptPut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fabric: checkpoint body too large or unreadable", http.StatusBadRequest)
 		return
 	}
-	img, err := ckpt.Decode(data)
+	img, err := ckpt.Codec.Decode(key, data)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("fabric: bad checkpoint: %v", err), http.StatusBadRequest)
 		return
 	}
-	if img.Key != key {
-		http.Error(w, "fabric: checkpoint key mismatch", http.StatusBadRequest)
-		return
-	}
-	store.Put(key, img)
+	cs.Put(key, img)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -92,7 +89,7 @@ func (s *RemoteCkptStore) do(req *http.Request) (*http.Response, error) {
 
 // Get pulls one checkpoint; any failure is a miss.
 func (s *RemoteCkptStore) Get(key string) (*ckpt.Image, bool) {
-	if !ckpt.ValidKey(key) {
+	if !store.ValidKey(key) {
 		return nil, false
 	}
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, s.url(key), nil)
@@ -112,8 +109,8 @@ func (s *RemoteCkptStore) Get(key string) (*ckpt.Image, bool) {
 	if err != nil {
 		return nil, false
 	}
-	img, err := ckpt.Decode(data)
-	if err != nil || img.Key != key {
+	img, err := ckpt.Codec.Decode(key, data)
+	if err != nil {
 		return nil, false
 	}
 	return img, true
@@ -121,7 +118,7 @@ func (s *RemoteCkptStore) Get(key string) (*ckpt.Image, bool) {
 
 // Put pushes one checkpoint, best-effort.
 func (s *RemoteCkptStore) Put(key string, img *ckpt.Image) {
-	if !ckpt.ValidKey(key) || img == nil {
+	if !store.ValidKey(key) || img == nil {
 		return
 	}
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, s.url(key), bytes.NewReader(ckpt.Encode(img)))

@@ -18,9 +18,9 @@
 // write) ends replay at the last good record, and Open truncates the
 // tail so the next append lands on a clean boundary. Compaction (clean
 // shutdown) rewrites the log with only the records that still matter,
-// through the same tmp + fsync + rename discipline DirStore uses, so a
-// crash mid-compaction leaves either the old log or the new one —
-// never a hybrid.
+// through store.WriteFile (tmp + fsync + rename, the writer result and
+// checkpoint puts use), so a crash mid-compaction leaves either the old
+// log or the new one — never a hybrid.
 package journal
 
 import (
@@ -37,6 +37,7 @@ import (
 
 	"dwarn/internal/chaos"
 	"dwarn/internal/spec"
+	"dwarn/internal/store"
 )
 
 // Record types, in the order a sweep emits them.
@@ -230,10 +231,7 @@ func (j *Journal) Append(rec Record) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("journal: record exceeds %d bytes", maxRecordBytes)
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[8:], payload)
+	frame := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -256,12 +254,20 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
+// appendFrame appends one record frame: payload length and CRC-32C,
+// both 4-byte little-endian, then the payload.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
 // Compact atomically replaces the log's contents with keep (typically
 // the minimal record set for still-unfinished entries — an empty keep
-// leaves just the header). The rewrite goes through a temp file,
-// fsync, and rename in the journal's own directory, mirroring
-// DirStore's cross-process atomic-put discipline: a crash at any point
-// leaves either the old complete log or the new complete log.
+// leaves just the header). The rewrite goes through store.WriteFile,
+// the same temp file, fsync and rename discipline result and
+// checkpoint puts use: a crash at any point leaves either the old
+// complete log or the new complete log.
 func (j *Journal) Compact(keep []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -271,42 +277,15 @@ func (j *Journal) Compact(keep []Record) error {
 	if err := chaos.Fire("journal.compact", j.path); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, ".journal.tmp*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.WriteString(header); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
+	buf := []byte(header)
 	for _, rec := range keep {
 		payload, err := json.Marshal(rec)
 		if err != nil {
-			tmp.Close()
 			return fmt.Errorf("journal: %w", err)
 		}
-		var frame [8]byte
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := tmp.Write(frame[:]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: %w", err)
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: %w", err)
-		}
+		buf = appendFrame(buf, payload)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
+	if err := store.WriteFile(j.path, buf); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	// The open handle still points at the unlinked old file; reopen the

@@ -5,15 +5,15 @@ import (
 	"sync"
 	"testing"
 
-	"dwarn/internal/exec"
 	"dwarn/internal/sim"
 )
 
-// The in-memory result tier is an exec.Store.
-var _ exec.Store = (*Cache)(nil)
+// The server's in-memory result tier is the count-bounded store.Mem
+// sized by Options.CacheEntries, reported through CacheStats.
 
 func TestCacheGetPut(t *testing.T) {
-	c := NewCache(2)
+	srv, _ := newTestServer(t, Options{Workers: 1, CacheEntries: 2})
+	c := srv.cache
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache returned a value")
 	}
@@ -22,14 +22,15 @@ func TestCacheGetPut(t *testing.T) {
 	if got, ok := c.Get("a"); !ok || got != want {
 		t.Fatalf("Get(a) = %p, %v; want the stored pointer", got, ok)
 	}
-	st := c.Stats()
+	st := srv.CacheStats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Max != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	srv, _ := newTestServer(t, Options{Workers: 1, CacheEntries: 2})
+	c := srv.cache
 	c.Put("a", &sim.Result{})
 	c.Put("b", &sim.Result{})
 	c.Get("a")                // a is now most recent
@@ -47,7 +48,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if got, _ := c.Get("a"); got.Throughput != 2 {
 		t.Fatalf("re-put value not stored: %+v", got)
 	}
-	if st := c.Stats(); st.Entries != 2 || st.Hits != 4 || st.Misses != 1 {
+	if st := srv.CacheStats(); st.Entries != 2 || st.Hits != 4 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -56,7 +57,8 @@ func TestCacheLRUEviction(t *testing.T) {
 // cache too small to hold it, exercising eviction and counter updates
 // together under -race.
 func TestCacheHammer(t *testing.T) {
-	c := NewCache(4)
+	srv, _ := newTestServer(t, Options{Workers: 1, CacheEntries: 4})
+	c := srv.cache
 	var wg sync.WaitGroup
 	const goroutines, rounds = 16, 200
 	for g := 0; g < goroutines; g++ {
@@ -64,7 +66,7 @@ func TestCacheHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				key := fmt.Sprintf("key-%d", (g+i)%10)
+				key := fmt.Sprintf("%04x", (g+i)%10)
 				if res, ok := c.Get(key); ok && res.Workload != key {
 					t.Errorf("Get(%s) returned the entry for %s", key, res.Workload)
 					return
@@ -74,7 +76,7 @@ func TestCacheHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := c.Stats()
+	st := srv.CacheStats()
 	if st.Entries > 4 {
 		t.Fatalf("cache grew past its bound: %+v", st)
 	}

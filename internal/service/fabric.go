@@ -4,9 +4,7 @@ import (
 	"net/http"
 	"time"
 
-	"dwarn/internal/exec"
 	"dwarn/internal/fabric"
-	"dwarn/internal/sim"
 )
 
 // FabricOptions enables the distributed sweep fabric: the server embeds
@@ -31,35 +29,6 @@ type FabricOptions struct {
 	// WorkerTTL is how long a silent worker stays registered (0 =
 	// fabric default).
 	WorkerTTL time.Duration
-}
-
-// tieredStore layers the in-memory result tier (Cache) over a durable
-// store (dwarnd -store DIR): gets fall through to the durable tier and
-// refill the LRU, puts write both. The durable tier holds the same one-file-
-// per-fingerprint layout CLI sweeps resume from, so a result computed
-// by any frontend — or pushed back by a remote fabric worker — is
-// served from disk across dwarnd restarts and LRU evictions alike.
-type tieredStore struct {
-	fast exec.Store // Cache: fast, evicting
-	slow exec.Store // DirStore: durable, unbounded
-}
-
-// Get implements exec.Store.
-func (t tieredStore) Get(fp string) (*sim.Result, bool) {
-	if res, ok := t.fast.Get(fp); ok {
-		return res, true
-	}
-	res, ok := t.slow.Get(fp)
-	if ok {
-		t.fast.Put(fp, res)
-	}
-	return res, ok
-}
-
-// Put implements exec.Store.
-func (t tieredStore) Put(fp string, res *sim.Result) {
-	t.fast.Put(fp, res)
-	t.slow.Put(fp, res)
 }
 
 // startFabric builds the coordinator, wires it as the executor

@@ -20,6 +20,7 @@ import (
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
+	"dwarn/internal/store"
 	"dwarn/internal/timeline"
 	"dwarn/internal/workload"
 )
@@ -162,10 +163,12 @@ func (o Options) withDefaults() Options {
 
 // Server is the dwarnd HTTP service: REST handlers over one registry of
 // run and sweep records, all executing on one shared executor whose
-// store is the in-memory result Cache (over Options.Store when set).
+// store is the in-memory result cache (over Options.Store when set).
 type Server struct {
-	opts   Options
-	cache  *Cache
+	opts Options
+	// cache is the in-memory result tier, an LRU of -cache entries. A
+	// repeat request marshals the same *sim.Result, byte-for-byte.
+	cache  *store.Mem[*sim.Result]
 	traces *TraceStore
 	exec   *exec.Executor      // the one pool every run and sweep cell executes on
 	fabric *fabric.Coordinator // non-nil when Options.Fabric is set
@@ -209,7 +212,7 @@ func New(opts Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,
-		cache:   NewCache(opts.CacheEntries),
+		cache:   store.NewMem[*sim.Result](opts.CacheEntries, 0, nil),
 		traces:  NewTraceStore(opts.MaxTraces, opts.MaxTraceStoreBytes),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
@@ -230,19 +233,19 @@ func New(opts Options) *Server {
 	// bounded pool, one single-flight domain, one store identity. Its
 	// metrics (store hits/misses, dedup, per-policy cell times) land in
 	// the server's registry. With Options.Store the in-memory tier is
-	// layered over the durable one; with Options.Fabric leader cells
-	// dispatch into the coordinator's lease queue instead of a local
-	// pool.
-	store := exec.Store(s.cache)
+	// chained over the durable one (misses refill the LRU, puts write
+	// both); with Options.Fabric leader cells dispatch into the
+	// coordinator's lease queue instead of a local pool.
+	results := exec.Store(s.cache)
 	if opts.Store != nil {
-		store = tieredStore{fast: s.cache, slow: opts.Store}
+		results = store.Chain[*sim.Result]{s.cache, opts.Store}
 	}
 	if opts.Fabric != nil {
 		s.fabric = s.startFabric(opts.Fabric)
 	}
 	s.exec = exec.New(exec.Options{
 		Workers:     opts.Workers,
-		Store:       store,
+		Store:       results,
 		Dispatcher:  dispatcherOrNil(s.fabric),
 		Registry:    s.reg,
 		Logger:      s.log,
@@ -368,8 +371,19 @@ func (s *Server) journalAppend(rec journal.Record) error {
 	return nil
 }
 
+// CacheStats is the result cache's /healthz snapshot.
+type CacheStats struct {
+	Entries int    `json:"entries"`
+	Max     int    `json:"max"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+}
+
 // CacheStats exposes the result cache counters (used by tests and /healthz).
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() CacheStats {
+	st := s.cache.Stats()
+	return CacheStats{Entries: st.Entries, Max: s.opts.CacheEntries, Hits: st.Hits, Misses: st.Misses}
+}
 
 // ---- JSON helpers ----
 
@@ -457,7 +471,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"jobs":           s.runCounts(),
 		"sweeps":         sweeps,
 		"traces":         s.traces.Len(),
-		"cache":          s.cache.Stats(),
+		"cache":          s.CacheStats(),
 	})
 }
 

@@ -5,102 +5,86 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
+	"dwarn/internal/store"
 	"dwarn/internal/trace"
 )
 
 // TraceStore holds uploaded uop traces in memory, keyed by content
-// digest, with LRU eviction bounded by entry count and total payload
-// bytes. Uploads are idempotent: re-posting an identical trace refreshes
-// its LRU slot and returns the same id. Traces are immutable after
-// load, so concurrently running simulations keep working against an
-// evicted trace — eviction only removes the id from the index.
+// digest: a store.Mem bounded by entry count and total payload bytes.
+// Uploads are idempotent: re-posting an identical trace refreshes its
+// LRU slot and upload time and keeps the same id. Traces are immutable
+// after load, so concurrently running simulations keep working against
+// an evicted trace — eviction only removes the id from the index.
 type TraceStore struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-
-	byDigest map[string]*storedTrace
-	order    []string // LRU: oldest first
-	bytes    int64
+	mem *store.Mem[*storedTrace]
 }
 
+// storedTrace is one entry: the trace and its view, built at upload.
 type storedTrace struct {
-	tr         *trace.Trace
-	size       int64
-	uploadedAt time.Time
+	tr   *trace.Trace
+	view TraceView
 }
 
 // NewTraceStore bounds the store at maxEntries traces and maxBytes of
 // total decompressed payload.
 func NewTraceStore(maxEntries int, maxBytes int64) *TraceStore {
-	return &TraceStore{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		byDigest:   make(map[string]*storedTrace),
-	}
+	return &TraceStore{mem: store.NewMem(maxEntries, maxBytes, func(st *storedTrace) int64 { return st.view.Bytes })}
 }
 
-// Add stores tr (size is its payload footprint) and returns its id.
-func (s *TraceStore) Add(tr *trace.Trace, size int64) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := tr.Digest
-	if old, ok := s.byDigest[id]; ok {
-		old.uploadedAt = time.Now()
-		s.touch(id)
-		return id
-	}
-	s.byDigest[id] = &storedTrace{tr: tr, size: size, uploadedAt: time.Now()}
-	s.order = append(s.order, id)
-	s.bytes += size
-	for (len(s.order) > s.maxEntries || s.bytes > s.maxBytes) && len(s.order) > 1 {
-		victim := s.order[0]
-		s.order = s.order[1:]
-		s.bytes -= s.byDigest[victim].size
-		delete(s.byDigest, victim)
-	}
-	return id
-}
-
-// touch moves id to the most-recently-used position.
-func (s *TraceStore) touch(id string) {
-	for i, d := range s.order {
-		if d == id {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), id)
-			return
-		}
-	}
+// Add stores tr (size is its payload footprint) and returns its view.
+func (s *TraceStore) Add(tr *trace.Trace, size int64) TraceView {
+	st := &storedTrace{tr: tr, view: TraceView{
+		ID:         tr.Digest,
+		Workload:   tr.Workload,
+		Seed:       tr.Seed,
+		Threads:    len(tr.Threads),
+		Benchmarks: tr.Benchmarks(),
+		Uops:       tr.Uops(),
+		Bytes:      size,
+		UploadedAt: time.Now(),
+	}}
+	s.mem.Put(tr.Digest, st)
+	return st.view
 }
 
 // Get resolves an id — a full digest or an unambiguous prefix of at
-// least 8 hex characters — and refreshes its LRU slot.
-func (s *TraceStore) Get(id string) (*trace.Trace, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.byDigest[id]; ok {
-		s.touch(id)
-		return st.tr, nil
+// least 8 hex characters — refreshes its LRU slot, and returns the view
+// of the entry it resolved.
+func (s *TraceStore) Get(id string) (TraceView, error) {
+	st, err := s.lookup(id)
+	return st.view, err
+}
+
+// ResolveTrace implements spec.TraceResolver: spec workload trace
+// references are store ids (content digests or unambiguous prefixes).
+func (s *TraceStore) ResolveTrace(ref string) (*trace.Trace, error) {
+	st, err := s.lookup(ref)
+	return st.tr, err
+}
+
+func (s *TraceStore) lookup(id string) (storedTrace, error) {
+	if st, ok := s.mem.Get(id); ok {
+		return *st, nil
 	}
 	if len(id) >= 8 {
 		var matches []string
-		for d := range s.byDigest {
+		s.mem.Range(func(d string, _ *storedTrace) {
 			if strings.HasPrefix(d, id) {
 				matches = append(matches, d)
 			}
+		})
+		if len(matches) > 1 {
+			return storedTrace{}, fmt.Errorf("service: trace id %q is ambiguous (%d matches)", id, len(matches))
 		}
-		switch len(matches) {
-		case 1:
-			s.touch(matches[0])
-			return s.byDigest[matches[0]].tr, nil
-		case 0:
-		default:
-			return nil, fmt.Errorf("service: trace id %q is ambiguous (%d matches)", id, len(matches))
+		if len(matches) == 1 {
+			if st, ok := s.mem.Get(matches[0]); ok {
+				return *st, nil
+			}
 		}
 	}
-	return nil, fmt.Errorf("service: no trace %q (upload via POST /v1/traces)", id)
+	return storedTrace{}, fmt.Errorf("service: no trace %q (upload via POST /v1/traces)", id)
 }
 
 // TraceView is the JSON shape of a stored trace.
@@ -117,39 +101,13 @@ type TraceView struct {
 
 // List returns all stored traces, most recently used last.
 func (s *TraceStore) List() []TraceView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]TraceView, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.view(id))
-	}
+	out := []TraceView{}
+	s.mem.Range(func(_ string, st *storedTrace) { out = append(out, st.view) })
 	return out
 }
 
-func (s *TraceStore) view(id string) TraceView {
-	st := s.byDigest[id]
-	return TraceView{
-		ID:         id,
-		Workload:   st.tr.Workload,
-		Seed:       st.tr.Seed,
-		Threads:    len(st.tr.Threads),
-		Benchmarks: st.tr.Benchmarks(),
-		Uops:       st.tr.Uops(),
-		Bytes:      st.size,
-		UploadedAt: st.uploadedAt,
-	}
-}
-
-// ResolveTrace implements spec.TraceResolver: spec workload trace
-// references are store ids (content digests or unambiguous prefixes).
-func (s *TraceStore) ResolveTrace(ref string) (*trace.Trace, error) { return s.Get(ref) }
-
 // Len reports the number of stored traces (for /healthz).
-func (s *TraceStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byDigest)
-}
+func (s *TraceStore) Len() int { return s.mem.Len() }
 
 // ---- handlers ----
 
@@ -163,23 +121,11 @@ func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	size := tr.PayloadBytes()
 	status := http.StatusCreated
-	if _, err := s.traces.Get(tr.Digest); err == nil {
+	if _, ok := s.traces.mem.Get(tr.Digest); ok {
 		status = http.StatusOK
 	}
-	id := s.traces.Add(tr, size)
-	v, _ := s.traceView(id)
-	writeJSON(w, status, v)
-}
-
-func (s *Server) traceView(id string) (TraceView, bool) {
-	for _, v := range s.traces.List() {
-		if v.ID == id {
-			return v, true
-		}
-	}
-	return TraceView{}, false
+	writeJSON(w, status, s.traces.Add(tr, tr.PayloadBytes()))
 }
 
 func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
@@ -190,11 +136,10 @@ func (s *Server) handleListTraces(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	tr, err := s.traces.Get(id)
+	v, err := s.traces.Get(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	v, _ := s.traceView(tr.Digest)
 	writeJSON(w, http.StatusOK, v)
 }

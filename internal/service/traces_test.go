@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,4 +268,72 @@ func TestTraceStoreEviction(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("len %d", s.Len())
 	}
+}
+
+// TestTraceViewIsTheResolvedEntry: the store hands back the view of the
+// entry it resolved, so an eviction right after the lookup cannot turn
+// the answer into another trace's view or a zero one.
+func TestTraceViewIsTheResolvedEntry(t *testing.T) {
+	s := NewTraceStore(1, 1<<30)
+	mk := func(seed uint64) *trace.Trace {
+		tr, err := trace.Read(bytes.NewReader(recordTestTrace(t, "2-ILP", seed, 500)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	a, b := mk(1), mk(2)
+	s.Add(a, a.PayloadBytes())
+	v, err := s.Get(a.Digest[:12])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added := s.Add(b, b.PayloadBytes()); added.ID != b.Digest || added.Uops != b.Uops() {
+		t.Fatalf("Add returned %+v, want b's view", added)
+	}
+	if _, err := s.Get(a.Digest); err == nil {
+		t.Fatal("a survived eviction")
+	}
+	if v.ID != a.Digest || v.Uops != a.Uops() || v.Bytes != a.PayloadBytes() || v.Threads != len(a.Threads) {
+		t.Fatalf("view of a after its eviction = %+v", v)
+	}
+}
+
+// TestTraceHandlersUnderEviction: with room for one trace, two clients
+// upload and fetch different traces concurrently, evicting each other's
+// entry between every lookup and response. Every 200/201 must carry the
+// view of the trace that was asked about.
+func TestTraceHandlersUnderEviction(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1, MaxTraces: 1})
+	var wg sync.WaitGroup
+	for seed := uint64(1); seed <= 2; seed++ {
+		raw := recordTestTrace(t, "2-ILP", seed, 500)
+		tr, err := trace.Read(bytes.NewReader(raw), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check := func(resp *http.Response, err error) {
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var v TraceView
+				if resp.StatusCode == http.StatusNotFound {
+					return // evicted before the lookup: a correct answer
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || v.ID != tr.Digest || v.Uops != tr.Uops() {
+					t.Errorf("status %d served view %+v (err %v) for trace %s", resp.StatusCode, v, err, tr.Digest)
+				}
+			}
+			for i := 0; i < 40; i++ {
+				check(http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(raw)))
+				check(http.Get(ts.URL + "/v1/traces/" + tr.Digest))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -15,8 +15,8 @@
 #      refused (500), and a restart must truncate the torn tail and
 #      journal normally again.
 #   3. store-errors: DWARN_CHAOS=error:store.put drops every durable
-#      result write. The sweep must still complete — the store is
-#      best-effort by contract — with nothing persisted.
+#      result and checkpoint write. The sweep must still complete — the
+#      store is best-effort by contract — with nothing persisted.
 #
 # Exits nonzero on the first failed assertion.
 #
@@ -124,9 +124,12 @@ srv=$!
 wait_http "$base/healthz"
 id="$(curl -sf -X POST "$base/v1/sweeps" -d "$sweep" | jq -r .id)"
 wait_sweep_done "$id"
-# Every durable write was dropped: no result JSON landed in the store.
+# Every durable write was dropped: no result JSON and no checkpoint
+# landed in the store.
 n="$(ls "$store"/*.json 2>/dev/null | wc -l)"
 [ "$n" -eq 0 ] || { echo "chaos_service: FAIL: $n results persisted under error:store.put" >&2; exit 1; }
+n="$(ls "$store"/ckpt/*.ckpt 2>/dev/null | wc -l)"
+[ "$n" -eq 0 ] || { echo "chaos_service: FAIL: $n checkpoints persisted under error:store.put" >&2; exit 1; }
 kill "$srv" 2>/dev/null || true
 wait "$srv" 2>/dev/null || true
 echo "chaos_service: PASS drill 3 (store errors absorbed, nothing persisted)" >&2
