@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is plain go tool invocations;
 # the Makefile just names the common ones.
 
-.PHONY: build test race bench bench-simcore bench-sweep bench-fabric bench-service bench-ckpt smoke-ckpt chaos-service alloc-guard
+.PHONY: build test race bench bench-fabric smoke-ckpt chaos-service alloc-guard
 
 build:
 	go build ./...
@@ -16,33 +16,11 @@ race:
 bench:
 	go test -bench=. -benchtime=1x ./...
 
-# Cycle-engine perf trajectory: runs BenchmarkSimulatorCycleRate and
-# records ns/cycle, uops/sec, and allocs/cycle to BENCH_simcore.json.
-bench-simcore:
-	sh scripts/bench_simcore.sh
-
-# Sweep-executor perf trajectory: cells/sec at 1/2/4/8 workers over a
-# 64-cell grid, recorded to BENCH_sweep.json.
-bench-sweep:
-	sh scripts/bench_sweep.sh
-
 # Distributed-fabric perf trajectory: a real coordinator plus 1/2/4
 # `dwarnd -worker` processes over the 72-cell parallel grid, recorded
 # to BENCH_fabric.json.
 bench-fabric:
 	sh scripts/bench_fabric.sh
-
-# Service-level perf trajectory: end-to-end runs/sec and p99
-# submit→done latency against a real dwarnd at 1/4/8 concurrent
-# clients, cold (every run simulated) and hot (cache-served), recorded
-# to BENCH_service.json.
-bench-service:
-	sh scripts/bench_service.sh
-
-# Checkpoint/fork engine perf trajectory: the 72-cell parallel grid
-# with and without checkpointing, recorded to BENCH_ckpt.json.
-bench-ckpt:
-	sh scripts/bench_ckpt.sh
 
 # Checkpoint/fork engine correctness smoke: one warmup per group and
 # digests bit-identical to a serial no-checkpoint run.

@@ -107,8 +107,9 @@ func BenchmarkPolicyThroughput4MIX(b *testing.B) {
 // count, the number that bounds every experiment above. Besides the
 // stock ns/op (= ns/cycle) it reports committed uops/sec and, with
 // -benchmem, allocations per cycle — the zero-alloc engine's headline
-// numbers. scripts/bench_simcore.sh records them to BENCH_simcore.json
-// so the perf trajectory is tracked across changes.
+// numbers. The tracked trajectory is cmd/dwarnbench's engine workload:
+// sim.ns_per_cycle, sim.ns_per_committed_uop and
+// runtime.alloc_kb_per_op.
 func BenchmarkSimulatorCycleRate(b *testing.B) {
 	for _, wn := range []string{"2-MIX", "4-MIX", "8-MEM"} {
 		b.Run(wn, func(b *testing.B) {

@@ -24,10 +24,10 @@
 //	dwarnd -spec examples/specs/table4-sweep.json   # pre-warm the cache
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/metrics
-//	curl -s -X POST localhost:8080/v1/simulations \
-//	    -d '{"policy":"dwarn","workload":"4-MIX"}'
-//	curl -s localhost:8080/v1/simulations/sim-000001
-//	curl -s -X POST localhost:8080/v1/sweeps -d '{"workloads":["4-MIX"]}'
+//	curl -s -X POST localhost:8080/v2/runs \
+//	    -d '{"policy":{"name":"dwarn"},"workload":{"name":"4-MIX"}}'
+//	curl -s localhost:8080/v2/runs/sim-000001
+//	curl -s -X POST localhost:8080/v2/sweeps -d '{"workloads":[{"name":"4-MIX"}]}'
 //	curl -s -X POST localhost:8080/v2/sweeps \
 //	    -d '{"policies":[{"name":"dwarn","params":{"warn":[1,2,4]}}],"workloads":[{"name":"2-MEM"}]}'
 //	curl -sN localhost:8080/v2/sweeps/sweep-000001/events   # SSE progress

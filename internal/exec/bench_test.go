@@ -39,11 +39,12 @@ func benchGrid(b *testing.B) []*spec.Resolved {
 
 // BenchmarkSweepExecutor measures sweep throughput (cells/sec) at
 // 1/2/4/8 workers over a 64-cell grid. Every iteration uses a fresh
-// store so each cell is really simulated — this is the number
-// scripts/bench_sweep.sh records to BENCH_sweep.json, and the serial ÷
-// 8-worker ratio is the parallel speedup the execution layer delivers
-// on the host's cores (capped by GOMAXPROCS; on a single-core runner
-// all four points collapse to the serial rate).
+// store so each cell is really simulated. The serial ÷ 8-worker ratio
+// is the parallel speedup the execution layer delivers on the host's
+// cores (capped by GOMAXPROCS; on a single-core runner all four points
+// collapse to the serial rate). The tracked numbers are cmd/dwarnbench's
+// grid workload: throughput_ops_per_s (18 cells per op) and
+// exec.pool_utilization.
 func BenchmarkSweepExecutor(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {

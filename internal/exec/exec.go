@@ -302,9 +302,12 @@ func (e *Executor) Execute(ctx context.Context, cells []*spec.Resolved, onEvent 
 func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (res *sim.Result, cached bool, err error) {
 	fp := c.Fingerprint
 	for {
-		if r, ok := e.store.Get(fp); ok {
-			return r, true, nil
-		}
+		// Join or claim the flight before consulting the store: a leader
+		// puts before it settles, so a caller that finds no flight and
+		// then misses the store is the only one that will simulate.
+		// Looking up the store first would let a duplicate miss it just
+		// before the leader's put, find the flight already settled, and
+		// simulate again.
 		e.mu.Lock()
 		if f, ok := e.inflight[fp]; ok {
 			e.mu.Unlock()
@@ -322,6 +325,12 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 		f := &flight{done: make(chan struct{})}
 		e.inflight[fp] = f
 		e.mu.Unlock()
+
+		if r, ok := e.store.Get(fp); ok {
+			f.res = r
+			e.settle(fp, f)
+			return r, true, nil
+		}
 
 		// Leader: execute the cell — through the dispatcher's fabric
 		// when one is wired, else on the local pool.

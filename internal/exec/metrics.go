@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"time"
 
 	"dwarn/internal/obs"
@@ -12,9 +11,9 @@ import (
 // executor's obs registry (obs.Default unless Options.Registry names
 // another — the dwarnd service passes its own so per-server counters
 // stay isolated in tests). All handles are pre-created; the per-cell
-// paths only touch atomics, except the per-policy histogram lookup,
-// which is one RLock map probe per simulated cell — noise next to the
-// simulation it measures.
+// paths only touch atomics, except the per-policy histogram, which is
+// one registry lookup (get-or-create, RLock on a hit) per simulated
+// cell — noise next to the simulation it measures.
 type metrics struct {
 	reg *obs.Registry
 
@@ -31,9 +30,6 @@ type metrics struct {
 	workers     *obs.Gauge
 	workersBusy *obs.Gauge
 	cellsPerSec *obs.Gauge
-
-	mu       sync.Mutex
-	byPolicy map[string]*obs.Histogram
 }
 
 func newMetrics(reg *obs.Registry, workers int) *metrics {
@@ -55,7 +51,6 @@ func newMetrics(reg *obs.Registry, workers int) *metrics {
 		workers:       reg.Gauge("dwarn_exec_workers", "Size of the executor's bounded worker pool."),
 		workersBusy:   reg.Gauge("dwarn_exec_workers_busy", "Workers currently inside a simulation."),
 		cellsPerSec:   reg.Gauge("dwarn_exec_cells_per_second", "Terminal cells per second over the most recent Execute batch."),
-		byPolicy:      make(map[string]*obs.Histogram),
 	}
 	m.workers.Set(float64(workers))
 	return m
@@ -69,16 +64,9 @@ func (m *metrics) cellSeconds(policy string) *obs.Histogram {
 	if policy == "" {
 		policy = "custom"
 	}
-	m.mu.Lock()
-	h, ok := m.byPolicy[policy]
-	if !ok {
-		h = m.reg.Histogram("dwarn_exec_cell_seconds",
-			"Wall time of one simulated sweep cell, by fetch policy.",
-			obs.CellBuckets, obs.L("policy", policy))
-		m.byPolicy[policy] = h
-	}
-	m.mu.Unlock()
-	return h
+	return m.reg.Histogram("dwarn_exec_cell_seconds",
+		"Wall time of one simulated sweep cell, by fetch policy.",
+		obs.CellBuckets, obs.L("policy", policy))
 }
 
 // cellTerminal counts one terminal cell event.

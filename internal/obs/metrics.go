@@ -95,7 +95,7 @@ var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 var RunBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30}
 
 // CellBuckets covers one sweep cell's wall time, tuned to observed
-// durations (BENCH_sweep.json: ~8ms/cell at the default protocol):
+// durations (about 8ms per cell at the default protocol):
 // fine-grained 1–32ms where the distribution actually lives, then
 // doubling out to 4s for long-protocol cells, so per-policy latency
 // shifts show up as bucket movement instead of all cells piling into

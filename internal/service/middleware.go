@@ -202,12 +202,12 @@ func (s *Server) admitHandler() http.Handler {
 		// already saturated — the work would only fail deeper in with the
 		// request fully parsed, or queue unboundedly.
 		switch route {
-		case "POST /v1/simulations", "POST /v2/runs":
+		case "POST /v2/runs":
 			if s.queueLen() >= s.opts.QueueDepth {
 				s.shed(w, fmt.Errorf("%w: job queue full", ErrSaturated))
 				return
 			}
-		case "POST /v1/sweeps", "POST /v2/sweeps":
+		case "POST /v2/sweeps":
 			if s.activeSweeps() >= s.opts.MaxActiveSweeps {
 				s.shed(w, fmt.Errorf("%w: too many active sweeps (max %d)", ErrSaturated, s.opts.MaxActiveSweeps))
 				return
@@ -219,7 +219,7 @@ func (s *Server) admitHandler() http.Handler {
 		// bound, enforced again byte-exactly in the handler.
 		if r.Body != nil {
 			limit := s.opts.MaxBodyBytes
-			if route == "POST /v1/traces" {
+			if route == "POST /v2/traces" {
 				limit = s.opts.MaxTraceBytes
 			}
 			r.Body = http.MaxBytesReader(w, r.Body, limit)

@@ -1,13 +1,19 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"dwarn/internal/spec"
 )
 
 // ---- rate limiter unit tests ----
@@ -125,7 +131,7 @@ func TestAuthMatrix(t *testing.T) {
 
 	// API routes: no token and wrong token get 401 + WWW-Authenticate.
 	for _, token := range []string{"", "wrong", "hunter"} {
-		resp := doGet(t, ts, "/v1/policies", token)
+		resp := doGet(t, ts, "/v2/policies", token)
 		if resp.StatusCode != http.StatusUnauthorized {
 			t.Fatalf("token %q: status %d, want 401", token, resp.StatusCode)
 		}
@@ -133,7 +139,7 @@ func TestAuthMatrix(t *testing.T) {
 			t.Fatalf("token %q: missing WWW-Authenticate", token)
 		}
 	}
-	if resp := doGet(t, ts, "/v1/policies", "hunter2"); resp.StatusCode != http.StatusOK {
+	if resp := doGet(t, ts, "/v2/policies", "hunter2"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid token rejected: %d", resp.StatusCode)
 	}
 	if got := srv.metAuthFail.Value(); got != 3 {
@@ -149,7 +155,7 @@ func TestRateLimitMatrix(t *testing.T) {
 	limited := 0
 	var last *http.Response
 	for i := 0; i < 5; i++ {
-		last = doGet(t, ts, "/v1/policies", "")
+		last = doGet(t, ts, "/v2/policies", "")
 		if last.StatusCode == http.StatusTooManyRequests {
 			limited++
 		}
@@ -178,20 +184,17 @@ func TestLoadShedMatrix(t *testing.T) {
 	srv, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 1, MaxActiveSweeps: 1, MaxCycles: 500_000_000,
 	})
-	long := SimulationRequest{
-		Policy: "icount", Workload: "8-MEM",
-		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
-	}
-	running := submitSim(t, ts, long)
+	long := longRun("icount", "8-MEM")
+	running := submitRun(t, ts, long)
 	waitJob(t, ts, running.ID, StateRunning)
 	queued := long
 	queued.Seed = 2
-	submitSim(t, ts, queued)
+	submitRun(t, ts, queued)
 
 	// Queue full: the middleware sheds before reading the body.
 	rejected := long
 	rejected.Seed = 3
-	resp, raw := postJSON(t, ts, "/v1/simulations", rejected)
+	resp, raw := postJSON(t, ts, "/v2/runs", rejected)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-capacity submit: status %d body %s", resp.StatusCode, raw)
 	}
@@ -203,21 +206,14 @@ func TestLoadShedMatrix(t *testing.T) {
 	}
 
 	// Sweep bound: one active sweep saturates MaxActiveSweeps=1.
-	sweepReq := SweepRequest{
-		Policies: []string{"icount"}, Workloads: []string{"8-MEM"},
-		Seed: 10, WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
+	sweepReq := spec.SweepSpec{
+		Policies: []spec.PolicyAxis{{Name: "icount"}}, Workloads: []spec.Workload{{Name: "8-MEM"}},
+		Seeds: []uint64{10}, WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
 	}
-	resp, raw = postJSON(t, ts, "/v1/sweeps", sweepReq)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first sweep: status %d body %s", resp.StatusCode, raw)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
+	st := postSweep(t, ts, sweepReq)
 	over := sweepReq
-	over.Seed = 11
-	resp, _ = postJSON(t, ts, "/v1/sweeps", over)
+	over.Seeds = []uint64{11}
+	resp, _ = postJSON(t, ts, "/v2/sweeps", over)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-cap sweep: status %d", resp.StatusCode)
 	}
@@ -226,10 +222,7 @@ func TestLoadShedMatrix(t *testing.T) {
 	}
 
 	// Drain for fast cleanup.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sweeps/"+st.ID, nil)
-	if dresp, err := http.DefaultClient.Do(req); err == nil {
-		dresp.Body.Close()
-	}
+	deleteStatus(t, ts, "/v2/sweeps/"+st.ID)
 }
 
 // Fabric RPC routes authenticate but are exempt from the rate limiter:
@@ -240,7 +233,7 @@ func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
 		Fabric: &FabricOptions{LocalWorkers: 1},
 	})
 	// Exhaust the budget on an API route.
-	doGet(t, ts, "/v1/policies", "")
+	doGet(t, ts, "/v2/policies", "")
 	for i := 0; i < 5; i++ {
 		resp, _ := postJSON(t, ts, "/v2/fabric/lease", map[string]any{
 			"worker_id": "w-none", "max": 1, "wait_ms": 1,
@@ -248,5 +241,82 @@ func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
 		if resp.StatusCode == http.StatusTooManyRequests {
 			t.Fatalf("fabric lease rate-limited on attempt %d", i)
 		}
+	}
+}
+
+// TestAdmissionRouteLiteralsAreRegistered: admitHandler and
+// streamingRoute compare the mux's matched pattern against string
+// literals. A literal naming no registered pattern never matches, which
+// silently turns off shedding, the trace body bound, the probe bypass
+// or the deadline exemption — so every route literal in those two
+// functions must resolve to itself, and every path-prefix literal must
+// prefix a registered pattern.
+func TestAdmissionRouteLiteralsAreRegistered(t *testing.T) {
+	srv, _ := newTestServer(t, Options{Workers: 1, Fabric: &FabricOptions{LocalWorkers: 1}})
+	f, err := parser.ParseFile(token.NewFileSet(), "middleware.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes, prefixes []string
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || (fn.Name.Name != "admitHandler" && fn.Name.Name != "streamingRoute") {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			v, _ := strconv.Unquote(lit.Value)
+			if method, path, ok := strings.Cut(v, " "); ok && method != "" && method == strings.ToUpper(method) && strings.HasPrefix(path, "/") {
+				routes = append(routes, v)
+			} else if strings.HasPrefix(v, "/") {
+				prefixes = append(prefixes, v)
+			}
+			return true
+		})
+	}
+	// The probes, both shed routes, the trace upload, the SSE stream
+	// and the fabric lease call.
+	if len(routes) < 7 || len(prefixes) == 0 {
+		t.Fatalf("found routes %q and prefixes %q in middleware.go; the parse lost some", routes, prefixes)
+	}
+	wildcard := regexp.MustCompile(`\{[^}]+\}`)
+	for _, route := range routes {
+		method, path, _ := strings.Cut(route, " ")
+		req := httptest.NewRequest(method, wildcard.ReplaceAllString(path, "x"), nil)
+		if _, pattern := srv.mux.Handler(req); pattern != route {
+			t.Errorf("middleware literal %q matches mux pattern %q", route, pattern)
+		}
+	}
+	for _, prefix := range prefixes {
+		req := httptest.NewRequest(http.MethodGet, prefix, nil)
+		if _, pattern := srv.mux.Handler(req); !strings.Contains(pattern, " "+prefix) {
+			t.Errorf("middleware path prefix %q prefixes no mux pattern (got %q)", prefix, pattern)
+		}
+	}
+}
+
+// TestTraceUploadUsesTraceBodyBound: a trace larger than MaxBodyBytes
+// but within MaxTraceBytes uploads, because the trace route carries its
+// own body bound; the same bytes on a JSON route hit MaxBodyBytes.
+func TestTraceUploadUsesTraceBodyBound(t *testing.T) {
+	const bodyCap = 1 << 10
+	_, ts := newTestServer(t, Options{Workers: 1, MaxBodyBytes: bodyCap})
+	raw := recordTestTrace(t, "2-ILP", 1, 2000)
+	if len(raw) <= bodyCap {
+		t.Fatalf("test trace is %d bytes, want more than MaxBodyBytes=%d", len(raw), bodyCap)
+	}
+	if _, resp := uploadTrace(t, ts, raw); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("trace of %d bytes under MaxBodyBytes=%d: status %d, want 201", len(raw), bodyCap, resp.StatusCode)
+	}
+	resp, err := http.Post(ts.URL+"/v2/runs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%d-byte body on /v2/runs: status %d, want 400", len(raw), resp.StatusCode)
 	}
 }

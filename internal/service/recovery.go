@@ -46,7 +46,7 @@ func (s *Server) recoverFromJournal() {
 			resumed++
 		case e.Kind == journal.KindSweep:
 			// Terminal sweeps are not re-listed; terminal runs are, so
-			// GET /v1/simulations does not forget work that finished
+			// GET /v2/runs does not forget work that finished
 			// before the process died. (Clean shutdown compacts both
 			// away along with everything else.)
 			continue
@@ -70,7 +70,7 @@ func (s *Server) recoverEntry(e *journal.Entry) {
 		finalErr:    e.Error,
 	}
 	if p.run && len(e.Cells) == 1 {
-		p.request = e.Cells[0]
+		p.request = &e.Cells[0]
 	}
 	cells, err := s.resolveCells(e.Cells)
 	if err == nil && p.run && len(cells) != 1 {

@@ -84,10 +84,7 @@ func TestSweepRecoveryResumesWithIdenticalDigests(t *testing.T) {
 	// Pre-crash life: a server with the same durable store ran one of
 	// the two cells to completion (the crash interrupted the other).
 	srvA, tsA := newTestServer(t, Options{Workers: 2, Store: openStore(t, filepath.Join(dir, "store"))})
-	first := submitSim(t, tsA, SimulationRequest{
-		Policy: "icount", Workload: "2-MIX",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	first := submitRun(t, tsA, testRun("icount", "2-MIX"))
 	done := waitJob(t, tsA, first.ID, StateDone)
 	var firstRes SimulationResult
 	if err := json.Unmarshal(done.Result, &firstRes); err != nil {
@@ -158,17 +155,10 @@ func TestSweepRecoveryResumesWithIdenticalDigests(t *testing.T) {
 	}
 
 	// Fresh ids advance past the recovered one.
-	resp, raw := postJSON(t, tsB, "/v1/sweeps", SweepRequest{
-		Policies: []string{"icount"}, Workloads: []string{"2-MIX"},
+	st2 := postSweep(t, tsB, spec.SweepSpec{
+		Policies: []spec.PolicyAxis{{Name: "icount"}}, Workloads: []spec.Workload{{Name: "2-MIX"}},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-recovery sweep: %d %s", resp.StatusCode, raw)
-	}
-	var st2 SweepStatus
-	if err := json.Unmarshal(raw, &st2); err != nil {
-		t.Fatal(err)
-	}
 	if st2.ID <= "sweep-000007" {
 		t.Fatalf("fresh id %s did not advance past recovered id", st2.ID)
 	}
@@ -257,10 +247,7 @@ func TestRunJobRecovery(t *testing.T) {
 	}
 
 	// Fresh job ids advance past the restored one.
-	fresh := submitSim(t, ts, SimulationRequest{
-		Policy: "icount", Workload: "2-MIX",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	fresh := submitRun(t, ts, testRun("icount", "2-MIX"))
 	if fresh.ID <= "sim-000042" {
 		t.Fatalf("fresh job id %s did not advance", fresh.ID)
 	}
@@ -276,7 +263,7 @@ func TestRunJobRecovery(t *testing.T) {
 }
 
 // Terminal run jobs stay listed across a crash restart: a journaled
-// done job reappears in GET /v1/simulations with its result re-attached
+// done job reappears in GET /v2/runs with its result re-attached
 // from the durable store, a failed one reappears with its cause, and
 // fresh ids advance past both.
 func TestTerminalRunJobsSurviveRestart(t *testing.T) {
@@ -285,10 +272,7 @@ func TestTerminalRunJobsSurviveRestart(t *testing.T) {
 
 	// Pre-crash life: the durable store pays for the cell once.
 	srvA, tsA := newTestServer(t, Options{Workers: 1, Store: openStore(t, filepath.Join(dir, "store"))})
-	first := submitSim(t, tsA, SimulationRequest{
-		Policy: "icount", Workload: "2-MIX",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	first := submitRun(t, tsA, testRun("icount", "2-MIX"))
 	preCrash := waitJob(t, tsA, first.ID, StateDone)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	_ = srvA.Shutdown(ctx)
@@ -320,7 +304,7 @@ func TestTerminalRunJobsSurviveRestart(t *testing.T) {
 	defer tsB.Close()
 
 	var done JobView
-	if resp := getJSON(t, tsB, "/v1/simulations/sim-000031", &done); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, tsB, "/v2/runs/sim-000031", &done); resp.StatusCode != http.StatusOK {
 		t.Fatalf("done job forgotten after restart: %d", resp.StatusCode)
 	}
 	if done.State != StateDone || !done.Cached {
@@ -331,7 +315,7 @@ func TestTerminalRunJobsSurviveRestart(t *testing.T) {
 	}
 
 	var failed JobView
-	if resp := getJSON(t, tsB, "/v1/simulations/sim-000032", &failed); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, tsB, "/v2/runs/sim-000032", &failed); resp.StatusCode != http.StatusOK {
 		t.Fatalf("failed job forgotten after restart: %d", resp.StatusCode)
 	}
 	if failed.State != StateFailed || failed.Error != "boom" {
@@ -341,15 +325,12 @@ func TestTerminalRunJobsSurviveRestart(t *testing.T) {
 	var list struct {
 		Jobs []JobView `json:"jobs"`
 	}
-	getJSON(t, tsB, "/v1/simulations", &list)
+	getJSON(t, tsB, "/v2/runs", &list)
 	if len(list.Jobs) != 2 {
 		t.Fatalf("listing has %d jobs after restart, want 2", len(list.Jobs))
 	}
 
-	fresh := submitSim(t, tsB, SimulationRequest{
-		Policy: "icount", Workload: "2-MIX",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	fresh := submitRun(t, tsB, testRun("icount", "2-MIX"))
 	if fresh.ID <= "sim-000032" {
 		t.Fatalf("fresh job id %s did not advance past restored terminal ids", fresh.ID)
 	}
@@ -374,7 +355,7 @@ func TestTerminalBaselinesRunKeepsSummary(t *testing.T) {
 
 	// Pre-crash life: the durable store pays for the run and its solos.
 	srvA, tsA := newTestServer(t, Options{Workers: 2, Store: openStore(t, filepath.Join(dir, "store"))})
-	preCrash := waitJob(t, tsA, submitV2Run(t, tsA, rs).ID, StateDone)
+	preCrash := waitJob(t, tsA, submitRun(t, tsA, rs).ID, StateDone)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	_ = srvA.Shutdown(ctx)
 	cancel()

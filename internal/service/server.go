@@ -13,7 +13,6 @@ import (
 
 	"dwarn/internal/ckpt"
 	"dwarn/internal/config"
-	"dwarn/internal/core"
 	"dwarn/internal/exec"
 	"dwarn/internal/fabric"
 	"dwarn/internal/journal"
@@ -100,7 +99,7 @@ type Options struct {
 	// max(2×RateLimit, 8)).
 	RateBurst int
 	// RequestTimeout bounds the handling time of non-streaming,
-	// non-fabric requests (0 disables; dwarnd defaults it to 60s).
+	// non-fabric requests (0 disables; dwarnd defaults it to 30s).
 	RequestTimeout time.Duration
 	// Journal, when non-nil, durably records run and sweep admissions
 	// and terminal states; the Server appends to it as work is admitted
@@ -285,25 +284,6 @@ func dispatcherOrNil(c *fabric.Coordinator) exec.Dispatcher {
 	return c
 }
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/policies", s.handlePolicies)
-	s.mux.HandleFunc("GET /v1/machines", s.handleMachines)
-	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	s.mux.HandleFunc("POST /v1/simulations", s.handleSubmitSimulation)
-	s.mux.HandleFunc("GET /v1/simulations", s.handleListSimulations)
-	s.mux.HandleFunc("GET /v1/simulations/{id}", s.handleGetSimulation)
-	s.mux.HandleFunc("DELETE /v1/simulations/{id}", s.handleCancelSimulation)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleGetSweep)
-	s.mux.HandleFunc("POST /v1/traces", s.handleUploadTrace)
-	s.mux.HandleFunc("GET /v1/traces", s.handleListTraces)
-	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleGetTrace)
-	s.routesV2()
-}
-
 // Handler returns the root http.Handler: the API mux behind the
 // admission-control chain (auth, rate limit, load shedding, body and
 // deadline bounds) behind the observability layer (per-route metrics +
@@ -441,14 +421,13 @@ func (s *Server) resolveSpec(rs spec.RunSpec) (*spec.Resolved, error) {
 
 // submitRun starts one resolved run: a record with one public cell
 // through startSweep, so a result already stored completes at
-// submission time. request is echoed in the JobView: the original
-// request for v1 submissions, the canonical spec for v2. ctx is the
+// submission time. Its JobView echoes the canonical spec. ctx is the
 // submitting request's context, whose trace the run executes under.
-func (s *Server) submitRun(ctx context.Context, res *spec.Resolved, request any) (JobView, error) {
+func (s *Server) submitRun(ctx context.Context, res *spec.Resolved) (JobView, error) {
 	sw, err := s.startSweep(sweepStart{
 		cells:   []sweepCell{{resolved: res, view: cellIdentity(res)}},
 		run:     true,
-		request: request,
+		request: &res.Spec,
 		trace:   obs.TraceID(ctx),
 	})
 	if err != nil {
@@ -472,13 +451,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"sweeps":         sweeps,
 		"traces":         s.traces.Len(),
 		"cache":          s.CacheStats(),
-	})
-}
-
-func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"policies": core.Policies(),
-		"paper":    core.PaperPolicies(),
 	})
 }
 
@@ -516,25 +488,7 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"benchmarks": out})
 }
 
-func (s *Server) handleSubmitSimulation(w http.ResponseWriter, r *http.Request) {
-	var req SimulationRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	res, err := s.resolveSpec(req.Spec())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	v, err := s.submitRun(r.Context(), res, req)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, v)
-}
-
-func (s *Server) handleListSimulations(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	runs := make([]*sweep, len(s.runs.order))
 	for i, id := range s.runs.order {
@@ -548,7 +502,7 @@ func (s *Server) handleListSimulations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
 }
 
-func (s *Server) handleGetSimulation(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.lookup(s.runs, r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no job %q", r.PathValue("id")))
@@ -557,7 +511,7 @@ func (s *Server) handleGetSimulation(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.jobView(sw))
 }
 
-func (s *Server) handleCancelSimulation(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 	if sw, ok := s.cancelRecord(w, s.runs, "job", r.PathValue("id")); ok {
 		writeJSON(w, http.StatusOK, s.jobView(sw))
 	}
@@ -611,33 +565,4 @@ func cellIdentity(res *spec.Resolved) SweepCell {
 		c.Workload = res.Spec.Workload.ID()
 	}
 	return c
-}
-
-func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	ss, err := req.Spec()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cells, err := s.resolveSweep(ss)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.submitSweep(w, r, cells)
-}
-
-// submitSweep starts resolved sweep cells and answers 202 with the
-// sweep's status, or maps the submission failure.
-func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request, cells []sweepCell) {
-	sw, err := s.startSweep(sweepStart{cells: cells, trace: obs.TraceID(r.Context())})
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, s.sweepStatus(sw))
 }

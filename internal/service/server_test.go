@@ -10,11 +10,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dwarn/internal/config"
+	"dwarn/internal/core"
 	"dwarn/internal/exec"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
@@ -84,17 +87,74 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 	return resp, raw
 }
 
-func submitSim(t *testing.T, ts *httptest.Server, req SimulationRequest) JobView {
-	t.Helper()
-	resp, raw := postJSON(t, ts, "/v1/simulations", req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/simulations: status %d body %s", resp.StatusCode, raw)
+// testRun is the spec of a short run of policy on a named workload.
+func testRun(policy, wl string) spec.RunSpec {
+	return spec.RunSpec{
+		Policy:       spec.Policy{Name: policy},
+		Workload:     spec.Workload{Name: wl},
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
 	}
-	var v JobView
+}
+
+// longRun is a run long enough to still be executing while a test
+// probes it; servers running it need MaxCycles raised.
+func longRun(policy, wl string) spec.RunSpec {
+	rs := testRun(policy, wl)
+	rs.WarmupCycles, rs.MeasureCycles = 200_000_000, 200_000_000
+	return rs
+}
+
+// submitRun posts a spec to /v2/runs and decodes the acceptance.
+func submitRun(t *testing.T, ts *httptest.Server, rs spec.RunSpec) RunAccepted {
+	t.Helper()
+	resp, raw := postJSON(t, ts, "/v2/runs", rs)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v2/runs: status %d body %s", resp.StatusCode, raw)
+	}
+	var v RunAccepted
 	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatalf("bad job view %q: %v", raw, err)
+		t.Fatalf("bad run acceptance %q: %v", raw, err)
 	}
 	return v
+}
+
+// postSweep posts a sweep spec to /v2/sweeps and decodes the accepted
+// status.
+func postSweep(t *testing.T, ts *httptest.Server, ss spec.SweepSpec) SweepStatus {
+	t.Helper()
+	resp, raw := postJSON(t, ts, "/v2/sweeps", ss)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v2/sweeps: status %d body %s", resp.StatusCode, raw)
+	}
+	var st SweepStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("bad sweep status %q: %v", raw, err)
+	}
+	return st
+}
+
+// pollSweep polls GET /v2/sweeps/{id} until the sweep leaves
+// StateRunning or the deadline passes.
+func pollSweep(t *testing.T, ts *httptest.Server, st SweepStatus) SweepStatus {
+	t.Helper()
+	deadline := time.Now().Add(120 * time.Second)
+	for st.State == StateRunning && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		getJSON(t, ts, "/v2/sweeps/"+st.ID, &st)
+	}
+	return st
+}
+
+// deleteStatus sends DELETE path and returns the status code.
+func deleteStatus(t *testing.T, ts *httptest.Server, path string) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+path, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // waitJob polls a job until it reaches one of the wanted states.
@@ -103,7 +163,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string, want ...string) JobVi
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		var v JobView
-		getJSON(t, ts, "/v1/simulations/"+id, &v)
+		getJSON(t, ts, "/v2/runs/"+id, &v)
 		for _, w := range want {
 			if v.State == w {
 				return v
@@ -132,53 +192,104 @@ func TestCatalogEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	var pols struct {
-		Policies []string `json:"policies"`
-		Paper    []string `json:"paper"`
+	// The catalog payloads, built here from the registries rather than
+	// the handlers: the shapes clients decode.
+	var workloads, benchmarks []map[string]any
+	for _, w := range workload.Workloads() {
+		workloads = append(workloads, map[string]any{
+			"name": w.Name, "threads": w.Threads, "mix": w.Mix.String(), "benchmarks": w.Benchmarks,
+		})
 	}
-	getJSON(t, ts, "/v1/policies", &pols)
-	if len(pols.Paper) != 6 {
-		t.Fatalf("want 6 paper policies, got %v", pols.Paper)
+	for _, name := range workload.Names() {
+		p, err := workload.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		benchmarks = append(benchmarks, map[string]any{"name": name, "type": p.Type.String()})
 	}
+	var policies []map[string]any
+	for _, name := range core.Policies() {
+		params, err := core.PolicyParams(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := map[string]any{"name": name}
+		if len(params) > 0 {
+			p["params"] = params
+		}
+		policies = append(policies, p)
+	}
+	if n := [4]int{len(core.PaperPolicies()), len(workloads), len(benchmarks), len(config.Machines())}; n != [4]int{6, 12, 12, 3} {
+		t.Fatalf("paper policies, workloads, benchmarks, machines = %v, want [6 12 12 3]", n)
+	}
+	cases := []struct {
+		path string
+		want any
+	}{
+		{"/v2/machines", map[string]any{"machines": config.Machines()}},
+		{"/v2/workloads", map[string]any{"workloads": workloads}},
+		{"/v2/benchmarks", map[string]any{"benchmarks": benchmarks}},
+		{"/v2/policies", map[string]any{"policies": policies, "paper": core.PaperPolicies()}},
+	}
+	for _, tc := range cases {
+		want, err := json.Marshal(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, wantV any
+		if resp := getJSON(t, ts, tc.path, &got); resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d", tc.path, resp.StatusCode)
+			continue
+		}
+		if err := json.Unmarshal(want, &wantV); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantV) {
+			gotB, _ := json.Marshal(got)
+			t.Errorf("GET %s payload\n got %s\nwant %s", tc.path, gotB, want)
+		}
+	}
+}
 
-	var wls struct {
-		Workloads []struct {
-			Name    string `json:"name"`
-			Threads int    `json:"threads"`
-		} `json:"workloads"`
+// TestRetiredAPIRoutesAreGone: every route of the retired first API
+// version answers 404; /v2 is the only HTTP API.
+func TestRetiredAPIRoutesAreGone(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const retired = "/v1"
+	routes := []struct{ method, path string }{
+		{http.MethodGet, "/policies"},
+		{http.MethodGet, "/machines"},
+		{http.MethodGet, "/workloads"},
+		{http.MethodGet, "/benchmarks"},
+		{http.MethodPost, "/simulations"},
+		{http.MethodGet, "/simulations"},
+		{http.MethodGet, "/simulations/sim-000001"},
+		{http.MethodDelete, "/simulations/sim-000001"},
+		{http.MethodPost, "/sweeps"},
+		{http.MethodGet, "/sweeps/sweep-000001"},
+		{http.MethodPost, "/traces"},
+		{http.MethodGet, "/traces"},
+		{http.MethodGet, "/traces/0123456789abcdef"},
 	}
-	getJSON(t, ts, "/v1/workloads", &wls)
-	if len(wls.Workloads) != 12 {
-		t.Fatalf("want 12 workloads, got %d", len(wls.Workloads))
-	}
-
-	var benches struct {
-		Benchmarks []struct {
-			Name string `json:"name"`
-			Type string `json:"type"`
-		} `json:"benchmarks"`
-	}
-	getJSON(t, ts, "/v1/benchmarks", &benches)
-	if len(benches.Benchmarks) != 12 {
-		t.Fatalf("want 12 benchmarks, got %d", len(benches.Benchmarks))
-	}
-
-	var machines struct {
-		Machines []string `json:"machines"`
-	}
-	getJSON(t, ts, "/v1/machines", &machines)
-	if len(machines.Machines) != 3 {
-		t.Fatalf("want 3 machines, got %v", machines.Machines)
+	for _, rt := range routes {
+		req, err := http.NewRequest(rt.method, ts.URL+retired+rt.path, strings.NewReader(`{"policy":"dwarn","workload":"2-MIX"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s%s: status %d, want 404", rt.method, retired, rt.path, resp.StatusCode)
+		}
 	}
 }
 
 func TestSubmitPollResult(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	req := SimulationRequest{
-		Policy: "dwarn", Workload: "2-MIX",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	v := submitSim(t, ts, req)
+	v := submitRun(t, ts, testRun("dwarn", "2-MIX"))
 	if v.State != StateQueued && v.State != StateRunning && v.State != StateDone {
 		t.Fatalf("fresh job in state %q", v.State)
 	}
@@ -204,17 +315,15 @@ func TestSubmitPollResult(t *testing.T) {
 
 func TestRepeatRequestServedFromCacheIdenticalBytes(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 2})
-	req := SimulationRequest{
-		Policy: "icount", Workload: "2-ILP", Seed: 7,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	first := waitJob(t, ts, submitSim(t, ts, req).ID, StateDone)
+	req := testRun("icount", "2-ILP")
+	req.Seed = 7
+	first := waitJob(t, ts, submitRun(t, ts, req).ID, StateDone)
 	if first.Cached {
 		t.Fatal("first submission reported cached")
 	}
 	hitsBefore := srv.CacheStats().Hits
 
-	second := submitSim(t, ts, req)
+	second := submitRun(t, ts, req)
 	if second.State != StateDone {
 		t.Fatalf("repeat submission not completed at submit time: %q", second.State)
 	}
@@ -231,11 +340,9 @@ func TestRepeatRequestServedFromCacheIdenticalBytes(t *testing.T) {
 
 func TestBaselinesSummary(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
-	req := SimulationRequest{
-		Policy: "dwarn", Workload: "2-MIX", Baselines: true,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	done := waitJob(t, ts, submitSim(t, ts, req).ID, StateDone)
+	req := testRun("dwarn", "2-MIX")
+	req.Baselines = true
+	done := waitJob(t, ts, submitRun(t, ts, req).ID, StateDone)
 	sr, err := decodeSim(done.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -250,27 +357,15 @@ func TestBaselinesSummary(t *testing.T) {
 
 func TestSweepFanOutMatchesDirectRuns(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
-	req := SweepRequest{
-		Workloads:    []string{"4-MIX"},
+	st := postSweep(t, ts, spec.SweepSpec{
+		Workloads:    []spec.Workload{{Name: "4-MIX"}},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	resp, raw := postJSON(t, ts, "/v1/sweeps", req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweeps: status %d body %s", resp.StatusCode, raw)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if st.Total != 6 {
 		t.Fatalf("sweep over paper policies × 4-MIX has %d cells, want 6", st.Total)
 	}
 
-	deadline := time.Now().Add(120 * time.Second)
-	for st.State == StateRunning && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts, "/v1/sweeps/"+st.ID, &st)
-	}
+	st = pollSweep(t, ts, st)
 	if st.State != StateDone {
 		t.Fatalf("sweep finished in state %q (%d/%d done)", st.State, st.Done, st.Total)
 	}
@@ -303,20 +398,11 @@ func TestCancelMidJob(t *testing.T) {
 	// One worker and a deliberately long run so the job is mid-flight
 	// when the cancel arrives.
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 500_000_000})
-	v := submitSim(t, ts, SimulationRequest{
-		Policy: "flush", Workload: "8-MEM",
-		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
-	})
+	v := submitRun(t, ts, longRun("flush", "8-MEM"))
 	waitJob(t, ts, v.ID, StateRunning)
 
-	delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/simulations/"+v.ID, nil)
-	resp, err := http.DefaultClient.Do(delReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE status %d", resp.StatusCode)
+	if code := deleteStatus(t, ts, "/v2/runs/"+v.ID); code != http.StatusOK {
+		t.Fatalf("DELETE status %d", code)
 	}
 
 	got := waitJob(t, ts, v.ID, StateCanceled)
@@ -325,34 +411,19 @@ func TestCancelMidJob(t *testing.T) {
 	}
 
 	// The worker must be free again: a short job completes.
-	short := submitSim(t, ts, SimulationRequest{
-		Policy: "icount", Workload: "2-ILP",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	short := submitRun(t, ts, testRun("icount", "2-ILP"))
 	waitJob(t, ts, short.ID, StateDone)
 }
 
 func TestCancelQueuedJob(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 500_000_000})
-	long := submitSim(t, ts, SimulationRequest{
-		Policy: "icount", Workload: "8-MEM",
-		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
-	})
+	long := submitRun(t, ts, longRun("icount", "8-MEM"))
 	waitJob(t, ts, long.ID, StateRunning)
 
-	queued := submitSim(t, ts, SimulationRequest{
-		Policy: "stall", Workload: "2-MEM",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	queued := submitRun(t, ts, testRun("stall", "2-MEM"))
 	for _, id := range []string{queued.ID, long.ID} {
-		delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/simulations/"+id, nil)
-		resp, err := http.DefaultClient.Do(delReq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("DELETE %s status %d", id, resp.StatusCode)
+		if code := deleteStatus(t, ts, "/v2/runs/"+id); code != http.StatusOK {
+			t.Fatalf("DELETE %s status %d", id, code)
 		}
 	}
 	waitJob(t, ts, queued.ID, StateCanceled)
@@ -361,22 +432,19 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestQueueFullRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1, MaxCycles: 500_000_000})
-	long := SimulationRequest{
-		Policy: "icount", Workload: "8-MEM",
-		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
-	}
-	running := submitSim(t, ts, long)
+	long := longRun("icount", "8-MEM")
+	running := submitRun(t, ts, long)
 	waitJob(t, ts, running.ID, StateRunning)
 
 	// Occupies the single queue slot. A different seed avoids the
 	// single-flight/cache identity of the running job.
 	queued := long
 	queued.Seed = 2
-	submitSim(t, ts, queued)
+	submitRun(t, ts, queued)
 
 	rejected := long
 	rejected.Seed = 3
-	resp, raw := postJSON(t, ts, "/v1/simulations", rejected)
+	resp, raw := postJSON(t, ts, "/v2/runs", rejected)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-capacity submit: status %d body %s", resp.StatusCode, raw)
 	}
@@ -384,38 +452,36 @@ func TestQueueFullRejected(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	cases := []SimulationRequest{
-		{},                                      // no policy
-		{Policy: "dwarn"},                       // no workload
-		{Policy: "nonesuch", Workload: "4-MIX"}, // unknown policy
-		{Policy: "dwarn", Workload: "nonesuch"},
-		{Policy: "dwarn", Workload: "4-MIX", Benchmarks: []string{"gzip"}}, // both
-		{Policy: "dwarn", Workload: "8-MIX", Machine: "small"},             // too many threads
-		{Policy: "dwarn", Workload: "4-MIX", MeasureCycles: 100_000_000},   // over cap
-		{Policy: "dwarn", Benchmarks: []string{"nonesuch"}},
+	dwarn := spec.Policy{Name: "dwarn"}
+	cases := []spec.RunSpec{
+		{},              // no policy
+		{Policy: dwarn}, // no workload
+		{Policy: spec.Policy{Name: "nonesuch"}, Workload: spec.Workload{Name: "4-MIX"}}, // unknown policy
+		{Policy: dwarn, Workload: spec.Workload{Name: "nonesuch"}},
+		{Policy: dwarn, Workload: spec.Workload{Name: "4-MIX", Benchmarks: []string{"gzip"}}},          // both
+		{Policy: dwarn, Workload: spec.Workload{Name: "8-MIX"}, Machine: &spec.Machine{Name: "small"}}, // too many threads
+		{Policy: dwarn, Workload: spec.Workload{Name: "4-MIX"}, MeasureCycles: 100_000_000},            // over cap
+		{Policy: dwarn, Workload: spec.Workload{Benchmarks: []string{"nonesuch"}}},
 	}
-	for i, req := range cases {
-		resp, raw := postJSON(t, ts, "/v1/simulations", req)
+	for i, rs := range cases {
+		resp, raw := postJSON(t, ts, "/v2/runs", rs)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %d body %s", i, resp.StatusCode, raw)
 		}
 	}
-	if resp := getJSON(t, ts, "/v1/simulations/nonesuch", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts, "/v2/runs/nonesuch", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing job: status %d", resp.StatusCode)
 	}
-	if resp := getJSON(t, ts, "/v1/sweeps/nonesuch", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts, "/v2/sweeps/nonesuch", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing sweep: status %d", resp.StatusCode)
 	}
 }
 
 func TestCustomBenchmarksWorkload(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	req := SimulationRequest{
-		Policy:       "dwarn",
-		Benchmarks:   []string{"gzip", "mcf"},
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	done := waitJob(t, ts, submitSim(t, ts, req).ID, StateDone)
+	req := testRun("dwarn", "")
+	req.Workload = spec.Workload{Benchmarks: []string{"gzip", "mcf"}}
+	done := waitJob(t, ts, submitRun(t, ts, req).ID, StateDone)
 	sr, err := decodeSim(done.Result)
 	if err != nil {
 		t.Fatal(err)
@@ -430,10 +496,8 @@ func TestCustomBenchmarksWorkload(t *testing.T) {
 // (single-flight + cache), and every job must return the same bytes.
 func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
-	req := SimulationRequest{
-		Policy: "pdg", Workload: "2-MEM", Seed: 11,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
+	req := testRun("pdg", "2-MEM")
+	req.Seed = 11
 	const clients = 16
 	results := make([][]byte, clients)
 	var wg sync.WaitGroup
@@ -442,7 +506,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			b, _ := json.Marshal(req)
-			resp, err := http.Post(ts.URL+"/v1/simulations", "application/json", bytes.NewReader(b))
+			resp, err := http.Post(ts.URL+"/v2/runs", "application/json", bytes.NewReader(b))
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
@@ -465,7 +529,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 					return
 				}
 				time.Sleep(5 * time.Millisecond)
-				getJSON(t, ts, "/v1/simulations/"+v.ID, &v)
+				getJSON(t, ts, "/v2/runs/"+v.ID, &v)
 			}
 			results[i] = v.Result
 		}(i)
@@ -485,26 +549,23 @@ func TestJobRecordPruning(t *testing.T) {
 	srv.mu.Lock()
 	srv.runs.max = 2
 	srv.mu.Unlock()
-	req := SimulationRequest{
-		Policy: "icount", Workload: "2-ILP",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}
-	waitJob(t, ts, submitSim(t, ts, req).ID, StateDone)
+	req := testRun("icount", "2-ILP")
+	waitJob(t, ts, submitRun(t, ts, req).ID, StateDone)
 	var last string
 	for i := 0; i < 4; i++ {
-		last = submitSim(t, ts, req).ID // served from the store: terminal at submit
+		last = submitRun(t, ts, req).ID // served from the store: terminal at submit
 	}
 	var list struct {
 		Jobs []JobView `json:"jobs"`
 	}
-	getJSON(t, ts, "/v1/simulations", &list)
+	getJSON(t, ts, "/v2/runs", &list)
 	if len(list.Jobs) != 2 {
 		t.Fatalf("retained %d records, want 2", len(list.Jobs))
 	}
 	if list.Jobs[len(list.Jobs)-1].ID != last {
 		t.Fatalf("newest record %s pruned (kept %s)", last, list.Jobs[len(list.Jobs)-1].ID)
 	}
-	if resp := getJSON(t, ts, "/v1/simulations/sim-000001", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts, "/v2/runs/sim-000001", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("oldest record still served: status %d", resp.StatusCode)
 	}
 }
@@ -528,22 +589,10 @@ func TestSweepCellErrorIsolated(t *testing.T) {
 		},
 	})
 
-	resp, raw := postJSON(t, ts, "/v1/sweeps", SweepRequest{
-		Workloads:    []string{"4-MIX"},
+	st := pollSweep(t, ts, postSweep(t, ts, spec.SweepSpec{
+		Workloads:    []spec.Workload{{Name: "4-MIX"}},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweeps: status %d body %s", resp.StatusCode, raw)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(120 * time.Second)
-	for st.State == StateRunning && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts, "/v1/sweeps/"+st.ID, &st)
-	}
+	}))
 	if st.State != StateFailed {
 		t.Fatalf("sweep with one bad cell finished %q, want failed", st.State)
 	}
@@ -571,30 +620,22 @@ var errBoom = errors.New("boom")
 // up unbounded backlog. Cancelling an active sweep frees its slot.
 func TestSweepAdmissionBound(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 500_000_000, MaxActiveSweeps: 2})
-	long := SweepRequest{
-		Policies:  []string{"icount"},
-		Workloads: []string{"8-MEM"},
+	long := spec.SweepSpec{
+		Policies:  []spec.PolicyAxis{{Name: "icount"}},
+		Workloads: []spec.Workload{{Name: "8-MEM"}},
 		// Long enough to still be running while the rest submit.
 		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
 	}
 	var ids []string
 	for i := 0; i < 2; i++ {
 		req := long
-		req.Seed = uint64(i + 1) // distinct cells so nothing dedups
-		resp, raw := postJSON(t, ts, "/v1/sweeps", req)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("sweep %d: status %d body %s", i, resp.StatusCode, raw)
-		}
-		var st SweepStatus
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, st.ID)
+		req.Seeds = []uint64{uint64(i + 1)} // distinct cells so nothing dedups
+		ids = append(ids, postSweep(t, ts, req).ID)
 	}
 
 	over := long
-	over.Seed = 99
-	resp, raw := postJSON(t, ts, "/v1/sweeps", over)
+	over.Seeds = []uint64{99}
+	resp, raw := postJSON(t, ts, "/v2/sweeps", over)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-cap sweep: status %d body %s", resp.StatusCode, raw)
 	}
@@ -603,35 +644,12 @@ func TestSweepAdmissionBound(t *testing.T) {
 	}
 
 	// Free a slot and the same submission is admitted.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sweeps/"+ids[0], nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	var st SweepStatus
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		getJSON(t, ts, "/v2/sweeps/"+ids[0], &st)
-		if st.State != StateRunning {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	resp, raw = postJSON(t, ts, "/v1/sweeps", over)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-cancel sweep: status %d body %s", resp.StatusCode, raw)
-	}
+	deleteStatus(t, ts, "/v2/sweeps/"+ids[0])
+	pollSweep(t, ts, SweepStatus{ID: ids[0], State: StateRunning})
+	last := postSweep(t, ts, over)
 	// Drain: cancel everything still running so cleanup is fast.
-	var last SweepStatus
-	if err := json.Unmarshal(raw, &last); err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range append(ids[1:], last.ID) {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sweeps/"+id, nil)
-		if dresp, err := http.DefaultClient.Do(req); err == nil {
-			dresp.Body.Close()
-		}
+		deleteStatus(t, ts, "/v2/sweeps/"+id)
 	}
 }
 
@@ -640,46 +658,24 @@ func TestSweepAdmissionBound(t *testing.T) {
 // cells never start, and the record stays observable as canceled.
 func TestSweepCancelMidFlight(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, MaxCycles: 500_000_000})
-	resp, raw := postJSON(t, ts, "/v1/sweeps", SweepRequest{
-		Workloads: []string{"8-MEM"},
+	st := postSweep(t, ts, spec.SweepSpec{
+		Workloads: []spec.Workload{{Name: "8-MEM"}},
 		// Long enough that the sweep is mid-flight when the DELETE lands.
 		WarmupCycles: 200_000_000, MeasureCycles: 200_000_000,
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v1/sweeps: status %d body %s", resp.StatusCode, raw)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
+
+	if code := deleteStatus(t, ts, "/v2/sweeps/"+st.ID); code != http.StatusOK {
+		t.Fatalf("DELETE: status %d", code)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v2/sweeps/"+st.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: status %d", dresp.StatusCode)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	for st.State == StateRunning && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts, "/v2/sweeps/"+st.ID, &st)
-	}
+	st = pollSweep(t, ts, st)
 	if st.State != StateCanceled || st.Canceled == 0 {
 		t.Fatalf("canceled sweep state %q (canceled %d)", st.State, st.Canceled)
 	}
 
 	// Cancelling a terminal sweep is a conflict, like jobs.
-	dresp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusConflict {
-		t.Fatalf("second DELETE: status %d, want 409", dresp.StatusCode)
+	if code := deleteStatus(t, ts, "/v2/sweeps/"+st.ID); code != http.StatusConflict {
+		t.Fatalf("second DELETE: status %d, want 409", code)
 	}
 }
 
@@ -692,11 +688,9 @@ func TestManagerDrainsOnShutdown(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 4; i++ {
-		v := submitSim(t, ts, SimulationRequest{
-			Policy: "dg", Workload: "2-ILP", Seed: uint64(i + 1),
-			WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-		})
-		ids = append(ids, v.ID)
+		rs := testRun("dg", "2-ILP")
+		rs.Seed = uint64(i + 1)
+		ids = append(ids, submitRun(t, ts, rs).ID)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -705,14 +699,13 @@ func TestManagerDrainsOnShutdown(t *testing.T) {
 	}
 	for _, id := range ids {
 		var v JobView
-		if resp := getJSON(t, ts, "/v1/simulations/"+id, &v); resp.StatusCode != http.StatusOK || v.State != StateDone {
+		if resp := getJSON(t, ts, "/v2/runs/"+id, &v); resp.StatusCode != http.StatusOK || v.State != StateDone {
 			t.Fatalf("job %s not drained to done: status %d %+v", id, resp.StatusCode, v)
 		}
 	}
-	resp, raw := postJSON(t, ts, "/v1/simulations", SimulationRequest{
-		Policy: "dg", Workload: "2-ILP", Seed: 99,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	late := testRun("dg", "2-ILP")
+	late.Seed = 99
+	resp, raw := postJSON(t, ts, "/v2/runs", late)
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), ErrShuttingDown.Error()) {
 		t.Fatalf("submit after shutdown: status %d body %s", resp.StatusCode, raw)
 	}

@@ -93,7 +93,7 @@ type cellProgress struct {
 type sweep struct {
 	id          string
 	run         bool
-	request     any // a run's submitted request, echoed in its JobView
+	request     *spec.RunSpec // a run's canonical spec, echoed in its JobView
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
@@ -238,8 +238,8 @@ func (s *Server) sweepFrameSink(sw *sweep, fpIndex map[string]int) frameSink {
 // bounds).
 type sweepStart struct {
 	cells       []sweepCell
-	run         bool // a single run: one cell, a sim-NNNNNN id, rendered as a JobView
-	request     any  // a run's submitted request
+	run         bool          // a single run: one cell, a sim-NNNNNN id, rendered as a JobView
+	request     *spec.RunSpec // a run's canonical spec
 	trace       string
 	id          string    // preassigned id (recovery); "" allocates
 	recovered   bool      // resumed from the journal: skip admission + submit record

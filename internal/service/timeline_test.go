@@ -126,7 +126,7 @@ func TestTraceIDPropagatesEndToEnd(t *testing.T) {
 func TestV2RunTimeline(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 
-	withTL := submitV2Run(t, ts, spec.RunSpec{
+	withTL := submitRun(t, ts, spec.RunSpec{
 		Policy:       spec.Policy{Name: "dwarn"},
 		Workload:     spec.Workload{Name: "2-MIX"},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
@@ -154,7 +154,7 @@ func TestV2RunTimeline(t *testing.T) {
 	}
 
 	// A run that never asked for sampling has no frames to serve.
-	plain := submitV2Run(t, ts, spec.RunSpec{
+	plain := submitRun(t, ts, spec.RunSpec{
 		Policy:       spec.Policy{Name: "icount"},
 		Workload:     spec.Workload{Name: "2-MIX"},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,

@@ -84,7 +84,7 @@ func (s *TraceStore) lookup(id string) (storedTrace, error) {
 			}
 		}
 	}
-	return storedTrace{}, fmt.Errorf("service: no trace %q (upload via POST /v1/traces)", id)
+	return storedTrace{}, fmt.Errorf("service: no trace %q (upload via POST /v2/traces)", id)
 }
 
 // TraceView is the JSON shape of a stored trace.

@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
+	"dwarn/internal/spec"
 	"dwarn/internal/trace"
 	"dwarn/internal/workload"
 )
@@ -39,9 +39,18 @@ func recordTestTrace(t *testing.T, wlName string, seed uint64, uops int) []byte 
 	return buf.Bytes()
 }
 
+// traceRun is the spec of a short run of policy replaying trace id.
+func traceRun(policy, id string) spec.RunSpec {
+	return spec.RunSpec{
+		Policy:       spec.Policy{Name: policy},
+		Workload:     spec.Workload{Trace: id},
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
+	}
+}
+
 func uploadTrace(t *testing.T, ts *httptest.Server, raw []byte) (TraceView, *http.Response) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(raw))
+	resp, err := http.Post(ts.URL+"/v2/traces", "application/octet-stream", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +86,13 @@ func TestTraceUploadAndInfo(t *testing.T) {
 	var list struct {
 		Traces []TraceView `json:"traces"`
 	}
-	getJSON(t, ts, "/v1/traces", &list)
+	getJSON(t, ts, "/v2/traces", &list)
 	if len(list.Traces) != 1 || list.Traces[0].ID != v.ID {
 		t.Fatalf("trace list %+v", list)
 	}
 
 	var one TraceView
-	if resp := getJSON(t, ts, "/v1/traces/"+v.ID[:12], &one); resp.StatusCode != http.StatusOK {
+	if resp := getJSON(t, ts, "/v2/traces/"+v.ID[:12], &one); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET by prefix status %d", resp.StatusCode)
 	}
 	if one.ID != v.ID {
@@ -111,14 +120,10 @@ func TestTraceSimulationMatchesSynthetic(t *testing.T) {
 	raw := recordTestTrace(t, "2-MIX", 42, 60000)
 	v, _ := uploadTrace(t, ts, raw)
 
-	synthetic := submitSim(t, ts, SimulationRequest{
-		Policy: "dwarn", Workload: "2-MIX", Seed: 42,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
-	traced := submitSim(t, ts, SimulationRequest{
-		Policy: "dwarn", Trace: v.ID,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	synth := testRun("dwarn", "2-MIX")
+	synth.Seed = 42
+	synthetic := submitRun(t, ts, synth)
+	traced := submitRun(t, ts, traceRun("dwarn", v.ID))
 	sDone := waitJob(t, ts, synthetic.ID, StateDone)
 	tDone := waitJob(t, ts, traced.ID, StateDone)
 
@@ -143,10 +148,7 @@ func TestTraceSimulationMatchesSynthetic(t *testing.T) {
 	}
 
 	// Identical repeat: served from cache.
-	again := submitSim(t, ts, SimulationRequest{
-		Policy: "dwarn", Trace: v.ID,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
+	again := submitRun(t, ts, traceRun("dwarn", v.ID))
 	if done := waitJob(t, ts, again.ID, StateDone); !done.Cached {
 		t.Fatal("repeat trace run not served from cache")
 	}
@@ -157,26 +159,15 @@ func TestTraceSweep(t *testing.T) {
 	raw := recordTestTrace(t, "2-MEM", 7, 60000)
 	v, _ := uploadTrace(t, ts, raw)
 
-	resp, body := postJSON(t, ts, "/v1/sweeps", SweepRequest{
-		Policies:     []string{"icount", "dwarn"},
-		Trace:        v.ID,
+	st := postSweep(t, ts, spec.SweepSpec{
+		Policies:     []spec.PolicyAxis{{Name: "icount"}, {Name: "dwarn"}},
+		Workloads:    []spec.Workload{{Trace: v.ID}},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
 	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("sweep status %d body %s", resp.StatusCode, body)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
 	if st.Total != 2 {
 		t.Fatalf("sweep total %d, want 2", st.Total)
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for st.State == StateRunning && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-		getJSON(t, ts, "/v1/sweeps/"+st.ID, &st)
-	}
+	st = pollSweep(t, ts, st)
 	if st.State != StateDone {
 		t.Fatalf("trace sweep finished in state %q (%d/%d done)", st.State, st.Done, st.Total)
 	}
@@ -189,10 +180,7 @@ func TestTraceSweep(t *testing.T) {
 		}
 		// The sweep cell landed in the shared cache: a direct run of the
 		// same spec completes at submission time.
-		again := submitSim(t, ts, SimulationRequest{
-			Policy: cell.Policy, Trace: v.ID,
-			WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-		})
+		again := submitRun(t, ts, traceRun(cell.Policy, v.ID))
 		done := waitJob(t, ts, again.ID, StateDone)
 		if !done.Cached {
 			t.Fatalf("cell %s not shared with the run cache", cell.Policy)
@@ -212,28 +200,34 @@ func TestTraceRequestValidation(t *testing.T) {
 	raw := recordTestTrace(t, "2-ILP", 3, 2000)
 	v, _ := uploadTrace(t, ts, raw)
 
-	bad := []SimulationRequest{
-		{Policy: "dwarn", Trace: "deadbeef00"},                       // unknown trace
-		{Policy: "dwarn", Trace: v.ID, Workload: "2-MIX"},            // both set
-		{Policy: "dwarn", Trace: v.ID, Benchmarks: []string{"gzip"}}, // both set
-		{Policy: "dwarn", Trace: v.ID, Baselines: true},              // baselines unsupported
-		{Policy: "nope", Trace: v.ID},                                // bad policy
+	withWorkload := traceRun("dwarn", v.ID)
+	withWorkload.Workload.Name = "2-MIX"
+	withBenchmarks := traceRun("dwarn", v.ID)
+	withBenchmarks.Workload.Benchmarks = []string{"gzip"}
+	withBaselines := traceRun("dwarn", v.ID)
+	withBaselines.Baselines = true
+	bad := []spec.RunSpec{
+		traceRun("dwarn", "deadbeef00"), // unknown trace
+		withWorkload,                    // both set
+		withBenchmarks,                  // both set
+		withBaselines,                   // baselines unsupported
+		traceRun("nope", v.ID),          // bad policy
 	}
-	for i, req := range bad {
-		if resp, body := postJSON(t, ts, "/v1/simulations", req); resp.StatusCode != http.StatusBadRequest {
+	for i, rs := range bad {
+		if resp, body := postJSON(t, ts, "/v2/runs", rs); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad request %d accepted: status %d body %s", i, resp.StatusCode, body)
 		}
 	}
 
-	// Trace sweep with workloads too must be rejected.
-	if resp, _ := postJSON(t, ts, "/v1/sweeps", SweepRequest{
-		Workloads: []string{"2-MIX"}, Trace: v.ID,
+	// A sweep whose workload sets a trace and a name must be rejected.
+	if resp, _ := postJSON(t, ts, "/v2/sweeps", spec.SweepSpec{
+		Workloads: []spec.Workload{{Name: "2-MIX", Trace: v.ID}},
 	}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("sweep with both workloads and trace accepted: %d", resp.StatusCode)
 	}
 
 	// A 404 for info on an unknown trace.
-	if resp := getJSON(t, ts, "/v1/traces/0000000000000000", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := getJSON(t, ts, "/v2/traces/0000000000000000", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace info status %d", resp.StatusCode)
 	}
 }
@@ -330,8 +324,8 @@ func TestTraceHandlersUnderEviction(t *testing.T) {
 				}
 			}
 			for i := 0; i < 40; i++ {
-				check(http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(raw)))
-				check(http.Get(ts.URL + "/v1/traces/" + tr.Digest))
+				check(http.Post(ts.URL+"/v2/traces", "application/octet-stream", bytes.NewReader(raw)))
+				check(http.Get(ts.URL + "/v2/traces/" + tr.Digest))
 			}
 		}()
 	}

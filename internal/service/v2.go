@@ -5,18 +5,17 @@ import (
 	"net/http"
 
 	"dwarn/internal/core"
+	"dwarn/internal/obs"
 	"dwarn/internal/spec"
 )
 
-// The /v2 API speaks internal/spec natively: POST /v2/runs takes a
-// spec.RunSpec, POST /v2/sweeps a spec.SweepSpec. Both are resolved
-// through exactly the code path the /v1 adapters use, so a run has one
-// fingerprint and one cache entry regardless of which API version (or
-// which CLI) asked for it. Runs and sweeps share the /v1 id spaces:
-// a run submitted on one version can be polled on the other. Sweeps
-// additionally expose partial progress (GET /v2/sweeps/{id}), a live
-// SSE completion stream (GET /v2/sweeps/{id}/events), and cooperative
-// cancellation (DELETE /v2/sweeps/{id}).
+// The API speaks internal/spec: POST /v2/runs takes a spec.RunSpec,
+// POST /v2/sweeps a spec.SweepSpec. Both resolve through one code path,
+// so a run has one fingerprint and one cache entry whichever CLI or
+// client asked for it. Sweeps additionally expose partial progress
+// (GET /v2/sweeps/{id}), a live SSE completion stream
+// (GET /v2/sweeps/{id}/events), and cooperative cancellation
+// (DELETE /v2/sweeps/{id}).
 
 // RunAccepted is the response of POST /v2/runs: the run's JobView plus
 // the content-addressed identity of the run it executes (or was served
@@ -29,17 +28,25 @@ type RunAccepted struct {
 	Canonical *spec.RunSpec `json:"canonical,omitempty"`
 }
 
-func (s *Server) routesV2() {
-	s.mux.HandleFunc("GET /v2/policies", s.handlePoliciesV2)
-	s.mux.HandleFunc("POST /v2/runs", s.handleSubmitRunV2)
-	s.mux.HandleFunc("GET /v2/runs", s.handleListSimulations)
-	s.mux.HandleFunc("GET /v2/runs/{id}", s.handleGetSimulation)
+func (s *Server) routes() {
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v2/policies", s.handlePolicies)
+	s.mux.HandleFunc("GET /v2/machines", s.handleMachines)
+	s.mux.HandleFunc("GET /v2/workloads", s.handleWorkloads)
+	s.mux.HandleFunc("GET /v2/benchmarks", s.handleBenchmarks)
+	s.mux.HandleFunc("POST /v2/runs", s.handleSubmitRun)
+	s.mux.HandleFunc("GET /v2/runs", s.handleListRuns)
+	s.mux.HandleFunc("GET /v2/runs/{id}", s.handleGetRun)
 	s.mux.HandleFunc("GET /v2/runs/{id}/timeline", s.handleRunTimeline)
-	s.mux.HandleFunc("DELETE /v2/runs/{id}", s.handleCancelSimulation)
-	s.mux.HandleFunc("POST /v2/sweeps", s.handleSubmitSweepV2)
+	s.mux.HandleFunc("DELETE /v2/runs/{id}", s.handleCancelRun)
+	s.mux.HandleFunc("POST /v2/sweeps", s.handleSubmitSweep)
 	s.mux.HandleFunc("GET /v2/sweeps/{id}", s.handleGetSweep)
 	s.mux.HandleFunc("GET /v2/sweeps/{id}/events", s.handleSweepEvents)
 	s.mux.HandleFunc("DELETE /v2/sweeps/{id}", s.handleCancelSweep)
+	s.mux.HandleFunc("POST /v2/traces", s.handleUploadTrace)
+	s.mux.HandleFunc("GET /v2/traces", s.handleListTraces)
+	s.mux.HandleFunc("GET /v2/traces/{id}", s.handleGetTrace)
 	if s.fabric != nil {
 		s.fabric.Routes(s.mux)
 	} else {
@@ -47,10 +54,10 @@ func (s *Server) routesV2() {
 	}
 }
 
-// handlePoliciesV2 lists the registry with its declared parameters —
+// handlePolicies lists the registry with its declared parameters —
 // the data a client needs to build parameterised policy references and
 // sweep grids without guessing.
-func (s *Server) handlePoliciesV2(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	type policy struct {
 		Name   string           `json:"name"`
 		Params []core.ParamSpec `json:"params,omitempty"`
@@ -69,7 +76,7 @@ func (s *Server) handlePoliciesV2(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSubmitRunV2(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var rs spec.RunSpec
 	if !s.decode(w, r, &rs) {
 		return
@@ -79,7 +86,7 @@ func (s *Server) handleSubmitRunV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := s.submitRun(r.Context(), res, res.Spec)
+	v, err := s.submitRun(r.Context(), res)
 	if err != nil {
 		submitError(w, err)
 		return
@@ -140,7 +147,7 @@ func (s *Server) Preload(f *spec.File) (*SweepStatus, error) {
 	return s.sweepStatus(sw), nil
 }
 
-func (s *Server) handleSubmitSweepV2(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var ss spec.SweepSpec
 	if !s.decode(w, r, &ss) {
 		return
@@ -153,5 +160,10 @@ func (s *Server) handleSubmitSweepV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.submitSweep(w, r, cells)
+	sw, err := s.startSweep(sweepStart{cells: cells, trace: obs.TraceID(r.Context())})
+	if err != nil {
+		submitError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, s.sweepStatus(sw))
 }

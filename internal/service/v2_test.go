@@ -5,29 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"dwarn/internal/config"
 	"dwarn/internal/core"
 	"dwarn/internal/exec"
 	"dwarn/internal/spec"
 )
-
-// submitV2Run posts a spec to /v2/runs and decodes the acceptance.
-func submitV2Run(t *testing.T, ts *httptest.Server, rs spec.RunSpec) RunAccepted {
-	t.Helper()
-	resp, raw := postJSON(t, ts, "/v2/runs", rs)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /v2/runs: status %d body %s", resp.StatusCode, raw)
-	}
-	var v RunAccepted
-	if err := json.Unmarshal(raw, &v); err != nil {
-		t.Fatalf("bad run acceptance %q: %v", raw, err)
-	}
-	return v
-}
 
 // TestV2PoliciesCatalog: the v2 catalog exposes the registry's declared
 // parameters, the data a client needs to build threshold sweeps.
@@ -57,30 +43,30 @@ func TestV2PoliciesCatalog(t *testing.T) {
 	}
 }
 
-// TestV2RunAdapterEquivalence: every legal v1 request maps to a spec
-// with an identical fingerprint — proven end to end by cache hits: the
-// v2 spelling of a completed v1 request must be served from the cache
-// at submit time, and vice versa.
+// TestV2RunAdapterEquivalence: spec canonicalization adapts every
+// spelling of one run to one identity — proven end to end by cache
+// hits: once the minimal spelling has run, an explicit-defaults
+// spelling, an inline machine config, and the canonical form the
+// server echoed are all served from its cache entry at submit time.
 func TestV2RunAdapterEquivalence(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 
+	stall := testRun("stall", "")
+	stall.Workload = spec.Workload{Benchmarks: []string{"gzip", "mcf"}}
+	small := testRun("icount", "2-MEM")
+	small.Machine, small.Seed = &spec.Machine{Name: "small"}, 9
 	cases := []struct {
 		name string
-		v1   SimulationRequest
-		v2   spec.RunSpec
+		min  spec.RunSpec
+		// alt respells min; nil means the canonical form echoed by the
+		// server for min.
+		alt *spec.RunSpec
 	}{
-		{
-			name: "named workload",
-			v1: SimulationRequest{Policy: "dwarn", Workload: "2-MIX",
-				WarmupCycles: testWarmup, MeasureCycles: testMeasure},
-			v2: spec.RunSpec{Policy: spec.Policy{Name: "dwarn"}, Workload: spec.Workload{Name: "2-MIX"},
-				WarmupCycles: testWarmup, MeasureCycles: testMeasure},
-		},
+		{name: "named workload", min: testRun("dwarn", "2-MIX")},
 		{
 			name: "custom benchmarks, explicit defaults",
-			v1: SimulationRequest{Policy: "stall", Benchmarks: []string{"gzip", "mcf"},
-				WarmupCycles: testWarmup, MeasureCycles: testMeasure},
-			v2: spec.RunSpec{
+			min:  stall,
+			alt: &spec.RunSpec{
 				Version:  spec.Version,
 				Machine:  &spec.Machine{Name: "baseline"},
 				Policy:   spec.Policy{Name: "stall", Params: map[string]int64{"threshold": 15}},
@@ -90,45 +76,28 @@ func TestV2RunAdapterEquivalence(t *testing.T) {
 		},
 		{
 			name: "small machine, seed",
-			v1: SimulationRequest{Machine: "small", Policy: "icount", Workload: "2-MEM", Seed: 9,
-				WarmupCycles: testWarmup, MeasureCycles: testMeasure},
-			v2: spec.RunSpec{Machine: &spec.Machine{Name: "small"},
+			min:  small,
+			alt: &spec.RunSpec{Machine: &spec.Machine{Config: config.Small()},
 				Policy: spec.Policy{Name: "icount"}, Workload: spec.Workload{Name: "2-MEM"}, Seed: 9,
 				WarmupCycles: testWarmup, MeasureCycles: testMeasure},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			first := waitJob(t, ts, submitSim(t, ts, tc.v1).ID, StateDone)
-			sr, err := decodeSim(first.Result)
-			if err != nil {
-				t.Fatal(err)
+			first := submitRun(t, ts, tc.min)
+			waitJob(t, ts, first.ID, StateDone)
+			alt := tc.alt
+			if alt == nil {
+				alt = first.Canonical
 			}
-
-			v := submitV2Run(t, ts, tc.v2)
-			if v.Fingerprint != sr.Fingerprint {
-				t.Fatalf("v2 fingerprint %s, v1 %s", v.Fingerprint, sr.Fingerprint)
+			v := submitRun(t, ts, *alt)
+			if v.Fingerprint != first.Fingerprint {
+				t.Fatalf("respelled fingerprint %s, minimal %s", v.Fingerprint, first.Fingerprint)
 			}
 			if v.State != StateDone || !v.Cached {
-				t.Fatalf("v2 spelling not served from the v1 cache entry: state %q cached %v", v.State, v.Cached)
+				t.Fatalf("respelled run not served from the cache entry: state %q cached %v", v.State, v.Cached)
 			}
 		})
-	}
-}
-
-// TestV1ServedFromV2CacheEntry: the adapter equivalence holds in the
-// other direction too.
-func TestV1ServedFromV2CacheEntry(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	rs := spec.RunSpec{Policy: spec.Policy{Name: "pdg"}, Workload: spec.Workload{Name: "2-ILP"},
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure}
-	v := submitV2Run(t, ts, rs)
-	waitJob(t, ts, v.ID, StateDone)
-
-	again := submitSim(t, ts, SimulationRequest{Policy: "pdg", Workload: "2-ILP",
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure})
-	if again.State != StateDone || !again.Cached {
-		t.Fatalf("v1 spelling not served from the v2 cache entry: state %q cached %v", again.State, again.Cached)
 	}
 }
 
@@ -136,12 +105,12 @@ func TestV1ServedFromV2CacheEntry(t *testing.T) {
 // identity; a real override is a different machine.
 func TestV2RunInlineOverrides(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	base := submitV2Run(t, ts, spec.RunSpec{
+	base := submitRun(t, ts, spec.RunSpec{
 		Policy: spec.Policy{Name: "icount"}, Workload: spec.Workload{Name: "2-MIX"},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure})
 	waitJob(t, ts, base.ID, StateDone)
 
-	noop := submitV2Run(t, ts, spec.RunSpec{
+	noop := submitRun(t, ts, spec.RunSpec{
 		Machine: &spec.Machine{Name: "baseline", Overrides: []byte(`{"MemLatency": 100}`)},
 		Policy:  spec.Policy{Name: "icount"}, Workload: spec.Workload{Name: "2-MIX"},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure})
@@ -149,7 +118,7 @@ func TestV2RunInlineOverrides(t *testing.T) {
 		t.Fatalf("no-op override did not share the baseline identity (cached %v)", noop.Cached)
 	}
 
-	real := submitV2Run(t, ts, spec.RunSpec{
+	real := submitRun(t, ts, spec.RunSpec{
 		Machine: &spec.Machine{Name: "baseline", Overrides: []byte(`{"MemLatency": 200}`)},
 		Policy:  spec.Policy{Name: "icount"}, Workload: spec.Workload{Name: "2-MIX"},
 		WarmupCycles: testWarmup, MeasureCycles: testMeasure})
@@ -358,14 +327,13 @@ func TestV2SweepCellBound(t *testing.T) {
 		t.Fatalf("rejected sweep created %d runs and %d sweeps", len(list.Jobs), health.Sweeps)
 	}
 
-	// The same bound applies to v1 sweeps (machines can be repeated to
-	// inflate the product).
-	resp, raw = postJSON(t, ts, "/v1/sweeps", SweepRequest{
-		Machines:  []string{"baseline", "baseline", "baseline"},
-		Workloads: []string{"2-MIX"},
+	// Repeating a machine inflates the product too.
+	resp, raw = postJSON(t, ts, "/v2/sweeps", spec.SweepSpec{
+		Machines:  []spec.Machine{{Name: "baseline"}, {Name: "baseline"}, {Name: "baseline"}},
+		Workloads: []spec.Workload{{Name: "2-MIX"}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized v1 sweep: status %d body %s", resp.StatusCode, raw)
+		t.Fatalf("oversized sweep with repeated machines: status %d body %s", resp.StatusCode, raw)
 	}
 }
 
@@ -400,34 +368,25 @@ func TestV2SeedReplicationSweep(t *testing.T) {
 	}
 }
 
-// TestV2TraceRunSharesV1Identity: a v2 spec replaying an uploaded trace
-// by id prefix shares the cache entry of the v1 request that ran it by
-// full id.
-func TestV2TraceRunSharesV1Identity(t *testing.T) {
+// TestV2TraceRunSharesIdentityAcrossRefs: a spec replaying an
+// uploaded trace by id prefix (and a seed replay ignores) shares the
+// cache entry of the run that replayed it by full id.
+func TestV2TraceRunSharesIdentityAcrossRefs(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	raw := recordTestTrace(t, "2-MIX", 42, 60000)
 	tv, _ := uploadTrace(t, ts, raw)
 
-	first := waitJob(t, ts, submitSim(t, ts, SimulationRequest{
-		Policy: "dwarn", Trace: tv.ID,
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	}).ID, StateDone)
-	sr, err := decodeSim(first.Result)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := submitRun(t, ts, traceRun("dwarn", tv.ID))
+	waitJob(t, ts, first.ID, StateDone)
 
-	v := submitV2Run(t, ts, spec.RunSpec{
-		Policy:       spec.Policy{Name: "dwarn"},
-		Workload:     spec.Workload{Trace: tv.ID[:12]},
-		Seed:         999, // replay ignores the seed; identity must not change
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
-	})
-	if v.Fingerprint != sr.Fingerprint {
-		t.Fatalf("v2 trace fingerprint %s, v1 %s", v.Fingerprint, sr.Fingerprint)
+	byPrefix := traceRun("dwarn", tv.ID[:12])
+	byPrefix.Seed = 999 // replay ignores the seed; identity must not change
+	v := submitRun(t, ts, byPrefix)
+	if v.Fingerprint != first.Fingerprint {
+		t.Fatalf("prefix trace fingerprint %s, full id %s", v.Fingerprint, first.Fingerprint)
 	}
 	if !v.Cached {
-		t.Fatal("v2 trace run not served from the v1 cache entry")
+		t.Fatal("prefix trace run not served from the full-id cache entry")
 	}
 }
 
@@ -464,23 +423,5 @@ func TestV2RunValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: status %d", resp.StatusCode)
-	}
-}
-
-// TestV2JobSharedIDSpace: a job submitted on v2 is pollable and
-// cancellable through v1 paths and vice versa.
-func TestV2JobSharedIDSpace(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-	v := submitV2Run(t, ts, spec.RunSpec{
-		Policy: spec.Policy{Name: "dg"}, Workload: spec.Workload{Name: "2-MIX"},
-		WarmupCycles: testWarmup, MeasureCycles: testMeasure})
-	waitJob(t, ts, v.ID, StateDone) // waitJob polls /v1/simulations/{id}
-
-	var viaV2 JobView
-	if resp := getJSON(t, ts, "/v2/runs/"+v.ID, &viaV2); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v2/runs/%s: status %d", v.ID, resp.StatusCode)
-	}
-	if viaV2.State != StateDone {
-		t.Fatalf("v2 view state %q", viaV2.State)
 	}
 }

@@ -12,27 +12,17 @@ import (
 // engine's zero-allocation steady state (TestStepZeroAllocSteadyState)
 // is untouched. dwarnd merges obs.Default into /metrics, and
 // `smtsim -metrics` dumps it, so the same series describe a run no
-// matter which frontend asked for it.
+// matter which frontend asked for it. The unlabelled series are
+// created once; the per-policy ones are looked up per run, because
+// obs.Registry is already get-or-create under its own lock.
 var runMetrics struct {
 	once sync.Once
 
-	runs      func(policy string) *obs.Counter
-	seconds   func(policy string) *obs.Histogram
 	errors    *obs.Counter
 	cycles    *obs.Counter
 	uops      *obs.Counter
 	cyclesSec *obs.Gauge
 	uopsSec   *obs.Gauge
-
-	frames      func(policy string) *obs.Counter
-	gateCycles  func(policy, class string) *obs.Counter
-	intervalIPC func(policy string) *obs.Histogram
-
-	mu        sync.Mutex
-	byPolicyC map[string]*obs.Counter
-	byPolicyH map[string]*obs.Histogram
-	byKeyC    map[string]*obs.Counter
-	byKeyH    map[string]*obs.Histogram
 }
 
 // ipcBuckets covers per-interval aggregate IPC on the repo's machines
@@ -41,62 +31,6 @@ var ipcBuckets = []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 2.5, 3, 3.5, 4, 5, 6}
 
 func initRunMetrics() {
 	r := obs.Default
-	runMetrics.byPolicyC = make(map[string]*obs.Counter)
-	runMetrics.byPolicyH = make(map[string]*obs.Histogram)
-	runMetrics.runs = func(policy string) *obs.Counter {
-		runMetrics.mu.Lock()
-		defer runMetrics.mu.Unlock()
-		c, ok := runMetrics.byPolicyC[policy]
-		if !ok {
-			c = r.Counter("dwarn_sim_runs_total", "Completed simulations by fetch policy.", obs.L("policy", policy))
-			runMetrics.byPolicyC[policy] = c
-		}
-		return c
-	}
-	runMetrics.seconds = func(policy string) *obs.Histogram {
-		runMetrics.mu.Lock()
-		defer runMetrics.mu.Unlock()
-		h, ok := runMetrics.byPolicyH[policy]
-		if !ok {
-			h = r.Histogram("dwarn_sim_run_seconds", "Wall time of one complete simulation (warmup + measurement), by fetch policy.", obs.RunBuckets, obs.L("policy", policy))
-			runMetrics.byPolicyH[policy] = h
-		}
-		return h
-	}
-	runMetrics.byKeyC = make(map[string]*obs.Counter)
-	runMetrics.byKeyH = make(map[string]*obs.Histogram)
-	runMetrics.frames = func(policy string) *obs.Counter {
-		runMetrics.mu.Lock()
-		defer runMetrics.mu.Unlock()
-		key := "f|" + policy
-		c, ok := runMetrics.byKeyC[key]
-		if !ok {
-			c = r.Counter("dwarn_timeline_frames_total", "Timeline interval frames sampled, by fetch policy.", obs.L("policy", policy))
-			runMetrics.byKeyC[key] = c
-		}
-		return c
-	}
-	runMetrics.gateCycles = func(policy, class string) *obs.Counter {
-		runMetrics.mu.Lock()
-		defer runMetrics.mu.Unlock()
-		key := "g|" + policy + "|" + class
-		c, ok := runMetrics.byKeyC[key]
-		if !ok {
-			c = r.Counter("dwarn_timeline_gate_cycles_total", "Thread-cycles attributed to each fetch-gate decision class over sampled intervals.", obs.L("policy", policy), obs.L("class", class))
-			runMetrics.byKeyC[key] = c
-		}
-		return c
-	}
-	runMetrics.intervalIPC = func(policy string) *obs.Histogram {
-		runMetrics.mu.Lock()
-		defer runMetrics.mu.Unlock()
-		h, ok := runMetrics.byKeyH[policy]
-		if !ok {
-			h = r.Histogram("dwarn_timeline_interval_ipc", "Aggregate committed IPC of each sampled interval, by fetch policy.", ipcBuckets, obs.L("policy", policy))
-			runMetrics.byKeyH[policy] = h
-		}
-		return h
-	}
 	runMetrics.errors = r.Counter("dwarn_sim_run_errors_total", "Simulations that returned an error (bad options or cancellation).")
 	runMetrics.cycles = r.Counter("dwarn_sim_cycles_total", "Simulated cycles across all runs (warmup + measurement).")
 	runMetrics.uops = r.Counter("dwarn_sim_uops_total", "Committed (correct-path retired) uops across all measured intervals.")
@@ -108,8 +42,9 @@ func initRunMetrics() {
 func recordRun(res *Result, warmup int64, elapsed time.Duration) {
 	runMetrics.once.Do(initRunMetrics)
 	policy := res.Policy
-	runMetrics.runs(policy).Inc()
-	runMetrics.seconds(policy).Observe(elapsed.Seconds())
+	r := obs.Default
+	r.Counter("dwarn_sim_runs_total", "Completed simulations by fetch policy.", obs.L("policy", policy)).Inc()
+	r.Histogram("dwarn_sim_run_seconds", "Wall time of one complete simulation (warmup + measurement), by fetch policy.", obs.RunBuckets, obs.L("policy", policy)).Observe(elapsed.Seconds())
 	var committed uint64
 	for i := range res.Threads {
 		committed += res.Threads[i].Pipeline.Committed
@@ -131,20 +66,26 @@ func recordTimeline(res *Result) {
 	runMetrics.once.Do(initRunMetrics)
 	policy := res.Policy
 	tl := res.Timeline
-	runMetrics.frames(policy).Add(uint64(len(tl.Frames)))
+	r := obs.Default
+	r.Counter("dwarn_timeline_frames_total", "Timeline interval frames sampled, by fetch policy.", obs.L("policy", policy)).Add(uint64(len(tl.Frames)))
+	ipc := r.Histogram("dwarn_timeline_interval_ipc", "Aggregate committed IPC of each sampled interval, by fetch policy.", ipcBuckets, obs.L("policy", policy))
 	var normal, demoted, gated uint64
 	for i := range tl.Frames {
 		f := &tl.Frames[i]
-		runMetrics.intervalIPC(policy).Observe(f.IPC())
+		ipc.Observe(f.IPC())
 		for j := range f.Threads {
 			normal += f.Threads[j].GateNormalCycles
 			demoted += f.Threads[j].GateDemotedCycles
 			gated += f.Threads[j].GateGatedCycles
 		}
 	}
-	runMetrics.gateCycles(policy, "normal").Add(normal)
-	runMetrics.gateCycles(policy, "demoted").Add(demoted)
-	runMetrics.gateCycles(policy, "gated").Add(gated)
+	gateCycles(policy, "normal").Add(normal)
+	gateCycles(policy, "demoted").Add(demoted)
+	gateCycles(policy, "gated").Add(gated)
+}
+
+func gateCycles(policy, class string) *obs.Counter {
+	return obs.Default.Counter("dwarn_timeline_gate_cycles_total", "Thread-cycles attributed to each fetch-gate decision class over sampled intervals.", obs.L("policy", policy), obs.L("class", class))
 }
 
 // recordRunError counts a failed simulation.

@@ -2,12 +2,11 @@
 // simulation run: one declarative RunSpec — machine, policy with
 // parameters, workload, measurement protocol, metrics flags — that
 // every frontend speaks. The CLI's -spec files, the service's /v2 API,
-// the /v1 adapters, and the experiment runner all translate into
-// RunSpecs, so a run has exactly one identity: Resolve validates it,
-// canonicalizes it (defaults applied, machine fully resolved, policy
-// parameters completed), compiles it to sim.Options, and fingerprints
-// it with the same content-addressed key every cache in the system is
-// keyed by. SweepSpec is the grid form: list-valued axes that expand
+// and the experiment runner all translate into RunSpecs, so a run has
+// exactly one identity: Resolve validates it, canonicalizes it
+// (defaults applied, machine fully resolved, policy parameters
+// completed), compiles it to sim.Options, and fingerprints it with the
+// same content-addressed key every cache in the system is keyed by. SweepSpec is the grid form: list-valued axes that expand
 // deterministically into the cartesian product of RunSpecs.
 package spec
 
@@ -181,7 +180,7 @@ func (w *Workload) resolve(r TraceResolver) (workload.Workload, *trace.Trace, er
 		return sim.SoloWorkload(w.Solo), nil, nil
 	default:
 		// The name encodes the content so the fingerprint of a custom
-		// workload is stable across requests (and across API versions).
+		// workload is stable across requests and frontends.
 		wl, err := workload.Custom("custom:"+strings.Join(w.Benchmarks, "+"), w.Benchmarks)
 		return wl, nil, err
 	}
@@ -256,7 +255,7 @@ func (s *RunSpec) Validate() error {
 // Resolved is a fully compiled RunSpec: its canonical form, the
 // sim.Options ready to run, and the content-addressed fingerprint that
 // identifies the run everywhere (exp memoiser, dwarnd result cache,
-// v1 and v2 API alike).
+// CLI result stores alike).
 type Resolved struct {
 	// Spec is the canonical form: version stamped, machine carrying the
 	// fully resolved config, policy parameters completed with defaults,

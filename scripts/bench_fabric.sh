@@ -12,7 +12,7 @@
 # The speedup is bounded by the host's cores: on a single-core runner
 # the N-process rates collapse to the serial rate (the processes time-
 # slice one CPU) and the recorded speedup is meaningless as a baseline
-# — the output is marked degraded, matching bench_sweep.sh.
+# — the output is marked degraded.
 #
 # Usage:
 #   scripts/bench_fabric.sh [output.json]   (or `make bench-fabric`)

@@ -26,7 +26,7 @@ set -eu
 
 port="${CHAOS_SERVICE_PORT:-18577}"
 base="http://127.0.0.1:$port"
-sweep='{"policies": ["icount", "dwarn"], "workloads": ["2-MIX"],
+sweep='{"policies": [{"name": "icount"}, {"name": "dwarn"}], "workloads": [{"name": "2-MIX"}],
         "warmup_cycles": 2000, "measure_cycles": 5000}'
 
 work="$(mktemp -d)"
@@ -71,7 +71,7 @@ DWARN_CHAOS=exit:sweep.journal.appended \
 crashpid=$!
 wait_http "$base/healthz"
 # The server dies mid-request; the submit response never arrives.
-curl -s -X POST "$base/v1/sweeps" -d "$sweep" >/dev/null 2>&1 || true
+curl -s -X POST "$base/v2/sweeps" -d "$sweep" >/dev/null 2>&1 || true
 st=0
 wait "$crashpid" || st=$?
 [ "$st" -eq 137 ] || { echo "chaos_service: FAIL: exit status $st, want 137" >&2; exit 1; }
@@ -100,7 +100,7 @@ DWARN_CHAOS=torn:journal.append \
     "$work/dwarnd" -addr "127.0.0.1:$port" -store "$store" -log-level error &
 srv=$!
 wait_http "$base/healthz"
-code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/sweeps" -d "$sweep")"
+code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v2/sweeps" -d "$sweep")"
 [ "$code" = 500 ] || { echo "chaos_service: FAIL: torn append returned $code, want 500" >&2; exit 1; }
 [ -s "$store/journal.log" ] || { echo "chaos_service: FAIL: no torn tail on disk" >&2; exit 1; }
 kill "$srv" 2>/dev/null || true
@@ -109,7 +109,7 @@ wait "$srv" 2>/dev/null || true
 "$work/dwarnd" -addr "127.0.0.1:$port" -store "$store" -log-level error &
 srv=$!
 wait_http "$base/healthz"
-id="$(curl -sf -X POST "$base/v1/sweeps" -d "$sweep" | jq -r .id)"
+id="$(curl -sf -X POST "$base/v2/sweeps" -d "$sweep" | jq -r .id)"
 wait_sweep_done "$id"
 kill "$srv" 2>/dev/null || true
 wait "$srv" 2>/dev/null || true
@@ -122,7 +122,7 @@ DWARN_CHAOS=error:store.put \
     "$work/dwarnd" -addr "127.0.0.1:$port" -store "$store" -log-level error &
 srv=$!
 wait_http "$base/healthz"
-id="$(curl -sf -X POST "$base/v1/sweeps" -d "$sweep" | jq -r .id)"
+id="$(curl -sf -X POST "$base/v2/sweeps" -d "$sweep" | jq -r .id)"
 wait_sweep_done "$id"
 # Every durable write was dropped: no result JSON and no checkpoint
 # landed in the store.
