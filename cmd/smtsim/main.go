@@ -21,6 +21,7 @@
 //	smtsim -policy dwarn -workload 4-MIX -metrics run.prom  # dump metrics
 //	smtsim -policy dwarn -workload 4-MIX -timeline out.jsonl  # interval frames
 //	smtsim -policy dwarn -workload 4-MIX -timeline out.csv -timeline-interval 5000
+//	smtsim -policy flush -workload 8-MEM -check 500         # in-loop invariant checks
 //
 // A trace recorded with -trace replays through `smttrace replay` under
 // any policy, reproducing this run bit for bit.
@@ -72,6 +73,7 @@ func main() {
 		tlPath    = flag.String("timeline", "", "sample interval frames during the measured window and write them to this file (.csv extension → CSV, otherwise JSONL)")
 		tlIvl     = flag.Int64("timeline-interval", timeline.DefaultIntervalCycles, "cycles per timeline interval with -timeline")
 		tlFrames  = flag.Int("timeline-frames", timeline.DefaultMaxFrames, "most recent interval frames retained with -timeline")
+		checkN    = flag.Int64("check", 0, "diagnostic: check the pipeline's invariants every N cycles of a flag-selected run and fail it on a violation (0 = off; results are unchanged)")
 	)
 	profFlags := prof.Register()
 	flag.Parse()
@@ -102,6 +104,9 @@ func main() {
 		return
 	}
 
+	if *checkN < 0 {
+		fatal(fmt.Errorf("-check must be >= 0, got %d", *checkN))
+	}
 	cfg, err := config.ByName(*machine)
 	if err != nil {
 		fatal(err)
@@ -136,6 +141,7 @@ func main() {
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
 		Timeline:      tlCfg,
+		CheckEvery:    *checkN,
 	})
 	if err != nil {
 		fatal(err)

@@ -28,6 +28,23 @@ func (b regBitset) get(p int32) bool { return b[p>>6]&(1<<(uint32(p)&63)) != 0 }
 func (b regBitset) set(p int32)      { b[p>>6] |= 1 << (uint32(p) & 63) }
 func (b regBitset) clear(p int32)    { b[p>>6] &^= 1 << (uint32(p) & 63) }
 
+// readyEntry is one ready-list slot. It carries the instruction's age
+// so that keeping the list sorted and merging the list heads at issue
+// compare ages without loading the instructions.
+type readyEntry struct {
+	age uint64
+	d   *DynInst
+}
+
+// waiter is one queued instruction waiting for a register's value. gen
+// snapshots the instruction's arena generation, as events do: a waiter
+// squashed while it waited is left on the list, and the mismatch (or a
+// state other than stInQueue) marks the entry stale at wakeup.
+type waiter struct {
+	d   *DynInst
+	gen uint32
+}
+
 // CPU is one simulated SMT core running a fixed set of threads under a
 // fetch policy. It is not safe for concurrent use; run one CPU per
 // goroutine.
@@ -50,9 +67,23 @@ type CPU struct {
 	intReady regBitset
 	fpReady  regBitset
 
-	// Shared issue queues.
-	queues [isa.NumQueues][]*DynInst
-	qCap   [isa.NumQueues]int
+	// Shared issue queues. A queue is an occupancy count, not a list:
+	// the ROBs hold its instructions. qLen counts queue q's stInQueue
+	// entries; qIssued counts the entries issued in this cycle's issue
+	// phase, whose slots stay taken through this cycle's dispatch and
+	// free at the next issue phase. ready[q] lists, oldest first, the
+	// queued entries whose sources are all ready — the only entries
+	// issue looks at. An entry still waiting for a source sits on that
+	// register's waiter list until setRegReady wakes it.
+	qLen    [isa.NumQueues]int
+	qIssued [isa.NumQueues]int
+	qCap    [isa.NumQueues]int
+	ready   [isa.NumQueues][]readyEntry
+
+	// Per-physical-register waiter lists, indexed like the ready
+	// bitsets.
+	intWaiters [][]waiter
+	fpWaiters  [][]waiter
 
 	// Scratch buffers reused across cycles.
 	prioBuf   []int
@@ -64,6 +95,9 @@ type CPU struct {
 	// deprioritised should not push buffered instructions into the
 	// shared queues ahead of preferred threads.
 	dispatchOrder []int
+	// dispatchLive is dispatch's scratch list of threads still able to
+	// dispatch this cycle.
+	dispatchLive []int
 
 	// lastCommitAt backs the livelock detector.
 	lastCommitAt int64
@@ -125,6 +159,11 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 	c.qCap[isa.QInt] = cfg.IntQueueSize
 	c.qCap[isa.QFP] = cfg.FPQueueSize
 	c.qCap[isa.QLS] = cfg.LSQueueSize
+	for q := range c.ready {
+		c.ready[q] = make([]readyEntry, 0, c.qCap[q])
+	}
+	c.intWaiters = make([][]waiter, cfg.PhysIntRegs)
+	c.fpWaiters = make([][]waiter, cfg.PhysFPRegs)
 
 	// Physical registers: each running context permanently holds its 32
 	// architectural mappings; the remainder forms the shared rename pool.
@@ -270,8 +309,10 @@ func (c *CPU) freeReg(fp bool, p int32) {
 func (c *CPU) FreeIntRegs() int { return len(c.intFree) }
 func (c *CPU) FreeFPRegs() int  { return len(c.fpFree) }
 
-// QueueLen returns the current occupancy of issue queue q.
-func (c *CPU) QueueLen(q isa.Queue) int { return len(c.queues[q]) }
+// QueueLen returns the live occupancy of issue queue q: the
+// instructions waiting in it, not counting slots held by entries
+// issued this cycle.
+func (c *CPU) QueueLen(q isa.Queue) int { return c.qLen[q] }
 
 // usesFPRegs reports which register space an instruction's operands live
 // in (the synthetic ISA never mixes spaces within one instruction).
@@ -289,6 +330,17 @@ func (c *CPU) regReady(fp bool, p int32) bool {
 	return c.intReady.get(p)
 }
 
+// waiters returns physical register p's waiter list.
+func (c *CPU) waiters(fp bool, p int32) *[]waiter {
+	if fp {
+		return &c.fpWaiters[p]
+	}
+	return &c.intWaiters[p]
+}
+
+// setRegReady marks physical register p as holding its value and wakes
+// the queued instructions waiting for it: each live waiter's pending
+// count drops, and one that reaches zero joins its queue's ready list.
 func (c *CPU) setRegReady(fp bool, p int32) {
 	if p < 0 {
 		return
@@ -297,6 +349,59 @@ func (c *CPU) setRegReady(fp bool, p int32) {
 		c.fpReady.set(p)
 	} else {
 		c.intReady.set(p)
+	}
+	ws := c.waiters(fp, p)
+	for _, w := range *ws {
+		d := w.d
+		if w.gen != d.gen || d.state != stInQueue {
+			continue
+		}
+		d.pending--
+		if d.pending == 0 {
+			c.insertReady(d)
+		}
+	}
+	*ws = (*ws)[:0]
+}
+
+// waitFor puts a just-dispatched d on source register p's waiter list
+// if p has no value yet.
+func (c *CPU) waitFor(d *DynInst, p int32) {
+	if c.regReady(d.fpRegs, p) {
+		return
+	}
+	ws := c.waiters(d.fpRegs, p)
+	*ws = append(*ws, waiter{d: d, gen: d.gen})
+	d.pending++
+}
+
+// insertReady adds d to its queue's ready list, keeping the list
+// age-sorted. A dispatched d is usually the youngest entry (ages follow
+// fetch order), so the common case is a plain append; a woken d may be
+// older and shifts the younger entries up.
+func (c *CPU) insertReady(d *DynInst) {
+	q := d.U.Class.QueueFor()
+	e := readyEntry{age: d.Age, d: d}
+	rl := append(c.ready[q], e)
+	i := len(rl) - 1
+	for ; i > 0 && rl[i-1].age > e.age; i-- {
+		rl[i] = rl[i-1]
+	}
+	rl[i] = e
+	c.ready[q] = rl
+}
+
+// removeReady drops a squashed d from its queue's ready list. It must
+// leave at once: the arena may hand d back to fetch this same cycle.
+// Squashes take the youngest entries, so the search starts at the tail.
+func (c *CPU) removeReady(d *DynInst) {
+	q := d.U.Class.QueueFor()
+	rl := c.ready[q]
+	for i := len(rl) - 1; i >= 0; i-- {
+		if rl[i].d == d {
+			c.ready[q] = append(rl[:i], rl[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -319,11 +424,11 @@ func (c *CPU) FlushAfter(inst *DynInst) int {
 // uops are queued for re-fetch in program order; when false (branch
 // misprediction) they are dropped. Returns the number squashed.
 //
-// Squashed instructions are recycled into the arena immediately: their
-// pending events are invalidated by the generation bump, and the lazy
-// issue-queue references are compacted away in this same cycle's issue
-// phase (squashes only happen in the event/tick phases), before fetch
-// can reuse the instruction.
+// Squashed instructions are recycled into the arena immediately, and
+// fetch may reuse them this same cycle. squashInFlight has already
+// taken each one off its queue's ready list and occupancy count; its
+// pending events and register waiter entries are invalidated by the
+// generation bump.
 func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 	wasWP := t.wrongPath
 	// A peeked-but-unfetched uop must not leak: push a correct-path one
@@ -419,11 +524,15 @@ func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 
 // squashInFlight tears down one dispatched instruction: issue-queue
 // slot, rename mapping, physical register, and the thread's in-flight
-// miss counter.
+// miss counter. A queued entry frees its slot at once and leaves the
+// ready list eagerly; waiter-list entries are left to go stale.
 func (c *CPU) squashInFlight(t *thread, d *DynInst) {
 	if d.state == stInQueue {
 		t.inQueues--
-		// The queue slice is compacted lazily at the next issue phase.
+		c.qLen[d.U.Class.QueueFor()]--
+		if d.pending == 0 {
+			c.removeReady(d)
+		}
 	}
 	if d.U.Class == isa.Load && d.missCounted {
 		t.l1MissInFlight--
@@ -469,9 +578,10 @@ func sortUopsBySeq(us []isa.Uop) {
 // DumpState renders a diagnostic snapshot of the pipeline for debugging
 // and livelock reports.
 func (c *CPU) DumpState() string {
-	s := fmt.Sprintf("cycle %d: freeInt=%d freeFP=%d q[int]=%d q[fp]=%d q[ls]=%d events=%d\n",
+	s := fmt.Sprintf("cycle %d: freeInt=%d freeFP=%d q[int]=%d q[fp]=%d q[ls]=%d ready=%d/%d/%d events=%d\n",
 		c.now, len(c.intFree), len(c.fpFree),
-		len(c.queues[0]), len(c.queues[1]), len(c.queues[2]), c.events.len())
+		c.qLen[0], c.qLen[1], c.qLen[2],
+		len(c.ready[0]), len(c.ready[1]), len(c.ready[2]), c.events.len())
 	for _, t := range c.threads {
 		s += fmt.Sprintf("  t%d: feq=%d rob=%d inQ=%d missInFlight=%d wrongPath=%v replay=%d icacheReadyAt=%d redirectAt=%d\n",
 			t.id, t.feq.len(), t.rob.len(), t.inQueues, t.l1MissInFlight, t.wrongPath, len(t.replay), t.icacheReadyAt, t.redirectAt)
@@ -551,29 +661,10 @@ func (c *CPU) CheckInvariants() error {
 		fpLive[p] = "free"
 	}
 
-	// Issue queues: per-thread inQueues must match the queue contents,
-	// no queue may exceed its capacity, and every queue must be
-	// age-sorted (issue's oldest-first merge depends on it).
-	inQ := make([]int, len(c.threads))
-	for q := range c.queues {
-		live := 0
-		for i, d := range c.queues[q] {
-			if d.state == stInQueue {
-				inQ[d.Thread]++
-				live++
-			}
-			if i > 0 && d.Age <= c.queues[q][i-1].Age {
-				return fmt.Errorf("pipeline: queue %d not age-sorted at %d", q, i)
-			}
-		}
-		if live > c.qCap[q] {
-			return fmt.Errorf("pipeline: queue %d holds %d live entries, capacity %d", q, live, c.qCap[q])
-		}
+	if err := c.checkQueues(); err != nil {
+		return err
 	}
 	for _, t := range c.threads {
-		if t.inQueues != inQ[t.id] {
-			return fmt.Errorf("pipeline: t%d inQueues=%d but queues hold %d", t.id, t.inQueues, inQ[t.id])
-		}
 		if t.l1MissInFlight < 0 {
 			return fmt.Errorf("pipeline: t%d negative miss counter %d", t.id, t.l1MissInFlight)
 		}
@@ -589,6 +680,69 @@ func (c *CPU) CheckInvariants() error {
 		for i := 0; i < t.rob.len(); i++ {
 			if st := t.rob.at(i).state; st == stSquashed || st == stCommitted {
 				return fmt.Errorf("pipeline: t%d ROB holds %v entry", t.id, st)
+			}
+		}
+	}
+	return nil
+}
+
+// checkQueues validates the issue-queue bookkeeping against a
+// brute-force rebuild from the ROBs: per-thread inQueues and per-queue
+// occupancy match the stInQueue entries, no queue holds more than its
+// capacity, every queued entry's pending count matches its unready
+// sources, and each ready list is exactly the age-sorted set of queued
+// entries whose sources are all ready.
+func (c *CPU) checkQueues() error {
+	var want [isa.NumQueues][]*DynInst
+	var live [isa.NumQueues]int
+	for _, t := range c.threads {
+		inQ := 0
+		for i := 0; i < t.rob.len(); i++ {
+			d := t.rob.at(i)
+			if d.state != stInQueue {
+				continue
+			}
+			inQ++
+			q := d.U.Class.QueueFor()
+			live[q]++
+			unready := 0
+			for _, p := range [2]int32{d.src1Phys, d.src2Phys} {
+				if !c.regReady(d.fpRegs, p) {
+					unready++
+				}
+			}
+			if int(d.pending) != unready {
+				return fmt.Errorf("pipeline: t%d seq %d pending=%d but %d sources unready", t.id, d.U.Seq, d.pending, unready)
+			}
+			if unready == 0 {
+				want[q] = append(want[q], d)
+			}
+		}
+		if t.inQueues != inQ {
+			return fmt.Errorf("pipeline: t%d inQueues=%d but queues hold %d", t.id, t.inQueues, inQ)
+		}
+	}
+	for q := range want {
+		if c.qLen[q] != live[q] {
+			return fmt.Errorf("pipeline: queue %d occupancy %d but ROBs hold %d queued entries", q, c.qLen[q], live[q])
+		}
+		if n := c.qLen[q] + c.qIssued[q]; n > c.qCap[q] {
+			return fmt.Errorf("pipeline: queue %d holds %d entries, capacity %d", q, n, c.qCap[q])
+		}
+		rl := c.ready[q]
+		for i := 1; i < len(rl); i++ {
+			if rl[i].age <= rl[i-1].age {
+				return fmt.Errorf("pipeline: queue %d ready list not age-sorted at %d", q, i)
+			}
+		}
+		slices.SortFunc(want[q], func(a, b *DynInst) int { return cmp.Compare(a.Age, b.Age) })
+		if len(rl) != len(want[q]) {
+			return fmt.Errorf("pipeline: queue %d ready list holds %d entries, %d are ready", q, len(rl), len(want[q]))
+		}
+		for i, e := range rl {
+			if e.d != want[q][i] || e.age != e.d.Age {
+				return fmt.Errorf("pipeline: queue %d ready list entry %d is seq %d (age %d), want seq %d",
+					q, i, e.d.U.Seq, e.age, want[q][i].U.Seq)
 			}
 		}
 	}

@@ -58,6 +58,11 @@ type DynInst struct {
 	src1Phys int32
 	src2Phys int32
 
+	// pending counts the source operands still waiting for a value while
+	// the instruction sits in an issue queue (a source named twice counts
+	// twice). At zero the instruction is on its queue's ready list.
+	pending uint8
+
 	// frontEndReadyAt is the cycle the uop may leave the front end.
 	frontEndReadyAt int64
 	// completeAt is the cycle the result becomes available.
@@ -123,7 +128,7 @@ func (a *instArena) get() *DynInst {
 }
 
 // put recycles an instruction. The generation bump invalidates every
-// event scheduled against it; the fields are deliberately left intact
+// event and register waiter entry recorded against it; the fields are deliberately left intact
 // (reset happens in get) so in-flight squash bookkeeping that still
 // inspects state this cycle — e.g. FLUSH's declare batch checking
 // Squashed() — sees the truth until the instruction is reused.

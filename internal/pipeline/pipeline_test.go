@@ -112,19 +112,87 @@ func TestInvariantsUnderICOUNT(t *testing.T) {
 }
 
 func TestInvariantsUnderHostileFlushing(t *testing.T) {
-	cpu := newCPU(t, "4-MEM", &flushEverything{})
-	for i := 0; i < 20; i++ {
-		cpu.Run(2000)
-		if err := cpu.CheckInvariants(); err != nil {
-			t.Fatalf("after %d cycles: %v", cpu.Now(), err)
+	for _, cfg := range []*config.Processor{config.Baseline(), config.Small(), config.Deep()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			wl, err := workload.GetWorkload("4-MEM")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens, err := wl.Generators(42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu, err := New(cfg, &flushEverything{}, gens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20; i++ {
+				cpu.Run(2000)
+				if err := cpu.CheckInvariants(); err != nil {
+					t.Fatalf("after %d cycles: %v", cpu.Now(), err)
+				}
+			}
+			var flushed uint64
+			for i := 0; i < cpu.NumThreads(); i++ {
+				flushed += cpu.ThreadStats(i).FlushSquashed
+			}
+			if flushed == 0 {
+				t.Error("hostile flusher never flushed on a MEM workload")
+			}
+		})
+	}
+}
+
+// TestIssuedSlotFreesNextCycle pins when an issued entry's queue slot
+// frees: at the next cycle's issue phase, not at once. With one-entry
+// queues, an entry issued in cycle N holds its slot through cycle N's
+// dispatch, so no queue both issues and accepts a dispatch in one
+// cycle, and the slot takes a new entry from cycle N+1 on. The counts
+// were recorded with the scan-based issue select that kept issued
+// entries in the queue until the next cycle's compaction.
+func TestIssuedSlotFreesNextCycle(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.IntQueueSize, cfg.FPQueueSize, cfg.LSQueueSize = 1, 1, 1
+	wl, err := workload.GetWorkload("2-MIX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, err := wl.Generators(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := New(cfg, &icountPolicy{}, gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refilled := 0
+	var prevIssued [isa.NumQueues]int
+	for i := 0; i < 20000; i++ {
+		cpu.Step()
+		for q := range cpu.qIssued {
+			if cpu.qIssued[q] > 0 && cpu.qLen[q] > 0 {
+				t.Fatalf("cycle %d: queue %d issued and took a dispatch in the same cycle", cpu.Now()-1, q)
+			}
+			if prevIssued[q] > 0 && cpu.qLen[q] > 0 {
+				refilled++
+			}
 		}
+		prevIssued = cpu.qIssued
 	}
-	var flushed uint64
-	for i := 0; i < cpu.NumThreads(); i++ {
-		flushed += cpu.ThreadStats(i).FlushSquashed
+	if refilled == 0 {
+		t.Error("no slot freed by an issue took a dispatch in the next cycle")
 	}
-	if flushed == 0 {
-		t.Error("hostile flusher never flushed on a MEM workload")
+	if err := cpu.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	wantCommitted := []uint64{5917, 1574}
+	wantFetched := []uint64{8463, 2447}
+	for i := range wantCommitted {
+		st := cpu.ThreadStats(i)
+		if st.Committed != wantCommitted[i] || st.Fetched != wantFetched[i] {
+			t.Errorf("t%d: committed %d fetched %d, want %d and %d",
+				i, st.Committed, st.Fetched, wantCommitted[i], wantFetched[i])
+		}
 	}
 }
 
@@ -281,5 +349,19 @@ func TestQuickInvariantsAcrossSeedsAndWorkloads(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuiescentRequiresEmptyReadyLists checks that a stray ready-list
+// entry, with every occupancy counter at zero, still makes the core
+// non-quiescent: a snapshot must not drop a queued instruction.
+func TestQuiescentRequiresEmptyReadyLists(t *testing.T) {
+	cpu := newCPU(t, "2-MIX", &icountPolicy{})
+	if err := cpu.Quiescent(); err != nil {
+		t.Fatalf("fresh CPU: %v", err)
+	}
+	cpu.ready[isa.QLS] = append(cpu.ready[isa.QLS], readyEntry{d: &DynInst{}})
+	if err := cpu.Quiescent(); err == nil {
+		t.Error("CPU with a ready-list entry reported quiescent")
 	}
 }

@@ -142,9 +142,9 @@ func (c *CPU) commit(now int64) {
 
 // retire commits one instruction and recycles it. By commit time every
 // event for the instruction has fired (all are scheduled at or before
-// completeAt, and completion is what makes it committable) and its lazy
-// issue-queue reference was compacted no later than this cycle's issue
-// phase runs — so the arena may hand it back to fetch immediately.
+// completeAt, and completion is what makes it committable), and it left
+// its queue's ready list when it issued — so the arena may hand it back
+// to fetch immediately.
 func (c *CPU) retire(t *thread, d *DynInst) {
 	d.state = stCommitted
 	if d.destPhys >= 0 && d.prevPhys >= 0 {
@@ -166,31 +166,22 @@ func (c *CPU) retire(t *thread, d *DynInst) {
 // issue selects ready instructions oldest-first across the shared
 // queues, bounded by issue width and per-class functional unit counts.
 //
-// The queues are kept age-sorted (dispatch inserts in order, compaction
-// is stable), so selection is a three-way merge that visits entries in
-// global age order and stops as soon as the issue budget or all units
-// are spent — no per-cycle sort, no ready checks beyond the selection
-// frontier, and no allocations. Readiness cannot change during the
-// phase (completions only land in processEvents), so skipping an
-// unready entry for the rest of the cycle is sound. The issued set is
-// identical to the old gather-sort-scan: both consider ready entries
-// oldest-first and skip classes whose units are exhausted.
+// It reads only the ready lists, which wakeup (setRegReady) and
+// dispatch keep holding exactly each queue's entries whose sources are
+// all ready, oldest first. Selection is a three-way merge over the list
+// heads that stops as soon as the issue budget or all units are spent,
+// so what issues from a queue is a prefix of its list: no per-cycle
+// scan of waiting entries, no sort, and no allocations. The issued set
+// is the one a scan of every queued entry would pick: readiness cannot
+// change during the phase (completions only land in processEvents), and
+// both consider ready entries oldest-first and skip classes whose units
+// are exhausted.
+//
+// The slots of entries issued now stay taken (qIssued) through this
+// cycle's dispatch and free when the next issue phase starts.
 func (c *CPU) issue(now int64) {
-	// Compact queues, reclaiming the slots of squashed and issued
-	// entries so this cycle's dispatch sees true occupancy.
-	total := 0
-	for q := range c.queues {
-		kept := c.queues[q][:0]
-		for _, d := range c.queues[q] {
-			if d.state != stInQueue {
-				continue
-			}
-			kept = append(kept, d)
-		}
-		c.queues[q] = kept
-		total += len(kept)
-	}
-	if total == 0 {
+	c.qIssued = [isa.NumQueues]int{}
+	if len(c.ready[isa.QInt])+len(c.ready[isa.QFP])+len(c.ready[isa.QLS]) == 0 {
 		return
 	}
 
@@ -204,32 +195,30 @@ func (c *CPU) issue(now int64) {
 	for budget > 0 {
 		best := -1
 		var bestAge uint64
-		for q := range c.queues {
-			if units[q] == 0 {
+		for q, rl := range c.ready {
+			if units[q] == 0 || idx[q] == len(rl) {
 				continue
 			}
-			qs := c.queues[q]
-			i := idx[q]
-			for i < len(qs) {
-				d := qs[i]
-				if c.regReady(d.fpRegs, d.src1Phys) && c.regReady(d.fpRegs, d.src2Phys) {
-					break
-				}
-				i++
-			}
-			idx[q] = i
-			if i < len(qs) && (best < 0 || qs[i].Age < bestAge) {
-				best = q
-				bestAge = qs[i].Age
+			if age := rl[idx[q]].age; best < 0 || age < bestAge {
+				best, bestAge = q, age
 			}
 		}
 		if best < 0 {
-			return
+			break
 		}
-		c.issueOne(c.queues[best][idx[best]], now)
+		c.issueOne(c.ready[best][idx[best]].d, now)
 		idx[best]++
 		units[best]--
 		budget--
+	}
+	for q, k := range idx {
+		if k == 0 {
+			continue
+		}
+		rl := c.ready[q]
+		c.ready[q] = rl[:copy(rl, rl[k:])]
+		c.qLen[q] -= k
+		c.qIssued[q] = k
 	}
 }
 
@@ -286,27 +275,34 @@ func (c *CPU) issueOne(d *DynInst, now int64) {
 func (c *CPU) dispatch(now int64) {
 	budget := c.cfg.DecodeWidth
 	n := len(c.threads)
-	order := c.dispatchOrder
-	if len(order) != n {
-		order = order[:0]
+	live := c.dispatchLive[:0]
+	if len(c.dispatchOrder) == n {
+		live = append(live, c.dispatchOrder...)
+	} else {
 		start := int(now) % n
 		for i := 0; i < n; i++ {
-			order = append(order, (start+i)%n)
+			live = append(live, (start+i)%n)
 		}
 	}
-	progress := true
-	for budget > 0 && progress {
-		progress = false
-		for _, tid := range order {
+	// Each round visits, in order, the threads that dispatched in the
+	// previous one. A thread whose head cannot dispatch drops out for
+	// the rest of the cycle: during dispatch queue occupancy and ROBs
+	// only grow, free registers only shrink, and a thread's front-end
+	// head does not change until it dispatches (fetch runs later).
+	for budget > 0 && len(live) > 0 {
+		kept := live[:0]
+		for _, tid := range live {
 			if budget == 0 {
 				break
 			}
 			if c.dispatchOne(c.threads[tid], now) {
 				budget--
-				progress = true
+				kept = append(kept, tid)
 			}
 		}
+		live = kept
 	}
+	c.dispatchLive = live
 }
 
 // dispatchOne tries to rename and dispatch t's oldest front-end
@@ -324,7 +320,7 @@ func (c *CPU) dispatchOne(t *thread, now int64) bool {
 		return false
 	}
 	q := d.U.Class.QueueFor()
-	if len(c.queues[q]) >= c.qCap[q] {
+	if c.qLen[q]+c.qIssued[q] >= c.qCap[q] {
 		return false
 	}
 	fp := d.fpRegs
@@ -351,18 +347,20 @@ func (c *CPU) dispatchOne(t *thread, now int64) bool {
 			t.intMap[arch] = p
 			c.intReady.clear(p)
 		}
+		// A free register's waiter list holds only entries squashed
+		// while they waited; start its new life empty.
+		ws := c.waiters(fp, p)
+		*ws = (*ws)[:0]
 		d.destPhys = p
 	}
 
 	d.state = stInQueue
-	// Insert keeping the queue age-sorted for issue's merge. New
-	// dispatches are usually the youngest in the queue (ages follow
-	// fetch order), so the common case is a plain append.
-	qs := append(c.queues[q], d)
-	for i := len(qs) - 1; i > 0 && qs[i-1].Age > d.Age; i-- {
-		qs[i], qs[i-1] = qs[i-1], qs[i]
+	c.waitFor(d, d.src1Phys)
+	c.waitFor(d, d.src2Phys)
+	if d.pending == 0 {
+		c.insertReady(d)
 	}
-	c.queues[q] = qs
+	c.qLen[q]++
 	t.inQueues++
 	t.rob.push(d)
 	t.feq.popFront()

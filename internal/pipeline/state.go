@@ -25,9 +25,12 @@ func (c *CPU) Quiescent() error {
 	if n := c.events.len(); n != 0 {
 		return fmt.Errorf("pipeline: %d events in flight", n)
 	}
-	for q := range c.queues {
-		if n := len(c.queues[q]); n != 0 {
+	for q := range c.qLen {
+		if n := c.qLen[q]; n != 0 {
 			return fmt.Errorf("pipeline: issue queue %d holds %d entries", q, n)
+		}
+		if n := len(c.ready[q]); n != 0 {
+			return fmt.Errorf("pipeline: issue queue %d ready list holds %d entries", q, n)
 		}
 	}
 	for _, t := range c.threads {

@@ -72,6 +72,14 @@ type Options struct {
 	// Timeline.MaxFrames further samples; consume or copy it before
 	// returning.
 	OnFrame func(*timeline.Frame)
+	// CheckEvery, when positive, validates the pipeline's bookkeeping
+	// (pipeline.CPU.CheckInvariants: registers, queue occupancy, ready
+	// lists, ROB order) whenever the core's clock reaches a multiple of
+	// CheckEvery during warmup and measurement, and fails the run on
+	// the first violation. A diagnostic, like Timeline: it only
+	// observes, so counters and the fingerprint are the same with it on
+	// or off.
+	CheckEvery int64
 	// Checkpoints, when non-nil, enables the checkpoint/fork engine:
 	// runs sharing a CheckpointKey (same machine, workload, and seed —
 	// policy and run lengths deliberately excluded) fork their
@@ -160,15 +168,24 @@ func Run(opts Options) (*Result, error) {
 // cycle loop, fine enough that cancellation lands within microseconds.
 const cancelCheckInterval = 4096
 
-// runCycles advances the CPU n cycles, polling ctx between chunks.
-func runCycles(ctx context.Context, cpu *pipeline.CPU, n int64) error {
+// runCycles advances the CPU n cycles, polling ctx between chunks. With
+// checkEvery > 0 chunks also end on multiples of checkEvery on the
+// core's clock, where the pipeline invariants are checked; chunking
+// never changes the Step sequence.
+func runCycles(ctx context.Context, cpu *pipeline.CPU, n, checkEvery int64) error {
 	for n > 0 {
 		chunk := int64(cancelCheckInterval)
-		if n < chunk {
-			chunk = n
+		if checkEvery > 0 {
+			chunk = min(chunk, checkEvery-cpu.Now()%checkEvery)
 		}
+		chunk = min(chunk, n)
 		cpu.Run(chunk)
 		n -= chunk
+		if checkEvery > 0 && cpu.Now()%checkEvery == 0 {
+			if err := cpu.CheckInvariants(); err != nil {
+				return fmt.Errorf("sim: invariant check at cycle %d: %w", cpu.Now(), err)
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -324,15 +341,15 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		cpu.EnableGateSampling()
 	}
 
-	if err := runCycles(ctx, cpu, warmup); err != nil {
+	if err := runCycles(ctx, cpu, warmup, opts.CheckEvery); err != nil {
 		return nil, err
 	}
 	cpu.ResetStats()
 	if sampler == nil {
-		if err := runCycles(ctx, cpu, measure); err != nil {
+		if err := runCycles(ctx, cpu, measure, opts.CheckEvery); err != nil {
 			return nil, err
 		}
-	} else if err := runSampled(ctx, cpu, measure, sampler, opts.OnFrame); err != nil {
+	} else if err := runSampled(ctx, cpu, measure, opts.CheckEvery, sampler, opts.OnFrame); err != nil {
 		return nil, err
 	}
 
@@ -365,14 +382,14 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 // the cancellation-check granularity, so the Step sequence is
 // identical to the unsampled loop) and closes one frame per boundary.
 // A trailing partial interval gets a final short frame.
-func runSampled(ctx context.Context, cpu *pipeline.CPU, n int64, s *timeline.Sampler, onFrame func(*timeline.Frame)) error {
+func runSampled(ctx context.Context, cpu *pipeline.CPU, n, checkEvery int64, s *timeline.Sampler, onFrame func(*timeline.Frame)) error {
 	interval := s.IntervalCycles()
 	for done := int64(0); done < n; {
 		chunk := interval
 		if rem := n - done; rem < chunk {
 			chunk = rem
 		}
-		if err := runCycles(ctx, cpu, chunk); err != nil {
+		if err := runCycles(ctx, cpu, chunk, checkEvery); err != nil {
 			return err
 		}
 		f := s.Sample(cpu, done, done+chunk)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dwarn/internal/config"
+	"dwarn/internal/timeline"
 	"dwarn/internal/workload"
 )
 
@@ -144,5 +145,37 @@ func TestSoloWorkloadShape(t *testing.T) {
 	wl := SoloWorkload("mcf")
 	if wl.Threads != 1 || wl.Benchmarks[0] != "mcf" || wl.Name != "solo-mcf" {
 		t.Errorf("solo workload %+v", wl)
+	}
+}
+
+// TestCheckEveryObservesOnly: in-loop invariant checks pass on a
+// flush-heavy run, through both the plain and the timeline-sampled
+// loop, and change neither the counters nor the fingerprint.
+func TestCheckEveryObservesOnly(t *testing.T) {
+	wl, err := workload.GetWorkload("4-MEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"flush", "dwarn"} {
+		base := Options{Policy: policy, Workload: wl, Seed: 3, WarmupCycles: 1500, MeasureCycles: 4000}
+		plain, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := base
+		checked.CheckEvery = 250
+		for _, tl := range []*timeline.Config{nil, {IntervalCycles: 1000}} {
+			checked.Timeline = tl
+			res, err := Run(checked)
+			if err != nil {
+				t.Fatalf("%s: %v", policy, err)
+			}
+			if got, want := res.CounterDigest(), plain.CounterDigest(); got != want {
+				t.Errorf("%s (timeline %v): counter digest changed with checks on", policy, tl != nil)
+			}
+		}
+		if Fingerprint(checked, "") != Fingerprint(base, "") {
+			t.Errorf("%s: CheckEvery changed the fingerprint", policy)
+		}
 	}
 }

@@ -591,16 +591,16 @@ func (w *walker) advanceTo(target int32) {
 }
 
 // dryRun walks the CFG for dryRunLength instructions, returning per-slot
-// execution counts.
+// execution counts. Every slot of a block executes once per visit, so
+// the walk counts block visits and expands them to slots once at the
+// end.
 func (prog *program) dryRun(r *rng.Source) []uint32 {
-	counts := make([]uint32, len(prog.insts))
+	visits := make([]uint32, len(prog.blocks))
 	w := newWalker(prog)
 	executed := 0
 	for executed < dryRunLength {
 		b := prog.blocks[w.cur]
-		for i := 0; i < b.n; i++ {
-			counts[b.first+i]++
-		}
+		visits[w.cur]++
 		executed += b.n
 		slot := b.first + b.n - 1
 		term := &prog.insts[slot]
@@ -612,6 +612,13 @@ func (prog *program) dryRun(r *rng.Source) []uint32 {
 			w.advance(term, taken, r)
 		} else {
 			w.advance(&staticInst{class: isa.IntALU}, false, r)
+		}
+	}
+	counts := make([]uint32, len(prog.insts))
+	for bi, v := range visits {
+		b := prog.blocks[bi]
+		for i := 0; i < b.n; i++ {
+			counts[b.first+i] += v
 		}
 	}
 	return counts

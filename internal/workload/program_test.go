@@ -107,6 +107,52 @@ func TestDryRunDeterministic(t *testing.T) {
 	}
 }
 
+// dryRunPerSlot is the calibration walk as first written: it bumps
+// every slot of every visited block. dryRun counts block visits instead
+// and must produce the same per-slot counts.
+func dryRunPerSlot(prog *program, r *rng.Source) []uint32 {
+	counts := make([]uint32, len(prog.insts))
+	w := newWalker(prog)
+	executed := 0
+	for executed < dryRunLength {
+		b := prog.blocks[w.cur]
+		for i := 0; i < b.n; i++ {
+			counts[b.first+i]++
+		}
+		executed += b.n
+		slot := b.first + b.n - 1
+		term := &prog.insts[slot]
+		taken := true
+		if term.class == isa.CondBranch {
+			taken = w.condTaken(term, slot, r)
+		}
+		if term.class.IsBranch() {
+			w.advance(term, taken, r)
+		} else {
+			w.advance(&staticInst{class: isa.IntALU}, false, r)
+		}
+	}
+	return counts
+}
+
+func TestDryRunBlockCountsMatchPerSlot(t *testing.T) {
+	for _, name := range Names() {
+		for _, seed := range []uint64{1, 42} {
+			prog := buildTestProgram(t, name, seed)
+			want := dryRunPerSlot(prog, rng.New(seed+0xd27))
+			got := prog.dryRun(rng.New(seed + 0xd27))
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d counts, want %d", name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: slot %d count %d, per-slot walk %d", name, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestDryRunCoversHotCode(t *testing.T) {
 	prog := buildTestProgram(t, "gzip", 7)
 	counts := prog.dryRun(rng.New(1))

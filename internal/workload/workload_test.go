@@ -368,3 +368,36 @@ func TestQuickGeneratorNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGeneratorsConcurrentBuildDeterministic: the per-thread builds run
+// concurrently, yet every slot must hold its own benchmark's stream,
+// identical across calls and between the plain and shared paths.
+func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
+	wl, err := GetWorkload("8-MEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := wl.Generators(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := wl.Generators(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := wl.SharedGenerators(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range wl.Benchmarks {
+		if got := a[i].ReplayMeta().Benchmark; got != name {
+			t.Fatalf("slot %d holds %s, want %s", i, got, name)
+		}
+		for n := 0; n < 500; n++ {
+			ua, ub, us := a[i].Next(), b[i].Next(), s[i].Next()
+			if ua != ub || ua != us {
+				t.Fatalf("slot %d uop %d differs between builds", i, n)
+			}
+		}
+	}
+}

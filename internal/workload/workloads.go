@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Mix is the paper's workload classification by cache behaviour.
@@ -175,7 +176,10 @@ func (w *Workload) generators(seed uint64, mk func(*Profile, uint64, uint64) *Ge
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
+	// Each thread's build depends only on its own (profile, seed, base),
+	// so the builds run concurrently; each lands in its own slot.
 	srcs := make([]Source, len(w.Benchmarks))
+	var wg sync.WaitGroup
 	for i, name := range w.Benchmarks {
 		prof, err := Get(name)
 		if err != nil {
@@ -186,7 +190,12 @@ func (w *Workload) generators(seed uint64, mk func(*Profile, uint64, uint64) *Ge
 		// set-aligned and collide pathologically in the shared caches.
 		stagger := (seed + uint64(i)*0x9e3779b97f4a7c15) >> 13 & 0x3FFFC0
 		base := uint64(i+1)<<40 + stagger
-		srcs[i] = mk(prof, seed+uint64(i)*0x51ed2701, base)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srcs[i] = mk(prof, seed+uint64(i)*0x51ed2701, base)
+		}()
 	}
+	wg.Wait()
 	return srcs, nil
 }
