@@ -47,9 +47,15 @@ type DynInst struct {
 	// avoid re-deriving it from the class.
 	fpRegs bool
 
-	// gen is the arena recycling generation. Scheduled events snapshot
-	// it; after the instruction is recycled the snapshot no longer
-	// matches and the stale event is discarded.
+	// pending counts the source operands still waiting for a value while
+	// the instruction sits in an issue queue (a source named twice counts
+	// twice). At zero the instruction is on its queue's ready list.
+	pending uint8
+
+	// gen is the arena recycling generation. Scheduled events and
+	// register waiter entries snapshot it; after the instruction is
+	// recycled the snapshot no longer matches and the stale entry is
+	// discarded.
 	gen uint32
 
 	// Rename state: physical register indices, -1 when absent.
@@ -57,11 +63,6 @@ type DynInst struct {
 	prevPhys int32
 	src1Phys int32
 	src2Phys int32
-
-	// pending counts the source operands still waiting for a value while
-	// the instruction sits in an issue queue (a source named twice counts
-	// twice). At zero the instruction is on its queue's ready list.
-	pending uint8
 
 	// frontEndReadyAt is the cycle the uop may leave the front end.
 	frontEndReadyAt int64
@@ -128,10 +129,11 @@ func (a *instArena) get() *DynInst {
 }
 
 // put recycles an instruction. The generation bump invalidates every
-// event and register waiter entry recorded against it; the fields are deliberately left intact
-// (reset happens in get) so in-flight squash bookkeeping that still
-// inspects state this cycle — e.g. FLUSH's declare batch checking
-// Squashed() — sees the truth until the instruction is reused.
+// event and register waiter entry recorded against it; the fields are
+// deliberately left intact (reset happens in get) so in-flight squash
+// bookkeeping that still inspects state this cycle — e.g. FLUSH's
+// declare batch checking Squashed() — sees the truth until the
+// instruction is reused.
 func (a *instArena) put(d *DynInst) {
 	d.gen++
 	a.free = append(a.free, d)

@@ -166,19 +166,16 @@ func (c *CPU) retire(t *thread, d *DynInst) {
 // issue selects ready instructions oldest-first across the shared
 // queues, bounded by issue width and per-class functional unit counts.
 //
-// It reads only the ready lists, which wakeup (setRegReady) and
-// dispatch keep holding exactly each queue's entries whose sources are
-// all ready, oldest first. Selection is a three-way merge over the list
-// heads that stops as soon as the issue budget or all units are spent,
-// so what issues from a queue is a prefix of its list: no per-cycle
-// scan of waiting entries, no sort, and no allocations. The issued set
-// is the one a scan of every queued entry would pick: readiness cannot
-// change during the phase (completions only land in processEvents), and
-// both consider ready entries oldest-first and skip classes whose units
-// are exhausted.
+// Only the ready lists are read: wakeup and dispatch keep each one
+// holding exactly its queue's entries whose sources are all ready,
+// oldest first. Selection merges the three list heads and stops when
+// the budget or all units are spent, so what issues from a queue is a
+// prefix of its list. That is the set a scan of every queued entry
+// picks: readiness only changes in processEvents, and both take ready
+// entries oldest-first, skipping classes whose units are spent.
 //
-// The slots of entries issued now stay taken (qIssued) through this
-// cycle's dispatch and free when the next issue phase starts.
+// Issued entries' slots stay taken (qIssued) through this cycle's
+// dispatch and free when the next issue phase starts.
 func (c *CPU) issue(now int64) {
 	c.qIssued = [isa.NumQueues]int{}
 	if len(c.ready[isa.QInt])+len(c.ready[isa.QFP])+len(c.ready[isa.QLS]) == 0 {
