@@ -600,8 +600,9 @@ func (c *CPU) DumpState() string {
 
 // CheckInvariants validates the resource-accounting invariants the
 // squash/flush/commit machinery must preserve. Tests call it after
-// arbitrary run prefixes; a violation indicates a leak (registers,
-// queue slots, miss counters) that would silently skew results.
+// arbitrary run prefixes, and sim.Options.CheckEvery between cycles of
+// a real run; a violation indicates a leak (registers, queue slots,
+// ready-list entries, miss counters) that would silently skew results.
 func (c *CPU) CheckInvariants() error {
 	// Physical registers: every architecturally mapped register and
 	// every in-flight destination must be live exactly once; together
