@@ -73,7 +73,7 @@ func main() {
 		tlPath    = flag.String("timeline", "", "sample interval frames during the measured window and write them to this file (.csv extension → CSV, otherwise JSONL)")
 		tlIvl     = flag.Int64("timeline-interval", timeline.DefaultIntervalCycles, "cycles per timeline interval with -timeline")
 		tlFrames  = flag.Int("timeline-frames", timeline.DefaultMaxFrames, "most recent interval frames retained with -timeline")
-		checkN    = flag.Int64("check", 0, "diagnostic: check the pipeline's invariants every N cycles of a flag-selected run and fail it on a violation (0 = off; results are unchanged)")
+		checkN    = flag.Int64("check", 0, "diagnostic: check the pipeline's invariants every N cycles of the run (or of every -spec cell that simulates) and fail it on a violation (0 = off; results are unchanged)")
 	)
 	profFlags := prof.Register()
 	flag.Parse()
@@ -84,8 +84,11 @@ func main() {
 	}
 	defer stopProf()
 
+	if *checkN < 0 {
+		fatal(fmt.Errorf("-check must be >= 0, got %d", *checkN))
+	}
 	if *specPath != "" {
-		ok := runSpecFile(*specPath, *maxCells, *parallel, *storeDir, *ckptDir, *ckptOn, *asJSON)
+		ok := runSpecFile(*specPath, *maxCells, *parallel, *storeDir, *ckptDir, *ckptOn, *asJSON, *checkN)
 		dumpMetrics(*metrics)
 		if !ok {
 			stopProf()
@@ -104,9 +107,6 @@ func main() {
 		return
 	}
 
-	if *checkN < 0 {
-		fatal(fmt.Errorf("-check must be >= 0, got %d", *checkN))
-	}
 	cfg, err := config.ByName(*machine)
 	if err != nil {
 		fatal(err)
@@ -239,8 +239,9 @@ type specCell struct {
 // reports whether every cell succeeded. Trace references in the file
 // resolve as filesystem paths. Interrupting the sweep (SIGINT/SIGTERM)
 // stops cells cooperatively; with -store the finished prefix survives
-// for the next run to resume from.
-func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, ckptOn, asJSON bool) bool {
+// for the next run to resume from. checkEvery > 0 runs the pipeline
+// invariant checks in every cell that simulates.
+func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, ckptOn, asJSON bool, checkEvery int64) bool {
 	f, err := spec.LoadFile(path)
 	if err != nil {
 		fatal(err)
@@ -276,7 +277,19 @@ func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, 
 		}
 		ckpts = chain
 	}
-	ex := exec.New(exec.Options{Workers: parallel, Store: store, Checkpoints: ckpts})
+	exOpts := exec.Options{Workers: parallel, Store: store, Checkpoints: ckpts}
+	var ex *exec.Executor
+	if checkEvery > 0 {
+		// The executor's Run seam: the default cell run plus the checks,
+		// still forking from the executor's gated checkpoint store.
+		exOpts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			o := res.Options
+			o.CheckEvery = checkEvery
+			o.Checkpoints = ex.CheckpointStore()
+			return sim.RunContext(ctx, o)
+		}
+	}
+	ex = exec.New(exOpts)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

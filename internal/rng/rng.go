@@ -8,6 +8,11 @@
 // splittable by deriving child seeds.
 package rng
 
+import (
+	"math"
+	"math/bits"
+)
+
 // Source is a SplitMix64 pseudo-random generator. The zero value is a
 // valid generator seeded with 0.
 type Source struct {
@@ -55,12 +60,12 @@ func (s *Source) Intn(n int) int {
 	}
 	// Lemire's multiply-shift rejection method.
 	v := s.Uint64()
-	hi, lo := mul64(v, uint64(n))
+	hi, lo := bits.Mul64(v, uint64(n))
 	if lo < uint64(n) {
 		thresh := -uint64(n) % uint64(n)
 		for lo < thresh {
 			v = s.Uint64()
-			hi, lo = mul64(v, uint64(n))
+			hi, lo = bits.Mul64(v, uint64(n))
 		}
 	}
 	return int(hi)
@@ -71,9 +76,32 @@ func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
 
+// Threshold converts a probability into the integer threshold Below
+// compares against: ceil(p·2^53), clamped to [0, 2^53]. Float64 draws
+// k/2^53 for the integer k = Uint64()>>11 < 2^53, and scaling p by a
+// power of two is exact, so Float64() < p holds exactly when
+// k < Threshold(p). Below(Threshold(p)) therefore draws the same bit as
+// Bool(p) without the int→float conversion and the compare, and a
+// caller that draws against a fixed p can compute the threshold once.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN: Float64() < NaN never holds
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws one uniform 53-bit integer and reports whether it is less
+// than t. Below(Threshold(p)) is bit-identical to Bool(p).
+func (s *Source) Below(t uint64) bool {
+	return s.Uint64()>>11 < t
+}
+
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
-	return s.Float64() < p
+	return s.Below(Threshold(p))
 }
 
 // Geometric returns a sample from a geometric distribution with success
@@ -83,11 +111,21 @@ func (s *Source) Geometric(p float64) int {
 	if p <= 0 || p > 1 {
 		panic("rng: Geometric needs p in (0,1]")
 	}
-	if p == 1 {
+	return s.GeometricT(Threshold(p))
+}
+
+// GeometricT is Geometric for a precomputed success threshold
+// t = Threshold(p): one Below(t) draw per trial, so it consumes the
+// stream exactly as Geometric(p) does. t must be in [1, 2^53].
+func (s *Source) GeometricT(t uint64) int {
+	if t == 0 || t > 1<<53 {
+		panic("rng: GeometricT needs t in [1, 2^53]")
+	}
+	if t == 1<<53 {
 		return 0
 	}
 	n := 0
-	for !s.Bool(p) {
+	for !s.Below(t) {
 		n++
 		if n > 1<<20 {
 			// Defensive bound; unreachable for sane p.
@@ -116,19 +154,4 @@ func (s *Source) Pick(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }

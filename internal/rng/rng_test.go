@@ -205,3 +205,84 @@ func TestQuickDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// thresholdProbes are the probabilities where an integer threshold
+// could disagree with the float compare: the ends of [0, 1], the
+// smallest and largest non-trivial draws, and the float neighbours of
+// k/2^53 for a spread of k (exactly representable, so Float64 can
+// return k/2^53 itself).
+func thresholdProbes() []float64 {
+	ps := []float64{0, 1, 0x1p-53, 1 - 0x1p-53, 0.5, 1.0 / 3, 0.97, 0.6, 1e-300, 5e-324}
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1<<52 + 1, 1<<53 - 2, 1<<53 - 1, 0x123456789abcd} {
+		x := float64(k) / (1 << 53)
+		ps = append(ps, math.Nextafter(x, 0), x, math.Nextafter(x, 1))
+	}
+	return ps
+}
+
+// TestThresholdMatchesFloatCompare is the bit-identity property behind
+// the integer draws: for every probe p and many seeds, Below(Threshold(p))
+// answers exactly Float64() < p, and GeometricT(Threshold(p)) returns
+// the same value and leaves the stream at the same position as the
+// float-compare geometric loop.
+func TestThresholdMatchesFloatCompare(t *testing.T) {
+	for _, p := range thresholdProbes() {
+		th := Threshold(p)
+		for seed := uint64(0); seed < 200; seed++ {
+			a, b := New(seed), New(seed)
+			for i := 0; i < 50; i++ {
+				if got, want := a.Below(th), b.Float64() < p; got != want {
+					t.Fatalf("p=%v seed=%d draw %d: Below(%d)=%v, Float64()<p=%v", p, seed, i, th, got, want)
+				}
+			}
+			if p <= 0 || p > 1 || p < 1e-6 {
+				continue // the reference loop would run ~1/p trials
+			}
+			for i := 0; i < 20; i++ {
+				if got, want := a.GeometricT(th), refGeometric(b, p); got != want {
+					t.Fatalf("p=%v seed=%d: GeometricT=%d, reference=%d", p, seed, got, want)
+				}
+			}
+			if a.State() != b.State() {
+				t.Fatalf("p=%v seed=%d: streams out of step after geometric draws", p, seed)
+			}
+		}
+	}
+}
+
+// refGeometric is the float-compare geometric sampler GeometricT must
+// reproduce draw for draw.
+func refGeometric(r *Source, p float64) int {
+	if p == 1 {
+		return 0
+	}
+	n := 0
+	for !(r.Float64() < p) {
+		n++
+	}
+	return n
+}
+
+// TestThresholdBoundary checks the identity behind Below at the draws
+// where it could break, which random draws almost never reach: for every
+// probe p, each 53-bit draw k next to p·2^53 satisfies k < Threshold(p)
+// exactly when Float64 would have returned k/2^53 < p.
+func TestThresholdBoundary(t *testing.T) {
+	for _, p := range thresholdProbes() {
+		th := Threshold(p)
+		mid := uint64(math.Max(0, math.Min(p, 1)) * (1 << 53))
+		for k := mid - min(mid, 3); k <= mid+3 && k < 1<<53; k++ {
+			if got, want := k < th, float64(k)/(1<<53) < p; got != want {
+				t.Errorf("p=%v k=%d: k < Threshold(p)=%d is %v, k/2^53 < p is %v", p, k, th, got, want)
+			}
+		}
+	}
+}
+
+func TestThresholdClamps(t *testing.T) {
+	for p, want := range map[float64]uint64{-1: 0, 0: 0, math.NaN(): 0, 1: 1 << 53, 2: 1 << 53, 0x1p-53: 1, 5e-324: 1} {
+		if got := Threshold(p); got != want {
+			t.Errorf("Threshold(%v) = %d, want %d", p, got, want)
+		}
+	}
+}

@@ -13,7 +13,8 @@ import (
 // engine: once the machine is warm (the DynInst arena, event-queue
 // buckets, deques, and policy scratch buffers have grown to their
 // steady-state capacities), pipeline.Step must not allocate at all,
-// under every registered policy. A regression here reintroduces GC
+// under every registered policy, with the streams filled inline and
+// read ahead. A regression here reintroduces GC
 // pressure on the hot loop that every experiment, sweep, and service
 // request bottoms out in.
 func TestStepZeroAllocSteadyState(t *testing.T) {
@@ -26,24 +27,25 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 	for _, policy := range core.Policies() {
 		t.Run(policy, func(t *testing.T) {
-			srcs, err := wl.Generators(DefaultSeed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pol, err := core.NewPolicy(policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cpu, err := pipeline.New(config.Baseline(), pol, srcs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Long warmup: every pool and scratch buffer must reach its
-			// high-water mark before measuring.
-			cpu.Run(60_000)
-			avg := testing.AllocsPerRun(3000, func() { cpu.Step() })
-			if avg != 0 {
-				t.Errorf("%s: %.4f allocs/cycle in steady state, want 0", policy, avg)
+			for _, m := range readAheadModes {
+				t.Run(m.name, func(t *testing.T) {
+					srcs := engineSources(t, wl, DefaultSeed, m.mode)
+					pol, err := core.NewPolicy(policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cpu, err := pipeline.New(config.Baseline(), pol, srcs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Long warmup: every pool and scratch buffer must reach
+					// its high-water mark before measuring.
+					cpu.Run(60_000)
+					avg := testing.AllocsPerRun(3000, func() { cpu.Step() })
+					if avg != 0 {
+						t.Errorf("%s %s: %.4f allocs/cycle in steady state, want 0", policy, m.name, avg)
+					}
+				})
 			}
 		})
 	}

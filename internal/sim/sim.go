@@ -7,6 +7,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"dwarn/internal/bpred"
@@ -227,7 +229,83 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// runsInFlight counts runContext calls in progress, process-wide: the
+// read-ahead rule's measure of how busy the host's cores are.
+var runsInFlight atomic.Int64
+
+// readAheadOverride is the test hook that forces the read-ahead
+// decision: 0 applies the spare-core rule, readAheadOn and readAheadOff
+// force it either way.
+var readAheadOverride atomic.Int32
+
+const (
+	readAheadOn  = 1
+	readAheadOff = 2
+)
+
+// spareCore is the read-ahead rule: a run hands its streams' chunk
+// filling to producer goroutines only when every run in flight (this
+// one included) can have a second core, 2 × runs ≤ GOMAXPROCS.
+// Otherwise the producers would compete with other runs' cycle loops
+// and add handoff cost for nothing. Results are identical either way.
+func spareCore(runs int64) bool {
+	switch readAheadOverride.Load() {
+	case readAheadOn:
+		return true
+	case readAheadOff:
+		return false
+	}
+	return 2*runs <= int64(runtime.GOMAXPROCS(0))
+}
+
+// readAheader is the part of workload.Stream (and of trace.Replayer,
+// which embeds one) that runContext drives.
+type readAheader interface {
+	ReadAhead()
+	Stop()
+}
+
+// readAhead switches every stream in srcs to read-ahead; each producer
+// starts on its stream's first Next.
+func readAhead(srcs []workload.Source) {
+	for _, src := range srcs {
+		if r, ok := src.(readAheader); ok {
+			r.ReadAhead()
+		}
+	}
+}
+
+// stopStreams ends every read-ahead producer in srcs.
+func stopStreams(srcs []workload.Source) {
+	for _, src := range srcs {
+		if r, ok := src.(readAheader); ok {
+			r.Stop()
+		}
+	}
+}
+
+// buildSources returns the run's per-thread uop sources and benchmark
+// names: trace replayers, or streams over the synthetic generators
+// (over the process-wide program cores when shared).
+func buildSources(opts Options, seed uint64, shared bool) ([]workload.Source, []string, error) {
+	if opts.Trace != nil {
+		return opts.Trace.Sources(), opts.Trace.Benchmarks(), nil
+	}
+	var srcs []workload.Source
+	var err error
+	if shared {
+		srcs, err = opts.Workload.SharedGenerators(seed)
+	} else {
+		srcs, err = opts.Workload.Generators(seed)
+	}
+	return srcs, opts.Workload.Benchmarks, err
+}
+
 func runContext(ctx context.Context, opts Options) (*Result, error) {
+	// Fixed when the run starts: whether a core is spare for read-ahead.
+	spare := spareCore(runsInFlight.Add(1))
+	defer runsInFlight.Add(-1)
+
 	cfg := opts.Config
 	if cfg == nil {
 		cfg = config.Baseline()
@@ -261,33 +339,25 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		ckKey = CheckpointKey(opts)
 	}
 
-	var srcs []workload.Source
-	var benchmarks []string
 	wlName := opts.Workload.Name
-	if opts.Trace != nil {
-		srcs = opts.Trace.Sources()
-		benchmarks = opts.Trace.Benchmarks()
-		if wlName == "" {
-			wlName = "trace:" + opts.Trace.Workload
-		}
-	} else {
-		var err error
-		if ckKey != "" {
-			// Forkable runs share calibrated program cores process-wide:
-			// bit-identical streams, but only the group's first run pays
-			// for program construction and calibration.
-			srcs, err = opts.Workload.SharedGenerators(seed)
-		} else {
-			srcs, err = opts.Workload.Generators(seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		benchmarks = opts.Workload.Benchmarks
+	if opts.Trace != nil && wlName == "" {
+		wlName = "trace:" + opts.Trace.Workload
 	}
+	// Forkable runs share calibrated program cores process-wide:
+	// bit-identical streams, but only the group's first run pays for
+	// program construction and calibration.
+	streams, benchmarks, err := buildSources(opts, seed, ckKey != "")
+	if err != nil {
+		return nil, err
+	}
+	// Every exit path ends the read-ahead producers, of whichever
+	// streams the run ends up with.
+	defer func() { stopStreams(streams) }()
+	srcs := streams
 	if opts.Record != nil {
-		for i := range srcs {
-			srcs[i] = opts.Record.Record(srcs[i])
+		srcs = make([]workload.Source, len(streams))
+		for i, s := range streams {
+			srcs[i] = opts.Record.Record(s)
 		}
 	}
 	cpu, err := pipeline.New(cfg, pol, srcs)
@@ -310,10 +380,11 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				srcs, err = opts.Workload.Generators(seed)
+				streams, err = opts.Workload.Generators(seed)
 				if err != nil {
 					return nil, err
 				}
+				srcs = streams
 				cpu, err = pipeline.New(cfg, pol, srcs)
 				if err != nil {
 					return nil, err
@@ -333,6 +404,12 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 				ckpt.RecordMiss(0)
 			}
 		}
+	}
+
+	// Snapshot and restore are done, so the streams may run ahead of
+	// fetch from here on.
+	if spare {
+		readAhead(streams)
 	}
 
 	var sampler *timeline.Sampler

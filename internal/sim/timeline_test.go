@@ -164,9 +164,10 @@ func TestTimelineOnFrameStreams(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocWithSampling extends the PR 4 zero-alloc guarantee
-// to the timeline layer: steady-state stepping with gate sampling
-// enabled and interval frames being taken allocates nothing.
+// TestStepZeroAllocWithSampling extends the zero-alloc guarantee to the
+// timeline layer: steady-state stepping with gate sampling enabled and
+// interval frames being taken allocates nothing, with the streams
+// filled inline and read ahead.
 func TestStepZeroAllocWithSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -175,10 +176,12 @@ func TestStepZeroAllocWithSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := wl.Generators(42)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range readAheadModes {
+		t.Run(m.name, func(t *testing.T) { stepSampledZeroAlloc(t, engineSources(t, wl, 42, m.mode)) })
 	}
+}
+
+func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source) {
 	pol, err := core.NewPolicy("dwarn")
 	if err != nil {
 		t.Fatal(err)

@@ -294,12 +294,12 @@ const maxUopsPerThread = 1 << 32
 // into an unkillable multi-year loop on a hostile upload.
 const maxFootprintBytes = 64 << 20
 
-// Replayer replays one recorded thread as a workload.Source. The
-// correct path is decoded from the trace; wrong-path episodes are
-// synthesized with the same WrongPathSynth the live generator uses,
-// primed from counters and cursors tracked over the delivered stream —
-// so a replayed simulation is bit-identical to the live run it was
-// recorded from, under any fetch policy.
+// Replayer replays one recorded thread as a workload.Source: a
+// workload.Stream over the thread's record decoder. The decoder supplies
+// only the correct path; the Stream derives wrong-path state from the
+// delivered uops and synthesizes episodes with the same WrongPathSynth a
+// live run uses — so a replayed simulation is bit-identical to the live
+// run it was recorded from, under any fetch policy.
 //
 // A replayer that exhausts its stream wraps to the beginning (keeping
 // its counters and cursors), so an under-provisioned trace degrades
@@ -307,72 +307,53 @@ const maxFootprintBytes = 64 << 20
 // often that happened so callers can flag divergence from the recorded
 // run.
 type Replayer struct {
-	th  *Thread
-	st  codecState
-	pos int
-
-	seq   uint64
-	loops int
-	wpSt  workload.WrongPathState
-	wp    workload.WrongPathSynth
+	*workload.Stream
+	th *Thread
 }
 
 // NewReplayer builds a fresh replayer over a loaded thread stream.
 func NewReplayer(th *Thread) *Replayer {
-	r := &Replayer{th: th}
-	r.wp = workload.NewWrongPathSynth(&th.Meta)
-	return r
+	return &Replayer{Stream: workload.NewStream(&uopDecoder{th: th}, th.Meta), th: th}
 }
 
 // Compile-time check: a Replayer is a drop-in uop source.
 var _ workload.Source = (*Replayer)(nil)
 
-// Next decodes the next correct-path uop from the trace.
-func (r *Replayer) Next() isa.Uop {
-	if r.pos >= len(r.th.records) {
-		// Exhausted: wrap. Delta state restarts, counters continue.
-		r.pos = 0
-		r.st = codecState{}
-		r.loops++
+// Loops reports how many times the delivered stream wrapped past the
+// end of the recording (0 means the trace covered the whole run).
+func (r *Replayer) Loops() int {
+	d := r.Delivered()
+	if d == 0 {
+		return 0
 	}
-	var u isa.Uop
-	n, err := decodeUop(r.th.records[r.pos:], &r.st, &u)
-	if err != nil {
-		// Unreachable for traces loaded through Read, which validates
-		// every record.
-		panic(fmt.Sprintf("trace: corrupt record at offset %d: %v", r.pos, err))
+	return int((d - 1) / r.th.Uops)
+}
+
+// uopDecoder is the workload.Producer over one recorded thread: it
+// decodes records in order, numbering them, and wraps at the end (delta
+// state restarts, sequence numbers continue).
+type uopDecoder struct {
+	th  *Thread
+	st  codecState
+	pos int
+	seq uint64
+}
+
+// Fill implements workload.Producer.
+func (d *uopDecoder) Fill(buf []isa.Uop) {
+	for i := range buf {
+		if d.pos >= len(d.th.records) {
+			d.pos = 0
+			d.st = codecState{}
+		}
+		n, err := decodeUop(d.th.records[d.pos:], &d.st, &buf[i])
+		if err != nil {
+			// Unreachable for traces loaded through Read, which validates
+			// every record.
+			panic(fmt.Sprintf("trace: corrupt record at offset %d: %v", d.pos, err))
+		}
+		d.pos += n
+		buf[i].Seq = d.seq
+		d.seq++
 	}
-	r.pos += n
-	u.Seq = r.seq
-	r.seq++
-	r.th.Meta.TrackUop(&r.wpSt, &u)
-	return u
 }
-
-// Loops reports how many times the replayer wrapped past the end of the
-// recorded stream (0 means the trace covered the whole run).
-func (r *Replayer) Loops() int { return r.loops }
-
-// StartPC implements workload.Source.
-func (r *Replayer) StartPC() uint64 { return r.th.Meta.StartPC }
-
-// StartWrongPath implements workload.Source, priming the synthesizer
-// with the tracked correct-path state.
-func (r *Replayer) StartWrongPath(salt, startPC uint64) {
-	r.wp.Start(salt, startPC, r.wpSt)
-}
-
-// WrongPathPC implements workload.Source.
-func (r *Replayer) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
-	return r.wp.PCAfterMispredict(u, predictedTaken)
-}
-
-// NextWrongPath implements workload.Source.
-func (r *Replayer) NextWrongPath() isa.Uop { return r.wp.Next() }
-
-// Footprint implements workload.Source.
-func (r *Replayer) Footprint() workload.Footprint { return r.th.Meta.Footprint }
-
-// ReplayMeta implements workload.Source (re-recording a replay is
-// legal and yields an equivalent trace).
-func (r *Replayer) ReplayMeta() workload.ReplayMeta { return r.th.Meta }

@@ -23,8 +23,9 @@ type SourceState struct {
 
 // Checkpointable is the optional Source extension the checkpoint engine
 // uses: sources that can externalize their cursor state can be forked
-// from a snapshot. Sources that cannot (trace replayers, recording
-// wrappers) simply do not implement it and their runs start cold.
+// from a snapshot. A Stream implements it by delegating to its
+// generator; sources that cannot (trace-backed streams, recording
+// wrappers) fail or do not implement it, and their runs start cold.
 type Checkpointable interface {
 	// CheckpointState captures the source's cursor state, failing when
 	// the source is mid-stream in a way the state cannot represent.

@@ -21,10 +21,9 @@ const (
 	lineBytes  = 64
 )
 
-// Generator produces the dynamic instruction stream for one thread: the
-// correct path by walking the synthetic CFG, and — on demand — a
-// deterministic wrong-path stream for fetches past a mispredicted
-// branch.
+// Generator produces the correct-path instruction stream for one thread
+// by walking the synthetic CFG. It is a Producer: a Stream delivers its
+// uops to the pipeline and synthesizes wrong paths from its ReplayMeta.
 type Generator struct {
 	prof *Profile
 	prog *program
@@ -46,12 +45,13 @@ type Generator struct {
 	loadAdj      regionAdjust
 	storeAdj     regionAdjust
 
-	// meta is the recordable identity of this stream; wp synthesizes
-	// wrong-path episodes from it (separate RNG; never advances the
-	// walker). A trace replayer reconstructs the identical synthesizer
-	// from the recorded meta alone.
+	// Integer thresholds (rng.Threshold) of the per-operand draws:
+	// NoSrcFrac, TwoSrcFrac, and the geometric 1/MeanDepDist.
+	tNoSrc, tTwoSrc, tDep uint64
+
+	// meta is the recordable identity of this stream: everything a
+	// Stream needs to synthesize its wrong paths.
 	meta ReplayMeta
-	wp   WrongPathSynth
 }
 
 // genCore is everything about a generator that is immutable once built
@@ -130,13 +130,15 @@ func newFromCore(c *genCore) *Generator {
 		sFarW: c.sFarW, sMidW: c.sMidW,
 		loadAdj:  c.loadAdj,
 		storeAdj: c.storeAdj,
+		tNoSrc:   rng.Threshold(c.prof.NoSrcFrac),
+		tTwoSrc:  rng.Threshold(c.prof.TwoSrcFrac),
+		tDep:     rng.Threshold(1 / c.prof.MeanDepDist),
 		meta:     c.meta,
 	}
 	g.r.SetState(c.walkRNG)
 	g.walk = newWalker(c.prog)
 	g.meta.Footprint = g.Footprint()
 	g.meta.StartPC = g.StartPC()
-	g.wp = NewWrongPathSynth(&g.meta)
 	return g
 }
 
@@ -202,9 +204,12 @@ func NewGeneratorShared(prof *Profile, seed, base uint64) *Generator {
 	return newFromCore(c)
 }
 
-// ReplayMeta implements Source: the metadata a trace must record so a
-// replayer reproduces this stream (including wrong paths) byte-exactly.
+// ReplayMeta returns the metadata a trace must record so a replayer
+// reproduces this stream (including wrong paths) byte-exactly.
 func (g *Generator) ReplayMeta() ReplayMeta { return g.meta }
+
+// Stream wraps the generator in the Source its pipeline thread reads.
+func (g *Generator) Stream() *Stream { return NewStream(g, g.meta) }
 
 // Profile returns the benchmark profile driving this generator.
 func (g *Generator) Profile() *Profile { return g.prof }
@@ -220,6 +225,13 @@ func (g *Generator) blockPC(b int32) uint64 {
 // slotPC returns the address of slot s in block b.
 func (g *Generator) slotPC(b, s int) uint64 {
 	return g.base + codeOffset + uint64(g.prog.blocks[b].first+s)*4
+}
+
+// Fill implements Producer.
+func (g *Generator) Fill(buf []isa.Uop) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
 }
 
 // Next produces the next correct-path uop. The caller must consume the
@@ -285,13 +297,13 @@ func (g *Generator) fillOperands(u *isa.Uop) {
 	switch u.Class {
 	case isa.IntALU, isa.IntMul:
 		u.Src1 = g.intSrc(g.r, g.intWrites)
-		if g.r.Bool(g.prof.TwoSrcFrac) {
+		if g.r.Below(g.tTwoSrc) {
 			u.Src2 = g.intSrc(g.r, g.intWrites)
 		}
 		u.Dest = roundRobinDest(&g.intWrites)
 	case isa.FPALU, isa.FPMul:
 		u.Src1 = g.fpSrc(g.r, g.fpWrites)
-		if g.r.Bool(g.prof.TwoSrcFrac) {
+		if g.r.Below(g.tTwoSrc) {
 			u.Src2 = g.fpSrc(g.r, g.fpWrites)
 		}
 		u.Dest = roundRobinDest(&g.fpWrites)
@@ -314,10 +326,10 @@ func (g *Generator) fillOperands(u *isa.Uop) {
 // (immediates, globals, long-dead values) — without them the dependence
 // graph is far more serial than compiled code.
 func (g *Generator) intSrc(r *rng.Source, writes uint64) isa.Reg {
-	if r.Bool(g.prof.NoSrcFrac) {
+	if r.Below(g.tNoSrc) {
 		return isa.NoReg
 	}
-	d := uint64(1 + r.Geometric(1/g.prof.MeanDepDist))
+	d := uint64(1 + r.GeometricT(g.tDep))
 	if d > 29 {
 		d = 29
 	}
@@ -328,7 +340,7 @@ func (g *Generator) intSrc(r *rng.Source, writes uint64) isa.Reg {
 }
 
 func (g *Generator) fpSrc(r *rng.Source, writes uint64) isa.Reg {
-	d := uint64(1 + r.Geometric(1/g.prof.MeanDepDist))
+	d := uint64(1 + r.GeometricT(g.tDep))
 	if d > 29 {
 		d = 29
 	}
@@ -377,31 +389,6 @@ func (g *Generator) dataAddr(class isa.Class, home uint8) uint64 {
 	default:
 		return g.base + hotOffset + hotOffsetSample(g.r, g.prof.HotBytes)
 	}
-}
-
-// StartWrongPath (re)seeds the wrong-path stream for a new misprediction
-// episode, snapshotting the correct path's writer counters and region
-// cursors (static while the episode is active). salt should identify
-// the episode (e.g. the branch's sequence number) so replays are
-// deterministic; startPC is where the front end wrongly redirected to.
-func (g *Generator) StartWrongPath(salt, startPC uint64) {
-	g.wp.Start(salt, startPC, WrongPathState{
-		IntWrites: g.intWrites,
-		FPWrites:  g.fpWrites,
-		FarCursor: g.farCursor,
-		MidCursor: g.midCursor,
-	})
-}
-
-// WrongPathPC returns the PC the front end runs off to after
-// mispredicting branch u; see WrongPathSynth.PCAfterMispredict.
-func (g *Generator) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
-	return g.wp.PCAfterMispredict(u, predictedTaken)
-}
-
-// NextWrongPath produces the next wrong-path uop; see WrongPathSynth.
-func (g *Generator) NextWrongPath() isa.Uop {
-	return g.wp.Next()
 }
 
 // Footprint describes the generator's memory regions, so a simulator

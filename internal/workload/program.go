@@ -1,7 +1,8 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dwarn/internal/isa"
 	"dwarn/internal/rng"
@@ -426,7 +427,16 @@ func fit(prog *program, counts []uint32, r *rng.Source, class isa.Class, farW, m
 		idx int
 		c   float64
 	}
-	var slots []slot
+	n := 0
+	for i := range prog.insts {
+		if prog.insts[i].class == class {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	slots := make([]slot, 0, n)
 	var total float64
 	for i := range prog.insts {
 		if prog.insts[i].class != class {
@@ -437,16 +447,14 @@ func fit(prog *program, counts []uint32, r *rng.Source, class isa.Class, farW, m
 		slots = append(slots, slot{idx: i, c: c})
 		total += c
 	}
-	if len(slots) == 0 {
-		return
-	}
 	// Process hottest first so proportional fitting can correct early
-	// overshoot with the long tail of cold slots.
-	sort.Slice(slots, func(i, j int) bool {
-		if slots[i].c != slots[j].c {
-			return slots[i].c > slots[j].c
+	// overshoot with the long tail of cold slots. Ties break by index,
+	// so the order is total and any sort yields the same one.
+	slices.SortFunc(slots, func(a, b slot) int {
+		if a.c != b.c {
+			return cmp.Compare(b.c, a.c)
 		}
-		return slots[i].idx < slots[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	remFar := farW * total
 	remMid := midW * total
@@ -536,8 +544,10 @@ func (w *walker) condTaken(st *staticInst, slot int, r *rng.Source) bool {
 // advance moves past the terminator of the current block given its
 // taken decision, returning the next block.
 func (w *walker) advance(st *staticInst, taken bool, r *rng.Source) int32 {
-	cur := w.cur
-	next := (cur + 1) % int32(len(w.prog.blocks))
+	next := w.cur + 1
+	if next == int32(len(w.prog.blocks)) {
+		next = 0
+	}
 	switch st.class {
 	case isa.CondBranch:
 		if taken {
@@ -595,18 +605,29 @@ func (w *walker) advanceTo(target int32) {
 // the walk counts block visits and expands them to slots once at the
 // end.
 func (prog *program) dryRun(r *rng.Source) []uint32 {
+	// The walk reads only each block's length and terminator: copy them
+	// into one compact table instead of touching the block and slot
+	// arrays per visit.
+	type blockTerm struct {
+		n, slot int32
+		term    staticInst
+	}
+	terms := make([]blockTerm, len(prog.blocks))
+	for i, b := range prog.blocks {
+		slot := b.first + b.n - 1
+		terms[i] = blockTerm{n: int32(b.n), slot: int32(slot), term: prog.insts[slot]}
+	}
 	visits := make([]uint32, len(prog.blocks))
 	w := newWalker(prog)
 	executed := 0
 	for executed < dryRunLength {
-		b := prog.blocks[w.cur]
+		bt := &terms[w.cur]
 		visits[w.cur]++
-		executed += b.n
-		slot := b.first + b.n - 1
-		term := &prog.insts[slot]
+		executed += int(bt.n)
+		term := &bt.term
 		taken := true
 		if term.class == isa.CondBranch {
-			taken = w.condTaken(term, slot, r)
+			taken = w.condTaken(term, int(bt.slot), r)
 		}
 		if term.class.IsBranch() {
 			w.advance(term, taken, r)

@@ -2,10 +2,11 @@ package workload
 
 import "dwarn/internal/isa"
 
-// Source delivers one thread's dynamic uop stream to the pipeline. The
-// synthetic Generator is the original implementation; a trace Replayer
-// (internal/trace) delivers a recorded stream instead. The pipeline
-// depends only on this seam, so workloads are pluggable end to end.
+// Source delivers one thread's dynamic uop stream to the pipeline. A
+// Stream is the implementation, over either a synthetic Generator or a
+// trace decoder (internal/trace); the trace recorder wraps one. The
+// pipeline depends only on this seam, so workloads are pluggable end to
+// end.
 //
 // The contract mirrors the generator's: Next yields correct-path uops
 // strictly in fetch order and is never rewound (a policy that squashes
@@ -34,9 +35,6 @@ type Source interface {
 	ReplayMeta() ReplayMeta
 }
 
-// Compile-time checks that the synthetic generator satisfies the seam.
-var _ Source = (*Generator)(nil)
-
 // ReplayMeta is the per-thread metadata a trace records alongside the
 // uop stream: the address-space base, the static block table (wrong-path
 // targets point at real blocks), and the handful of profile parameters
@@ -64,9 +62,9 @@ type ReplayMeta struct {
 
 // TrackUop updates st to reflect delivery of correct-path uop u,
 // mirroring the generator's internal counter and cursor updates. A
-// trace replayer feeds every delivered uop through this so that when a
+// Stream feeds every delivered uop through this so that when a
 // wrong-path episode starts it hands the synthesizer exactly the state
-// a live generator would have had.
+// the generator had when it produced that uop.
 func (m *ReplayMeta) TrackUop(st *WrongPathState, u *isa.Uop) {
 	switch u.Class {
 	case isa.IntALU, isa.IntMul, isa.Load:

@@ -178,7 +178,7 @@ func TestSequenceNumbersMonotonic(t *testing.T) {
 }
 
 func TestSeparateSeqForWrongPath(t *testing.T) {
-	g := NewGenerator(MustGet("gzip"), 9, 1<<40)
+	g := NewGenerator(MustGet("gzip"), 9, 1<<40).Stream()
 	g.Next()
 	g.StartWrongPath(1, g.StartPC())
 	wp := g.NextWrongPath()
@@ -192,7 +192,7 @@ func TestSeparateSeqForWrongPath(t *testing.T) {
 }
 
 func TestWrongPathDeterministicPerEpisode(t *testing.T) {
-	g := NewGenerator(MustGet("gzip"), 9, 1<<40)
+	g := NewGenerator(MustGet("gzip"), 9, 1<<40).Stream()
 	g.StartWrongPath(5, 1<<40+64)
 	var first []isa.Uop
 	for i := 0; i < 20; i++ {
@@ -354,7 +354,7 @@ func TestReplicatedInstancesDephased(t *testing.T) {
 func TestQuickGeneratorNeverPanics(t *testing.T) {
 	f := func(seed uint64, pick uint8) bool {
 		names := Names()
-		g := NewGenerator(MustGet(names[int(pick)%len(names)]), seed, 1<<40)
+		g := NewGenerator(MustGet(names[int(pick)%len(names)]), seed, 1<<40).Stream()
 		for i := 0; i < 2000; i++ {
 			g.Next()
 		}

@@ -151,15 +151,15 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// Generators instantiates one uop source per thread — live synthetic
-// generators walking each benchmark's CFG. Replicated benchmark
-// instances get different seeds (standing in for the paper's
+// Generators instantiates one uop source per thread — a Stream over a
+// live synthetic generator walking each benchmark's CFG. Replicated
+// benchmark instances get different seeds (standing in for the paper's
 // one-million-instruction shift) and every thread gets a disjoint
 // address-space base.
 //
-// It returns the Source seam rather than concrete *Generator values so
-// the pipeline and simulator stay agnostic about where uops come from
-// (a trace Replayer is a drop-in substitute).
+// It returns the Source seam so the pipeline and simulator stay
+// agnostic about where uops come from (a Stream over a trace decoder is
+// a drop-in substitute); every element is a *Stream.
 func (w *Workload) Generators(seed uint64) ([]Source, error) {
 	return w.generators(seed, NewGenerator)
 }
@@ -193,7 +193,7 @@ func (w *Workload) generators(seed uint64, mk func(*Profile, uint64, uint64) *Ge
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srcs[i] = mk(prof, seed+uint64(i)*0x51ed2701, base)
+			srcs[i] = mk(prof, seed+uint64(i)*0x51ed2701, base).Stream()
 		}()
 	}
 	wg.Wait()

@@ -18,8 +18,8 @@ type WrongPathState struct {
 
 // WrongPathSynth synthesizes the deterministic wrong-path uop stream for
 // fetches past a mispredicted branch. It is driven entirely by
-// ReplayMeta plus a WrongPathState snapshot, so the live Generator and a
-// trace Replayer produce bit-identical wrong paths: the stream is a pure
+// ReplayMeta plus a WrongPathState snapshot, so a live and a replayed
+// Stream produce bit-identical wrong paths: the stream is a pure
 // function of (episode salt, start PC, state, metadata).
 //
 // Wrong-path uops fetch, rename, and execute (polluting caches and
@@ -199,6 +199,12 @@ func roundRobinDest(writes *uint64) isa.Reg {
 	return r
 }
 
+// Thresholds (rng.Threshold) of hotOffsetSample's fixed draws.
+var (
+	tHotSkew = rng.Threshold(0.97)
+	tHotLine = rng.Threshold(1.0 / 3)
+)
+
 // hotOffsetSample draws a skewed offset within the hot region: mostly
 // the first few lines (stack tops and hot structures), occasionally
 // anywhere. Uniform access over the whole region would make the hot
@@ -207,8 +213,8 @@ func roundRobinDest(writes *uint64) isa.Reg {
 func hotOffsetSample(r *rng.Source, hotBytes int) uint64 {
 	hotLines := hotBytes / lineBytes
 	var line int
-	if r.Bool(0.97) {
-		line = r.Geometric(1.0 / 3)
+	if r.Below(tHotSkew) {
+		line = r.GeometricT(tHotLine)
 		if line >= hotLines {
 			line = hotLines - 1
 		}
