@@ -27,9 +27,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 	for _, policy := range core.Policies() {
 		t.Run(policy, func(t *testing.T) {
-			for _, m := range readAheadModes {
+			for _, m := range streamModes {
 				t.Run(m.name, func(t *testing.T) {
-					srcs := engineSources(t, wl, DefaultSeed, m.mode)
+					srcs := engineSources(t, wl, DefaultSeed, m.ahead)
 					pol, err := core.NewPolicy(policy)
 					if err != nil {
 						t.Fatal(err)

@@ -7,71 +7,35 @@ import (
 	"time"
 
 	"dwarn/internal/ckpt"
-	"dwarn/internal/core"
 	"dwarn/internal/timeline"
 	"dwarn/internal/workload"
 )
 
-// readAheadModes are the two ways a run fills its streams, as the
-// values of the readAheadOverride test hook.
-var readAheadModes = []struct {
-	name string
-	mode int32
+// streamModes are the two ways a stream fills its chunks: inline, as
+// every caller outside runContext uses it, and read ahead, as every run
+// does.
+var streamModes = []struct {
+	name  string
+	ahead bool
 }{
-	{"inline", readAheadOff},
-	{"read-ahead", readAheadOn},
-}
-
-// forceReadAhead pins the read-ahead decision for the rest of t.
-func forceReadAhead(t *testing.T, mode int32) {
-	t.Helper()
-	prev := readAheadOverride.Swap(mode)
-	t.Cleanup(func() { readAheadOverride.Store(prev) })
+	{"inline", false},
+	{"read-ahead", true},
 }
 
 // engineSources builds wl's sources the way runContext does, with the
-// streams reading ahead when mode is readAheadOn. The producers are
-// stopped when t ends.
-func engineSources(t *testing.T, wl workload.Workload, seed uint64, mode int32) []workload.Source {
+// streams reading ahead when ahead is set. The producers are stopped
+// when t ends.
+func engineSources(t *testing.T, wl workload.Workload, seed uint64, ahead bool) []workload.Source {
 	t.Helper()
 	srcs, _, err := buildSources(Options{Workload: wl}, seed, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode == readAheadOn {
+	if ahead {
 		readAhead(srcs)
 	}
 	t.Cleanup(func() { stopStreams(srcs) })
 	return srcs
-}
-
-// TestReadAheadMatchesInline: the read-ahead producers change who fills
-// the correct path, never what it holds. Every paper policy on a 2- and
-// an 8-thread workload gives the same counter digest with the producers
-// forced on as with them forced off.
-func TestReadAheadMatchesInline(t *testing.T) {
-	forceReadAhead(t, 0)
-	for _, name := range []string{"2-MIX", "8-MEM"} {
-		wl, err := workload.GetWorkload(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, policy := range core.PaperPolicies() {
-			opts := Options{Policy: policy, Workload: wl, Seed: 7, WarmupCycles: 2000, MeasureCycles: 6000}
-			var digests [2]string
-			for i, m := range readAheadModes {
-				readAheadOverride.Store(m.mode)
-				res, err := Run(opts)
-				if err != nil {
-					t.Fatalf("%s/%s %s: %v", name, policy, m.name, err)
-				}
-				digests[i] = res.CounterDigest()
-			}
-			if digests[0] != digests[1] {
-				t.Errorf("%s/%s: inline digest %s, read-ahead digest %s", name, policy, digests[0], digests[1])
-			}
-		}
-	}
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base;
@@ -91,7 +55,6 @@ func waitGoroutines(t *testing.T, base int, label string) {
 // producer on every exit path — a normal return, a context cancelled
 // mid-measure, and a restore fallback that rebuilt the streams.
 func TestReadAheadProducersEnd(t *testing.T) {
-	forceReadAhead(t, readAheadOn)
 	wl, err := workload.GetWorkload("4-MIX")
 	if err != nil {
 		t.Fatal(err)
@@ -141,16 +104,4 @@ func TestReadAheadProducersEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, goroutines, "restore fallback")
-}
-
-// TestSpareCoreRule pins the rule's arithmetic against GOMAXPROCS.
-func TestSpareCoreRule(t *testing.T) {
-	forceReadAhead(t, 0)
-	procs := int64(runtime.GOMAXPROCS(0))
-	if got, want := spareCore(1), procs >= 2; got != want {
-		t.Errorf("one run on %d procs: spare = %v, want %v", procs, got, want)
-	}
-	if spareCore(procs/2 + 1) {
-		t.Errorf("%d runs on %d procs: spare core reported", procs/2+1, procs)
-	}
 }

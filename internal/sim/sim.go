@@ -7,8 +7,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"dwarn/internal/bpred"
@@ -229,35 +227,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runsInFlight counts runContext calls in progress, process-wide: the
-// read-ahead rule's measure of how busy the host's cores are.
-var runsInFlight atomic.Int64
-
-// readAheadOverride is the test hook that forces the read-ahead
-// decision: 0 applies the spare-core rule, readAheadOn and readAheadOff
-// force it either way.
-var readAheadOverride atomic.Int32
-
-const (
-	readAheadOn  = 1
-	readAheadOff = 2
-)
-
-// spareCore is the read-ahead rule: a run hands its streams' chunk
-// filling to producer goroutines only when every run in flight (this
-// one included) can have a second core, 2 × runs ≤ GOMAXPROCS.
-// Otherwise the producers would compete with other runs' cycle loops
-// and add handoff cost for nothing. Results are identical either way.
-func spareCore(runs int64) bool {
-	switch readAheadOverride.Load() {
-	case readAheadOn:
-		return true
-	case readAheadOff:
-		return false
-	}
-	return 2*runs <= int64(runtime.GOMAXPROCS(0))
-}
-
 // readAheader is the part of workload.Stream (and of trace.Replayer,
 // which embeds one) that runContext drives.
 type readAheader interface {
@@ -302,10 +271,6 @@ func buildSources(opts Options, seed uint64, shared bool) ([]workload.Source, []
 }
 
 func runContext(ctx context.Context, opts Options) (*Result, error) {
-	// Fixed when the run starts: whether a core is spare for read-ahead.
-	spare := spareCore(runsInFlight.Add(1))
-	defer runsInFlight.Add(-1)
-
 	cfg := opts.Config
 	if cfg == nil {
 		cfg = config.Baseline()
@@ -408,9 +373,7 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 
 	// Snapshot and restore are done, so the streams may run ahead of
 	// fetch from here on.
-	if spare {
-		readAhead(streams)
-	}
+	readAhead(streams)
 
 	var sampler *timeline.Sampler
 	if opts.Timeline != nil {

@@ -176,8 +176,8 @@ func TestStepZeroAllocWithSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range readAheadModes {
-		t.Run(m.name, func(t *testing.T) { stepSampledZeroAlloc(t, engineSources(t, wl, 42, m.mode)) })
+	for _, m := range streamModes {
+		t.Run(m.name, func(t *testing.T) { stepSampledZeroAlloc(t, engineSources(t, wl, 42, m.ahead)) })
 	}
 }
 

@@ -111,11 +111,8 @@ func TestTraceReplayMatchesLiveRun(t *testing.T) {
 
 // TestRecordDuringRunRoundTrips: recording through Options.Record
 // during a live simulation and replaying the result under the same
-// policy reproduces the run (the cmd/smtsim -trace path). The producers
-// are forced on, so the recorder sits in front of streams that read
-// ahead of fetch.
+// policy reproduces the run (the cmd/smtsim -trace path).
 func TestRecordDuringRunRoundTrips(t *testing.T) {
-	forceReadAhead(t, readAheadOn)
 	wl, _ := workload.GetWorkload("2-MEM")
 	w := trace.NewWriter(wl.Name, 7)
 	live, err := Run(Options{

@@ -191,6 +191,41 @@ func TestSeparateSeqForWrongPath(t *testing.T) {
 	}
 }
 
+// TestStreamReadAheadMatchesInline: a producer goroutine changes who
+// fills the correct path, never what it holds. A stream reading ahead
+// delivers the same uops, wrong-path PCs and wrong-path episodes as one
+// filling inline, across several chunks.
+func TestStreamReadAheadMatchesInline(t *testing.T) {
+	for _, name := range []string{"gzip", "mcf", "eon"} {
+		inline := NewGenerator(MustGet(name), 3, 1<<40).Stream()
+		ahead := NewGenerator(MustGet(name), 3, 1<<40).Stream()
+		ahead.ReadAhead()
+		for i := 0; i < 4*chunkUops+100; i++ {
+			a, b := inline.Next(), ahead.Next()
+			if a != b {
+				t.Fatalf("%s uop %d: read-ahead %+v, inline %+v", name, i, b, a)
+			}
+			if i%97 != 0 {
+				continue
+			}
+			if pa, pb := inline.WrongPathPC(&a, i%2 == 0), ahead.WrongPathPC(&b, i%2 == 0); pa != pb {
+				t.Fatalf("%s uop %d: wrong-path pc %#x read-ahead, %#x inline", name, i, pb, pa)
+			}
+			inline.StartWrongPath(uint64(i), a.PC)
+			ahead.StartWrongPath(uint64(i), b.PC)
+			for j := 0; j < 5; j++ {
+				if wa, wb := inline.NextWrongPath(), ahead.NextWrongPath(); wa != wb {
+					t.Fatalf("%s uop %d wrong-path %d: read-ahead %+v, inline %+v", name, i, j, wb, wa)
+				}
+			}
+		}
+		if inline.Delivered() != ahead.Delivered() {
+			t.Errorf("%s: delivered %d read-ahead, %d inline", name, ahead.Delivered(), inline.Delivered())
+		}
+		ahead.Stop()
+	}
+}
+
 func TestWrongPathDeterministicPerEpisode(t *testing.T) {
 	g := NewGenerator(MustGet("gzip"), 9, 1<<40).Stream()
 	g.StartWrongPath(5, 1<<40+64)
