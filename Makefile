@@ -16,9 +16,9 @@ race:
 bench:
 	go test -bench=. -benchtime=1x ./...
 
-# Distributed-fabric perf trajectory: a real coordinator plus 1/2/4
-# `dwarnd -worker` processes over the 72-cell parallel grid, recorded
-# to BENCH_fabric.json.
+# Distributed-fabric perf trajectory: a pure coordinator (`dwarnd
+# -workers 0`) plus 1/2/4 `dwarnd -worker` processes over the 72-cell
+# parallel grid, recorded to BENCH_fabric.json.
 bench-fabric:
 	sh scripts/bench_fabric.sh
 

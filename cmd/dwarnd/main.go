@@ -66,7 +66,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "local simulation slots (0 with -fabric = pure coordinator: every cell waits for a remote -worker)")
 		queueDepth   = flag.Int("queue", 256, "runs that may wait for an executor slot before submissions fail fast with 503")
 		cacheEntries = flag.Int("cache", 4096, "in-memory result tier entries")
 		maxCycles    = flag.Int64("max-cycles", 5_000_000, "per-request cycle cap (warmup and measure each; <0 = uncapped)")
@@ -80,7 +80,6 @@ func main() {
 		rateBurst    = flag.Int("rate-burst", 0, "per-client burst allowance for -rate-limit (0 = derived from the rate)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "server-side handling deadline for non-streaming requests (0 = none)")
 		fabricOn     = flag.Bool("fabric", true, "serve the distributed sweep fabric under /v2/fabric (remote dwarnd -worker processes may join)")
-		fabricLocal  = flag.Int("fabric-local-workers", -1, "in-process fabric worker slots (-1 = -workers; 0 = pure coordinator, cells wait for remote workers)")
 		leaseTTL     = flag.Duration("lease-ttl", 0, "fabric lease TTL: how long a worker's cell survives missed heartbeats before requeue (0 = default 15s)")
 		workerMode   = flag.Bool("worker", false, "run as a fabric worker: pull cells from -coordinator instead of serving HTTP")
 		coordURL     = flag.String("coordinator", "", "coordinator base URL for -worker mode (e.g. http://host:8080)")
@@ -129,6 +128,13 @@ func main() {
 		RequestTimeout:  *reqTimeout,
 		Logger:          logger,
 	}
+	if *workers <= 0 {
+		if !*fabricOn {
+			fmt.Fprintln(os.Stderr, "dwarnd: -workers 0 needs -fabric: no local slot and no remote worker could run a cell")
+			os.Exit(2)
+		}
+		opts.Workers = -1 // no local slots: a pure coordinator
+	}
 	if *storeDir != "" {
 		ds, err := exec.NewDirStore(*storeDir)
 		if err != nil {
@@ -162,13 +168,7 @@ func main() {
 		opts.Recovered = recs
 	}
 	if *fabricOn {
-		// -fabric-local-workers -1 leaves LocalWorkersSet false, so the
-		// service defaults the slot count to its Workers option.
-		opts.Fabric = &service.FabricOptions{
-			LocalWorkers:    *fabricLocal,
-			LocalWorkersSet: *fabricLocal >= 0,
-			LeaseTTL:        *leaseTTL,
-		}
+		opts.Fabric = &service.FabricOptions{LeaseTTL: *leaseTTL}
 	}
 	srv := service.New(opts)
 

@@ -38,7 +38,7 @@ func Solos(res *spec.Resolved) (map[string]*spec.Resolved, error) {
 // SoloSummaries computes relative-IPC summaries for every finished
 // cell whose spec asks for baselines: the Solos of all such cells,
 // deduplicated by fingerprint, execute as one batch through the
-// executor's pool and store. The returned slice is aligned with cells;
+// executor's line and store. The returned slice is aligned with cells;
 // entries stay nil for cells without baselines, trace cells, and
 // failed cells.
 //

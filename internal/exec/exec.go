@@ -1,6 +1,7 @@
 // Package exec is the one sweep execution layer under every frontend:
 // it takes resolved spec cells (a single run or a whole expanded grid),
-// fans them out across a bounded worker pool, memoizes each cell
+// runs them from one wait line drained by a bounded number of local
+// slots and by remote takers (the fabric), memoizes each cell
 // through a content-addressed Store keyed by sim.Fingerprint, streams
 // per-cell completion events, and assembles results deterministically
 // in input order regardless of completion order.
@@ -33,56 +34,33 @@ import (
 // (sim.RunContext); tests substitute failures and delays.
 type RunFunc func(ctx context.Context, res *spec.Resolved) (*sim.Result, error)
 
-// Dispatcher executes leader cells through an external execution
-// fabric instead of the executor's own worker pool. The executor still
-// owns memoization, single-flight, events, and store writes — a
-// dispatcher only answers "run this one cell somewhere and give me the
-// result". internal/fabric's Coordinator implements it by queueing the
-// cell for lease: local in-process workers and remote worker processes
-// drain that one queue, so a fingerprint in flight anywhere in the
-// fleet is never simulated twice (the executor's single-flight
-// guarantees at most one Dispatch per fingerprint at a time).
-//
-// started must be invoked (at most once) when the cell begins paying
-// for its simulation — for the fabric, when its first lease is granted
-// — so progress consumers see the started→terminal transition they
-// would see from the local pool. ctx carries the cell's trace ID and
-// cancellation: a Dispatch must return promptly with ctx.Err() once
-// the context is done.
-type Dispatcher interface {
-	Dispatch(ctx context.Context, res *spec.Resolved, started func()) (*sim.Result, error)
-}
-
 // Options configures an Executor.
 type Options struct {
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
+	// Workers is the number of local slots: leader cells simulated in
+	// this process at once (0 = GOMAXPROCS). Negative means none, so
+	// every cell waits in the line for a remote taker (see Take) and a
+	// trace-workload cell fails at once with ErrNoLocalSlots.
 	Workers int
 	// Store memoizes results across Execute calls (nil = fresh MemStore).
 	Store Store
 	// Run computes a cell (nil = sim.RunContext). Test seam.
 	Run RunFunc
-	// Dispatcher, when set, executes leader cells through an external
-	// fabric (local + remote workers draining one queue) instead of
-	// this executor's own pool; Workers then bounds nothing here — the
-	// fabric owns concurrency. Memoization, single-flight, events, and
-	// store writes stay with the executor either way.
-	Dispatcher Dispatcher
 	// Registry receives the executor's metrics (nil = obs.Default):
 	// store hit/miss/put and single-flight dedup counters, terminal
 	// cells by state, per-policy cell wall-time histograms, and
-	// worker-pool utilization. See DESIGN.md §Observability.
+	// local slot utilization. See DESIGN.md §Observability.
 	Registry *obs.Registry
 	// Logger receives per-cell debug lines (nil = discard). Each line
 	// carries the request-scoped trace ID from the Execute context and
 	// the cell's span (a fingerprint prefix), so one X-Request-ID can
-	// be followed from the HTTP access log through the worker pool into
+	// be followed from the HTTP access log through the executor into
 	// the simulator's own run logs.
 	Logger *obs.Logger
-	// Checkpoints, when set, enables the checkpoint/fork engine for
-	// cells run on the local pool: cells sharing a spec.CheckpointKey
-	// are grouped, the group's first cell warms cold and publishes its
-	// post-prewarm machine state, and the rest fork from it — one
-	// warmup per (machine, workload, seed) group per store lifetime.
+	// Checkpoints, when set, enables the checkpoint/fork engine: cells
+	// sharing a spec.CheckpointKey are grouped, the group's first cell
+	// warms cold and publishes its post-prewarm machine state, and the
+	// rest fork from it — one warmup per (machine, workload, seed)
+	// group per store lifetime, wherever the cells run.
 	// The default RunFunc threads the store into sim.Options; a custom
 	// Run sees the same gated store via CheckpointStore().
 	Checkpoints ckpt.Store
@@ -152,19 +130,18 @@ type flight struct {
 	done chan struct{}
 	res  *sim.Result
 	err  error
+	job  *job // the leader's cell once it passed the warm gate; guarded by Executor.mu
 }
 
-// Executor runs cells over a bounded worker pool with single-flight
+// Executor runs cells from one wait line with single-flight
 // memoization. One Executor may serve many concurrent Execute calls —
 // the dwarnd service runs every sweep through one shared Executor so N
-// concurrent sweeps compete for the same bounded pool instead of
-// multiplying it.
+// concurrent sweeps compete for the same local slots and remote takers
+// instead of multiplying them.
 type Executor struct {
 	workers int
 	store   Store
 	run     RunFunc
-	disp    Dispatcher
-	sem     chan struct{}
 	met     *metrics
 	log     *obs.Logger
 	ckgate  *warmGate
@@ -172,12 +149,19 @@ type Executor struct {
 
 	mu       sync.Mutex
 	inflight map[string]*flight
+	busy     int           // local slots holding a cell
+	line     []*job        // FIFO of leader cells; entries no longer waiting are stale
+	waiting  int           // cells in the line still waiting
+	arrived  chan struct{} // closed and replaced when a takeable cell joins the line
 }
 
 // New builds an Executor.
 func New(opts Options) *Executor {
-	if opts.Workers <= 0 {
+	switch {
+	case opts.Workers == 0:
 		opts.Workers = runtime.GOMAXPROCS(0)
+	case opts.Workers < 0:
+		opts.Workers = 0
 	}
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
@@ -201,7 +185,6 @@ func New(opts Options) *Executor {
 	}
 	return &Executor{
 		workers: opts.Workers,
-		disp:    opts.Dispatcher,
 		log:     opts.Logger,
 		ckgate:  ckgate,
 		ckpts:   ckpts,
@@ -210,9 +193,9 @@ func New(opts Options) *Executor {
 		// precheck — counts into the hit/miss/put series.
 		store:    countingStore{inner: opts.Store, m: met},
 		run:      opts.Run,
-		sem:      make(chan struct{}, opts.Workers),
 		met:      met,
 		inflight: make(map[string]*flight),
+		arrived:  make(chan struct{}),
 	}
 }
 
@@ -225,7 +208,7 @@ func (e *Executor) Store() Store { return e.store }
 // off.
 func (e *Executor) CheckpointStore() ckpt.Store { return e.ckpts }
 
-// Workers returns the pool bound.
+// Workers returns the number of local slots.
 func (e *Executor) Workers() int { return e.workers }
 
 // Execute completes every cell and returns the assembled results in
@@ -332,9 +315,9 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 			return r, true, nil
 		}
 
-		// Leader: execute the cell — through the dispatcher's fabric
-		// when one is wired, else on the local pool.
-		f.res, f.err = e.lead(ctx, c, started)
+		// Leader: the cell waits in the line for a local slot or a
+		// remote taker.
+		f.res, f.err = e.lead(ctx, f, c, started)
 		if f.err == nil {
 			e.store.Put(fp, f.res)
 		}
@@ -347,8 +330,11 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 // prefix: short enough to read in a log line, unique enough to match a
 // cell within a sweep. The span rides the context into the run, so
 // sim's own "sim run" line carries the same trace/span pair as the
-// worker's lines here — local pool and fabric alike.
-func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (*sim.Result, error) {
+// worker's lines here — local slot and remote taker alike.
+func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, started func()) (*sim.Result, error) {
+	if e.workers == 0 && c.Options.Trace != nil {
+		return nil, ErrNoLocalSlots
+	}
 	fp := c.Fingerprint
 	runCtx := obs.WithSpan(ctx, spanID(fp))
 	if e.log.Enabled(obs.LevelDebug) {
@@ -357,41 +343,19 @@ func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (
 			"policy", c.Spec.Policy.ID(), "workload", c.Spec.Workload.ID())
 	}
 
-	var res *sim.Result
-	var err error
 	runStart := time.Now()
-	if e.disp != nil {
-		// The fabric owns concurrency (its local and remote workers
-		// drain one queue), so the leader does not take a pool slot;
-		// started fires when the fabric grants the cell's first lease.
-		res, err = e.disp.Dispatch(runCtx, c, started)
-	} else {
-		// Checkpoint groups warm once: the group's first cell leads
-		// while siblings hold here (before taking a pool slot, so a
-		// wide group never starves unrelated cells), then fork the
-		// instant the leader publishes its post-prewarm state.
-		if e.ckgate != nil && c.CheckpointKey != "" {
-			leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
-			if gerr != nil {
-				return nil, gerr
-			}
-			defer leave()
+	// Checkpoint groups warm once: the group's first cell leads while
+	// siblings hold here (before joining the line, so a wide group
+	// never starves unrelated cells), then fork the instant the leader
+	// publishes its post-prewarm state — wherever the leader runs.
+	if e.ckgate != nil && c.CheckpointKey != "" {
+		leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
+		if gerr != nil {
+			return nil, gerr
 		}
-		// Take a worker slot, honouring cancellation while queued so a
-		// canceled sweep's waiting cells release instantly.
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if started != nil {
-			started()
-		}
-		e.met.workersBusy.Inc()
-		res, err = e.run(runCtx, c)
-		e.met.workersBusy.Dec()
-		<-e.sem
+		defer leave()
 	}
+	res, err := e.wait(runCtx, f, c, started)
 	dur := time.Since(runStart)
 	e.met.cellSeconds(c.Spec.Policy.Name).Observe(dur.Seconds())
 	if e.log.Enabled(obs.LevelDebug) {

@@ -48,8 +48,8 @@ func newMetrics(reg *obs.Registry, workers int) *metrics {
 		storeMisses:   reg.Counter("dwarn_exec_store_misses_total", "Result-store lookups that missed."),
 		storePuts:     reg.Counter("dwarn_exec_store_puts_total", "Finished results persisted to the store."),
 		dedup:         reg.Counter("dwarn_exec_singleflight_dedup_total", "Cells that joined an identical in-flight simulation instead of starting their own."),
-		workers:       reg.Gauge("dwarn_exec_workers", "Size of the executor's bounded worker pool."),
-		workersBusy:   reg.Gauge("dwarn_exec_workers_busy", "Workers currently inside a simulation."),
+		workers:       reg.Gauge("dwarn_exec_workers", "Local slots draining the executor's wait line."),
+		workersBusy:   reg.Gauge("dwarn_exec_workers_busy", "Local slots currently inside a simulation."),
 		cellsPerSec:   reg.Gauge("dwarn_exec_cells_per_second", "Terminal cells per second over the most recent Execute batch."),
 	}
 	m.workers.Set(float64(workers))

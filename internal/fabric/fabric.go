@@ -1,27 +1,24 @@
-// Package fabric is the distributed sweep layer: one Coordinator
-// (embedded in dwarnd) hands out leases on pending cells, and N
-// workers — in-process goroutines and remote `dwarnd -worker`
-// processes alike — pull those leases over one queue, execute the
-// cells through the ordinary spec→sim path, and push results back.
+// Package fabric is the distributed sweep layer: remote `dwarnd
+// -worker` processes take cells from the dwarnd executor's wait line —
+// the same line its local slots drain — execute them through the
+// ordinary spec→sim path, and push results back.
 //
-// The coordinator sits behind internal/exec's Dispatcher seam, so
-// everything above it — the /v2 sweep API, SSE progress, submit-time
-// store prechecks, MaxActiveSweeps admission, single-flight by
-// fingerprint — keeps working unchanged; the executor still owns
-// memoization and store writes, the fabric only decides *where* a
-// leader cell runs. Fault tolerance is lease-based: a lease not
-// renewed within its TTL (worker died, was SIGKILLed, or partitioned)
-// is requeued and transparently re-leased to the next worker to ask;
-// a late completion from the presumed-dead worker is accepted if the
-// cell is still unresolved and discarded as stale otherwise, so a cell
-// completes exactly once no matter how many workers raced on it.
-// Because the executor admits at most one in-flight leader per
-// fingerprint, a fingerprint leased to worker A is never
-// simultaneously leased to worker B.
+// The Coordinator (embedded in dwarnd) is only the remote half of that
+// line: the worker registry, leases, heartbeats and the expiry janitor.
+// The executor keeps everything else — queueing, memoization, store
+// writes, single-flight by fingerprint, cancellation — so the /v2
+// sweep API, SSE progress and admission behave the same whether a cell
+// ran in-process or on a worker. Fault tolerance is lease-based: a
+// lease not renewed within its TTL (worker died, was SIGKILLed, or
+// partitioned) is requeued into the executor's line and taken by the
+// next local slot or worker; a late completion from the presumed-dead
+// worker is accepted if the cell is still unresolved and discarded as
+// stale otherwise, so a cell completes exactly once no matter how many
+// workers raced on it.
 //
 // The wire protocol is five small JSON-over-HTTP calls mounted under
 // /v2/fabric on the coordinator's ordinary service mux: workers
-// register, pull lease batches (long-polling when the queue is idle),
+// register, pull lease batches (long-polling when the line is idle),
 // renew leases with heartbeats, push completions, and anyone can GET
 // /v2/fabric for the live fleet status. Every RPC carries the cell's
 // originating X-Request-ID, so one trace id spans coordinator →
@@ -48,7 +45,7 @@ const (
 	// DefaultMaxLeaseBatch bounds cells granted per lease call.
 	DefaultMaxLeaseBatch = 8
 	// DefaultLeaseWait bounds how long a lease call long-polls an
-	// empty queue before returning no leases.
+	// empty line before returning no leases.
 	DefaultLeaseWait = 2 * time.Second
 )
 
@@ -74,9 +71,9 @@ type RegisterResponse struct {
 type LeaseRequest struct {
 	WorkerID string `json:"worker_id"`
 	// Max bounds the batch; the coordinator may return fewer (or none,
-	// after WaitMillis of long-polling an empty queue).
+	// after WaitMillis of long-polling an empty line).
 	Max int `json:"max"`
-	// WaitMillis long-polls an empty queue up to this long.
+	// WaitMillis long-polls an empty line up to this long.
 	WaitMillis int64 `json:"wait_ms,omitempty"`
 }
 
@@ -142,8 +139,9 @@ type CompleteResponse struct {
 	Stale bool `json:"stale,omitempty"`
 }
 
-// Status is the GET /v2/fabric view: the queue, the fleet, and the
-// lifetime counters, assembled under the coordinator's lock.
+// Status is the GET /v2/fabric view: the executor's line depth, the
+// fleet, and the lifetime counters, assembled under the coordinator's
+// lock.
 type Status struct {
 	Enabled        bool           `json:"enabled"`
 	QueueDepth     int            `json:"queue_depth"`
@@ -162,7 +160,6 @@ type WorkerStatus struct {
 	ID       string `json:"id"`
 	Name     string `json:"name"`
 	PID      int    `json:"pid,omitempty"`
-	Local    bool   `json:"local"`
 	Capacity int    `json:"capacity"`
 	// ActiveLeases is the worker's currently held leases.
 	ActiveLeases int `json:"active_leases"`

@@ -61,14 +61,22 @@ func serialDigests(t *testing.T, cells []*spec.Resolved) map[string]string {
 	return out
 }
 
-// newTestFabric starts a coordinator and serves its lease protocol on
-// an httptest server.
+// newTestFabric starts a coordinator over an executor with no local
+// slots, so every cell waits for a remote worker, and serves its lease
+// protocol on an httptest server.
 func newTestFabric(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	return serveFabric(t, exec.New(exec.Options{Workers: -1, Registry: obs.NewRegistry()}), cfg)
+}
+
+// serveFabric starts a coordinator over ex's wait line and serves its
+// lease protocol on an httptest server.
+func serveFabric(t *testing.T, ex *exec.Executor, cfg Config) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
-	c := NewCoordinator(cfg)
+	c := NewCoordinator(ex, cfg)
 	mux := http.NewServeMux()
 	c.Routes(mux)
 	ts := httptest.NewServer(mux)
@@ -101,19 +109,24 @@ func startWorker(t *testing.T, url string, opts WorkerOptions) (*Worker, context
 	return w, cancel
 }
 
-// executeFabric drives the grid through an executor whose leader cells
-// dispatch into the coordinator, and returns fingerprint → digest.
+// executeFabric drives the grid through the coordinator's executor and
+// returns fingerprint → digest.
 func executeFabric(t *testing.T, c *Coordinator, cells []*spec.Resolved) map[string]string {
 	t.Helper()
-	ex := exec.New(exec.Options{Dispatcher: c, Registry: obs.NewRegistry()})
 	out := map[string]string{}
-	for _, r := range ex.Execute(context.Background(), cells, nil) {
+	for _, r := range c.line.Execute(context.Background(), cells, nil) {
 		if r.Err != nil {
 			t.Fatalf("fabric cell %s: %v", r.Fingerprint, r.Err)
 		}
 		out[r.Fingerprint] = r.Result.CounterDigest()
 	}
 	return out
+}
+
+// runOne executes one cell through the coordinator's executor.
+func runOne(ctx context.Context, c *Coordinator, cell *spec.Resolved) (*sim.Result, error) {
+	r := c.line.Execute(ctx, []*spec.Resolved{cell}, nil)[0]
+	return r.Result, r.Err
 }
 
 // TestFabricDigestsMatchSerial is the core determinism guarantee: a
@@ -242,9 +255,9 @@ func TestFabricHeartbeatDropStaleCompletion(t *testing.T) {
 	// wait is shorter than the healthy worker's startup delay).
 	time.AfterFunc(50*time.Millisecond, healthyUp)
 
-	res, err := c.Dispatch(context.Background(), cells[0], nil)
+	res, err := runOne(context.Background(), c, cells[0])
 	if err != nil {
-		t.Fatalf("dispatch: %v", err)
+		t.Fatalf("cell: %v", err)
 	}
 	if res.Cycles != 42 {
 		t.Fatalf("unexpected result %+v", res)
@@ -277,13 +290,13 @@ func TestFabricDoubleCompleteIdempotent(t *testing.T) {
 	c, _ := newTestFabric(t, Config{})
 	cells := resolveGrid(t, []string{"icount"}, []uint64{1})
 
-	w, err := c.register(RegisterRequest{Name: "test", Capacity: 1}, false)
+	w, err := c.register(RegisterRequest{Name: "test", Capacity: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resCh := make(chan error, 1)
 	go func() {
-		_, err := c.Dispatch(context.Background(), cells[0], nil)
+		_, err := runOne(context.Background(), c, cells[0])
 		resCh <- err
 	}()
 
@@ -293,7 +306,7 @@ func TestFabricDoubleCompleteIdempotent(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("cell never leased")
 		}
-		leases, err = c.leaseBatch(w.id, 1, 50*time.Millisecond)
+		leases, err = c.leaseBatch(context.Background(), w.id, 1, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,14 +327,14 @@ func TestFabricDoubleCompleteIdempotent(t *testing.T) {
 		t.Errorf("second complete = %+v, want stale", second)
 	}
 	if err := <-resCh; err != nil {
-		t.Fatalf("dispatch: %v", err)
+		t.Fatalf("cell: %v", err)
 	}
 }
 
 // TestFabricTraceCellsStayLocal: cells whose workload replays an
 // uploaded trace can only run where the trace store lives. With no
-// local workers they are rejected outright; with local workers they run
-// locally and are never granted to a remote worker.
+// local slots they fail at once; with one they run locally and are
+// never granted to a remote worker.
 func TestFabricTraceCellsStayLocal(t *testing.T) {
 	traceCell := &spec.Resolved{
 		Spec:        spec.RunSpec{},
@@ -329,13 +342,18 @@ func TestFabricTraceCellsStayLocal(t *testing.T) {
 		Fingerprint: "feedfacefeedface",
 	}
 
-	c, ts := newTestFabric(t, Config{})
-	if _, err := c.Dispatch(context.Background(), traceCell, nil); !errors.Is(err, errNoLocalWorkers) {
-		t.Fatalf("trace cell with no local workers: err = %v, want errNoLocalWorkers", err)
+	c, _ := newTestFabric(t, Config{})
+	if _, err := runOne(context.Background(), c, traceCell); !errors.Is(err, exec.ErrNoLocalSlots) {
+		t.Fatalf("trace cell with no local slots: err = %v, want exec.ErrNoLocalSlots", err)
 	}
 
-	// A remote worker long-polling the queue must never receive the
-	// trace cell; a local worker picks it up.
+	// A remote worker long-polling the line must never receive the
+	// trace cell; the local slot runs it.
+	ex := exec.New(exec.Options{Workers: 1, Registry: obs.NewRegistry(),
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			return &sim.Result{Cycles: 7}, nil
+		}})
+	c, ts := serveFabric(t, ex, Config{})
 	var remoteLeased atomic.Int64
 	startWorker(t, ts.URL, WorkerOptions{
 		Name: "remote", Capacity: 1,
@@ -344,12 +362,9 @@ func TestFabricTraceCellsStayLocal(t *testing.T) {
 			return &sim.Result{}, nil
 		},
 	})
-	c.StartLocalWorkers(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-		return &sim.Result{Cycles: 7}, nil
-	})
-	res, err := c.Dispatch(context.Background(), traceCell, nil)
+	res, err := runOne(context.Background(), c, traceCell)
 	if err != nil {
-		t.Fatalf("trace cell with local workers: %v", err)
+		t.Fatalf("trace cell with a local slot: %v", err)
 	}
 	if res.Cycles != 7 {
 		t.Fatalf("trace cell ran remotely? result %+v", res)
@@ -359,7 +374,7 @@ func TestFabricTraceCellsStayLocal(t *testing.T) {
 	}
 }
 
-// TestFabricDispatchCancel: cancelling the dispatching context releases
+// TestFabricDispatchCancel: cancelling the submitting context releases
 // the caller promptly and tells the leasing worker (via heartbeat) to
 // abandon the simulation.
 func TestFabricDispatchCancel(t *testing.T) {
@@ -381,7 +396,7 @@ func TestFabricDispatchCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.Dispatch(ctx, cells[0], nil)
+		_, err := runOne(ctx, c, cells[0])
 		errCh <- err
 	}()
 	select {
@@ -393,10 +408,10 @@ func TestFabricDispatchCancel(t *testing.T) {
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("dispatch returned %v, want context.Canceled", err)
+			t.Fatalf("cell returned %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch did not release on cancel")
+		t.Fatal("cell did not release on cancel")
 	}
 	select {
 	case <-aborted:
@@ -423,7 +438,7 @@ func TestFabricSharedStoreShortCircuit(t *testing.T) {
 			return &sim.Result{}, nil
 		},
 	})
-	res, err := c.Dispatch(context.Background(), cells[0], nil)
+	res, err := runOne(context.Background(), c, cells[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,5 +447,47 @@ func TestFabricSharedStoreShortCircuit(t *testing.T) {
 	}
 	if simulated.Load() != 0 {
 		t.Error("worker simulated a cell its store already held")
+	}
+}
+
+// TestFabricMixedFleetDigestsMatchSerial: one local slot and two remote
+// workers drain one line. Both sides run cells, and every digest
+// matches a serial run.
+func TestFabricMixedFleetDigestsMatchSerial(t *testing.T) {
+	cells := resolveGrid(t, []string{"icount", "stall", "dwarn", "flush"}, []uint64{1, 2, 3})
+	want := serialDigests(t, cells)
+
+	var local atomic.Int64
+	ex := exec.New(exec.Options{Workers: 1, Registry: obs.NewRegistry(),
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			local.Add(1)
+			// Hold the slot a little, so the workers' long-polls see
+			// the line before the local slot drains it.
+			time.Sleep(20 * time.Millisecond)
+			return sim.RunContext(ctx, res.Options)
+		}})
+	c, ts := serveFabric(t, ex, Config{LeaseTTL: 2 * time.Second})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wA", Capacity: 1})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wB", Capacity: 1})
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.Status().Workers) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never registered")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	got := executeFabric(t, c, cells)
+	for fp, d := range want {
+		if got[fp] != d {
+			t.Errorf("digest mismatch for %s: fabric %s, serial %s", fp[:12], got[fp], d)
+		}
+	}
+	remote := c.Status().CompletedTotal
+	if local.Load() == 0 || remote == 0 {
+		t.Errorf("local slot ran %d cells, remote workers %d; want both >= 1", local.Load(), remote)
+	}
+	if n := local.Load() + int64(remote); n != int64(len(cells)) {
+		t.Errorf("%d cells ran, want %d (each exactly once)", n, len(cells))
 	}
 }

@@ -64,7 +64,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeRPC(w, r, &req) {
 		return
 	}
-	ws, err := c.register(req, false)
+	ws, err := c.register(req)
 	if err != nil {
 		fabricError(w, err)
 		return
@@ -87,7 +87,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
 	}
-	leases, err := c.leaseBatch(req.WorkerID, req.Max, wait)
+	leases, err := c.leaseBatch(r.Context(), req.WorkerID, req.Max, wait)
 	if err != nil {
 		fabricError(w, err)
 		return

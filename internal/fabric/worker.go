@@ -287,7 +287,7 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// lease pulls up to n cells, long-polling an empty queue server-side.
+// lease pulls up to n cells, long-polling an empty line server-side.
 func (w *Worker) lease(ctx context.Context, n int) ([]Lease, error) {
 	var resp LeaseResponse
 	err := w.rpc(ctx, "", "/v2/fabric/lease", LeaseRequest{
@@ -400,8 +400,8 @@ func (w *Worker) runLease(ctx context.Context, l Lease) (*sim.Result, error) {
 	// The lease carries the cell's canonical, self-contained spec;
 	// re-resolving it locally must land on the leased fingerprint, or
 	// the result would be filed under an identity it does not have.
-	// (Trace workloads never reach here — the coordinator keeps them
-	// local — so no trace resolver is needed.)
+	// (Trace workloads never reach here — the executor never hands
+	// them out — so no trace resolver is needed.)
 	rs := l.Spec
 	res, err := rs.Resolve(nil)
 	if err != nil {

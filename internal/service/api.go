@@ -7,7 +7,7 @@
 // record with one public cell. Each record is prechecked against the
 // result store (a stored result completes it at submission time),
 // durably journaled when a journal is configured, and executed on one
-// server-wide internal/exec executor: one bounded pool, one
+// server-wide internal/exec executor: one wait line, one
 // single-flight domain, per-record cancellation. Baselines cells add
 // hidden solo-ICOUNT cells to the same batch, and the record's summary
 // is derived from them when it finishes. The executor's store is a

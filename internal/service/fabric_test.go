@@ -1,17 +1,21 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/fabric"
+	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 )
 
@@ -37,15 +41,14 @@ func runSweepToDone(t *testing.T, ts *httptest.Server, sweep spec.SweepSpec) Swe
 	return st
 }
 
-// TestServiceFabricSweep runs a sweep through a fabric-enabled server:
-// the executor dispatches every cell into the coordinator's queue, the
-// in-process local workers drain it, and GET /v2/fabric reports the
-// fleet — while the public sweep API behaves exactly as without the
-// fabric.
+// TestServiceFabricSweep runs a sweep through a fabric-enabled server
+// that no remote worker has joined: the local slots drain the line,
+// GET /v2/fabric reports the empty fleet, and the public sweep API
+// behaves exactly as without the fabric.
 func TestServiceFabricSweep(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Workers: 2,
-		Fabric:  &FabricOptions{LocalWorkers: 2, LeaseTTL: time.Second},
+		Fabric:  &FabricOptions{LeaseTTL: time.Second},
 	})
 
 	sweep := spec.SweepSpec{
@@ -64,14 +67,8 @@ func TestServiceFabricSweep(t *testing.T) {
 	if !fs.Enabled {
 		t.Fatal("/v2/fabric reports disabled on a fabric-enabled server")
 	}
-	if fs.CompletedTotal < 4 {
-		t.Errorf("completed_total = %d, want >= 4", fs.CompletedTotal)
-	}
-	if len(fs.Workers) != 1 || fs.Workers[0].Name != "local" || !fs.Workers[0].Local {
-		t.Fatalf("workers = %+v, want the one in-process worker", fs.Workers)
-	}
-	if fs.Workers[0].CellsDone < 4 {
-		t.Errorf("local worker cells_done = %d, want >= 4", fs.Workers[0].CellsDone)
+	if len(fs.Workers) != 0 || fs.LeasesTotal != 0 || fs.CompletedTotal != 0 || fs.QueueDepth != 0 {
+		t.Fatalf("status = %+v, want no workers, no leases and an empty line", fs)
 	}
 
 	// The fabric counters surface on /metrics too.
@@ -151,5 +148,128 @@ func TestServiceDurableStore(t *testing.T) {
 		if !cell.Cached {
 			t.Fatalf("cell %s not served from the durable store", cell.Fingerprint[:12])
 		}
+	}
+}
+
+// countingCkpts counts checkpoint publishes (cold warmups) and hits
+// (forks) through a store.
+type countingCkpts struct {
+	inner      ckpt.Store
+	puts, hits atomic.Int64
+}
+
+func (s *countingCkpts) Get(key string) (*ckpt.Image, bool) {
+	img, ok := s.inner.Get(key)
+	if ok {
+		s.hits.Add(1)
+	}
+	return img, ok
+}
+
+func (s *countingCkpts) Put(key string, img *ckpt.Image) {
+	s.puts.Add(1)
+	s.inner.Put(key, img)
+}
+
+// oneGroupSweep is a sweep whose cells share one checkpoint group: one
+// workload and seed, several policies.
+func oneGroupSweep(policies ...string) spec.SweepSpec {
+	sw := spec.SweepSpec{
+		Workloads:    []spec.Workload{{Name: "2-ILP"}},
+		Seeds:        []uint64{11},
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
+	}
+	for _, p := range policies {
+		sw.Policies = append(sw.Policies, spec.PolicyAxis{Name: p})
+	}
+	return sw
+}
+
+// TestServiceFabricWarmsOnce: on a fabric-enabled server with several
+// local slots, a single-group sweep pays for exactly one cold warmup;
+// the siblings fork from it.
+func TestServiceFabricWarmsOnce(t *testing.T) {
+	store := &countingCkpts{inner: ckpt.NewMemStore(0)}
+	_, ts := newTestServer(t, Options{Workers: 4, Fabric: &FabricOptions{}, Checkpoints: store})
+	st := runSweepToDone(t, ts, oneGroupSweep("icount", "stall", "flush", "dg", "pdg", "dwarn"))
+	if st.Done != 6 {
+		t.Fatalf("sweep %d/%d done", st.Done, st.Total)
+	}
+	if n := store.puts.Load(); n != 1 {
+		t.Errorf("%d cold warmups, want exactly 1", n)
+	}
+}
+
+// TestServiceFabricRemoteWarmReleasesSiblings: when a remote worker
+// warms a group, the image it publishes to /v2/fabric/ckpt releases the
+// group's waiting siblings at once — they fork and finish while the
+// warming cell is still running.
+func TestServiceFabricRemoteWarmReleasesSiblings(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: -1, Fabric: &FabricOptions{LeaseTTL: 5 * time.Second}})
+
+	forks := &countingCkpts{inner: fabric.NewRemoteCkptStore(ts.URL, "", nil)}
+	release := make(chan struct{})
+	var leader atomic.Bool
+	w := fabric.NewWorker(fabric.WorkerOptions{
+		Coordinator: ts.URL, Capacity: 3, LeaseWait: 50 * time.Millisecond,
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			o := res.Options
+			o.Checkpoints = forks
+			r, err := sim.RunContext(ctx, o)
+			// Siblings wait at the warm gate, so the first cell taken is
+			// the group's leader: hold its completion back.
+			if leader.CompareAndSwap(false, true) {
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+			}
+			return r, err
+		},
+	})
+	ctx, stop := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		_ = w.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		stop()
+		<-stopped
+	})
+
+	resp, raw := postJSON(t, ts, "/v2/sweeps", oneGroupSweep("icount", "stall", "dwarn"))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v2/sweeps: status %d body %s", resp.StatusCode, raw)
+	}
+	var st SweepStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for st.Done < 2 {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("siblings did not finish while the leader ran: %d/%d done", st.Done, st.Total)
+		}
+		time.Sleep(10 * time.Millisecond)
+		getJSON(t, ts, "/v2/sweeps/"+st.ID, &st)
+	}
+	if st.State != StateRunning {
+		t.Fatalf("sweep %s before the leader finished", st.State)
+	}
+	close(release)
+	for st.State == StateRunning && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		getJSON(t, ts, "/v2/sweeps/"+st.ID, &st)
+	}
+	if st.State != StateDone || st.Done != 3 {
+		t.Fatalf("sweep ended %s with %d/%d done", st.State, st.Done, st.Total)
+	}
+	if n := forks.puts.Load(); n != 1 {
+		t.Errorf("%d warmups published, want 1", n)
+	}
+	if n := forks.hits.Load(); n != 2 {
+		t.Errorf("%d sibling forks from the coordinator, want 2", n)
 	}
 }

@@ -230,7 +230,7 @@ func TestLoadShedMatrix(t *testing.T) {
 func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Workers: 1, RateLimit: 1, RateBurst: 1,
-		Fabric: &FabricOptions{LocalWorkers: 1},
+		Fabric: &FabricOptions{},
 	})
 	// Exhaust the budget on an API route.
 	doGet(t, ts, "/v2/policies", "")
@@ -252,7 +252,7 @@ func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
 // functions must resolve to itself, and every path-prefix literal must
 // prefix a registered pattern.
 func TestAdmissionRouteLiteralsAreRegistered(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: 1, Fabric: &FabricOptions{LocalWorkers: 1}})
+	srv, _ := newTestServer(t, Options{Workers: 1, Fabric: &FabricOptions{}})
 	f, err := parser.ParseFile(token.NewFileSet(), "middleware.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)

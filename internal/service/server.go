@@ -26,8 +26,10 @@ import (
 
 // Options configures a Server; zero values take the defaults below.
 type Options struct {
-	// Workers sizes the executor pool every run and sweep cell shares
-	// (default 4).
+	// Workers is the executor's local slot count, shared by every run
+	// and sweep cell (default 4). Negative means no local slots: with
+	// Fabric set, a pure coordinator whose cells all wait for remote
+	// workers (trace-workload cells then fail at once).
 	Workers int
 	// QueueDepth bounds runs waiting for an executor slot (default
 	// 256); a run submitted beyond it fails fast with a 503.
@@ -45,8 +47,8 @@ type Options struct {
 	MaxSweepCells int
 	// MaxActiveSweeps bounds concurrently executing sweeps (default
 	// 16). Together with MaxSweepCells this caps the sweep backlog —
-	// at most MaxActiveSweeps × MaxSweepCells cells waiting on the
-	// executor pool; further submissions fail fast with a 503, the
+	// at most MaxActiveSweeps × MaxSweepCells cells waiting in the
+	// executor's line; further submissions fail fast with a 503, the
 	// sweep-side analogue of QueueDepth for runs.
 	MaxActiveSweeps int
 	// MaxTraceBytes caps an uploaded trace file (compressed bytes on
@@ -73,10 +75,10 @@ type Options struct {
 	// forked runs are bit-identical to cold starts. dwarnd -store DIR
 	// chains a durable tier under DIR/ckpt so groups survive restarts.
 	Checkpoints ckpt.Store
-	// Fabric, when non-nil, embeds a distributed-sweep coordinator: the
-	// executor dispatches leader cells into its lease queue, in-process
-	// local workers and remote `dwarnd -worker` processes drain it, and
-	// the lease protocol is served under /v2/fabric.
+	// Fabric, when non-nil, embeds a distributed-sweep coordinator:
+	// remote `dwarnd -worker` processes lease cells from the executor's
+	// wait line next to the local slots, over the lease protocol served
+	// under /v2/fabric.
 	Fabric *FabricOptions
 	// Registry receives the server's metrics (HTTP, jobs, sweeps,
 	// cache, executor). Default: a fresh registry per server, so
@@ -112,7 +114,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
+	if o.Workers == 0 {
 		o.Workers = 4
 	}
 	if o.QueueDepth <= 0 {
@@ -169,7 +171,7 @@ type Server struct {
 	// repeat request marshals the same *sim.Result, byte-for-byte.
 	cache  *store.Mem[*sim.Result]
 	traces *TraceStore
-	exec   *exec.Executor      // the one pool every run and sweep cell executes on
+	exec   *exec.Executor      // the one wait line every run and sweep cell executes from
 	fabric *fabric.Coordinator // non-nil when Options.Fabric is set
 	mux    *http.ServeMux
 	start  time.Time
@@ -205,7 +207,7 @@ type Server struct {
 	closed     bool
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server over its executor.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -229,37 +231,42 @@ func New(opts Options) *Server {
 	s.jrnl = opts.Journal
 	s.jrecs = append(s.jrecs, opts.Recovered...)
 	// Every run and sweep cell executes through this one executor: one
-	// bounded pool, one single-flight domain, one store identity. Its
+	// wait line, one single-flight domain, one store identity. Its
 	// metrics (store hits/misses, dedup, per-policy cell times) land in
 	// the server's registry. With Options.Store the in-memory tier is
 	// chained over the durable one (misses refill the LRU, puts write
-	// both); with Options.Fabric leader cells dispatch into the
-	// coordinator's lease queue instead of a local pool.
+	// both); with Options.Fabric remote workers take cells from the
+	// same line the local slots drain.
 	results := exec.Store(s.cache)
 	if opts.Store != nil {
 		results = store.Chain[*sim.Result]{s.cache, opts.Store}
 	}
-	if opts.Fabric != nil {
-		s.fabric = s.startFabric(opts.Fabric)
-	}
 	s.exec = exec.New(exec.Options{
 		Workers:     opts.Workers,
 		Store:       results,
-		Dispatcher:  dispatcherOrNil(s.fabric),
 		Registry:    s.reg,
 		Logger:      s.log,
 		Run:         s.runCell,
 		Checkpoints: opts.Checkpoints,
 	})
+	if fo := opts.Fabric; fo != nil {
+		s.fabric = fabric.NewCoordinator(s.exec, fabric.Config{
+			LeaseTTL:  fo.LeaseTTL,
+			WorkerTTL: fo.WorkerTTL,
+			Registry:  s.reg,
+			Logger:    s.log,
+			// The executor's gated store, so an image a remote worker
+			// publishes releases the group's waiting siblings at once.
+			Checkpoints: s.exec.CheckpointStore(),
+		})
+	}
 	s.registerGauges()
 	s.routes()
 	s.recoverFromJournal()
 	return s
 }
 
-// runCell computes one resolved cell. It is the one RunFunc under the
-// executor's local pool and the fabric's local workers — so every
-// execution path streams interval frames the same way: when the
+// runCell computes one resolved cell on a local slot: when the
 // executing context carries a frame sink (attached per sweep in
 // startSweep) and the cell's spec requested timeline sampling, each
 // closing frame is forwarded as it happens instead of waiting for the
@@ -274,14 +281,6 @@ func (s *Server) runCell(ctx context.Context, res *spec.Resolved) (*sim.Result, 
 	// state and the warm gate releases the moment a group publishes.
 	opts.Checkpoints = s.exec.CheckpointStore()
 	return sim.RunContext(ctx, opts)
-}
-
-// dispatcherOrNil avoids handing exec a typed-nil interface.
-func dispatcherOrNil(c *fabric.Coordinator) exec.Dispatcher {
-	if c == nil {
-		return nil
-	}
-	return c
 }
 
 // Handler returns the root http.Handler: the API mux behind the
@@ -314,8 +313,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	// The fabric closes after the records drain: every cell is resolved
-	// by then, so closing only parks the local workers and tells remote
-	// workers (on their next RPC) to back off.
+	// by then, so closing only tells remote workers (on their next RPC)
+	// to back off.
 	if s.fabric != nil {
 		s.fabric.Close()
 	}
@@ -445,7 +444,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.start).Seconds(),
-		"workers":        s.opts.Workers,
+		"workers":        s.exec.Workers(),
 		"queue_depth":    s.opts.QueueDepth,
 		"jobs":           s.runCounts(),
 		"sweeps":         sweeps,

@@ -25,7 +25,7 @@ import (
 // journal-recovered entry — goes through startSweep. A record is
 // prechecked against the executor's store (cells already paid for are
 // done at submission time), durably journaled, and its remaining cells
-// fan into the one shared executor pool under a per-record context, so
+// fan into the one shared executor line under a per-record context, so
 // DELETE cancels them cooperatively mid-simulation. Per-cell events
 // fold into the record's progress, which the status endpoints, the SSE
 // stream (GET /v2/sweeps/{id}/events) and the run JobView are views of.

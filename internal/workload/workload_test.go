@@ -59,12 +59,22 @@ func TestRegisterRejectsInvalid(t *testing.T) {
 	}
 }
 
+// unregister removes a profile a test registered, so the registry
+// holds exactly the paper's twelve benchmarks again (go test -count=N
+// reruns TestTwelveBenchmarks in the same process).
+func unregister(name string) {
+	profilesMu.Lock()
+	delete(profiles, name)
+	profilesMu.Unlock()
+}
+
 func TestRegisterAndUse(t *testing.T) {
 	p := *MustGet("gzip")
 	p.Name = "testbench"
 	if err := Register(&p); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { unregister(p.Name) })
 	if _, err := Get("testbench"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 # bench_fabric.sh — record distributed-fabric sweep throughput.
 #
 # End-to-end, multi-process: for each worker count N in 1/2/4, start a
-# pure-coordinator dwarnd (-fabric-local-workers 0) plus N separate
+# pure-coordinator dwarnd (-workers 0: no local slots) plus N separate
 # `dwarnd -worker` processes, submit the 72-cell examples/specs/
 # parallel-grid.json sweep over HTTP, and time submit→done. Each round
 # uses a fresh result store, so every cell is simulated, not cached.
@@ -58,7 +58,7 @@ run_round() { # $1 = worker process count; prints elapsed seconds
     n="$1"
     store="$work/store-$n"
     "$work/dwarnd" -addr "127.0.0.1:$port" -store "$store" \
-        -fabric-local-workers 0 -max-cycles -1 -log-level error &
+        -workers 0 -max-cycles -1 -log-level error &
     coord=$!
     pids="$pids $coord"
     wait_http "$base/healthz"
