@@ -60,13 +60,15 @@ import (
 	"dwarn/internal/journal"
 	"dwarn/internal/obs"
 	"dwarn/internal/service"
+	"dwarn/internal/sim"
 	"dwarn/internal/spec"
+	"dwarn/internal/store"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "local simulation slots (0 with -fabric = pure coordinator: every cell waits for a remote -worker)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "local simulation slots (0 with -fabric = pure coordinator: every cell waits for a remote -worker; a -worker needs at least 1)")
 		queueDepth   = flag.Int("queue", 256, "runs that may wait for an executor slot before submissions fail fast with 503")
 		cacheEntries = flag.Int("cache", 4096, "in-memory result tier entries")
 		maxCycles    = flag.Int64("max-cycles", 5_000_000, "per-request cycle cap (warmup and measure each; <0 = uncapped)")
@@ -84,7 +86,6 @@ func main() {
 		workerMode   = flag.Bool("worker", false, "run as a fabric worker: pull cells from -coordinator instead of serving HTTP")
 		coordURL     = flag.String("coordinator", "", "coordinator base URL for -worker mode (e.g. http://host:8080)")
 		workerName   = flag.String("worker-name", "", "worker label in fabric status (default host-pid)")
-		workerCap    = flag.Int("worker-capacity", runtime.GOMAXPROCS(0), "cells this worker runs concurrently in -worker mode")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain runs and sweeps on shutdown")
 		adminAddr    = flag.String("admin", "", "serve the admin mux (/metrics, /debug/pprof/*, /healthz, /buildinfo) on this address (e.g. localhost:6060; empty = disabled)")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, error, off")
@@ -112,7 +113,7 @@ func main() {
 	}
 
 	if *workerMode {
-		os.Exit(runWorker(logger, *coordURL, *workerName, *workerCap, *storeDir, *authToken, *adminAddr))
+		os.Exit(runWorker(logger, *coordURL, *workerName, *workers, *cacheEntries, *storeDir, *authToken, *adminAddr))
 	}
 
 	opts := service.Options{
@@ -135,21 +136,9 @@ func main() {
 		}
 		opts.Workers = -1 // no local slots: a pure coordinator
 	}
-	if *storeDir != "" {
-		ds, err := exec.NewDirStore(*storeDir)
-		if err != nil {
-			logger.Error("store open", "dir", *storeDir, "err", err)
-			os.Exit(1)
-		}
-		opts.Store = ds
-		// Checkpoints persist next to the results they accelerate, so a
-		// restarted dwarnd forks warm groups straight from disk.
-		cds, err := ckpt.NewDirStore(filepath.Join(*storeDir, "ckpt"))
-		if err != nil {
-			logger.Warn("checkpoint store open failed; checkpoints stay in-memory", "dir", *storeDir, "err", err)
-		} else {
-			opts.Checkpoints = ckpt.Chain{ckpt.NewMemStore(0), cds}
-		}
+	if opts.Store, opts.Checkpoints, err = openStores(logger, *storeDir); err != nil {
+		logger.Error("store open", "dir", *storeDir, "err", err)
+		os.Exit(1)
 	}
 	if *journalPath == "" && *storeDir != "" {
 		*journalPath = filepath.Join(*storeDir, "journal.log")
@@ -171,30 +160,7 @@ func main() {
 		opts.Fabric = &service.FabricOptions{LeaseTTL: *leaseTTL}
 	}
 	srv := service.New(opts)
-
-	if *adminAddr != "" {
-		// The operational surface gets its own mux on its own (typically
-		// loopback) address so diagnostics are never exposed on the
-		// service port.
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", srv.MetricsHandler())
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"status":"ok"}`)
-		})
-		mux.HandleFunc("/buildinfo", handleBuildInfo)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			logger.Info("admin listening", "addr", *adminAddr)
-			if err := http.ListenAndServe(*adminAddr, mux); err != nil {
-				logger.Error("admin server", "err", err)
-			}
-		}()
-	}
+	serveAdmin(logger, *adminAddr, srv.MetricsHandler())
 
 	if *specPath != "" {
 		f, err := spec.LoadFile(*specPath)
@@ -250,74 +216,113 @@ func main() {
 
 // runWorker is `dwarnd -worker -coordinator=URL`: the same binary as a
 // pull-based fabric worker. It registers with the coordinator, pulls
-// cell leases, simulates them through the ordinary spec→sim path, and
-// pushes results back; SIGINT/SIGTERM abandons in-flight cells silently
-// (no completion, no more heartbeats) so the coordinator's lease TTL
-// requeues them on a healthy worker. With -store the worker reads and
-// writes the same durable result directory as the coordinator, sharing
-// one cache identity through the filesystem. -auth-token rides on every
-// coordinator RPC; -admin serves the worker's own /metrics (RPC failure
-// counters) and /healthz.
-func runWorker(logger *obs.Logger, coordinator, name string, capacity int, storeDir, authToken, adminAddr string) int {
+// cell leases, runs them on its own executor (-workers local slots, a
+// -cache result tier over -store, checkpoint tiers ending in the
+// coordinator's), and pushes results back; SIGINT/SIGTERM abandons
+// in-flight cells silently (no completion, no more heartbeats) so the
+// coordinator's lease TTL requeues them on a healthy worker. With
+// -store the worker reads and writes the same durable result directory
+// as the coordinator, sharing one cache identity through the
+// filesystem. -auth-token rides on every coordinator RPC; -admin serves
+// the worker's own /metrics (executor and RPC failure series).
+func runWorker(logger *obs.Logger, coordinator, name string, workers, cacheEntries int, storeDir, authToken, adminAddr string) int {
 	if coordinator == "" {
 		fmt.Fprintln(os.Stderr, "dwarnd: -worker requires -coordinator=URL")
 		return 2
 	}
-	var store exec.Store
-	ckpts := ckpt.Chain{ckpt.NewMemStore(0)}
-	if storeDir != "" {
-		ds, err := exec.NewDirStore(storeDir)
-		if err != nil {
-			logger.Error("store open", "dir", storeDir, "err", err)
-			return 1
-		}
-		store = ds
-		if cds, err := ckpt.NewDirStore(filepath.Join(storeDir, "ckpt")); err != nil {
-			logger.Warn("checkpoint store open failed", "dir", storeDir, "err", err)
-		} else {
-			ckpts = append(ckpts, cds)
-		}
+	if workers <= 0 {
+		fmt.Fprintln(os.Stderr, "dwarnd: -worker needs -workers >= 1: a worker runs its cells on local slots")
+		return 2
 	}
-	// Last tier: pull checkpoints the fleet already warmed from the
-	// coordinator, and push the ones this worker builds.
-	ckpts = append(ckpts, fabric.NewRemoteCkptStore(coordinator, authToken, nil))
+	durable, ckpts, err := openStores(logger, storeDir)
+	if err != nil {
+		logger.Error("store open", "dir", storeDir, "err", err)
+		return 1
+	}
+	results := exec.Store(store.NewMem[*sim.Result](cacheEntries, 0, nil))
+	if durable != nil {
+		results = store.Chain[*sim.Result]{results, durable}
+	}
 	reg := obs.NewRegistry()
-	if adminAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = reg.WritePrometheus(w)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"status":"ok"}`)
-		})
-		go func() {
-			logger.Info("worker admin listening", "addr", adminAddr)
-			if err := http.ListenAndServe(adminAddr, mux); err != nil {
-				logger.Error("worker admin server", "err", err)
-			}
-		}()
-	}
+	ex := exec.New(exec.Options{
+		Workers:  workers,
+		Store:    results,
+		Registry: reg,
+		Logger:   logger,
+		// Last tier: pull checkpoints the fleet already warmed from the
+		// coordinator, and push the ones this worker builds.
+		Checkpoints: append(ckpts, fabric.NewRemoteCkptStore(coordinator, authToken, nil)),
+	})
+	serveAdmin(logger, adminAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = reg.WritePrometheus(w)
+	}))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	w := fabric.NewWorker(fabric.WorkerOptions{
 		Coordinator: coordinator,
 		Name:        name,
-		Capacity:    capacity,
-		Store:       store,
-		Checkpoints: ckpts,
+		Executor:    ex,
 		Logger:      logger,
 		AuthToken:   authToken,
 		Registry:    reg,
 	})
-	logger.Info("fabric worker starting", "coordinator", coordinator, "capacity", capacity)
+	logger.Info("fabric worker starting", "coordinator", coordinator, "workers", workers)
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		logger.Error("fabric worker", "err", err)
 		return 1
 	}
 	logger.Info("fabric worker stopped")
 	return 0
+}
+
+// openStores opens the durable result directory under -store (nil
+// without one) and the checkpoint tiers: a bounded in-memory tier,
+// then DIR/ckpt, so a restarted process forks warm groups straight
+// from disk.
+func openStores(logger *obs.Logger, dir string) (exec.Store, ckpt.Chain, error) {
+	ckpts := ckpt.Chain{ckpt.NewMemStore(0)}
+	if dir == "" {
+		return nil, ckpts, nil
+	}
+	ds, err := exec.NewDirStore(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cds, err := ckpt.NewDirStore(filepath.Join(dir, "ckpt")); err != nil {
+		logger.Warn("checkpoint store open failed; checkpoints stay in-memory", "dir", dir, "err", err)
+	} else {
+		ckpts = append(ckpts, cds)
+	}
+	return ds, ckpts, nil
+}
+
+// serveAdmin serves the operational surface — /metrics, /healthz,
+// /buildinfo and /debug/pprof/* — on its own (typically loopback)
+// address, so diagnostics are never exposed on the service port. An
+// empty addr disables it.
+func serveAdmin(logger *obs.Logger, addr string, metrics http.Handler) {
+	if addr == "" {
+		return
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"status":"ok"}`)
+	})
+	mux.HandleFunc("/buildinfo", handleBuildInfo)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go func() {
+		logger.Info("admin listening", "addr", addr)
+		if err := http.ListenAndServe(addr, mux); err != nil {
+			logger.Error("admin server", "err", err)
+		}
+	}()
 }
 
 // handleBuildInfo reports how this binary was built: Go version, module

@@ -278,18 +278,15 @@ func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, 
 		ckpts = chain
 	}
 	exOpts := exec.Options{Workers: parallel, Store: store, Checkpoints: ckpts}
-	var ex *exec.Executor
 	if checkEvery > 0 {
-		// The executor's Run seam: the default cell run plus the checks,
-		// still forking from the executor's gated checkpoint store.
+		// The executor's Run seam: the default cell run plus the checks.
 		exOpts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			o := res.Options
 			o.CheckEvery = checkEvery
-			o.Checkpoints = ex.CheckpointStore()
 			return sim.RunContext(ctx, o)
 		}
 	}
-	ex = exec.New(exOpts)
+	ex := exec.New(exOpts)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

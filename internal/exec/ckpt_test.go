@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dwarn/internal/ckpt"
+	"dwarn/internal/obs"
+	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 )
 
@@ -95,4 +97,35 @@ func TestWarmGateLeaderDeath(t *testing.T) {
 	g.release("k")
 	first()
 	<-promoted
+}
+
+// TestRunReceivesGatedCheckpointStore: a custom Run finds the
+// executor's gated checkpoint store in res.Options.Checkpoints (nil
+// when checkpointing is off), on a copy: the caller's cell is unchanged.
+func TestRunReceivesGatedCheckpointStore(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		cells := resolveCells(t, []string{"icount"}, []uint64{1})
+		opts := Options{Workers: 1, Registry: obs.NewRegistry()}
+		if on {
+			opts.Checkpoints = ckpt.NewMemStore(0)
+		}
+		var got ckpt.Store
+		opts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			got = res.Options.Checkpoints
+			return fakeResult(res), nil
+		}
+		ex := New(opts)
+		if err := FirstError(ex.Execute(context.Background(), cells, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if on && (got == nil || got != ex.CheckpointStore()) {
+			t.Errorf("checkpointing on: Run saw %v, want the gated store %v", got, ex.CheckpointStore())
+		}
+		if !on && got != nil {
+			t.Errorf("checkpointing off: Run saw %v, want nil", got)
+		}
+		if cells[0].Options.Checkpoints != nil {
+			t.Error("executor wrote the store into the caller's cell")
+		}
+	}
 }

@@ -31,7 +31,10 @@ import (
 )
 
 // RunFunc computes one resolved cell. The default runs the simulator
-// (sim.RunContext); tests substitute failures and delays.
+// (sim.RunContext); tests substitute failures and delays. The cell a
+// local slot hands Run is the executor's own copy, with
+// Options.Checkpoints already set to the gated checkpoint store (nil
+// when checkpointing is off), so every Run forks the same way.
 type RunFunc func(ctx context.Context, res *spec.Resolved) (*sim.Result, error)
 
 // Options configures an Executor.
@@ -60,9 +63,8 @@ type Options struct {
 	// sharing a spec.CheckpointKey are grouped, the group's first cell
 	// warms cold and publishes its post-prewarm machine state, and the
 	// rest fork from it — one warmup per (machine, workload, seed)
-	// group per store lifetime, wherever the cells run.
-	// The default RunFunc threads the store into sim.Options; a custom
-	// Run sees the same gated store via CheckpointStore().
+	// group per store lifetime, wherever the cells run. Run receives
+	// the gated store in res.Options.Checkpoints.
 	Checkpoints ckpt.Store
 }
 
@@ -174,9 +176,7 @@ func New(opts Options) *Executor {
 	}
 	if opts.Run == nil {
 		opts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			o := res.Options
-			o.Checkpoints = ckpts // nil interface when checkpointing is off
-			return sim.RunContext(ctx, o)
+			return sim.RunContext(ctx, res.Options)
 		}
 	}
 	met := newMetrics(opts.Registry, opts.Workers)
@@ -202,10 +202,9 @@ func New(opts Options) *Executor {
 // Store returns the executor's result store.
 func (e *Executor) Store() Store { return e.store }
 
-// CheckpointStore returns the executor's gated checkpoint store, for
-// callers that supply their own RunFunc but still want cells to fork
-// (thread it into sim.Options.Checkpoints). Nil when checkpointing is
-// off.
+// CheckpointStore returns the executor's gated checkpoint store (the
+// one Run receives in res.Options.Checkpoints), for serving it to
+// remote workers. Nil when checkpointing is off.
 func (e *Executor) CheckpointStore() ckpt.Store { return e.ckpts }
 
 // Workers returns the number of local slots.
@@ -326,9 +325,8 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 	}
 }
 
-// lead executes one leader cell. The cell's span is its fingerprint
-// prefix: short enough to read in a log line, unique enough to match a
-// cell within a sweep. The span rides the context into the run, so
+// lead executes one leader cell. The cell's span is obs.CellSpan of
+// its fingerprint. The span rides the context into the run, so
 // sim's own "sim run" line carries the same trace/span pair as the
 // worker's lines here — local slot and remote taker alike.
 func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, started func()) (*sim.Result, error) {
@@ -336,7 +334,7 @@ func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, starte
 		return nil, ErrNoLocalSlots
 	}
 	fp := c.Fingerprint
-	runCtx := obs.WithSpan(ctx, spanID(fp))
+	runCtx := obs.WithSpan(ctx, obs.CellSpan(fp))
 	if e.log.Enabled(obs.LevelDebug) {
 		e.log.Debug("cell start",
 			"trace", obs.TraceID(ctx), "span", obs.SpanID(runCtx),
@@ -365,15 +363,6 @@ func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, starte
 			"dur", dur.Round(time.Microsecond), "err", err)
 	}
 	return res, err
-}
-
-// spanID derives a cell's span from its fingerprint: the first 12 hex
-// characters, matching the short form sweep status pages print.
-func spanID(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
 }
 
 // settle publishes a flight's outcome and retires it.

@@ -107,8 +107,10 @@ func (e *Executor) wait(ctx context.Context, f *flight, c *spec.Resolved, starte
 	e.mu.Unlock()
 	if run {
 		j.start()
+		cell := *c // Run's copy forks from the gated store
+		cell.Options.Checkpoints = e.ckpts
 		e.met.workersBusy.Inc()
-		res, err := e.run(ctx, c)
+		res, err := e.run(ctx, &cell)
 		e.met.workersBusy.Dec()
 		e.mu.Lock()
 		e.resolveLocked(j, res, err) // a no-op if a remote taker won

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dwarn/internal/ckpt"
+	"dwarn/internal/exec"
+	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 	"dwarn/internal/workload"
@@ -93,10 +95,10 @@ func TestFabricWorkerForksFromCoordinator(t *testing.T) {
 
 	coordStore := ckpt.NewMemStore(0)
 	c, ts := newTestFabric(t, Config{Checkpoints: coordStore})
-	startWorker(t, ts.URL, WorkerOptions{
-		Capacity:    2,
+	startWorker(t, ts.URL, WorkerOptions{Executor: exec.New(exec.Options{
+		Workers: 2, Registry: obs.NewRegistry(),
 		Checkpoints: ckpt.Chain{ckpt.NewMemStore(0), NewRemoteCkptStore(ts.URL, "", nil)},
-	})
+	})})
 
 	got := executeFabric(t, c, cells)
 	for fp, d := range want {

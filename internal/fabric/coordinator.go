@@ -247,7 +247,6 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, error)
 	for _, id := range req.LeaseIDs {
 		l, ok := c.leases[id]
 		if !ok || l.workerID != req.WorkerID {
-			resp.Expired = append(resp.Expired, id)
 			continue
 		}
 		if !c.line.Wanted(l.fp) {
@@ -361,7 +360,7 @@ func (c *Coordinator) sweepExpired(now time.Time) {
 				w.requeues++
 			}
 			c.log.Warn("fabric lease expired, cell requeued",
-				"lease", l.id, "worker", l.workerID, "span", spanID(l.fp))
+				"lease", l.id, "worker", l.workerID, "span", obs.CellSpan(l.fp))
 		}
 		c.retireLeaseLocked(l)
 	}

@@ -1,7 +1,7 @@
 // Package fabric is the distributed sweep layer: remote `dwarnd
 // -worker` processes take cells from the dwarnd executor's wait line —
-// the same line its local slots drain — execute them through the
-// ordinary spec→sim path, and push results back.
+// the same line its local slots drain — run them on an executor of
+// their own, and push results back.
 //
 // The Coordinator (embedded in dwarnd) is only the remote half of that
 // line: the worker registry, leases, heartbeats and the expiry janitor.
@@ -109,12 +109,6 @@ type HeartbeatResponse struct {
 	// Canceled lists leases whose cells no longer matter (the sweep
 	// was cancelled); the worker stops those simulations.
 	Canceled []string `json:"canceled,omitempty"`
-	// Expired lists leases the coordinator no longer recognises (TTL
-	// elapsed and the cell was requeued, or the coordinator
-	// restarted); the worker abandons them — a completion it has
-	// already computed may still be pushed and is accepted if the cell
-	// remains unresolved.
-	Expired []string `json:"expired,omitempty"`
 }
 
 // CompleteRequest pushes one finished cell.

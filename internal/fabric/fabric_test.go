@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,6 +89,12 @@ func serveFabric(t *testing.T, ex *exec.Executor, cfg Config) (*Coordinator, *ht
 	return c, ts
 }
 
+// workerExec builds a worker's executor: n local slots running run
+// (nil = the simulator) on a registry of its own.
+func workerExec(n int, run exec.RunFunc) *exec.Executor {
+	return exec.New(exec.Options{Workers: n, Run: run, Registry: obs.NewRegistry()})
+}
+
 // startWorker runs a Worker against the coordinator URL under its own
 // cancellable context and returns it with its stop function.
 func startWorker(t *testing.T, url string, opts WorkerOptions) (*Worker, context.CancelFunc) {
@@ -137,8 +145,8 @@ func TestFabricDigestsMatchSerial(t *testing.T) {
 	want := serialDigests(t, cells)
 
 	c, ts := newTestFabric(t, Config{LeaseTTL: 2 * time.Second})
-	startWorker(t, ts.URL, WorkerOptions{Name: "wA", Capacity: 2})
-	startWorker(t, ts.URL, WorkerOptions{Name: "wB", Capacity: 2})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wA", Executor: workerExec(2, nil)})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wB", Executor: workerExec(2, nil)})
 
 	got := executeFabric(t, c, cells)
 	if len(got) != len(want) {
@@ -174,12 +182,12 @@ func TestFabricWorkerKillMidSweep(t *testing.T) {
 	// returns until the worker dies, as if it had hung mid-cell.
 	leased := make(chan struct{}, 16)
 	_, kill := startWorker(t, ts.URL, WorkerOptions{
-		Name: "doomed", Capacity: 2,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		Name: "doomed",
+		Executor: workerExec(2, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			leased <- struct{}{}
 			<-ctx.Done()
 			return nil, ctx.Err()
-		},
+		}),
 	})
 
 	done := make(chan map[string]string, 1)
@@ -193,7 +201,7 @@ func TestFabricWorkerKillMidSweep(t *testing.T) {
 		t.Fatal("doomed worker never leased a cell")
 	}
 	kill()
-	startWorker(t, ts.URL, WorkerOptions{Name: "healthy", Capacity: 2})
+	startWorker(t, ts.URL, WorkerOptions{Name: "healthy", Executor: workerExec(2, nil)})
 
 	var got map[string]string
 	select {
@@ -228,12 +236,12 @@ func TestFabricHeartbeatDropStaleCompletion(t *testing.T) {
 	// its result is pushed, the lease has long expired.
 	slowDone := make(chan struct{})
 	slow, _ := startWorker(t, ts.URL, WorkerOptions{
-		Name: "partitioned", Capacity: 1,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		Name: "partitioned",
+		Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			defer close(slowDone)
 			time.Sleep(400 * time.Millisecond)
 			return fake(res), nil
-		},
+		}),
 	})
 	slow.SetHeartbeats(false)
 
@@ -242,11 +250,11 @@ func TestFabricHeartbeatDropStaleCompletion(t *testing.T) {
 	healthyUp := func() {
 		healthyOnce.Do(func() {
 			startWorker(t, ts.URL, WorkerOptions{
-				Name: "healthy", Capacity: 1,
-				Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+				Name: "healthy",
+				Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 					healthyRuns.Add(1)
 					return fake(res), nil
-				},
+				}),
 			})
 		})
 	}
@@ -356,11 +364,11 @@ func TestFabricTraceCellsStayLocal(t *testing.T) {
 	c, ts := serveFabric(t, ex, Config{})
 	var remoteLeased atomic.Int64
 	startWorker(t, ts.URL, WorkerOptions{
-		Name: "remote", Capacity: 1,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		Name: "remote",
+		Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			remoteLeased.Add(1)
 			return &sim.Result{}, nil
-		},
+		}),
 	})
 	res, err := runOne(context.Background(), c, traceCell)
 	if err != nil {
@@ -384,13 +392,13 @@ func TestFabricDispatchCancel(t *testing.T) {
 	running := make(chan struct{})
 	aborted := make(chan struct{})
 	startWorker(t, ts.URL, WorkerOptions{
-		Name: "w", Capacity: 1,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		Name: "w",
+		Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
 			close(running)
 			<-ctx.Done()
 			close(aborted)
 			return nil, ctx.Err()
-		},
+		}),
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -432,11 +440,12 @@ func TestFabricSharedStoreShortCircuit(t *testing.T) {
 	c, ts := newTestFabric(t, Config{})
 	var simulated atomic.Int64
 	startWorker(t, ts.URL, WorkerOptions{
-		Name: "w", Capacity: 1, Store: store,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			simulated.Add(1)
-			return &sim.Result{}, nil
-		},
+		Name: "w",
+		Executor: exec.New(exec.Options{Workers: 1, Store: store, Registry: obs.NewRegistry(),
+			Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+				simulated.Add(1)
+				return &sim.Result{}, nil
+			}}),
 	})
 	res, err := runOne(context.Background(), c, cells[0])
 	if err != nil {
@@ -467,8 +476,8 @@ func TestFabricMixedFleetDigestsMatchSerial(t *testing.T) {
 			return sim.RunContext(ctx, res.Options)
 		}})
 	c, ts := serveFabric(t, ex, Config{LeaseTTL: 2 * time.Second})
-	startWorker(t, ts.URL, WorkerOptions{Name: "wA", Capacity: 1})
-	startWorker(t, ts.URL, WorkerOptions{Name: "wB", Capacity: 1})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wA", Executor: workerExec(1, nil)})
+	startWorker(t, ts.URL, WorkerOptions{Name: "wB", Executor: workerExec(1, nil)})
 	deadline := time.Now().Add(10 * time.Second)
 	for len(c.Status().Workers) < 2 {
 		if time.Now().After(deadline) {
@@ -489,5 +498,27 @@ func TestFabricMixedFleetDigestsMatchSerial(t *testing.T) {
 	}
 	if n := local.Load() + int64(remote); n != int64(len(cells)) {
 		t.Errorf("%d cells ran, want %d (each exactly once)", n, len(cells))
+	}
+}
+
+// TestWorkerExportsExecutorMetrics: a worker runs its leases on its
+// executor, so the executor's series count the worker's cells.
+func TestWorkerExportsExecutorMetrics(t *testing.T) {
+	cells := resolveGrid(t, []string{"icount"}, []uint64{5})
+	c, ts := newTestFabric(t, Config{})
+	reg := obs.NewRegistry()
+	startWorker(t, ts.URL, WorkerOptions{Name: "w", Executor: exec.New(exec.Options{Workers: 1, Registry: reg,
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			return &sim.Result{Cycles: 3}, nil
+		}})})
+	if _, err := runOne(context.Background(), c, cells[0]); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `dwarn_exec_cells_total{state="done"} 1`; !strings.Contains(buf.String(), want+"\n") {
+		t.Errorf("worker registry lacks %q:\n%s", want, buf.String())
 	}
 }

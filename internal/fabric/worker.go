@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
@@ -28,13 +27,15 @@ type WorkerOptions struct {
 	Coordinator string
 	// Name labels the worker in status and logs ("" = host-pid).
 	Name string
-	// Capacity is how many cells run concurrently (<=0 = 1).
-	Capacity int
-	// Store, when non-nil, short-circuits leases whose fingerprint it
-	// already holds and persists finished results before they are
-	// pushed — point every worker and the coordinator at one shared
-	// DirStore and the fleet shares one durable cache identity.
-	Store exec.Store
+	// Executor runs the leased cells, the same way every frontend runs
+	// cells (required, with at least one local slot): its local slots
+	// are the worker's capacity, its store short-circuits leases it
+	// already holds and keeps the results it computes (point every
+	// worker and the coordinator at one shared DirStore and the fleet
+	// shares one durable cache identity), and its checkpoint store lets
+	// cells fork — typically a ckpt.Chain ending in the coordinator's
+	// RemoteCkptStore.
+	Executor *exec.Executor
 	// LeaseWait bounds each lease call's long-poll (<=0 = default).
 	LeaseWait time.Duration
 	// AuthToken, when non-empty, is sent as a bearer credential on
@@ -44,29 +45,21 @@ type WorkerOptions struct {
 	Registry *obs.Registry
 	// Logger receives worker lifecycle logs (nil = discard).
 	Logger *obs.Logger
-	// Run executes a cell (nil = sim.RunContext).
-	Run exec.RunFunc
-	// Checkpoints, when non-nil, is threaded into every cell the default
-	// Run executes, so a worker's cells fork post-prewarm state instead
-	// of warming cold. Typically a ckpt.Chain ending in the
-	// coordinator's RemoteCkptStore: local mem (and optionally dir)
-	// tiers first, the fleet-shared tier last.
-	Checkpoints ckpt.Store
 	// Client issues the RPCs (nil = a dedicated client with a timeout
 	// comfortably above the long-poll window).
 	Client *http.Client
 }
 
-// Worker pulls leases from a coordinator, runs the cells, and pushes
-// completions. Run blocks until its context is canceled; on shutdown
-// in-flight cells are abandoned silently (no error completion is ever
-// pushed for them), so the coordinator's lease TTL — not a dying
-// worker's last gasp — decides when their cells are requeued.
+// Worker pulls leases from a coordinator, runs the cells on its
+// executor, and pushes completions. Run blocks until its context is
+// canceled; on shutdown in-flight cells are abandoned silently (no
+// error completion is ever pushed for them), so the coordinator's
+// lease TTL — not a dying worker's last gasp — decides when their
+// cells are requeued.
 type Worker struct {
 	opts   WorkerOptions
 	log    *obs.Logger
 	client *http.Client
-	run    exec.RunFunc
 
 	mu       sync.Mutex
 	workerID string
@@ -95,8 +88,8 @@ type activeLease struct {
 
 // NewWorker builds a worker; call Run to start it.
 func NewWorker(opts WorkerOptions) *Worker {
-	if opts.Capacity <= 0 {
-		opts.Capacity = 1
+	if opts.Executor == nil || opts.Executor.Workers() == 0 {
+		panic("fabric: a worker needs an executor with local slots")
 	}
 	if opts.Name == "" {
 		host, _ := os.Hostname()
@@ -112,20 +105,12 @@ func NewWorker(opts WorkerOptions) *Worker {
 		opts:   opts,
 		log:    opts.Logger,
 		client: opts.Client,
-		run:    opts.Run,
 	}
 	if w.log == nil {
 		w.log = obs.Nop()
 	}
 	if w.client == nil {
 		w.client = &http.Client{Timeout: opts.LeaseWait + 30*time.Second}
-	}
-	if w.run == nil {
-		w.run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			o := res.Options
-			o.Checkpoints = opts.Checkpoints
-			return sim.RunContext(ctx, o)
-		}
 	}
 	w.heartbeats.Store(true)
 	if reg := opts.Registry; reg != nil {
@@ -162,6 +147,7 @@ var errUnknown = errors.New("fabric: worker not recognised by coordinator")
 // rather than surfaced — a worker outliving a coordinator restart
 // simply re-registers and resumes pulling.
 func (w *Worker) Run(ctx context.Context) error {
+	capacity := w.opts.Executor.Workers()
 	if err := w.register(ctx); err != nil {
 		return err
 	}
@@ -169,8 +155,8 @@ func (w *Worker) Run(ctx context.Context) error {
 	defer hbCancel()
 	go w.heartbeatLoop(hbCtx)
 
-	slots := make(chan struct{}, w.opts.Capacity)
-	for i := 0; i < w.opts.Capacity; i++ {
+	slots := make(chan struct{}, capacity)
+	for i := 0; i < capacity; i++ {
 		slots <- struct{}{}
 	}
 	var wg sync.WaitGroup
@@ -188,7 +174,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		n := 1
 	batch:
-		for n < w.opts.Capacity {
+		for n < capacity {
 			select {
 			case <-slots:
 				n++
@@ -259,7 +245,7 @@ func (w *Worker) register(ctx context.Context) error {
 		var resp RegisterResponse
 		err := w.rpc(ctx, "", "/v2/fabric/workers", RegisterRequest{
 			Name:     w.opts.Name,
-			Capacity: w.opts.Capacity,
+			Capacity: w.opts.Executor.Workers(),
 			PID:      os.Getpid(),
 		}, &resp)
 		if err == nil {
@@ -269,7 +255,7 @@ func (w *Worker) register(ctx context.Context) error {
 			w.mu.Unlock()
 			w.log.Info("fabric worker registered",
 				"coordinator", w.opts.Coordinator, "worker", resp.WorkerID,
-				"name", w.opts.Name, "capacity", w.opts.Capacity)
+				"name", w.opts.Name, "capacity", w.opts.Executor.Workers())
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -308,9 +294,10 @@ func (w *Worker) id() string {
 }
 
 // heartbeatLoop renews the worker and its active leases at a third of
-// the lease TTL, and acts on the coordinator's verdicts: canceled
-// cells are stopped and dropped, expired leases keep computing (a late
-// completion is still accepted if the cell remains unresolved).
+// the lease TTL, and stops and drops the cells the coordinator reports
+// canceled. A lease the coordinator no longer recognises keeps
+// computing: a late completion is still accepted if the cell remains
+// unresolved.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	w.mu.Lock()
 	ttl := w.ttl
@@ -353,10 +340,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// execute runs one leased cell end to end: short-circuit through the
-// shared store, else re-resolve the canonical spec (verifying it lands
-// on the leased fingerprint) and simulate, then push the completion
-// under the lease's trace id.
+// execute runs one leased cell end to end: re-resolve the canonical
+// spec (verifying it lands on the leased fingerprint), run it on the
+// executor, then push the completion under the lease's trace id.
 func (w *Worker) execute(ctx context.Context, l Lease) {
 	cellCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -364,16 +350,9 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 	w.active.Store(l.ID, al)
 	defer w.active.Delete(l.ID)
 
-	cellCtx = obs.WithLogger(obs.WithSpan(obs.WithTrace(cellCtx, l.Trace), spanID(l.Fingerprint)), w.log)
+	cellCtx = obs.WithLogger(obs.WithTrace(cellCtx, l.Trace), w.log)
 	if w.log.Enabled(obs.LevelDebug) {
-		w.log.Debug("fabric cell leased", "trace", l.Trace, "span", spanID(l.Fingerprint), "lease", l.ID)
-	}
-
-	if w.opts.Store != nil {
-		if res, ok := w.opts.Store.Get(l.Fingerprint); ok {
-			w.complete(ctx, CompleteRequest{WorkerID: w.id(), LeaseID: l.ID, Fingerprint: l.Fingerprint, Result: res}, l.Trace)
-			return
-		}
+		w.log.Debug("fabric cell leased", "trace", l.Trace, "span", obs.CellSpan(l.Fingerprint), "lease", l.ID)
 	}
 
 	res, err := w.runLease(cellCtx, l)
@@ -383,19 +362,14 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 	if err != nil && cellCtx.Err() != nil {
 		return // dying mid-cell: the lease TTL requeues it
 	}
-	req := CompleteRequest{WorkerID: w.id(), LeaseID: l.ID, Fingerprint: l.Fingerprint}
+	req := CompleteRequest{WorkerID: w.id(), LeaseID: l.ID, Fingerprint: l.Fingerprint, Result: res}
 	if err != nil {
 		req.Error = err.Error()
-	} else {
-		req.Result = res
-		if w.opts.Store != nil {
-			w.opts.Store.Put(l.Fingerprint, res)
-		}
 	}
 	w.complete(ctx, req, l.Trace)
 }
 
-// runLease resolves and simulates one leased cell.
+// runLease resolves one leased cell and runs it on the executor.
 func (w *Worker) runLease(ctx context.Context, l Lease) (*sim.Result, error) {
 	// The lease carries the cell's canonical, self-contained spec;
 	// re-resolving it locally must land on the leased fingerprint, or
@@ -409,9 +383,10 @@ func (w *Worker) runLease(ctx context.Context, l Lease) (*sim.Result, error) {
 	}
 	if res.Fingerprint != l.Fingerprint {
 		return nil, fmt.Errorf("fabric: fingerprint mismatch: leased %s, resolved %s (engine version skew?)",
-			spanID(l.Fingerprint), spanID(res.Fingerprint))
+			obs.CellSpan(l.Fingerprint), obs.CellSpan(res.Fingerprint))
 	}
-	return w.run(ctx, res)
+	r := w.opts.Executor.Execute(ctx, []*spec.Resolved{res}, nil)[0]
+	return r.Result, r.Err
 }
 
 // complete pushes one completion, re-registering once if the
@@ -428,12 +403,12 @@ func (w *Worker) complete(ctx context.Context, req CompleteRequest, trace string
 	}
 	if err != nil {
 		if ctx.Err() == nil {
-			w.log.Warn("fabric complete push failed", "span", spanID(req.Fingerprint), "err", err)
+			w.log.Warn("fabric complete push failed", "span", obs.CellSpan(req.Fingerprint), "err", err)
 		}
 		return
 	}
 	if resp.Stale {
-		w.log.Info("fabric completion stale (cell already resolved)", "span", spanID(req.Fingerprint))
+		w.log.Info("fabric completion stale (cell already resolved)", "span", obs.CellSpan(req.Fingerprint))
 	}
 }
 
@@ -493,13 +468,4 @@ func (w *Worker) doRPC(ctx context.Context, trace, path string, in, out any) err
 		return fmt.Errorf("fabric: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
 	return json.NewDecoder(io.LimitReader(resp.Body, maxRPCBody)).Decode(out)
-}
-
-// spanID is the cell span convention shared with internal/exec: the
-// first 12 hex characters of the fingerprint.
-func spanID(fp string) string {
-	if len(fp) > 12 {
-		return fp[:12]
-	}
-	return fp
 }

@@ -35,6 +35,15 @@ func WithSpan(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, spanKey, id)
 }
 
+// CellSpan is a sweep cell's span: the first 12 hex characters of its
+// fingerprint, the short form sweep status pages print.
+func CellSpan(fp string) string {
+	if len(fp) > 12 {
+		return fp[:12]
+	}
+	return fp
+}
+
 // SpanID returns ctx's span ID, or "" when none is attached.
 func SpanID(ctx context.Context) string {
 	id, _ := ctx.Value(spanKey).(string)

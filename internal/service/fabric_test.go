@@ -15,6 +15,7 @@ import (
 	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/fabric"
+	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 )
@@ -211,21 +212,20 @@ func TestServiceFabricRemoteWarmReleasesSiblings(t *testing.T) {
 	release := make(chan struct{})
 	var leader atomic.Bool
 	w := fabric.NewWorker(fabric.WorkerOptions{
-		Coordinator: ts.URL, Capacity: 3, LeaseWait: 50 * time.Millisecond,
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			o := res.Options
-			o.Checkpoints = forks
-			r, err := sim.RunContext(ctx, o)
-			// Siblings wait at the warm gate, so the first cell taken is
-			// the group's leader: hold its completion back.
-			if leader.CompareAndSwap(false, true) {
-				select {
-				case <-release:
-				case <-ctx.Done():
+		Coordinator: ts.URL, LeaseWait: 50 * time.Millisecond,
+		Executor: exec.New(exec.Options{Workers: 3, Registry: obs.NewRegistry(), Checkpoints: forks,
+			Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+				r, err := sim.RunContext(ctx, res.Options)
+				// Siblings wait at the warm gate, so the first cell taken
+				// is the group's leader: hold its completion back.
+				if leader.CompareAndSwap(false, true) {
+					select {
+					case <-release:
+					case <-ctx.Done():
+					}
 				}
-			}
-			return r, err
-		},
+				return r, err
+			}}),
 	})
 	ctx, stop := context.WithCancel(context.Background())
 	stopped := make(chan struct{})

@@ -277,9 +277,6 @@ func (s *Server) runCell(ctx context.Context, res *spec.Resolved) (*sim.Result, 
 		fp := res.Fingerprint
 		opts.OnFrame = func(f *timeline.Frame) { sink(fp, f) }
 	}
-	// The executor's gated checkpoint store, so cells fork post-prewarm
-	// state and the warm gate releases the moment a group publishes.
-	opts.Checkpoints = s.exec.CheckpointStore()
 	return sim.RunContext(ctx, opts)
 }
 

@@ -67,7 +67,7 @@ run_round() { # $1 = worker process count; prints elapsed seconds
     i=0
     while [ "$i" -lt "$n" ]; do
         "$work/dwarnd" -worker -coordinator "$base" -store "$store" \
-            -worker-capacity 1 -worker-name "bench-$i" -log-level error &
+            -workers 1 -worker-name "bench-$i" -log-level error &
         wpids="$wpids $!"
         i=$((i + 1))
     done
