@@ -306,27 +306,14 @@ func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, 
 	}
 	results := ex.Execute(ctx, resolved, progress)
 
-	// Baselines pass: every distinct solo cell the finished cells need,
-	// as one batch over the same executor and store.
 	ok := true
-	summaries, err := exec.SoloSummaries(ctx, ex, resolved, results)
-	if err != nil {
-		if ctx.Err() == nil {
-			fatal(err)
-		}
-		// Interrupted mid-baselines: the cells below still print, but
-		// their summaries are missing — say so and exit nonzero rather
-		// than passing off a truncated run as complete.
-		fmt.Fprintf(os.Stderr, "smtsim: baselines incomplete: %v\n", err)
-		ok = false
-	}
 	var cells []specCell
 	for i, r := range results {
 		if r.Err != nil {
 			ok = false
 		}
 		if asJSON {
-			c := specCell{Fingerprint: r.Fingerprint, Spec: resolved[i].Spec, Result: r.Result, Summary: summaries[i], Cached: r.Cached}
+			c := specCell{Fingerprint: r.Fingerprint, Spec: resolved[i].Spec, Result: r.Result, Summary: r.Summary, Cached: r.Cached}
 			if r.Err != nil {
 				c.Error = r.Err.Error()
 			}
@@ -347,8 +334,8 @@ func runSpecFile(path string, maxCells, parallel int, storeDir, ckptDir string, 
 			resolved[i].Spec.Machine.Name, resolved[i].Spec.Policy.ID(), resolved[i].Spec.Workload.ID(),
 			resolved[i].Spec.Seed, r.Fingerprint[:12], r.Result.CounterDigest()[:16])
 		out.PrintResult(os.Stdout, r.Result)
-		if summaries[i] != nil {
-			fmt.Printf("baselines: Hmean %.3f  weighted speedup %.3f\n", summaries[i].Hmean, summaries[i].WeightedSpeedup)
+		if r.Summary != nil {
+			fmt.Printf("baselines: Hmean %.3f  weighted speedup %.3f\n", r.Summary.Hmean, r.Summary.WeightedSpeedup)
 		}
 		fmt.Println()
 	}

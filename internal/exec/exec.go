@@ -14,7 +14,10 @@
 // aborts the rest; cancelling the context stops running cells at their
 // next cooperative check and marks the remainder canceled; and a sweep
 // re-executed over a warm Store — including a DirStore surviving a
-// killed process — skips everything already stored.
+// killed process — skips everything already stored. Relative-IPC
+// baselines are its job too: a cell whose spec sets Baselines is
+// terminal only once its solo-ICOUNT baselines are, and carries their
+// Summary (see baselines.go).
 package exec
 
 import (
@@ -28,6 +31,7 @@ import (
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
+	"dwarn/internal/stats"
 )
 
 // RunFunc computes one resolved cell. The default runs the simulator
@@ -82,13 +86,15 @@ const (
 // Event is one per-cell progress notification. Index is the cell's
 // position in the Execute input; Completed counts terminal cells so far
 // (including this one, when terminal) out of Total. Result is set on
-// done and cached events so progress consumers (the service's sweep
-// status and SSE stream) need no store round trip.
+// done and cached events, and Summary on those of baselines cells, so
+// progress consumers (the service's sweep status and SSE stream) need
+// no store round trip.
 type Event struct {
 	Index       int
 	Fingerprint string
 	State       string
 	Result      *sim.Result
+	Summary     *stats.Summary
 	Err         error
 	Completed   int
 	Total       int
@@ -107,6 +113,9 @@ type CellResult struct {
 	Spec spec.RunSpec
 	// Result is the finished simulation; nil when Err is set.
 	Result *sim.Result
+	// Summary is the relative-IPC summary over the cell's solo
+	// baselines; set only when its spec asks for baselines.
+	Summary *stats.Summary
 	// Cached reports that this cell did not pay for its simulation: the
 	// result came from the Store or from a concurrent identical cell.
 	Cached bool
@@ -238,6 +247,14 @@ func (e *Executor) Execute(ctx context.Context, cells []*spec.Resolved, onEvent 
 	}
 
 	var wg sync.WaitGroup
+	plan, solos := planSolos(cells)
+	for _, r := range solos {
+		wg.Add(1)
+		go func(r *soloRun) {
+			defer wg.Done()
+			e.runSolo(ctx, r)
+		}(r)
+	}
 	for i, c := range cells {
 		wg.Add(1)
 		go func(i int, c *spec.Resolved) {
@@ -247,33 +264,44 @@ func (e *Executor) Execute(ctx context.Context, cells []*spec.Resolved, onEvent 
 				emit(Event{Index: i, Fingerprint: fp, State: CellStarted})
 			}
 			res, cached, err := e.cell(ctx, c, started)
+			var summary *stats.Summary
+			if err == nil && plan[i] != nil {
+				if summary, err = plan[i](res); err != nil {
+					res = nil
+				}
+			}
 			out[i] = CellResult{
 				Index:       i,
 				Fingerprint: fp,
 				Spec:        c.Spec,
 				Result:      res,
+				Summary:     summary,
 				Cached:      cached,
 				Err:         err,
 			}
-			// Canceled means the cell's error IS a context error; a cell
-			// that failed with a genuine simulation error reports failed
-			// even when the sweep was canceled moments later — masking a
-			// real failure as "canceled" would hide it from the caller.
-			state := CellDone
-			switch {
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				state = CellCanceled
-			case err != nil:
-				state = CellFailed
-			case cached:
-				state = CellCached
-			}
-			emit(Event{Index: i, Fingerprint: fp, State: state, Result: res, Err: err})
+			emit(Event{Index: i, Fingerprint: fp, State: cellState(err, cached), Result: res, Summary: summary, Err: err})
 		}(i, c)
 	}
 	wg.Wait()
-	e.met.batchRate(len(cells), time.Since(batchStart))
+	e.met.batchRate(len(cells)+len(solos), time.Since(batchStart))
 	return out
+}
+
+// cellState is a finished cell's terminal state. Canceled means the
+// cell's error IS a context error; a cell that failed with a genuine
+// simulation error reports failed even when the sweep was canceled
+// moments later — masking a real failure as "canceled" would hide it
+// from the caller.
+func cellState(err error, cached bool) string {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return CellCanceled
+	case err != nil:
+		return CellFailed
+	case cached:
+		return CellCached
+	}
+	return CellDone
 }
 
 // cell computes one fingerprint with store memoization and

@@ -39,14 +39,21 @@ func resolveCells(t *testing.T, policies []string, seeds []uint64) []*spec.Resol
 	return out
 }
 
-// fakeResult builds a distinguishable result for a cell.
+// fakeResult builds a distinguishable result for a cell: one thread
+// per benchmark, each with a positive IPC that shrinks with the thread
+// count, so relative-IPC summaries are computable.
 func fakeResult(res *spec.Resolved) *sim.Result {
-	return &sim.Result{
+	r := &sim.Result{
 		Workload: res.Spec.Workload.ID(),
 		Policy:   res.Spec.Policy.ID(),
 		Machine:  res.Spec.Machine.Name,
 		Cycles:   int64(res.Spec.Seed),
 	}
+	bs := res.Options.Workload.Benchmarks
+	for _, b := range bs {
+		r.Threads = append(r.Threads, sim.ThreadResult{Benchmark: b, IPC: float64(len(b)) / float64(len(bs))})
+	}
+	return r
 }
 
 // countingRun returns a RunFunc recording invocations per fingerprint.

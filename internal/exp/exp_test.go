@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dwarn/internal/config"
@@ -162,18 +163,45 @@ func TestRunSpecsSurfacesCellErrors(t *testing.T) {
 	}
 }
 
-func TestSoloCached(t *testing.T) {
+// TestBaselinesGridReusesSolos: a second baselines grid over the same
+// benchmarks simulates no solo baseline again, and both grids' cells
+// carry their relative-IPC summaries.
+func TestBaselinesGridReusesSolos(t *testing.T) {
 	r := fastRunner()
-	a, err := r.solo("baseline", "gzip")
-	if err != nil {
-		t.Fatal(err)
+	var solos atomic.Int64
+	r.exec = exec.New(exec.Options{Workers: 2, Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+		if res.Spec.Workload.Solo != "" {
+			solos.Add(1)
+		}
+		return sim.RunContext(ctx, res.Options)
+	}})
+	wls := []spec.Workload{{Name: "2-MIX"}, {Name: "2-MEM"}} // gzip+twolf, mcf+twolf
+	runGrid := func(policy string) {
+		t.Helper()
+		specs, err := r.grid(spec.SweepSpec{
+			Policies:  []spec.PolicyAxis{{Name: policy}},
+			Workloads: wls,
+			Baselines: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.runAll(specs); err != nil {
+			t.Fatal(err)
+		}
+		for _, wl := range wls {
+			if s := r.summary("baseline", policy, wl.Name); s == nil || s.Hmean <= 0 {
+				t.Fatalf("%s on %s: summary %+v", policy, wl.Name, s)
+			}
+		}
 	}
-	b, err := r.solo("baseline", "gzip")
-	if err != nil {
-		t.Fatal(err)
+	runGrid("icount")
+	if n := solos.Load(); n != 3 {
+		t.Fatalf("first grid simulated %d solos, want 3", n)
 	}
-	if a != b || a <= 0 {
-		t.Errorf("solo cache broken: %v vs %v", a, b)
+	runGrid("dwarn")
+	if n := solos.Load(); n != 3 {
+		t.Errorf("second grid simulated %d more solos", n-3)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dwarn/internal/core"
-	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 	"dwarn/internal/stats"
 	"dwarn/internal/workload"
@@ -68,18 +67,16 @@ func (r *Runner) Table2a() (*Table, error) {
 	return t, nil
 }
 
-// paperGrid expands the paper-policies × workloads grid for one
-// machine (the default policy axis is exactly the six paper policies).
-func (r *Runner) paperGrid(machine string, wls []workload.Workload) ([]spec.RunSpec, error) {
-	return r.grid(spec.SweepSpec{
+// runPaperGrid expands and runs the paper-policies × workloads grid
+// for one machine (the default policy axis is exactly the six paper
+// policies). With baselines, every cell also gets its relative-IPC
+// summary (see summary).
+func (r *Runner) runPaperGrid(machine string, wls []workload.Workload, baselines bool) error {
+	specs, err := r.grid(spec.SweepSpec{
 		Machines:  []spec.Machine{{Name: machine}},
 		Workloads: workloadSpecs(wls),
+		Baselines: baselines,
 	})
-}
-
-// runPaperGrid expands and runs the grid in one step.
-func (r *Runner) runPaperGrid(machine string, wls []workload.Workload) error {
-	specs, err := r.paperGrid(machine, wls)
 	if err != nil {
 		return err
 	}
@@ -90,7 +87,7 @@ func (r *Runner) runPaperGrid(machine string, wls []workload.Workload) error {
 // policy on the baseline machine.
 func (r *Runner) Fig1a() (*Table, error) {
 	wls := workload.Workloads()
-	if err := r.runPaperGrid("baseline", wls); err != nil {
+	if err := r.runPaperGrid("baseline", wls, false); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -116,11 +113,17 @@ func policyHeaders() []string {
 	return hs
 }
 
-// improvementTable builds a DWarn-over-others table from a per-run
-// metric.
-func (r *Runner) improvementTable(id, title, machine string, wls []workload.Workload, metric func(*sim.Result) (float64, error)) (*Table, error) {
-	if err := r.runPaperGrid(machine, wls); err != nil {
+// improvementTable builds a DWarn-over-others table from each cell's
+// throughput, or with hmean from its Hmean of relative IPCs.
+func (r *Runner) improvementTable(id, title, machine string, wls []workload.Workload, hmean bool) (*Table, error) {
+	if err := r.runPaperGrid(machine, wls, hmean); err != nil {
 		return nil, err
+	}
+	metric := func(policy, wl string) float64 {
+		if hmean {
+			return r.summary(machine, policy, wl).Hmean
+		}
+		return r.get(machine, policy, wl).Throughput
 	}
 	others := make([]string, 0, len(paperPolicies)-1)
 	for _, p := range paperPolicies {
@@ -135,17 +138,10 @@ func (r *Runner) improvementTable(id, title, machine string, wls []workload.Work
 	}
 	sums := make([]float64, len(others))
 	for _, wl := range wls {
-		dw, err := metric(r.get(machine, "dwarn", wl.Name))
-		if err != nil {
-			return nil, err
-		}
+		dw := metric("dwarn", wl.Name)
 		row := []string{wl.Name}
 		for i, p := range others {
-			base, err := metric(r.get(machine, p, wl.Name))
-			if err != nil {
-				return nil, err
-			}
-			imp := stats.Improvement(dw, base)
+			imp := stats.Improvement(dw, metric(p, wl.Name))
 			sums[i] += imp
 			row = append(row, pct(imp))
 		}
@@ -163,8 +159,7 @@ func (r *Runner) improvementTable(id, title, machine string, wls []workload.Work
 // each policy on the baseline machine.
 func (r *Runner) Fig1b() (*Table, error) {
 	return r.improvementTable("fig1b", "throughput improvement of DWarn over the other policies, baseline",
-		"baseline", workload.Workloads(),
-		func(res *sim.Result) (float64, error) { return res.Throughput, nil })
+		"baseline", workload.Workloads(), false)
 }
 
 // Fig2 regenerates Figure 2: instructions squashed by the FLUSH policy
@@ -199,27 +194,11 @@ func (r *Runner) Fig2() (*Table, error) {
 	return t, nil
 }
 
-// hmeanMetric returns a metric function computing Hmean of relative
-// IPCs on the given machine.
-func (r *Runner) hmeanMetric(machine string) func(*sim.Result) (float64, error) {
-	return func(res *sim.Result) (float64, error) {
-		rel, err := r.relIPCs(machine, res)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Hmean(rel), nil
-	}
-}
-
 // Fig3 regenerates Figure 3: Hmean improvement of DWarn over the other
 // policies on the baseline machine.
 func (r *Runner) Fig3() (*Table, error) {
-	wls := workload.Workloads()
-	if err := r.soloAll("baseline", wls); err != nil {
-		return nil, err
-	}
 	return r.improvementTable("fig3", "Hmean improvement of DWarn over the other policies, baseline",
-		"baseline", wls, r.hmeanMetric("baseline"))
+		"baseline", workload.Workloads(), true)
 }
 
 // Table4 regenerates Table 4: the relative IPC of each thread in the
@@ -229,10 +208,7 @@ func (r *Runner) Table4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runPaperGrid("baseline", []workload.Workload{wl}); err != nil {
-		return nil, err
-	}
-	if err := r.soloAll("baseline", []workload.Workload{wl}); err != nil {
+	if err := r.runPaperGrid("baseline", []workload.Workload{wl}, true); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -246,16 +222,12 @@ func (r *Runner) Table4() (*Table, error) {
 	}
 	t.Header = append(t.Header, "Hmean")
 	for _, p := range paperPolicies {
-		res := r.get("baseline", p, wl.Name)
-		rel, err := r.relIPCs("baseline", res)
-		if err != nil {
-			return nil, err
-		}
+		sum := r.summary("baseline", p, wl.Name)
 		row := []string{displayName(p)}
-		for _, v := range rel {
+		for _, v := range sum.RelativeIPCs {
 			row = append(row, fmt.Sprintf("%.2f", v))
 		}
-		row = append(row, fmt.Sprintf("%.2f", stats.Hmean(rel)))
+		row = append(row, fmt.Sprintf("%.2f", sum.Hmean))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -265,16 +237,13 @@ func (r *Runner) Table4() (*Table, error) {
 // on the smaller 4-wide 1.4-fetch machine (2- and 4-thread workloads).
 func (r *Runner) Fig4() ([]*Table, error) {
 	wls := workload.WorkloadsByThreads(2, 4)
-	if err := r.soloAll("small", wls); err != nil {
-		return nil, err
-	}
 	thr, err := r.improvementTable("fig4a", "throughput improvement of DWarn, small machine (4-wide, 1.4 fetch)",
-		"small", wls, func(res *sim.Result) (float64, error) { return res.Throughput, nil })
+		"small", wls, false)
 	if err != nil {
 		return nil, err
 	}
 	hm, err := r.improvementTable("fig4b", "Hmean improvement of DWarn, small machine (4-wide, 1.4 fetch)",
-		"small", wls, r.hmeanMetric("small"))
+		"small", wls, true)
 	if err != nil {
 		return nil, err
 	}
@@ -285,16 +254,13 @@ func (r *Runner) Fig4() ([]*Table, error) {
 // on the deeper machine (16 stages, longer memory latencies).
 func (r *Runner) Fig5() ([]*Table, error) {
 	wls := workload.Workloads()
-	if err := r.soloAll("deep", wls); err != nil {
-		return nil, err
-	}
 	thr, err := r.improvementTable("fig5a", "throughput improvement of DWarn, deep machine (16-stage)",
-		"deep", wls, func(res *sim.Result) (float64, error) { return res.Throughput, nil })
+		"deep", wls, false)
 	if err != nil {
 		return nil, err
 	}
 	hm, err := r.improvementTable("fig5b", "Hmean improvement of DWarn, deep machine (16-stage)",
-		"deep", wls, r.hmeanMetric("deep"))
+		"deep", wls, true)
 	if err != nil {
 		return nil, err
 	}

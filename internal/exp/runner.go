@@ -25,7 +25,7 @@ import (
 	"dwarn/internal/exec"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
-	"dwarn/internal/workload"
+	"dwarn/internal/stats"
 )
 
 // Config controls the measurement protocol for all experiments.
@@ -67,14 +67,16 @@ func (c Config) withDefaults() Config {
 // Runner executes experiments through the shared execution layer. The
 // executor's Store memoises by spec fingerprint; the runner adds a
 // (machine, policy-id, workload, seed) index on top for the lookups the
-// table builders perform.
+// experiment tables perform, and keeps the relative-IPC summaries the
+// executor returned for baselines cells.
 type Runner struct {
 	cfg    Config
 	traces spec.TraceResolver
 	exec   *exec.Executor
 
-	mu    sync.Mutex
-	index map[runKey]string // identity quad → fingerprint
+	mu        sync.Mutex
+	index     map[runKey]string         // identity quad → fingerprint
+	summaries map[string]*stats.Summary // fingerprint → relative-IPC summary
 }
 
 type runKey struct {
@@ -89,10 +91,11 @@ type runKey struct {
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
 	return &Runner{
-		cfg:    cfg,
-		traces: spec.FileTraces{},
-		exec:   exec.New(exec.Options{Workers: cfg.Parallelism, Checkpoints: cfg.Checkpoints}),
-		index:  make(map[runKey]string),
+		cfg:       cfg,
+		traces:    spec.FileTraces{},
+		exec:      exec.New(exec.Options{Workers: cfg.Parallelism, Checkpoints: cfg.Checkpoints}),
+		index:     make(map[runKey]string),
+		summaries: make(map[string]*stats.Summary),
 	}
 }
 
@@ -166,79 +169,38 @@ func (r *Runner) runResolved(cells []gridCell) ([]exec.CellResult, error) {
 	}
 	r.mu.Unlock()
 	results := r.exec.Execute(context.Background(), resolved, nil)
+	r.mu.Lock()
+	for _, cr := range results {
+		if cr.Summary != nil {
+			r.summaries[cr.Fingerprint] = cr.Summary
+		}
+	}
+	r.mu.Unlock()
 	return results, exec.FirstError(results)
+}
+
+// fingerprint returns the indexed fingerprint of a cell under the
+// runner's own seed.
+func (r *Runner) fingerprint(machine, policy, wl string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.index[runKey{machine: machine, policy: policy, workload: wl, seed: r.cfg.Seed}]
 }
 
 // get returns a memoised result under the runner's own seed; runAll
 // must have succeeded for its cell.
 func (r *Runner) get(machine, policy, wl string) *sim.Result {
-	r.mu.Lock()
-	fp := r.index[runKey{machine: machine, policy: policy, workload: wl, seed: r.cfg.Seed}]
-	r.mu.Unlock()
-	res, _ := r.exec.Store().Get(fp)
+	res, _ := r.exec.Store().Get(r.fingerprint(machine, policy, wl))
 	return res
 }
 
-// soloSpecs builds the solo-baseline workload axis for every distinct
-// benchmark in the workloads.
-func soloSpecs(wls []workload.Workload) []spec.Workload {
-	seen := map[string]bool{}
-	var out []spec.Workload
-	for _, wl := range wls {
-		for _, b := range wl.Benchmarks {
-			if !seen[b] {
-				seen[b] = true
-				out = append(out, spec.Workload{Solo: b})
-			}
-		}
-	}
-	return out
-}
-
-// solo returns the single-thread IPC of a benchmark on a machine (the
-// relative-IPC denominator), memoised via the same store.
-func (r *Runner) solo(machine, bench string) (float64, error) {
-	specs, err := r.grid(spec.SweepSpec{
-		Machines:  []spec.Machine{{Name: machine}},
-		Policies:  []spec.PolicyAxis{{Name: "icount"}},
-		Workloads: []spec.Workload{{Solo: bench}},
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.runAll(specs); err != nil {
-		return 0, err
-	}
-	return r.get(machine, "icount", "solo-"+bench).Threads[0].IPC, nil
-}
-
-// soloAll warms the solo cache for every benchmark in the workloads.
-func (r *Runner) soloAll(machine string, wls []workload.Workload) error {
-	specs, err := r.grid(spec.SweepSpec{
-		Machines:  []spec.Machine{{Name: machine}},
-		Policies:  []spec.PolicyAxis{{Name: "icount"}},
-		Workloads: soloSpecs(wls),
-	})
-	if err != nil {
-		return err
-	}
-	return r.runAll(specs)
-}
-
-// relIPCs computes each thread's relative IPC for a finished run.
-func (r *Runner) relIPCs(machine string, res *sim.Result) ([]float64, error) {
-	rel := make([]float64, len(res.Threads))
-	for i, t := range res.Threads {
-		solo, err := r.solo(machine, t.Benchmark)
-		if err != nil {
-			return nil, err
-		}
-		if solo <= 0 {
-			return nil, fmt.Errorf("exp: zero solo IPC for %s on %s", t.Benchmark, machine)
-		}
-		rel[i] = t.IPC / solo
-	}
-	return rel, nil
+// summary returns a cell's relative-IPC summary under the runner's own
+// seed; runAll must have succeeded for its cell with baselines set.
+func (r *Runner) summary(machine, policy, wl string) *stats.Summary {
+	fp := r.fingerprint(machine, policy, wl)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.summaries[fp]
 }
 
 // RunSpecs executes an arbitrary spec grid (the -spec path of
@@ -256,20 +218,9 @@ func (r *Runner) RunSpecs(cells []spec.RunSpec) (*Table, error) {
 	}
 	results, _ := r.runResolved(resolved) // per-cell errors render as rows
 
-	// Baselines pass: the shared batch shape (collect, dedupe by
-	// fingerprint, one Execute, summarize) lives in the execution layer.
-	specs := make([]*spec.Resolved, len(resolved))
-	for i, c := range resolved {
-		specs[i] = c.res
-	}
-	summaries, err := exec.SoloSummaries(context.Background(), r.exec, specs, results)
-	if err != nil {
-		return nil, err
-	}
-
 	hasBaselines := false
-	for _, s := range summaries {
-		if s != nil {
+	for _, cr := range results {
+		if cr.Summary != nil {
 			hasBaselines = true
 			break
 		}
@@ -301,7 +252,7 @@ func (r *Runner) RunSpecs(cells []spec.RunSpec) (*Table, error) {
 		}
 		if hasBaselines {
 			hm, ws := "-", "-"
-			if s := summaries[i]; s != nil {
+			if s := cr.Summary; s != nil {
 				hm, ws = cell(s.Hmean), cell(s.WeightedSpeedup)
 			}
 			row = append(row, hm, ws)

@@ -167,6 +167,35 @@ func TestFabricDigestsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestFabricBaselinesLeaseIsTheSimulationAlone: a leased baselines
+// cell is just its simulation. Its solos reach the worker as leases of
+// their own, so the worker's executor completes exactly three cells
+// (the 2-MIX cell and its gzip and twolf solos), and the coordinator's
+// executor returns the summary.
+func TestFabricBaselinesLeaseIsTheSimulationAlone(t *testing.T) {
+	rs := resolveGrid(t, []string{"dwarn"}, []uint64{1})[0].Spec
+	rs.Baselines = true
+	cell, err := rs.Resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ts := newTestFabric(t, Config{LeaseTTL: 2 * time.Second})
+	reg := obs.NewRegistry()
+	startWorker(t, ts.URL, WorkerOptions{Name: "w", Executor: exec.New(exec.Options{Workers: 2, Registry: reg})})
+
+	r := c.line.Execute(context.Background(), []*spec.Resolved{cell}, nil)[0]
+	if r.Err != nil || r.Summary == nil {
+		t.Fatalf("baselines cell: err %v, summary %v", r.Err, r.Summary)
+	}
+	var cells uint64
+	for _, state := range []string{exec.CellDone, exec.CellCached} {
+		cells += reg.Counter("dwarn_exec_cells_total", "", obs.L("state", state)).Value()
+	}
+	if cells != 3 {
+		t.Errorf("worker completed %d cells, want 3", cells)
+	}
+}
+
 // TestFabricWorkerKillMidSweep kills one worker (context cancel: no
 // completions, no further heartbeats — the observable behaviour of
 // SIGKILL) while it holds leases. The coordinator must requeue its

@@ -375,8 +375,11 @@ func (w *Worker) runLease(ctx context.Context, l Lease) (*sim.Result, error) {
 	// re-resolving it locally must land on the leased fingerprint, or
 	// the result would be filed under an identity it does not have.
 	// (Trace workloads never reach here — the executor never hands
-	// them out — so no trace resolver is needed.)
+	// them out — so no trace resolver is needed.) A lease is the
+	// simulation alone: the coordinator's executor runs any solo
+	// baselines as cells of their own, so Baselines is dropped.
 	rs := l.Spec
+	rs.Baselines = false
 	res, err := rs.Resolve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: leased spec does not resolve: %w", err)

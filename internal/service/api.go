@@ -8,13 +8,12 @@
 // result store (a stored result completes it at submission time),
 // durably journaled when a journal is configured, and executed on one
 // server-wide internal/exec executor: one wait line, one
-// single-flight domain, per-record cancellation. Baselines cells add
-// hidden solo-ICOUNT cells to the same batch, and the record's summary
-// is derived from them when it finishes. The executor's store is a
-// count-bounded LRU of results, tiered over a durable store with
-// -store, so identical requests — including the solo baselines behind
-// every Hmean — are paid for once across runs and sweeps. See
-// DESIGN.md §dwarnd for the architecture.
+// single-flight domain, per-record cancellation. A baselines cell's
+// relative-IPC summary comes from the executor with the cell's terminal
+// event. The executor's store is a count-bounded LRU of results,
+// tiered over a durable store with -store, so identical requests —
+// including the solo baselines behind every Hmean — are paid for once
+// across runs and sweeps. See DESIGN.md §dwarnd for the architecture.
 package service
 
 import (

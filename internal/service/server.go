@@ -388,7 +388,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // submitError maps submission failures to HTTP statuses: saturation
 // and shutdown to 503 with a Retry-After hint (so well-behaved clients
 // back off instead of hot-looping), a failed durable append to 500,
-// anything else (solo-baseline resolution) to 400.
+// anything else to 400.
 func submitError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {

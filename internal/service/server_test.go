@@ -355,6 +355,38 @@ func TestBaselinesSummary(t *testing.T) {
 	}
 }
 
+// TestBaselinesSweepCellMatchesRunSummary: a baselines sweep cell's
+// hmean and weighted_speedup are exactly the summary of a run with the
+// same spec, here computed by a separate server.
+func TestBaselinesSweepCellMatchesRunSummary(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 4})
+	st := pollSweep(t, ts, postSweep(t, ts, spec.SweepSpec{
+		Policies:     []spec.PolicyAxis{{Name: "icount"}, {Name: "dwarn"}},
+		Workloads:    []spec.Workload{{Name: "2-MIX"}},
+		Baselines:    true,
+		WarmupCycles: testWarmup, MeasureCycles: testMeasure,
+	}))
+	if st.State != StateDone || len(st.Cells) != 2 {
+		t.Fatalf("sweep %s with %d cells", st.State, len(st.Cells))
+	}
+	_, runTS := newTestServer(t, Options{Workers: 4})
+	for _, cell := range st.Cells {
+		if cell.Hmean == nil || cell.WeightedSpeedup == nil {
+			t.Fatalf("cell %s: no summary", cell.Policy)
+		}
+		req := testRun(cell.Policy, cell.Workload)
+		req.Baselines = true
+		done := waitJob(t, runTS, submitRun(t, runTS, req).ID, StateDone)
+		sr, err := decodeSim(done.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Summary == nil || *cell.Hmean != sr.Summary.Hmean || *cell.WeightedSpeedup != sr.Summary.WeightedSpeedup {
+			t.Errorf("cell %s: hmean %v wspeedup %v, run summary %+v", cell.Policy, *cell.Hmean, *cell.WeightedSpeedup, sr.Summary)
+		}
+	}
+}
+
 func TestSweepFanOutMatchesDirectRuns(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 4})
 	st := postSweep(t, ts, spec.SweepSpec{

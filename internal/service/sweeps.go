@@ -30,8 +30,8 @@ import (
 // fold into the record's progress, which the status endpoints, the SSE
 // stream (GET /v2/sweeps/{id}/events) and the run JobView are views of.
 // One failing cell records its error in its slot; the rest keep going.
-// Baselines cells add hidden solo-ICOUNT cells to the same batch, and
-// finishSweepLocked derives their relative-IPC summaries.
+// A baselines cell's relative-IPC summary arrives with its terminal
+// event: the executor runs its solo baselines (see internal/exec).
 
 // Record states. A record is terminal in StateDone, StateFailed, or
 // StateCanceled; a run reports StateQueued until its cell takes an
@@ -82,14 +82,11 @@ type cellProgress struct {
 	cached     bool
 	err        string
 	throughput *float64
-	summary    *stats.Summary // Baselines cells, once their solos are done
+	summary    *stats.Summary // Baselines cells, from their terminal event
 }
 
 // sweep is one registered submission: a sweep, or a run (run set,
-// exactly one public cell). cells are the public grid points; soloFor
-// maps each Baselines cell's benchmarks to the hidden solo-ICOUNT cells
-// the record additionally executes (through the same store, so they
-// are shared with every other consumer needing the same denominator).
+// exactly one cell).
 type sweep struct {
 	id          string
 	run         bool
@@ -98,10 +95,9 @@ type sweep struct {
 	startedAt   time.Time
 	finishedAt  time.Time
 	cells       []sweepCell
-	soloFor     []map[string]*spec.Resolved // per public cell: benchmark → solo cell
 
 	progress    []cellProgress
-	result      *sim.Result // a done run's result
+	result      *sim.Result // a run's result, from its done or cached event
 	events      []SweepEvent
 	frameEvents int             // timeline frame events retained so far
 	waiters     []chan struct{} // SSE streams blocked until the next event
@@ -110,8 +106,7 @@ type sweep struct {
 	cancel      context.CancelFunc
 }
 
-// terminal reports whether the record has finished (all cells terminal
-// and summaries filled).
+// terminal reports whether the record has finished (all cells terminal).
 func (sw *sweep) terminal() bool { return sw.state != StateRunning }
 
 // records is one id space of the registry — runs ("sim-000001") or
@@ -210,7 +205,7 @@ func (s *Server) sweepFrameSink(sw *sweep, fpIndex map[string]int) frameSink {
 	return func(fp string, f *timeline.Frame) {
 		idx, ok := fpIndex[fp]
 		if !ok {
-			return // hidden solo baseline cell
+			return
 		}
 		cp := *f
 		cp.Threads = append([]timeline.ThreadFrame(nil), f.Threads...)
@@ -258,48 +253,27 @@ type sweepStart struct {
 // pays for — and the sim runs underneath — logs under it.
 func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 	cells := p.cells
-	// Resolve the hidden baseline cells before taking any locks.
-	soloFor := make([]map[string]*spec.Resolved, len(cells))
-	var solos []*spec.Resolved
-	seenSolo := map[string]bool{}
+	// Precheck every cell against the store: cells an earlier run,
+	// another sweep, or a duplicate already paid for — with the solo
+	// baselines a baselines cell needs — are done at submission time,
+	// which is also what lets a re-submitted or recovered sweep resume
+	// exactly where it stopped. An entry that ended failed or canceled
+	// keeps that state: nothing is looked up.
+	resolved := make([]*spec.Resolved, len(cells))
 	for i, c := range cells {
-		m, err := exec.Solos(c.resolved)
-		if err != nil {
-			return nil, err
-		}
-		soloFor[i] = m
-		for _, b := range c.resolved.Options.Workload.Benchmarks {
-			if sr := m[b]; sr != nil && !seenSolo[sr.Fingerprint] {
-				seenSolo[sr.Fingerprint] = true
-				solos = append(solos, sr)
-			}
-		}
+		resolved[i] = c.resolved
 	}
-
-	// Precheck every cell (public and solo) against the store: cells an
-	// earlier run, another sweep, or a duplicate already paid for are
-	// done at submission time, which is also what lets a re-submitted
-	// or recovered sweep resume exactly where it stopped. An entry that
-	// ended failed or canceled keeps that state: nothing is looked up.
-	all := make([]*spec.Resolved, 0, len(cells)+len(solos))
-	for _, c := range cells {
-		all = append(all, c.resolved)
+	hits := make([]exec.CellResult, len(cells))
+	if p.final == "" || p.final == StateDone {
+		hits = s.exec.Lookup(resolved)
 	}
-	all = append(all, solos...)
-	resByFp := make(map[string]*sim.Result)
-	hit := make([]bool, len(all))
 	var pending []*spec.Resolved
-	var pendingIdx []int // index in all, so events map back
-	for i, c := range all {
-		if p.final == "" || p.final == StateDone {
-			if res, ok := s.exec.Store().Get(c.Fingerprint); ok {
-				hit[i] = true
-				resByFp[c.Fingerprint] = res
-				continue
-			}
+	var pendingIdx []int // index in cells, so events map back
+	for i, c := range resolved {
+		if hits[i].Result == nil {
+			pending = append(pending, c)
+			pendingIdx = append(pendingIdx, i)
 		}
-		pending = append(pending, c)
-		pendingIdx = append(pendingIdx, i)
 	}
 	execute := len(pending) > 0 && p.final == ""
 
@@ -309,7 +283,6 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 		request:     p.request,
 		submittedAt: p.submittedAt,
 		cells:       cells,
-		soloFor:     soloFor,
 		progress:    make([]cellProgress, len(cells)),
 		state:       StateRunning,
 		recovered:   p.recovered,
@@ -331,7 +304,7 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 	// recovery bypasses both bounds: that work was admitted (and
 	// journaled) before the restart, so refusing it now would wedge it.
 	if execute && !p.recovered {
-		if p.run && !hit[0] && s.queuedRuns >= s.opts.QueueDepth {
+		if p.run && hits[0].Result == nil && s.queuedRuns >= s.opts.QueueDepth {
 			s.mu.Unlock()
 			return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opts.QueueDepth)
 		}
@@ -354,9 +327,9 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 	if p.run {
 		s.queuedRuns++ // cellEventLocked counts it down when the cell leaves queued
 	}
-	for i, c := range all {
-		if hit[i] {
-			s.cellEventLocked(sw, i, exec.Event{Fingerprint: c.Fingerprint, State: exec.CellCached, Result: resByFp[c.Fingerprint]})
+	for i, h := range hits {
+		if h.Result != nil {
+			s.cellEventLocked(sw, i, exec.Event{Fingerprint: h.Fingerprint, State: exec.CellCached, Result: h.Result, Summary: h.Summary})
 		}
 	}
 	if !execute {
@@ -370,11 +343,11 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 				ev.State = exec.CellCanceled
 			}
 			for _, i := range pendingIdx {
-				ev.Fingerprint = all[i].Fingerprint
+				ev.Fingerprint = resolved[i].Fingerprint
 				s.cellEventLocked(sw, i, ev)
 			}
 		}
-		s.finishSweepLocked(sw, resByFp, nil)
+		s.finishSweepLocked(sw)
 		state := sw.state
 		s.mu.Unlock()
 		// A fresh cached submission journals nothing (no durable state
@@ -384,7 +357,7 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 			s.journalFinish(sw.id, state, "")
 		}
 		if !p.run {
-			s.log.Info("sweep cached", "trace", p.trace, "sweep", sw.id, "cells", len(cells), "solos", len(solos))
+			s.log.Info("sweep cached", "trace", p.trace, "sweep", sw.id, "cells", len(cells))
 		}
 		return sw, nil
 	}
@@ -432,7 +405,7 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 	runCtx := obs.WithLogger(obs.WithTrace(ctx, p.trace), s.log)
 	if !p.run {
 		s.log.Info("sweep submitted", "trace", p.trace, "sweep", sw.id,
-			"cells", len(cells), "solos", len(solos), "pending", len(pending), "recovered", p.recovered)
+			"cells", len(cells), "pending", len(pending), "recovered", p.recovered)
 		// First public cell per fingerprint, for routing live frames back
 		// to a cell index (duplicate cells share one simulation anyway).
 		fpIndex := make(map[string]int, len(cells))
@@ -448,21 +421,13 @@ func (s *Server) startSweep(p sweepStart) (*sweep, error) {
 		defer s.wg.Done()
 		defer cancel()
 		start := time.Now()
-		results := s.exec.Execute(runCtx, pending, func(ev exec.Event) {
+		s.exec.Execute(runCtx, pending, func(ev exec.Event) {
 			s.mu.Lock()
 			s.cellEventLocked(sw, pendingIdx[ev.Index], ev)
 			s.mu.Unlock()
 		})
-		errByFp := map[string]error{}
-		for _, r := range results {
-			if r.Result != nil {
-				resByFp[r.Fingerprint] = r.Result
-			} else if r.Err != nil {
-				errByFp[r.Fingerprint] = r.Err
-			}
-		}
 		s.mu.Lock()
-		s.finishSweepLocked(sw, resByFp, errByFp)
+		s.finishSweepLocked(sw)
 		state, errMsg := sw.state, ""
 		if p.run && state == StateFailed {
 			errMsg = sw.progress[0].err
@@ -491,15 +456,12 @@ func (s *Server) journalFinish(id, state, errMsg string) {
 	}
 }
 
-// cellEventLocked folds one executor event into the record: public
-// cells update their progress and append to the event log (waking SSE
-// streams); solo baseline cells are internal and only feed summaries.
+// cellEventLocked folds one executor event into the record: the cell's
+// progress (with a run's result and a baselines cell's summary) and the
+// event log, waking SSE streams.
 func (s *Server) cellEventLocked(sw *sweep, idx int, ev exec.Event) {
 	if ev.State == exec.CellStarted && sw.startedAt.IsZero() {
 		sw.startedAt = time.Now()
-	}
-	if idx >= len(sw.cells) {
-		return // hidden solo baseline cell
 	}
 	p := &sw.progress[idx]
 	wasQueued := p.state == StateQueued
@@ -509,9 +471,13 @@ func (s *Server) cellEventLocked(sw *sweep, idx int, ev exec.Event) {
 	case exec.CellDone, exec.CellCached:
 		p.state = StateDone
 		p.cached = ev.State == exec.CellCached
+		p.summary = ev.Summary
 		if ev.Result != nil {
 			t := ev.Result.Throughput
 			p.throughput = &t
+			if sw.run {
+				sw.result = ev.Result
+			}
 		}
 	case exec.CellFailed:
 		p.state = StateFailed
@@ -561,54 +527,9 @@ func (s *Server) wakeSweepLocked(sw *sweep) {
 	sw.waiters = nil
 }
 
-// finishSweepLocked fills relative-IPC summaries for baselines cells
-// and derives the record's terminal state. A baselines cell whose solo
-// denominator failed or was cancelled is demoted from done to
-// failed/canceled with the solo's error — the cell's requested metrics
-// could not be computed, and reporting it done-without-summary would
-// pass that off silently.
-func (s *Server) finishSweepLocked(sw *sweep, resByFp map[string]*sim.Result, errByFp map[string]error) {
-	for i := range sw.cells {
-		p := &sw.progress[i]
-		solos := sw.soloFor[i]
-		if solos == nil || p.state != StateDone {
-			continue
-		}
-		res := resByFp[sw.cells[i].resolved.Fingerprint]
-		if res == nil {
-			continue
-		}
-		solo := make([]float64, len(res.Threads))
-		ok := true
-		for j, th := range res.Threads {
-			var fp string
-			if c := solos[th.Benchmark]; c != nil {
-				fp = c.Fingerprint
-			}
-			sr := resByFp[fp]
-			if sr == nil || len(sr.Threads) == 0 {
-				ok = false
-				if err := errByFp[fp]; err != nil {
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						p.state = StateCanceled
-						p.err = fmt.Sprintf("solo baseline for %s canceled", th.Benchmark)
-					} else {
-						p.state = StateFailed
-						p.err = fmt.Sprintf("solo baseline for %s failed: %v", th.Benchmark, err)
-					}
-				}
-				break
-			}
-			solo[j] = sr.Threads[0].IPC
-		}
-		if !ok {
-			continue
-		}
-		if summary, err := stats.Summarize(res.IPCs(), solo); err == nil {
-			p.summary = summary
-		}
-	}
-
+// finishSweepLocked derives the record's terminal state once every
+// cell is terminal.
+func (s *Server) finishSweepLocked(sw *sweep) {
 	var failed, canceled int
 	for i := range sw.progress {
 		switch sw.progress[i].state {
@@ -629,9 +550,6 @@ func (s *Server) finishSweepLocked(sw *sweep, resByFp map[string]*sim.Result, er
 	sw.finishedAt = time.Now()
 	if sw.startedAt.IsZero() {
 		sw.startedAt = sw.finishedAt
-	}
-	if sw.run && sw.state == StateDone {
-		sw.result = resByFp[sw.cells[0].resolved.Fingerprint]
 	}
 	s.wakeSweepLocked(sw)
 }
@@ -715,7 +633,7 @@ func (s *Server) runViewLocked(sw *sweep) (JobView, *SimulationResult) {
 		t := sw.finishedAt
 		v.FinishedAt = &t
 	}
-	if sw.result == nil {
+	if sw.result == nil || !sw.terminal() {
 		return v, nil
 	}
 	return v, &SimulationResult{Fingerprint: sw.cells[0].view.Fingerprint, Result: sw.result, Summary: sw.progress[0].summary}

@@ -426,12 +426,11 @@ func (s *RunSpec) Fingerprint(r TraceResolver) (string, error) {
 
 // SoloBaseline derives the canonical solo-ICOUNT baseline spec for one
 // benchmark of a run: the same machine, seed, and protocol, one thread
-// under ICOUNT — the denominator of every relative-IPC metric. All
-// baseline computations (the service's runs and sweeps, the experiment
-// runner, smtsim -spec) MUST derive their solo cells through this one
-// function: relative-IPC metrics are cheap only because every consumer
-// resolves a given benchmark's baseline to the same fingerprint and
-// therefore the same cache entry.
+// under ICOUNT — the denominator of every relative-IPC metric. The
+// executor (internal/exec) derives every baseline through this one
+// function for all frontends, so a given benchmark's baseline resolves
+// to the same fingerprint and therefore the same cache entry wherever
+// it is needed.
 func SoloBaseline(s RunSpec, bench string) RunSpec {
 	return RunSpec{
 		Machine:       s.Machine,
