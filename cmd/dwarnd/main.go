@@ -215,10 +215,10 @@ func main() {
 }
 
 // runWorker is `dwarnd -worker -coordinator=URL`: the same binary as a
-// pull-based fabric worker. It registers with the coordinator, pulls
-// cell leases, runs them on its own executor (-workers local slots, a
-// -cache result tier over -store, checkpoint tiers ending in the
-// coordinator's), and pushes results back; SIGINT/SIGTERM abandons
+// pull-based fabric worker. It pulls cell leases from the coordinator,
+// runs them on its own executor (-workers local slots, a -cache result
+// tier over -store, checkpoint tiers ending in the coordinator's), and
+// pushes results back; SIGINT/SIGTERM abandons
 // in-flight cells silently (no completion, no more heartbeats) so the
 // coordinator's lease TTL requeues them on a healthy worker. With
 // -store the worker reads and writes the same durable result directory

@@ -20,8 +20,15 @@ import (
 type warmGate struct {
 	mu        sync.Mutex
 	warming   map[string]chan struct{}
-	published map[string]bool
+	published map[string]bool // at most maxPublished keys
 }
+
+// maxPublished bounds the gate's published set, so a long-lived
+// executor does not keep one entry per group it has ever seen. Dropping
+// a key whose image is still stored costs little: the group's next
+// cell passes the gate as its leader, and that cell's store hit
+// releases the siblings at once.
+const maxPublished = 4096
 
 func newWarmGate() *warmGate {
 	return &warmGate{
@@ -66,11 +73,26 @@ func (g *warmGate) enter(ctx context.Context, key string) (leave func(), err err
 // time).
 func (g *warmGate) release(key string) {
 	g.mu.Lock()
+	if !g.published[key] && len(g.published) >= maxPublished {
+		for k := range g.published {
+			delete(g.published, k)
+			break
+		}
+	}
 	g.published[key] = true
 	if ch, ok := g.warming[key]; ok {
 		delete(g.warming, key)
 		close(ch)
 	}
+	g.mu.Unlock()
+}
+
+// forget unpublishes a key whose image the store no longer holds (a
+// bounded tier evicted it), so the group's next cell leads a new
+// warmup instead of skipping the gate.
+func (g *warmGate) forget(key string) {
+	g.mu.Lock()
+	delete(g.published, key)
 	g.mu.Unlock()
 }
 
@@ -88,7 +110,8 @@ func (g *warmGate) exit(key string, ch chan struct{}) {
 
 // gatedCkptStore is the checkpoint store the executor hands to sim:
 // it forwards to the shared tiers and tells the warm gate the moment a
-// key becomes available, from either direction.
+// key becomes available, from either direction, and when a lookup
+// finds a key gone (a bounded tier evicted it).
 type gatedCkptStore struct {
 	inner ckpt.Store
 	gate  *warmGate
@@ -98,6 +121,8 @@ func (s gatedCkptStore) Get(key string) (*ckpt.Image, bool) {
 	img, ok := s.inner.Get(key)
 	if ok {
 		s.gate.release(key)
+	} else {
+		s.gate.forget(key)
 	}
 	return img, ok
 }

@@ -2,8 +2,11 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dwarn/internal/ckpt"
 	"dwarn/internal/obs"
@@ -127,5 +130,62 @@ func TestRunReceivesGatedCheckpointStore(t *testing.T) {
 		if cells[0].Options.Checkpoints != nil {
 			t.Error("executor wrote the store into the caller's cell")
 		}
+	}
+}
+
+// TestWarmGateRewarmsAfterEviction: once a bounded tier has evicted a
+// group's image and a lookup has found it gone, the group warms exactly
+// once again. Here the cell that finds the image gone is canceled
+// before it publishes; the next batch of siblings then elects one warm
+// leader and forks from it, instead of skipping the gate on a stale
+// "published" key and warming cold all at once.
+func TestWarmGateRewarmsAfterEviction(t *testing.T) {
+	cells := resolveCells(t, []string{"icount", "stall", "dwarn", "flush", "dg", "pdg"}, []uint64{1})
+	key := cells[0].CheckpointKey
+	// A one-byte bound keeps only the newest image.
+	store := &countingCkptStore{inner: ckpt.NewMemStore(1)}
+	e := New(Options{Workers: 4, Checkpoints: store, Registry: obs.NewRegistry(),
+		// sim's restore-or-warm, with a cold warmup long enough that
+		// concurrent siblings all look up the store before it publishes.
+		// The stall cell is canceled mid-warmup.
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			cs := res.Options.Checkpoints
+			if _, ok := cs.Get(res.CheckpointKey); !ok {
+				if res.Spec.Policy.Name == "stall" {
+					return nil, context.Canceled
+				}
+				time.Sleep(30 * time.Millisecond)
+				cs.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
+			}
+			return fakeResult(res), nil
+		}})
+	if err := FirstError(e.Execute(context.Background(), cells[:1], nil)); err != nil {
+		t.Fatal(err)
+	}
+	other := "0123456789abcdef"
+	store.inner.Put(other, &ckpt.Image{Key: other})
+	if _, ok := store.inner.Get(key); ok {
+		t.Fatal("the group's image survived the eviction")
+	}
+	if err := FirstError(e.Execute(context.Background(), cells[1:2], nil)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled warmup: err %v", err)
+	}
+	if err := FirstError(e.Execute(context.Background(), cells[2:], nil)); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.puts.Load(); got != 2 {
+		t.Errorf("publishes = %d, want 2 (the first warmup and one after the eviction)", got)
+	}
+}
+
+// TestWarmGatePublishedSetBounded: the published set stays within
+// maxPublished however many groups the gate sees.
+func TestWarmGatePublishedSetBounded(t *testing.T) {
+	g := newWarmGate()
+	for i := 0; i < maxPublished+100; i++ {
+		g.release(fmt.Sprintf("%x", i))
+	}
+	if n := len(g.published); n > maxPublished {
+		t.Errorf("published set holds %d keys, bound %d", n, maxPublished)
 	}
 }

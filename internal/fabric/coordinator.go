@@ -15,23 +15,14 @@ import (
 	"dwarn/internal/sim"
 )
 
-// ErrUnknownWorker reports a lease/heartbeat/complete RPC from a
-// worker id the coordinator does not know — a worker that outlived a
-// coordinator restart, or one already expired for silence. The HTTP
-// layer maps it to 404; workers react by re-registering.
-var ErrUnknownWorker = errors.New("fabric: unknown worker")
-
 // ErrClosed reports work submitted to a closed coordinator.
 var ErrClosed = errors.New("fabric: coordinator closed")
 
 // Config tunes a Coordinator. Zero values take the package defaults.
 type Config struct {
 	// LeaseTTL is how long a granted lease lives without a heartbeat.
+	// A worker silent for 4 × LeaseTTL is dropped from the fleet.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a silent worker stays registered.
-	WorkerTTL time.Duration
-	// MaxLeaseBatch bounds cells granted per lease call.
-	MaxLeaseBatch int
 	// Registry receives the fabric metrics (nil = obs.Default).
 	Registry *obs.Registry
 	// Logger receives lease lifecycle logs (nil = discard).
@@ -47,15 +38,6 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = DefaultLeaseTTL
 	}
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = DefaultWorkerTTL
-		if c.WorkerTTL < 4*c.LeaseTTL {
-			c.WorkerTTL = 4 * c.LeaseTTL
-		}
-	}
-	if c.MaxLeaseBatch <= 0 {
-		c.MaxLeaseBatch = DefaultMaxLeaseBatch
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default
 	}
@@ -64,6 +46,14 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxLeaseBatch bounds cells granted per lease call.
+const maxLeaseBatch = 8
+
+// errBadWorker reports an RPC whose worker id is empty, longer than 64
+// bytes, or not printable ASCII without spaces; the HTTP layer maps it
+// to 400.
+var errBadWorker = errors.New("fabric: worker id must be 1-64 printable ASCII characters, no spaces")
 
 // lease is one grant of one cell to one worker for one TTL window.
 type lease struct {
@@ -75,20 +65,20 @@ type lease struct {
 
 // workerState is the coordinator's view of one worker.
 type workerState struct {
-	id         string
-	name       string
-	pid        int
-	capacity   int
-	registered time.Time
-	lastSeen   time.Time
-	active     int
-	done       uint64
-	failed     uint64
-	requeues   uint64
+	id        string
+	name      string
+	pid       int
+	capacity  int
+	firstSeen time.Time
+	lastSeen  time.Time
+	active    int
+	done      uint64
+	failed    uint64
+	requeues  uint64
 }
 
-// Coordinator is the remote half of an executor's wait line: the worker
-// registry and the lease table. Remote workers take cells from the
+// Coordinator is the remote half of an executor's wait line: the fleet
+// and the lease table. Remote workers take cells from the
 // executor's line through leases, complete them by fingerprint, and
 // lease expiry requeues the cells of workers that die mid-flight. The
 // cells themselves — queueing, single-flight, cancellation — stay in
@@ -102,12 +92,11 @@ type Coordinator struct {
 	ctx  context.Context // done once closed: ends long-polls and the janitor
 	stop context.CancelFunc
 
-	mu        sync.Mutex
-	closed    bool
-	workers   map[string]*workerState
-	leases    map[string]*lease
-	workerSeq uint64
-	leaseSeq  uint64
+	mu       sync.Mutex
+	closed   bool
+	workers  map[string]*workerState
+	leases   map[string]*lease
+	leaseSeq uint64
 }
 
 // NewCoordinator builds a coordinator over an executor's wait line and
@@ -145,52 +134,49 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// register adds a worker to the fleet.
-func (c *Coordinator) register(req RegisterRequest) (*workerState, error) {
-	if req.Capacity <= 0 {
-		req.Capacity = 1
+// validWorkerID reports whether a worker id from the network is fit to
+// key the fleet and appear in logs: 1-64 printable ASCII characters,
+// no spaces.
+func validWorkerID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
 	}
-	if req.Name == "" {
-		req.Name = "worker"
+	for i := 0; i < len(id); i++ {
+		if id[i] < 0x21 || id[i] > 0x7e {
+			return false
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	c.workerSeq++
-	w := &workerState{
-		id:         fmt.Sprintf("w-%06d", c.workerSeq),
-		name:       req.Name,
-		pid:        req.PID,
-		capacity:   req.Capacity,
-		registered: time.Now(),
-		lastSeen:   time.Now(),
-	}
-	c.workers[w.id] = w
-	c.log.Info("fabric worker registered", "worker", w.id, "name", w.name, "capacity", w.capacity)
-	return w, nil
+	return true
 }
 
-// touchLocked marks a worker seen, or reports why it cannot act.
-func (c *Coordinator) touchLocked(workerID string) (*workerState, error) {
+// seenLocked records an RPC from a worker: it adds a worker the
+// coordinator has not seen (first contact, or again after a restart or
+// a silence expiry) and refreshes a known one.
+func (c *Coordinator) seenLocked(info WorkerInfo) (*workerState, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	w, ok := c.workers[workerID]
-	if !ok {
-		return nil, ErrUnknownWorker
+	if !validWorkerID(info.ID) {
+		return nil, errBadWorker
 	}
-	w.lastSeen = time.Now()
+	now := time.Now()
+	w, ok := c.workers[info.ID]
+	if !ok {
+		w = &workerState{id: info.ID, firstSeen: now}
+		c.workers[info.ID] = w
+		c.log.Info("fabric worker joined", "worker", info.ID, "name", info.Name, "capacity", info.Capacity)
+	}
+	w.name, w.pid, w.capacity = info.Name, info.PID, info.Capacity
+	w.lastSeen = now
 	return w, nil
 }
 
 // leaseBatch takes up to n cells from the executor's line for the
 // worker, long-polling an empty line up to wait (or until ctx, the
 // worker's request, ends), and leases them to it.
-func (c *Coordinator) leaseBatch(ctx context.Context, workerID string, n int, wait time.Duration) ([]Lease, error) {
+func (c *Coordinator) leaseBatch(ctx context.Context, worker WorkerInfo, n int, wait time.Duration) ([]Lease, error) {
 	c.mu.Lock()
-	_, err := c.touchLocked(workerID)
+	_, err := c.seenLocked(worker)
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -199,7 +185,7 @@ func (c *Coordinator) leaseBatch(ctx context.Context, workerID string, n int, wa
 	ctx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
 	defer context.AfterFunc(c.ctx, cancel)()
-	taken, err := c.line.Take(ctx, min(n, c.cfg.MaxLeaseBatch))
+	taken, err := c.line.Take(ctx, min(n, maxLeaseBatch))
 	if err != nil {
 		if c.ctx.Err() != nil {
 			return nil, ErrClosed
@@ -209,9 +195,9 @@ func (c *Coordinator) leaseBatch(ctx context.Context, workerID string, n int, wa
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, err := c.touchLocked(workerID)
+	w, err := c.seenLocked(worker)
 	if err != nil {
-		// Closed or expired while polling: the cells go back.
+		// Closed while polling: the cells go back.
 		for _, t := range taken {
 			c.line.Requeue(t.Cell.Fingerprint)
 		}
@@ -240,13 +226,13 @@ func (c *Coordinator) leaseBatch(ctx context.Context, workerID string, n int, wa
 func (c *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.touchLocked(req.WorkerID); err != nil {
+	if _, err := c.seenLocked(req.Worker); err != nil {
 		return HeartbeatResponse{}, err
 	}
 	var resp HeartbeatResponse
 	for _, id := range req.LeaseIDs {
 		l, ok := c.leases[id]
-		if !ok || l.workerID != req.WorkerID {
+		if !ok || l.workerID != req.Worker.ID {
 			continue
 		}
 		if !c.line.Wanted(l.fp) {
@@ -277,7 +263,7 @@ func (c *Coordinator) retireLeaseLocked(l *lease) {
 func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w, err := c.touchLocked(req.WorkerID)
+	w, err := c.seenLocked(req.Worker)
 	if err != nil {
 		return CompleteResponse{}, err
 	}
@@ -308,7 +294,7 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 }
 
 // janitor periodically expires unrenewed leases (requeueing their
-// cells) and drops workers silent past WorkerTTL.
+// cells) and drops workers silent for 4 lease TTLs.
 func (c *Coordinator) janitor() {
 	tick := c.cfg.LeaseTTL / 4
 	if tick < 10*time.Millisecond {
@@ -329,9 +315,12 @@ func (c *Coordinator) janitor() {
 	}
 }
 
-// sweepExpired is one janitor pass: expire silent workers (and with
-// them every lease they held), then requeue the cells behind expired
-// leases into the executor's line.
+// sweepExpired is one janitor pass: drop workers silent for 4 lease
+// TTLs, then requeue the cells behind expired leases into the
+// executor's line. A dropped worker's leases need no pass of their
+// own: a lease is only renewed by its worker's heartbeat, so it expires
+// no later than the worker's last contact plus one TTL, long before
+// the worker itself is dropped.
 func (c *Coordinator) sweepExpired(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -339,15 +328,9 @@ func (c *Coordinator) sweepExpired(now time.Time) {
 		return
 	}
 	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.cfg.WorkerTTL {
-			continue
-		}
-		c.log.Warn("fabric worker expired", "worker", w.id, "name", w.name, "active_leases", w.active)
-		delete(c.workers, id)
-		for _, l := range c.leases {
-			if l.workerID == id {
-				l.expires = now.Add(-time.Second) // expire below, requeueing its cells
-			}
+		if now.Sub(w.lastSeen) > 4*c.cfg.LeaseTTL {
+			c.log.Warn("fabric worker expired", "worker", w.id, "name", w.name, "active_leases", w.active)
+			delete(c.workers, id)
 		}
 	}
 	for _, l := range c.leases {
@@ -394,7 +377,7 @@ func (c *Coordinator) Status() Status {
 			Requeues:       w.requeues,
 			LastSeenMillis: now.Sub(w.lastSeen).Milliseconds(),
 		}
-		if lifetime := now.Sub(w.registered).Seconds(); lifetime > 0 {
+		if lifetime := now.Sub(w.firstSeen).Seconds(); lifetime > 0 {
 			ws.CellsPerSec = float64(w.done) / lifetime
 		}
 		st.Workers = append(st.Workers, ws)
@@ -404,7 +387,7 @@ func (c *Coordinator) Status() Status {
 	return st
 }
 
-// WorkerCount counts registered workers (feeds the workers gauge).
+// WorkerCount counts the workers in the fleet (feeds the workers gauge).
 func (c *Coordinator) WorkerCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,7 +4,7 @@
 // their own, and push results back.
 //
 // The Coordinator (embedded in dwarnd) is only the remote half of that
-// line: the worker registry, leases, heartbeats and the expiry janitor.
+// line: the fleet, leases, heartbeats and the expiry janitor.
 // The executor keeps everything else — queueing, memoization, store
 // writes, single-flight by fingerprint, cancellation — so the /v2
 // sweep API, SSE progress and admission behave the same whether a cell
@@ -16,13 +16,17 @@
 // stale otherwise, so a cell completes exactly once no matter how many
 // workers raced on it.
 //
-// The wire protocol is five small JSON-over-HTTP calls mounted under
-// /v2/fabric on the coordinator's ordinary service mux: workers
-// register, pull lease batches (long-polling when the line is idle),
-// renew leases with heartbeats, push completions, and anyone can GET
-// /v2/fabric for the live fleet status. Every RPC carries the cell's
-// originating X-Request-ID, so one trace id spans coordinator →
-// worker → engine log lines.
+// The wire protocol is three small JSON-over-HTTP calls mounted under
+// /v2/fabric on the coordinator's ordinary service mux: workers pull
+// lease batches (long-polling when the line is idle), renew leases with
+// heartbeats, and push completions; anyone can GET /v2/fabric for the
+// live fleet status. There is no registration: a worker names itself
+// (its name plus a random suffix) and sends that WorkerInfo on every
+// RPC, so the coordinator learns a worker from whichever call arrives
+// first, forgets one silent for four lease TTLs, and a worker that
+// outlives a coordinator restart simply carries on. Every RPC carries
+// the cell's originating X-Request-ID, so one trace id spans
+// coordinator → worker → engine log lines.
 package fabric
 
 import (
@@ -39,37 +43,28 @@ import (
 const (
 	// DefaultLeaseTTL is how long a lease lives without renewal.
 	DefaultLeaseTTL = 15 * time.Second
-	// DefaultWorkerTTL is how long a silent worker stays registered;
-	// past it the worker is dropped and its leases requeued.
-	DefaultWorkerTTL = 60 * time.Second
-	// DefaultMaxLeaseBatch bounds cells granted per lease call.
-	DefaultMaxLeaseBatch = 8
 	// DefaultLeaseWait bounds how long a lease call long-polls an
 	// empty line before returning no leases.
 	DefaultLeaseWait = 2 * time.Second
 )
 
-// RegisterRequest announces a worker to the coordinator.
-type RegisterRequest struct {
+// WorkerInfo is who is calling: every worker RPC carries it, so the
+// coordinator needs no registration step.
+type WorkerInfo struct {
+	// ID is chosen by the worker (name plus a random suffix) and unique
+	// per worker process; the coordinator keys its fleet on it.
+	ID string `json:"id"`
 	// Name labels the worker in status and logs (hostname-pid style).
-	Name string `json:"name"`
+	Name string `json:"name,omitempty"`
 	// Capacity is how many cells the worker runs concurrently.
-	Capacity int `json:"capacity"`
+	Capacity int `json:"capacity,omitempty"`
 	// PID is informational (shown in status).
 	PID int `json:"pid,omitempty"`
 }
 
-// RegisterResponse assigns the worker its identity and the protocol
-// timings it must honour.
-type RegisterResponse struct {
-	WorkerID string `json:"worker_id"`
-	// LeaseTTLMillis is the lease TTL; workers heartbeat well inside it.
-	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
-}
-
 // LeaseRequest pulls a batch of pending cells.
 type LeaseRequest struct {
-	WorkerID string `json:"worker_id"`
+	Worker WorkerInfo `json:"worker"`
 	// Max bounds the batch; the coordinator may return fewer (or none,
 	// after WaitMillis of long-polling an empty line).
 	Max int `json:"max"`
@@ -92,7 +87,8 @@ type Lease struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// LeaseResponse carries the granted batch.
+// LeaseResponse carries the granted batch and the lease TTL, which
+// paces the worker's heartbeats.
 type LeaseResponse struct {
 	Leases         []Lease `json:"leases"`
 	LeaseTTLMillis int64   `json:"lease_ttl_ms"`
@@ -100,8 +96,8 @@ type LeaseResponse struct {
 
 // HeartbeatRequest renews the worker's liveness and its active leases.
 type HeartbeatRequest struct {
-	WorkerID string   `json:"worker_id"`
-	LeaseIDs []string `json:"lease_ids,omitempty"`
+	Worker   WorkerInfo `json:"worker"`
+	LeaseIDs []string   `json:"lease_ids,omitempty"`
 }
 
 // HeartbeatResponse tells the worker which of its cells to abandon.
@@ -113,9 +109,9 @@ type HeartbeatResponse struct {
 
 // CompleteRequest pushes one finished cell.
 type CompleteRequest struct {
-	WorkerID    string `json:"worker_id"`
-	LeaseID     string `json:"lease_id"`
-	Fingerprint string `json:"fingerprint"`
+	Worker      WorkerInfo `json:"worker"`
+	LeaseID     string     `json:"lease_id"`
+	Fingerprint string     `json:"fingerprint"`
 	// Result is the finished simulation (nil when Error is set).
 	Result *sim.Result `json:"result,omitempty"`
 	// Error reports a genuine simulation failure. Workers never report
@@ -162,7 +158,8 @@ type WorkerStatus struct {
 	CellsFailed uint64 `json:"cells_failed"`
 	// Requeues counts this worker's leases that expired unrenewed.
 	Requeues uint64 `json:"requeues"`
-	// CellsPerSec is CellsDone over the worker's registered lifetime.
+	// CellsPerSec is CellsDone over the time since the coordinator
+	// first saw the worker.
 	CellsPerSec float64 `json:"cells_per_sec"`
 	// LastSeenMillis is the time since the worker's last RPC.
 	LastSeenMillis int64 `json:"last_seen_ms"`

@@ -327,10 +327,7 @@ func TestFabricDoubleCompleteIdempotent(t *testing.T) {
 	c, _ := newTestFabric(t, Config{})
 	cells := resolveGrid(t, []string{"icount"}, []uint64{1})
 
-	w, err := c.register(RegisterRequest{Name: "test", Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := WorkerInfo{ID: "test-1", Name: "test", Capacity: 1}
 	resCh := make(chan error, 1)
 	go func() {
 		_, err := runOne(context.Background(), c, cells[0])
@@ -338,18 +335,19 @@ func TestFabricDoubleCompleteIdempotent(t *testing.T) {
 	}()
 
 	var leases []Lease
+	var err error
 	deadline := time.Now().Add(5 * time.Second)
 	for len(leases) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("cell never leased")
 		}
-		leases, err = c.leaseBatch(context.Background(), w.id, 1, 50*time.Millisecond)
+		leases, err = c.leaseBatch(context.Background(), w, 1, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	req := CompleteRequest{
-		WorkerID: w.id, LeaseID: leases[0].ID, Fingerprint: leases[0].Fingerprint,
+		Worker: w, LeaseID: leases[0].ID, Fingerprint: leases[0].Fingerprint,
 		Result: &sim.Result{Cycles: 1},
 	}
 	first, err := c.complete(req)
@@ -549,5 +547,132 @@ func TestWorkerExportsExecutorMetrics(t *testing.T) {
 	}
 	if want := `dwarn_exec_cells_total{state="done"} 1`; !strings.Contains(buf.String(), want+"\n") {
 		t.Errorf("worker registry lacks %q:\n%s", want, buf.String())
+	}
+}
+
+// eventually polls cond until it holds, failing the test after 10s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// inFleet reports whether a worker named name is in c's status.
+func inFleet(c *Coordinator, name string) bool {
+	for _, w := range c.Status().Workers {
+		if w.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFabricCoordinatorRestart: the coordinator behind one URL is
+// replaced by a fresh one mid-test, as after a restart. The running
+// worker carries on with no registration step: it finishes the new
+// coordinator's cells with serial digests and shows up in its status.
+func TestFabricCoordinatorRestart(t *testing.T) {
+	cells := resolveGrid(t, []string{"icount", "dwarn"}, []uint64{1, 2})
+	want := serialDigests(t, cells)
+
+	var handler atomic.Pointer[http.ServeMux]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	serve := func() *Coordinator {
+		c := NewCoordinator(exec.New(exec.Options{Workers: -1, Registry: obs.NewRegistry()}),
+			Config{LeaseTTL: 2 * time.Second, Registry: obs.NewRegistry()})
+		t.Cleanup(c.Close)
+		mux := http.NewServeMux()
+		c.Routes(mux)
+		handler.Store(mux)
+		return c
+	}
+
+	first := serve()
+	startWorker(t, ts.URL, WorkerOptions{Name: "phoenix", Executor: workerExec(2, nil)})
+	got := executeFabric(t, first, cells[:2])
+
+	second := serve()
+	first.Close()
+	for fp, d := range executeFabric(t, second, cells[2:]) {
+		got[fp] = d
+	}
+	for fp, d := range want {
+		if got[fp] != d {
+			t.Errorf("digest mismatch for %s across the restart: fabric %s, serial %s", fp[:12], got[fp], d)
+		}
+	}
+	if !inFleet(second, "phoenix") {
+		t.Errorf("worker missing from the new coordinator's status: %+v", second.Status().Workers)
+	}
+	if st := second.Status(); st.CompletedTotal != 2 {
+		t.Errorf("new coordinator completed %d cells, want 2", st.CompletedTotal)
+	}
+}
+
+// TestFabricSilentWorkerExpires: a worker that stops heartbeating
+// mid-cell loses its lease after one TTL and leaves the fleet after
+// four. A healthy worker finishes the requeued cell, the silent
+// worker's late push is then stale, and its next RPC brings it back.
+func TestFabricSilentWorkerExpires(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	cells := resolveGrid(t, []string{"icount"}, []uint64{11})
+	c, ts := newTestFabric(t, Config{LeaseTTL: ttl})
+
+	running, release := make(chan struct{}), make(chan struct{})
+	silent, _ := startWorker(t, ts.URL, WorkerOptions{
+		Name: "silent",
+		Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			close(running)
+			<-release
+			return &sim.Result{Cycles: 1}, nil
+		}),
+	})
+	silent.SetHeartbeats(false)
+
+	resCh := make(chan *sim.Result, 1)
+	go func() {
+		res, err := runOne(context.Background(), c, cells[0])
+		if err != nil {
+			t.Error(err)
+		}
+		resCh <- res
+	}()
+	select {
+	case <-running:
+	case <-time.After(10 * time.Second):
+		t.Fatal("silent worker never leased the cell")
+	}
+	time.Sleep(2 * ttl)
+	if !inFleet(c, "silent") {
+		t.Fatal("worker dropped after 2 lease TTLs of silence; the worker TTL is 4")
+	}
+	eventually(t, "the silent worker to leave the fleet", func() bool { return !inFleet(c, "silent") })
+	if st := c.Status(); st.RequeuesTotal != 1 {
+		t.Errorf("requeues = %d, want 1", st.RequeuesTotal)
+	}
+
+	startWorker(t, ts.URL, WorkerOptions{
+		Name: "healthy",
+		Executor: workerExec(1, func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			return &sim.Result{Cycles: 42}, nil
+		}),
+	})
+	if res := <-resCh; res == nil || res.Cycles != 42 {
+		t.Fatalf("cell resolved with %+v, want the healthy worker's result", res)
+	}
+	close(release)
+	eventually(t, "the late push and the silent worker's return", func() bool {
+		return c.Status().StaleTotal == 1 && inFleet(c, "silent")
+	})
+	if st := c.Status(); st.CompletedTotal != 1 {
+		t.Errorf("cell resolved %d times, want exactly once", st.CompletedTotal)
 	}
 }

@@ -19,7 +19,6 @@ const maxRPCBody = 8 << 20
 
 // Routes mounts the fabric API.
 func (c *Coordinator) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v2/fabric/workers", c.handleRegister)
 	mux.HandleFunc("POST /v2/fabric/lease", c.handleLease)
 	mux.HandleFunc("POST /v2/fabric/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v2/fabric/complete", c.handleComplete)
@@ -39,10 +38,8 @@ func fabricJSON(w http.ResponseWriter, status int, v any) {
 func fabricError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
-	case errors.Is(err, ErrUnknownWorker):
-		// 404: the worker re-registers and carries on — the standard
-		// recovery after a coordinator restart or a silence expiry.
-		status = http.StatusNotFound
+	case errors.Is(err, errBadWorker):
+		status = http.StatusBadRequest
 	case errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
 	}
@@ -59,22 +56,6 @@ func decodeRPC(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !decodeRPC(w, r, &req) {
-		return
-	}
-	ws, err := c.register(req)
-	if err != nil {
-		fabricError(w, err)
-		return
-	}
-	fabricJSON(w, http.StatusOK, RegisterResponse{
-		WorkerID:       ws.id,
-		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
-	})
-}
-
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodeRPC(w, r, &req) {
@@ -87,7 +68,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
 	}
-	leases, err := c.leaseBatch(r.Context(), req.WorkerID, req.Max, wait)
+	leases, err := c.leaseBatch(r.Context(), req.Worker, req.Max, wait)
 	if err != nil {
 		fabricError(w, err)
 		return

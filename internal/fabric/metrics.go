@@ -27,7 +27,7 @@ func newCoordMetrics(reg *obs.Registry, c *Coordinator) *coordMetrics {
 	}
 	reg.GaugeFunc("dwarn_fabric_queue_depth", "Cells waiting in the executor's line for a local slot or a lease.",
 		func() float64 { return float64(c.line.Waiting()) })
-	reg.GaugeFunc("dwarn_fabric_workers", "Registered remote fabric workers.",
+	reg.GaugeFunc("dwarn_fabric_workers", "Remote fabric workers heard from within the last 4 lease TTLs.",
 		func() float64 { return float64(c.WorkerCount()) })
 	reg.GaugeFunc("dwarn_fabric_leases_active", "Leases currently held by fabric workers.",
 		func() float64 { return float64(c.ActiveLeases()) })

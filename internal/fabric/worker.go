@@ -3,8 +3,9 @@ package fabric
 import (
 	"bytes"
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -45,9 +46,6 @@ type WorkerOptions struct {
 	Registry *obs.Registry
 	// Logger receives worker lifecycle logs (nil = discard).
 	Logger *obs.Logger
-	// Client issues the RPCs (nil = a dedicated client with a timeout
-	// comfortably above the long-poll window).
-	Client *http.Client
 }
 
 // Worker pulls leases from a coordinator, runs the cells on its
@@ -58,12 +56,13 @@ type WorkerOptions struct {
 // cells are requeued.
 type Worker struct {
 	opts   WorkerOptions
+	info   WorkerInfo // sent on every RPC
 	log    *obs.Logger
 	client *http.Client
 
-	mu       sync.Mutex
-	workerID string
-	ttl      time.Duration
+	// ttl is the coordinator's lease TTL in nanoseconds, learned from
+	// its lease responses (0 until the first one); it paces heartbeats.
+	ttl atomic.Int64
 
 	// heartbeats can be switched off by fault-injection tests to
 	// simulate a partitioned worker that keeps computing.
@@ -101,20 +100,26 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if opts.LeaseWait <= 0 {
 		opts.LeaseWait = DefaultLeaseWait
 	}
+	suffix := make([]byte, 8)
+	_, _ = crand.Read(suffix) // never fails since Go 1.24
 	w := &Worker{
-		opts:   opts,
-		log:    opts.Logger,
-		client: opts.Client,
+		opts: opts,
+		info: WorkerInfo{
+			ID:       opts.Name + "-" + hex.EncodeToString(suffix),
+			Name:     opts.Name,
+			Capacity: opts.Executor.Workers(),
+			PID:      os.Getpid(),
+		},
+		log: opts.Logger,
+		// The timeout sits comfortably above the long-poll window.
+		client: &http.Client{Timeout: opts.LeaseWait + 30*time.Second},
 	}
 	if w.log == nil {
 		w.log = obs.Nop()
 	}
-	if w.client == nil {
-		w.client = &http.Client{Timeout: opts.LeaseWait + 30*time.Second}
-	}
 	w.heartbeats.Store(true)
 	if reg := opts.Registry; reg != nil {
-		reg.CounterFunc("dwarn_fabric_worker_rpc_failures", "Failed coordinator RPCs (register, lease, heartbeat, complete).",
+		reg.CounterFunc("dwarn_fabric_worker_rpc_failures", "Failed coordinator RPCs (lease, heartbeat, complete).",
 			func() float64 { return float64(w.rpcFailures.Load()) })
 		reg.GaugeFunc("dwarn_fabric_worker_rpc_failure_streak", "Consecutive failed coordinator RPCs (0 = healthy).",
 			func() float64 { return float64(w.rpcStreak.Load()) })
@@ -138,19 +143,17 @@ func jitter(d time.Duration) time.Duration {
 // while the coordinator expires its leases and requeues the cells.
 func (w *Worker) SetHeartbeats(on bool) { w.heartbeats.Store(on) }
 
-// errUnknown is the client-side face of ErrUnknownWorker (HTTP 404):
-// the coordinator forgot us; re-register and carry on.
-var errUnknown = errors.New("fabric: worker not recognised by coordinator")
-
-// Run registers with the coordinator and pulls leases until ctx is
-// canceled, then returns nil. RPC failures are retried with backoff
-// rather than surfaced — a worker outliving a coordinator restart
-// simply re-registers and resumes pulling.
+// Run pulls leases until ctx is canceled, then returns nil. RPC
+// failures are retried with backoff rather than surfaced: the worker's
+// id travels on every RPC, so a worker outliving a coordinator restart
+// simply resumes pulling from the new one.
 func (w *Worker) Run(ctx context.Context) error {
-	capacity := w.opts.Executor.Workers()
-	if err := w.register(ctx); err != nil {
-		return err
+	if !validWorkerID(w.info.ID) {
+		return fmt.Errorf("fabric: worker name %q does not make a valid worker id (at most 47 printable ASCII characters, no spaces)", w.opts.Name)
 	}
+	capacity := w.info.Capacity
+	w.log.Info("fabric worker started",
+		"coordinator", w.opts.Coordinator, "worker", w.info.ID, "capacity", capacity)
 	hbCtx, hbCancel := context.WithCancel(ctx)
 	defer hbCancel()
 	go w.heartbeatLoop(hbCtx)
@@ -192,12 +195,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				w.shutdown()
 				return nil
 			}
-			if errors.Is(err, errUnknown) {
-				if rerr := w.register(ctx); rerr != nil {
-					return rerr
-				}
-				continue
-			}
 			w.log.Warn("fabric lease call failed; retrying", "err", err)
 			select {
 			case <-time.After(jitter(backoff)):
@@ -238,92 +235,48 @@ func (w *Worker) shutdown() {
 	})
 }
 
-// register announces the worker, retrying until ctx is canceled.
-func (w *Worker) register(ctx context.Context) error {
-	backoff := 200 * time.Millisecond
-	for {
-		var resp RegisterResponse
-		err := w.rpc(ctx, "", "/v2/fabric/workers", RegisterRequest{
-			Name:     w.opts.Name,
-			Capacity: w.opts.Executor.Workers(),
-			PID:      os.Getpid(),
-		}, &resp)
-		if err == nil {
-			w.mu.Lock()
-			w.workerID = resp.WorkerID
-			w.ttl = time.Duration(resp.LeaseTTLMillis) * time.Millisecond
-			w.mu.Unlock()
-			w.log.Info("fabric worker registered",
-				"coordinator", w.opts.Coordinator, "worker", resp.WorkerID,
-				"name", w.opts.Name, "capacity", w.opts.Executor.Workers())
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		w.log.Warn("fabric register failed; retrying", "coordinator", w.opts.Coordinator, "err", err)
-		select {
-		case <-time.After(jitter(backoff)):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if backoff < 5*time.Second {
-			backoff *= 2
-		}
-	}
-}
-
 // lease pulls up to n cells, long-polling an empty line server-side.
 func (w *Worker) lease(ctx context.Context, n int) ([]Lease, error) {
 	var resp LeaseResponse
 	err := w.rpc(ctx, "", "/v2/fabric/lease", LeaseRequest{
-		WorkerID:   w.id(),
+		Worker:     w.info,
 		Max:        n,
 		WaitMillis: w.opts.LeaseWait.Milliseconds(),
 	}, &resp)
 	if err != nil {
 		return nil, err
 	}
+	w.ttl.Store(int64(time.Duration(resp.LeaseTTLMillis) * time.Millisecond))
 	return resp.Leases, nil
 }
 
-func (w *Worker) id() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.workerID
-}
-
-// heartbeatLoop renews the worker and its active leases at a third of
-// the lease TTL, and stops and drops the cells the coordinator reports
-// canceled. A lease the coordinator no longer recognises keeps
-// computing: a late completion is still accepted if the cell remains
-// unresolved.
+// heartbeatLoop renews the worker and its active leases once a third
+// of the lease TTL has passed since the last renewal, and stops and
+// drops the cells the coordinator reports canceled. A lease the
+// coordinator no longer recognises keeps computing: a late completion
+// is still accepted if the cell remains unresolved.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	w.mu.Lock()
-	ttl := w.ttl
-	w.mu.Unlock()
-	interval := ttl / 3
-	if interval < 50*time.Millisecond {
-		interval = 50 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(50 * time.Millisecond)
 	defer t.Stop()
+	last := time.Now()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
-		if !w.heartbeats.Load() {
+		ttl := time.Duration(w.ttl.Load())
+		if ttl == 0 || time.Since(last) < ttl/3 || !w.heartbeats.Load() {
 			continue
 		}
+		last = time.Now()
 		var ids []string
 		w.active.Range(func(k, _ any) bool {
 			ids = append(ids, k.(string))
 			return true
 		})
 		var resp HeartbeatResponse
-		err := w.rpc(ctx, "", "/v2/fabric/heartbeat", HeartbeatRequest{WorkerID: w.id(), LeaseIDs: ids}, &resp)
+		err := w.rpc(ctx, "", "/v2/fabric/heartbeat", HeartbeatRequest{Worker: w.info, LeaseIDs: ids}, &resp)
 		if err != nil {
 			if ctx.Err() == nil {
 				w.log.Warn("fabric heartbeat failed", "err", err)
@@ -362,7 +315,7 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 	if err != nil && cellCtx.Err() != nil {
 		return // dying mid-cell: the lease TTL requeues it
 	}
-	req := CompleteRequest{WorkerID: w.id(), LeaseID: l.ID, Fingerprint: l.Fingerprint, Result: res}
+	req := CompleteRequest{Worker: w.info, LeaseID: l.ID, Fingerprint: l.Fingerprint, Result: res}
 	if err != nil {
 		req.Error = err.Error()
 	}
@@ -392,18 +345,12 @@ func (w *Worker) runLease(ctx context.Context, l Lease) (*sim.Result, error) {
 	return r.Result, r.Err
 }
 
-// complete pushes one completion, re-registering once if the
-// coordinator forgot us (late completions after a silence expiry are
-// still worth pushing: they are accepted if the cell is unresolved).
+// complete pushes one completion. Late completions (after a lease
+// expiry, a silence expiry or a coordinator restart) are still worth
+// pushing: they are accepted if the cell is unresolved.
 func (w *Worker) complete(ctx context.Context, req CompleteRequest, trace string) {
 	var resp CompleteResponse
 	err := w.rpc(ctx, trace, "/v2/fabric/complete", req, &resp)
-	if errors.Is(err, errUnknown) {
-		if w.register(ctx) == nil {
-			req.WorkerID = w.id()
-			err = w.rpc(ctx, trace, "/v2/fabric/complete", req, &resp)
-		}
-	}
 	if err != nil {
 		if ctx.Err() == nil {
 			w.log.Warn("fabric complete push failed", "span", obs.CellSpan(req.Fingerprint), "err", err)
@@ -422,10 +369,7 @@ func (w *Worker) complete(ctx context.Context, req CompleteRequest, trace string
 // the worker's RPC health metrics; any success resets the streak.
 func (w *Worker) rpc(ctx context.Context, trace, path string, in, out any) error {
 	err := w.doRPC(ctx, trace, path, in, out)
-	// errUnknown is a protocol verdict (re-register), not transport
-	// failure — counting it would alarm on a routine coordinator
-	// restart the worker recovers from by design.
-	if err != nil && !errors.Is(err, errUnknown) {
+	if err != nil {
 		w.rpcFailures.Add(1)
 		w.rpcStreak.Add(1)
 	} else {
@@ -462,10 +406,6 @@ func (w *Worker) doRPC(ctx context.Context, trace, path string, in, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return errUnknown
-	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("fabric: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))

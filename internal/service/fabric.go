@@ -13,11 +13,9 @@ import (
 // cells from the same line the local slots (Options.Workers) drain.
 type FabricOptions struct {
 	// LeaseTTL is how long a worker's lease on a cell survives without a
-	// heartbeat before the cell is requeued (0 = fabric default).
+	// heartbeat before the cell is requeued (0 = fabric default); a
+	// worker silent for 4 × LeaseTTL leaves the fleet.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a silent worker stays registered (0 =
-	// fabric default).
-	WorkerTTL time.Duration
 }
 
 // handleFabricDisabled answers GET /v2/fabric when no coordinator is

@@ -220,7 +220,7 @@ func (s *Server) admitHandler() http.Handler {
 		if r.Body != nil {
 			limit := s.opts.MaxBodyBytes
 			if route == "POST /v2/traces" {
-				limit = s.opts.MaxTraceBytes
+				limit = maxTraceBytes
 			}
 			r.Body = http.MaxBytesReader(w, r.Body, limit)
 		}

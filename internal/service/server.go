@@ -51,17 +51,8 @@ type Options struct {
 	// executor's line; further submissions fail fast with a 503, the
 	// sweep-side analogue of QueueDepth for runs.
 	MaxActiveSweeps int
-	// MaxTraceBytes caps an uploaded trace file (compressed bytes on
-	// the wire; default 32MB).
-	MaxTraceBytes int64
-	// MaxTracePayload caps an uploaded trace's decompressed payload
-	// (decompression-bomb guard; default 256MB).
-	MaxTracePayload int64
 	// MaxTraces bounds the number of stored traces (default 16).
 	MaxTraces int
-	// MaxTraceStoreBytes bounds the traces' total in-memory payload
-	// (default 1GB).
-	MaxTraceStoreBytes int64
 	// Store, when non-nil, durably backs the in-memory result tier:
 	// misses fall through to it, results are written to it, and entries
 	// survive restarts and LRU eviction (dwarnd -store DIR passes a
@@ -138,17 +129,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxActiveSweeps <= 0 {
 		o.MaxActiveSweeps = 16
 	}
-	if o.MaxTraceBytes <= 0 {
-		o.MaxTraceBytes = 32 << 20
-	}
-	if o.MaxTracePayload <= 0 {
-		o.MaxTracePayload = 256 << 20
-	}
 	if o.MaxTraces <= 0 {
 		o.MaxTraces = 16
-	}
-	if o.MaxTraceStoreBytes <= 0 {
-		o.MaxTraceStoreBytes = 1 << 30
 	}
 	if o.Checkpoints == nil {
 		o.Checkpoints = ckpt.NewMemStore(ckpt.DefaultMemBytes)
@@ -214,7 +196,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   store.NewMem[*sim.Result](opts.CacheEntries, 0, nil),
-		traces:  NewTraceStore(opts.MaxTraces, opts.MaxTraceStoreBytes),
+		traces:  NewTraceStore(opts.MaxTraces, maxTraceStoreBytes),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		reg:     opts.Registry,
@@ -251,10 +233,9 @@ func New(opts Options) *Server {
 	})
 	if fo := opts.Fabric; fo != nil {
 		s.fabric = fabric.NewCoordinator(s.exec, fabric.Config{
-			LeaseTTL:  fo.LeaseTTL,
-			WorkerTTL: fo.WorkerTTL,
-			Registry:  s.reg,
-			Logger:    s.log,
+			LeaseTTL: fo.LeaseTTL,
+			Registry: s.reg,
+			Logger:   s.log,
 			// The executor's gated store, so an image a remote worker
 			// publishes releases the group's waiting siblings at once.
 			Checkpoints: s.exec.CheckpointStore(),

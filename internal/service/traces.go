@@ -21,6 +21,19 @@ type TraceStore struct {
 	mem *store.Mem[*storedTrace]
 }
 
+// Trace upload bounds.
+const (
+	// maxTraceBytes caps an uploaded trace file (compressed bytes on
+	// the wire).
+	maxTraceBytes = 32 << 20
+	// maxTracePayload caps an uploaded trace's decompressed payload (a
+	// decompression-bomb guard).
+	maxTracePayload = 256 << 20
+	// maxTraceStoreBytes bounds the stored traces' total in-memory
+	// payload.
+	maxTraceStoreBytes = 1 << 30
+)
+
 // storedTrace is one entry: the trace and its view, built at upload.
 type storedTrace struct {
 	tr   *trace.Trace
@@ -115,8 +128,8 @@ func (s *TraceStore) Len() int { return s.mem.Len() }
 // and stores it content-addressed. 201 on first upload, 200 on a
 // re-upload of identical content.
 func (s *Server) handleUploadTrace(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxTraceBytes)
-	tr, err := trace.Read(body, s.opts.MaxTracePayload)
+	body := http.MaxBytesReader(w, r.Body, maxTraceBytes)
+	tr, err := trace.Read(body, maxTracePayload)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
