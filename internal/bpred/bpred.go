@@ -15,6 +15,7 @@ import (
 
 	"dwarn/internal/config"
 	"dwarn/internal/isa"
+	"dwarn/internal/packed"
 )
 
 // Checkpoint snapshots the speculative per-thread predictor state before
@@ -290,27 +291,35 @@ func (p *Predictor) btbInsert(pc, target uint64) {
 	set[victim] = btbEntry{tag: tag, target: target, valid: true, lastUse: p.btbClock}
 }
 
-// BTBEntryState is the serializable form of one BTB entry; see State.
-type BTBEntryState struct {
-	Tag     uint64
-	Target  uint64
-	Valid   bool
-	LastUse int64
-}
-
 // State is a complete snapshot of the predictor's learned and
-// speculative state: the shared PHT, the BTB (way-major per set:
-// BTB[set*ways+way]), per-thread global history, and the per-thread
-// return address stacks. Stats are measurement state and excluded.
+// speculative state: the shared PHT, the BTB's valid entries and LRU
+// clock, per-thread global history, and the per-thread return address
+// stacks. Stats are measurement state and excluded. BTB holds the
+// BTBSets×BTBWays table in package packed's form: each valid entry is
+// its tag, target and lastUse, each as the difference from the previous
+// valid entry's. Invalid entries are not stored; no lookup or
+// replacement reads their fields.
 type State struct {
 	PHT      []uint8
 	BTBSets  int
 	BTBWays  int
-	BTB      []BTBEntryState
+	BTB      []byte
 	BTBClock int64
 	History  []uint32
 	RAS      [][]uint64
 	RASTop   []int
+}
+
+// btbFields is the varint count of one valid BTB entry in State.BTB.
+const btbFields = 3
+
+// ValidateBTB checks that st.BTB is a well-formed BTBSets×BTBWays
+// snapshot.
+func (st *State) ValidateBTB() error {
+	if err := packed.Check(st.BTB, st.BTBSets, st.BTBWays, btbFields); err != nil {
+		return fmt.Errorf("bpred: BTB snapshot: %w", err)
+	}
+	return nil
 }
 
 // State snapshots the predictor.
@@ -319,17 +328,26 @@ func (p *Predictor) State() State {
 		PHT:      append([]uint8(nil), p.pht...),
 		BTBSets:  p.btbSets,
 		BTBWays:  p.cfg.BTBWays,
-		BTB:      make([]BTBEntryState, 0, p.cfg.BTBEntries),
 		BTBClock: p.btbClock,
 		History:  append([]uint32(nil), p.history...),
 		RAS:      make([][]uint64, len(p.ras)),
 		RASTop:   append([]int(nil), p.rasTop...),
 	}
+	w := packed.NewWriter()
+	var prev btbEntry
 	for _, set := range p.btb {
-		for _, e := range set {
-			st.BTB = append(st.BTB, BTBEntryState{Tag: e.tag, Target: e.target, Valid: e.valid, LastUse: e.lastUse})
+		w.Set(len(set))
+		for i, e := range set {
+			if e.valid {
+				w.Valid(i)
+				w.Int(int64(e.tag - prev.tag))
+				w.Int(int64(e.target - prev.target))
+				w.Int(e.lastUse - prev.lastUse)
+				prev = e
+			}
 		}
 	}
+	st.BTB = w.Bytes()
 	for i := range p.ras {
 		st.RAS[i] = append([]uint64(nil), p.ras[i]...)
 	}
@@ -338,16 +356,16 @@ func (p *Predictor) State() State {
 
 // SetState overwrites the predictor from a snapshot taken on an
 // identically configured predictor with the same thread count. A shape
-// mismatch is an error; the predictor may be partially written in that
-// case, so callers must treat failure as fatal for the restore (fall
-// back to a freshly built machine).
+// mismatch or a malformed BTB body is an error; the predictor may be
+// partially written in that case, so callers must treat failure as
+// fatal for the restore (fall back to a freshly built machine).
 func (p *Predictor) SetState(st State) error {
 	if len(st.PHT) != len(p.pht) {
 		return fmt.Errorf("bpred: snapshot PHT size %d does not match %d", len(st.PHT), len(p.pht))
 	}
-	if st.BTBSets != p.btbSets || st.BTBWays != p.cfg.BTBWays || len(st.BTB) != st.BTBSets*st.BTBWays {
-		return fmt.Errorf("bpred: snapshot BTB geometry %dx%d (%d entries) does not match %dx%d",
-			st.BTBSets, st.BTBWays, len(st.BTB), p.btbSets, p.cfg.BTBWays)
+	if st.BTBSets != p.btbSets || st.BTBWays != p.cfg.BTBWays {
+		return fmt.Errorf("bpred: snapshot BTB geometry %dx%d does not match %dx%d",
+			st.BTBSets, st.BTBWays, p.btbSets, p.cfg.BTBWays)
 	}
 	if len(st.History) != len(p.history) || len(st.RAS) != len(p.ras) || len(st.RASTop) != len(p.rasTop) {
 		return fmt.Errorf("bpred: snapshot thread count %d does not match %d", len(st.History), len(p.history))
@@ -357,15 +375,26 @@ func (p *Predictor) SetState(st State) error {
 			return fmt.Errorf("bpred: snapshot RAS %d size %d does not match %d", i, len(st.RAS[i]), len(p.ras[i]))
 		}
 	}
-	copy(p.pht, st.PHT)
-	i := 0
-	for s := range p.btb {
-		for w := range p.btb[s] {
-			e := st.BTB[i]
-			p.btb[s][w] = btbEntry{tag: e.Tag, target: e.Target, valid: e.Valid, lastUse: e.LastUse}
-			i++
+	r := packed.NewReader(st.BTB)
+	var prev btbEntry
+	for _, set := range p.btb {
+		mask := r.Set(len(set))
+		for i := range set {
+			if !packed.Valid(mask, i) {
+				set[i] = btbEntry{}
+				continue
+			}
+			prev.tag += uint64(r.Int())
+			prev.target += uint64(r.Int())
+			prev.lastUse += r.Int()
+			prev.valid = true
+			set[i] = prev
 		}
 	}
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("bpred: BTB snapshot: %w", err)
+	}
+	copy(p.pht, st.PHT)
 	p.btbClock = st.BTBClock
 	copy(p.history, st.History)
 	for t := range st.RAS {

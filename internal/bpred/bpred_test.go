@@ -210,3 +210,30 @@ func TestLoopPatternLearnable(t *testing.T) {
 		t.Errorf("short-loop mispredict rate %.3f, want < 0.05", rate)
 	}
 }
+
+// Restoring a snapshot whose BTB is partly filled into a fresh predictor
+// gives the same predictions from then on, and the same final snapshot.
+func TestStateRoundTripBehaviour(t *testing.T) {
+	orig := newPred(t)
+	jump := func(pc, target uint64) *isa.Uop {
+		return &isa.Uop{PC: pc, Class: isa.Jump, Branch: isa.BranchInfo{Taken: true, Target: target}}
+	}
+	for _, pc := range []uint64{0x1000, 0x2004, 0x1000, 0x3008} {
+		step(orig, 0, jump(pc, pc+0x400))
+	}
+	restored := newPred(t)
+	step(restored, 0, jump(0x9000, 0x9400)) // SetState must overwrite it
+	if err := restored.SetState(orig.State()); err != nil {
+		t.Fatal(err)
+	}
+	for _, pc := range []uint64{0x9000, 0x1000, 0x2004, 0x5000, 0x3008, 0x5000} {
+		u := jump(pc, pc+0x400)
+		if got, want := step(restored, 0, u), step(orig, 0, u); got != want {
+			t.Fatalf("jump at %#x: %+v, original %+v", pc, got, want)
+		}
+	}
+	want, got := orig.State(), restored.State()
+	if want.BTBClock != got.BTBClock || string(want.BTB) != string(got.BTB) {
+		t.Fatal("final snapshots differ")
+	}
+}

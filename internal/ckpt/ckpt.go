@@ -1,23 +1,29 @@
 // Package ckpt is the checkpoint/fork engine's storage layer: it
 // serializes the post-prewarm machine state of a simulation — caches,
 // TLBs, branch predictor, core clock scalars, and per-thread workload
-// source cursors — into a versioned, checksummed binary image,
-// content-addressed by the (machine, workload, seed) half of the run
-// fingerprint (sim.CheckpointKey). Sweep cells that differ only in
+// source cursors — into a versioned (DWCKPT02), checksummed binary
+// image, content-addressed by the (machine, workload, seed) half of the
+// run fingerprint (sim.CheckpointKey). Sweep cells that differ only in
 // fetch policy or policy parameters share a checkpoint: the first cell
 // of a group builds machine state once and publishes it, and every
 // other cell forks from the image instead of re-running generator
 // construction and cache prewarming.
 //
+// The caches, DTLBs and BTB arrive already packed (package packed:
+// valid entries only, as varint deltas), so an image is tens of KB. The
+// codec stores those bytes verbatim and walks them in full on decode.
+//
 // Correctness contract: a checkpoint is an optimization, never an
-// oracle. Every decode is CRC-verified and shape-checked against the
-// live machine on restore; any mismatch — corruption, truncation, a
-// format bump, a config drift — makes the run fall back to a cold
-// start. A damaged checkpoint can cost time; it can never change a
-// result.
+// oracle. Every decode is CRC-verified and its packed tables validated,
+// and every image is shape-checked against the live machine on restore;
+// any mismatch — corruption, truncation, a format bump, a config drift
+// — makes the run fall back to a cold start. A damaged checkpoint can
+// cost time; it can never change a result.
 package ckpt
 
 import (
+	"unsafe"
+
 	"dwarn/internal/bpred"
 	"dwarn/internal/mem/cache"
 	"dwarn/internal/mem/tlb"
@@ -49,20 +55,23 @@ type Image struct {
 	Sources []workload.SourceState
 }
 
-// ApproxBytes estimates the encoded size of the image without encoding
-// it — used for the dwarn_ckpt_bytes accounting and the MemStore's
-// size-aware bound.
+// ApproxBytes is the memory the image holds: its structs plus the
+// capacity of every slice it owns. The MemStore's byte bound and the
+// dwarn_ckpt_bytes gauge count this, so DefaultMemBytes bounds what the
+// memory tier keeps resident.
 func (img *Image) ApproxBytes() int {
-	n := 64 + len(img.Key)
-	n += len(img.L1I.Lines)*25 + len(img.L1D.Lines)*25 + len(img.L2.Lines)*25 + 3*24
+	n := int(unsafe.Sizeof(*img)) + len(img.Key)
+	n += cap(img.L1I.Packed) + cap(img.L1D.Packed) + cap(img.L2.Packed)
+	n += cap(img.DTLB) * int(unsafe.Sizeof(tlb.State{}))
 	for _, t := range img.DTLB {
-		n += 12 + len(t.Entries)*17
+		n += cap(t.Packed)
 	}
-	n += len(img.Bpred.PHT) + len(img.Bpred.BTB)*25 + len(img.Bpred.History)*4 + 24
-	for _, r := range img.Bpred.RAS {
-		n += 4 + len(r)*8
+	b := &img.Bpred
+	n += cap(b.PHT) + cap(b.BTB) + cap(b.History)*4 + cap(b.RASTop)*int(unsafe.Sizeof(0))
+	n += cap(b.RAS) * int(unsafe.Sizeof([]uint64(nil)))
+	for _, r := range b.RAS {
+		n += cap(r) * 8
 	}
-	n += len(img.Bpred.RASTop) * 8
-	n += len(img.Sources) * 60
+	n += cap(img.Sources) * int(unsafe.Sizeof(workload.SourceState{}))
 	return n
 }

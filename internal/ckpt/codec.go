@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"dwarn/internal/bpred"
 	"dwarn/internal/mem/cache"
 	"dwarn/internal/mem/tlb"
 	"dwarn/internal/workload"
@@ -18,7 +17,7 @@ import (
 // needed, because a checkpoint is always reproducible from a cold
 // start.
 const (
-	magic = "DWCKPT01"
+	magic = "DWCKPT02"
 	// MaxEncoded bounds what Decode will even look at (and what the
 	// fabric accepts over HTTP): far above any real machine config,
 	// far below a memory-exhaustion payload.
@@ -29,17 +28,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type writer struct{ b []byte }
 
-func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
 func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
 func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+func (w *writer) bytes(b []byte) {
+	w.u32(uint32(len(b)))
+	w.b = append(w.b, b...)
 }
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
@@ -73,13 +68,6 @@ func (r *reader) take(n int) []byte {
 	return s
 }
 
-func (r *reader) u8() uint8 {
-	s := r.take(1)
-	if s == nil {
-		return 0
-	}
-	return s[0]
-}
 func (r *reader) u32() uint32 {
 	s := r.take(4)
 	if s == nil {
@@ -96,8 +84,19 @@ func (r *reader) u64() uint64 {
 }
 func (r *reader) i64() int64  { return int64(r.u64()) }
 func (r *reader) i32() int32  { return int32(r.u32()) }
-func (r *reader) bool() bool  { return r.u8() != 0 }
 func (r *reader) str() string { return string(r.take(r.count(1))) }
+
+// bytes reads a length-prefixed byte string into a slice of its own,
+// so an image never pins the buffer it was decoded from.
+func (r *reader) bytes() []byte { return append([]byte(nil), r.take(r.count(1))...) }
+
+// check records the error of validating a decoded field, unless an
+// earlier defect already stands (the field is then zero and invalid).
+func (r *reader) check(err error) {
+	if r.err == nil && err != nil {
+		r.err = fmt.Errorf("ckpt: %w", err)
+	}
+}
 
 // count reads a length prefix and validates it against the bytes
 // actually remaining (elemSize is a lower bound per element), so a
@@ -134,27 +133,17 @@ func Encode(img *Image) []byte {
 	w.u32(uint32(len(img.DTLB)))
 	for i := range img.DTLB {
 		t := &img.DTLB[i]
+		w.u32(uint32(t.Size))
 		w.i64(t.Clock)
-		w.u32(uint32(len(t.Entries)))
-		for _, e := range t.Entries {
-			w.u64(e.Page)
-			w.bool(e.Valid)
-			w.i64(e.LastUse)
-		}
+		w.bytes(t.Packed)
 	}
 
 	b := &img.Bpred
-	w.u32(uint32(len(b.PHT)))
-	w.b = append(w.b, b.PHT...)
+	w.bytes(b.PHT)
 	w.u32(uint32(b.BTBSets))
 	w.u32(uint32(b.BTBWays))
 	w.i64(b.BTBClock)
-	for _, e := range b.BTB {
-		w.u64(e.Tag)
-		w.u64(e.Target)
-		w.bool(e.Valid)
-		w.i64(e.LastUse)
-	}
+	w.bytes(b.BTB)
 	w.u32(uint32(len(b.History)))
 	for _, h := range b.History {
 		w.u32(h)
@@ -220,28 +209,19 @@ func Decode(data []byte) (*Image, error) {
 	img.DTLB = make([]tlb.State, r.count(16))
 	for i := range img.DTLB {
 		t := &img.DTLB[i]
+		t.Size = int(r.u32())
 		t.Clock = r.i64()
-		t.Entries = make([]tlb.EntryState, r.count(17))
-		for j := range t.Entries {
-			t.Entries[j] = tlb.EntryState{Page: r.u64(), Valid: r.bool(), LastUse: r.i64()}
-		}
+		t.Packed = r.bytes()
+		r.check(t.Validate())
 	}
 
 	b := &img.Bpred
-	b.PHT = append([]uint8(nil), r.take(r.count(1))...)
+	b.PHT = r.bytes()
 	b.BTBSets = int(r.u32())
 	b.BTBWays = int(r.u32())
 	b.BTBClock = r.i64()
-	nBTB := b.BTBSets * b.BTBWays
-	if r.err == nil && (b.BTBSets < 0 || b.BTBWays < 0 || nBTB < 0 || nBTB*25 > len(r.b)-r.off) {
-		r.fail("BTB geometry %dx%d exceeds remaining payload", b.BTBSets, b.BTBWays)
-	}
-	if r.err == nil {
-		b.BTB = make([]bpred.BTBEntryState, nBTB)
-		for i := range b.BTB {
-			b.BTB[i] = bpred.BTBEntryState{Tag: r.u64(), Target: r.u64(), Valid: r.bool(), LastUse: r.i64()}
-		}
-	}
+	b.BTB = r.bytes()
+	r.check(b.ValidateBTB())
 	b.History = make([]uint32, r.count(4))
 	for i := range b.History {
 		b.History[i] = r.u32()
@@ -286,27 +266,13 @@ func encodeCache(w *writer, s *cache.State) {
 	w.u32(uint32(s.Sets))
 	w.u32(uint32(s.Ways))
 	w.i64(s.UseClock)
-	for _, ln := range s.Lines {
-		w.u64(ln.Tag)
-		w.bool(ln.Valid)
-		w.i64(ln.ReadyAt)
-		w.i64(ln.LastUse)
-	}
+	w.bytes(s.Packed)
 }
 
 func decodeCache(r *reader, s *cache.State) {
 	s.Sets = int(r.u32())
 	s.Ways = int(r.u32())
 	s.UseClock = r.i64()
-	n := s.Sets * s.Ways
-	if r.err == nil && (s.Sets < 0 || s.Ways < 0 || n < 0 || n*25 > len(r.b)-r.off) {
-		r.fail("cache geometry %dx%d exceeds remaining payload", s.Sets, s.Ways)
-	}
-	if r.err != nil {
-		return
-	}
-	s.Lines = make([]cache.LineState, n)
-	for i := range s.Lines {
-		s.Lines[i] = cache.LineState{Tag: r.u64(), Valid: r.bool(), ReadyAt: r.i64(), LastUse: r.i64()}
-	}
+	s.Packed = r.bytes()
+	r.check(s.Validate())
 }

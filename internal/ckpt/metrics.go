@@ -31,7 +31,7 @@ func initMetrics() {
 	met.fallbacks = r.Counter("dwarn_ckpt_fallbacks_total",
 		"Checkpoint restores abandoned mid-way (shape mismatch, unsupported source); the run fell back to a cold start.")
 	met.bytes = r.Gauge("dwarn_ckpt_bytes",
-		"Cumulative encoded bytes of checkpoints built by this process.")
+		"Cumulative in-memory bytes (Image.ApproxBytes) of the checkpoints built by this process; an image's encoding is within a few percent of it.")
 }
 
 // RecordHit counts one simulation forked from a checkpoint.
@@ -41,7 +41,7 @@ func RecordHit() {
 }
 
 // RecordMiss counts one simulation that warmed cold and published a
-// checkpoint of size bytes.
+// checkpoint holding bytes in memory.
 func RecordMiss(bytes int) {
 	met.once.Do(initMetrics)
 	met.misses.Inc()

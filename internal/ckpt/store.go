@@ -14,15 +14,16 @@ type Store = store.Store[*Image]
 // coordinator's remote tier on a fabric worker.
 type Chain = store.Chain[*Image]
 
-// DefaultMemBytes bounds the default in-memory tier: checkpoints are a
-// few hundred KB each (dominated by L2 line state), so this keeps tens
-// of warm workload groups without letting a wide sweep grow the heap
-// unboundedly.
+// DefaultMemBytes bounds the default in-memory tier: images hold 22–46
+// KB each on the built-in workloads (mostly packed L2 lines), so this
+// keeps thousands of warm workload groups without letting a wide sweep
+// grow the heap unboundedly.
 const DefaultMemBytes = 256 << 20
 
 // NewMemStore returns the in-memory checkpoint tier (the whole store
-// without -ckpt-dir/-store): an LRU bounded to roughly maxBytes of
-// encoded images (0 = DefaultMemBytes); an oversized newest image stays.
+// without -ckpt-dir/-store): an LRU bounded to maxBytes of images as
+// Image.ApproxBytes counts them (0 = DefaultMemBytes); an oversized
+// newest image stays.
 func NewMemStore(maxBytes int) *store.Mem[*Image] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMemBytes

@@ -15,6 +15,7 @@ import (
 	"math/bits"
 
 	"dwarn/internal/config"
+	"dwarn/internal/packed"
 )
 
 // Outcome classifies a cache access.
@@ -199,57 +200,84 @@ func (c *Cache) Reset() {
 	c.Stats = Stats{}
 }
 
-// LineState is the serializable form of one cache line; see State.
-type LineState struct {
-	Tag     uint64
-	Valid   bool
-	ReadyAt int64
-	LastUse int64
-}
-
-// State is a complete, geometry-tagged snapshot of a cache's
-// microarchitectural contents (lines and the LRU clock; Stats are
-// measurement state and deliberately excluded). Lines are stored
-// way-major per set: Lines[set*Ways+way].
+// State is a geometry-tagged snapshot of a cache's microarchitectural
+// contents: its valid lines and the LRU clock (Stats are measurement
+// state and deliberately excluded). Packed holds the lines in package
+// packed's form, set by set. Each valid line is three varints: its tag
+// as the difference from the tag of the previous valid line in the same
+// way (lines of one region fill neighbouring sets in the same way), its
+// readyAt, and its lastUse as the difference from the previous valid
+// line's. Invalid ways are not stored, so a snapshot is a few bytes per
+// valid line rather than a struct per way.
 type State struct {
 	Sets     int
 	Ways     int
 	UseClock int64
-	Lines    []LineState
+	Packed   []byte
 }
 
-// State snapshots the cache's lines and replacement clock.
-func (c *Cache) State() State {
-	st := State{
-		Sets:     len(c.sets),
-		Ways:     c.cfg.Ways,
-		UseClock: c.useClock,
-		Lines:    make([]LineState, 0, len(c.sets)*c.cfg.Ways),
+// lineFields is the varint count of one valid line in State.Packed.
+const lineFields = 3
+
+// Validate checks that st.Packed is a well-formed Sets×Ways snapshot,
+// so a malformed one is rejected when it is decoded, not restored.
+func (st *State) Validate() error {
+	if err := packed.Check(st.Packed, st.Sets, st.Ways, lineFields); err != nil {
+		return fmt.Errorf("cache: snapshot: %w", err)
 	}
+	return nil
+}
+
+// State snapshots the cache's valid lines and replacement clock.
+func (c *Cache) State() State {
+	w := packed.NewWriter()
+	tags := make([]uint64, c.cfg.Ways) // each way's last valid tag
+	var lastUse int64
 	for _, set := range c.sets {
-		for _, ln := range set {
-			st.Lines = append(st.Lines, LineState{Tag: ln.tag, Valid: ln.valid, ReadyAt: ln.readyAt, LastUse: ln.lastUse})
+		w.Set(len(set))
+		for i := range set {
+			if ln := &set[i]; ln.valid {
+				w.Valid(i)
+				w.Int(int64(ln.tag - tags[i]))
+				w.Int(ln.readyAt)
+				w.Int(ln.lastUse - lastUse)
+				tags[i], lastUse = ln.tag, ln.lastUse
+			}
 		}
 	}
-	return st
+	return State{Sets: len(c.sets), Ways: c.cfg.Ways, UseClock: c.useClock, Packed: w.Bytes()}
 }
 
 // SetState overwrites the cache's lines and replacement clock from a
-// snapshot taken on an identically configured cache. A geometry mismatch
-// is an error and leaves the cache unchanged — the caller falls back to
-// a cold start rather than restoring into the wrong shape.
+// snapshot taken on an identically configured cache, zeroing the ways
+// the snapshot holds no line for. A geometry mismatch is an error and
+// leaves the cache unchanged — the caller falls back to a cold start
+// rather than restoring into the wrong shape. A malformed Packed body
+// (one Validate rejects) is an error that leaves the cache Reset.
 func (c *Cache) SetState(st State) error {
-	if st.Sets != len(c.sets) || st.Ways != c.cfg.Ways || len(st.Lines) != st.Sets*st.Ways {
-		return fmt.Errorf("cache: snapshot geometry %dx%d (%d lines) does not match %dx%d",
-			st.Sets, st.Ways, len(st.Lines), len(c.sets), c.cfg.Ways)
+	if st.Sets != len(c.sets) || st.Ways != c.cfg.Ways {
+		return fmt.Errorf("cache: snapshot geometry %dx%d does not match %dx%d",
+			st.Sets, st.Ways, len(c.sets), c.cfg.Ways)
 	}
-	i := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ls := st.Lines[i]
-			c.sets[s][w] = line{tag: ls.Tag, valid: ls.Valid, readyAt: ls.ReadyAt, lastUse: ls.LastUse}
-			i++
+	r := packed.NewReader(st.Packed)
+	tags := make([]uint64, c.cfg.Ways)
+	var lastUse int64
+	for _, set := range c.sets {
+		mask := r.Set(len(set))
+		for i := range set {
+			if !packed.Valid(mask, i) {
+				set[i] = line{}
+				continue
+			}
+			tags[i] += uint64(r.Int())
+			readyAt := r.Int()
+			lastUse += r.Int()
+			set[i] = line{tag: tags[i], valid: true, readyAt: readyAt, lastUse: lastUse}
 		}
+	}
+	if err := r.Close(); err != nil {
+		c.Reset()
+		return fmt.Errorf("cache: snapshot: %w", err)
 	}
 	c.useClock = st.UseClock
 	return nil

@@ -6,6 +6,8 @@ package tlb
 import (
 	"fmt"
 	"math/bits"
+
+	"dwarn/internal/packed"
 )
 
 // Stats counts TLB accesses.
@@ -95,37 +97,69 @@ func (t *TLB) Probe(addr uint64) bool {
 	return false
 }
 
-// EntryState is the serializable form of one TLB entry; see State.
-type EntryState struct {
-	Page    uint64
-	Valid   bool
-	LastUse int64
-}
-
-// State is a complete snapshot of the TLB's translations and LRU clock
-// (Stats are measurement state and excluded).
+// State is a snapshot of the TLB's translations and LRU clock (Stats
+// are measurement state and excluded). Packed holds the valid entries
+// in package packed's form, as one set of Size ways: each valid entry
+// is its page and lastUse, both as differences from the previous valid
+// entry's. Invalid entries are not stored; no lookup or replacement
+// reads their fields.
 type State struct {
-	Clock   int64
-	Entries []EntryState
+	Size   int
+	Clock  int64
+	Packed []byte
 }
 
-// State snapshots the TLB's entries and replacement clock.
-func (t *TLB) State() State {
-	st := State{Clock: t.clock, Entries: make([]EntryState, len(t.entries))}
-	for i, e := range t.entries {
-		st.Entries[i] = EntryState{Page: e.page, Valid: e.valid, LastUse: e.lastUse}
+// entryFields is the varint count of one valid entry in State.Packed.
+const entryFields = 2
+
+// Validate checks that st.Packed is a well-formed Size-entry snapshot.
+func (st *State) Validate() error {
+	if err := packed.Check(st.Packed, 1, st.Size, entryFields); err != nil {
+		return fmt.Errorf("tlb: snapshot: %w", err)
 	}
-	return st
+	return nil
+}
+
+// State snapshots the TLB's valid entries and replacement clock.
+func (t *TLB) State() State {
+	w := packed.NewWriter()
+	var prev entry
+	w.Set(len(t.entries))
+	for i, e := range t.entries {
+		if e.valid {
+			w.Valid(i)
+			w.Int(int64(e.page - prev.page))
+			w.Int(e.lastUse - prev.lastUse)
+			prev = e
+		}
+	}
+	return State{Size: len(t.entries), Clock: t.clock, Packed: w.Bytes()}
 }
 
 // SetState overwrites the TLB from a snapshot taken on an identically
-// sized TLB; a size mismatch is an error and leaves the TLB unchanged.
+// sized TLB, zeroing the entries the snapshot holds none for. A size
+// mismatch is an error and leaves the TLB unchanged; a malformed Packed
+// body (one Validate rejects) is an error that leaves the TLB Reset.
 func (t *TLB) SetState(st State) error {
-	if len(st.Entries) != len(t.entries) {
-		return fmt.Errorf("tlb: snapshot has %d entries, TLB has %d", len(st.Entries), len(t.entries))
+	if st.Size != len(t.entries) {
+		return fmt.Errorf("tlb: snapshot has %d entries, TLB has %d", st.Size, len(t.entries))
 	}
-	for i, e := range st.Entries {
-		t.entries[i] = entry{page: e.Page, valid: e.Valid, lastUse: e.LastUse}
+	r := packed.NewReader(st.Packed)
+	var prev entry
+	mask := r.Set(len(t.entries))
+	for i := range t.entries {
+		if !packed.Valid(mask, i) {
+			t.entries[i] = entry{}
+			continue
+		}
+		prev.page += uint64(r.Int())
+		prev.lastUse += r.Int()
+		prev.valid = true
+		t.entries[i] = prev
+	}
+	if err := r.Close(); err != nil {
+		t.Reset()
+		return fmt.Errorf("tlb: snapshot: %w", err)
 	}
 	t.clock = st.Clock
 	return nil

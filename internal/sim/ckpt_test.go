@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"dwarn/internal/ckpt"
+	"dwarn/internal/config"
+	"dwarn/internal/core"
+	"dwarn/internal/pipeline"
 	"dwarn/internal/workload"
 )
 
@@ -127,6 +130,11 @@ func TestRestoreFallbackNeverWrongAnswer(t *testing.T) {
 			out.DTLB = img.DTLB[:0]
 			return &out
 		},
+		"malformed-l2-lines": func(img *ckpt.Image) *ckpt.Image {
+			out := *img
+			out.L2.Packed = append(append([]byte(nil), img.L2.Packed...), 0)
+			return &out
+		},
 	}
 	for name, tamper := range tampers {
 		t.Run(name, func(t *testing.T) {
@@ -178,5 +186,67 @@ func TestCheckpointKeySplit(t *testing.T) {
 	diffWl.Workload, _ = workload.GetWorkload("2-MEM")
 	if got := CheckpointKey(diffWl); got == k {
 		t.Error("workload change must split the key")
+	}
+}
+
+// prewarmedMachine builds a baseline machine for workload wl and
+// prewarms it: the state a checkpoint captures.
+func prewarmedMachine(tb testing.TB, wl string) (*pipeline.CPU, []workload.Source) {
+	tb.Helper()
+	w, err := workload.GetWorkload(wl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srcs, err := w.Generators(DefaultSeed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pol, err := core.NewPolicy("icount")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cpu, err := pipeline.New(config.Baseline(), pol, srcs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prewarm(cpu, srcs)
+	return cpu, srcs
+}
+
+// Post-prewarm images stay small because they hold only valid lines and
+// entries, and ApproxBytes — what the memory tier's byte bound counts —
+// is what an image keeps resident: never below its encoding, and not
+// far above it.
+func TestCheckpointImageSize(t *testing.T) {
+	for _, wl := range []string{"2-MIX", "4-MIX", "8-MEM"} {
+		cpu, srcs := prewarmedMachine(t, wl)
+		img, err := Snapshot("k", cpu, srcs, DefaultSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, held := len(ckpt.Encode(img)), img.ApproxBytes()
+		t.Logf("%s: %d bytes encoded, %d held", wl, enc, held)
+		if enc > 64<<10 {
+			t.Errorf("%s: image encodes to %d bytes, want <= 64 KB", wl, enc)
+		}
+		if held < enc || held > enc*3/2 {
+			t.Errorf("%s: ApproxBytes %d outside [%d, %d]", wl, held, enc, enc*3/2)
+		}
+	}
+}
+
+// BenchmarkSnapshotRestore is the per-cell checkpoint cost a sweep pays:
+// one pack of a post-prewarm 2-MIX machine and one unpack into it.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	cpu, srcs := prewarmedMachine(b, "2-MIX")
+	b.ReportAllocs()
+	for b.Loop() {
+		img, err := Snapshot("k", cpu, srcs, DefaultSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Restore(img, cpu, srcs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 #      bit-identical to a serial run with checkpointing disabled.
 #   2. Exactly one warmup executed per (machine, workload, seed) group:
 #      dwarn_ckpt_misses_total == 12, hits == 60, fallbacks == 0.
-#   3. A second invocation against the same -ckpt-dir forks every cell
+#   3. Every one of the 12 checkpoint files is under 96 KB: images hold
+#      only valid cache lines, DTLB and BTB entries.
+#   4. A second invocation against the same -ckpt-dir forks every cell
 #      (misses == 0) and still matches the reference digests.
 #
 # Usage: scripts/smoke_ckpt.sh   (or `make smoke-ckpt`)
@@ -60,6 +62,15 @@ if [ "$files" -ne 12 ]; then
     echo "smoke_ckpt: FAIL: $files checkpoint files on disk, want 12 (one per group)" >&2
     exit 1
 fi
+largest=0
+for f in "$tmp/ckpt"/*.ckpt; do
+    size="$(wc -c < "$f")"
+    [ "$size" -gt "$largest" ] && largest="$size"
+    if [ "$size" -ge 98304 ]; then
+        echo "smoke_ckpt: FAIL: $(basename "$f") is $size bytes, want under 96 KB" >&2
+        exit 1
+    fi
+done
 
 echo "smoke_ckpt: re-run against the populated -ckpt-dir..."
 "$tmp/smtsim" -spec "$spec" -parallel 8 -ckpt-dir "$tmp/ckpt" \
@@ -76,4 +87,4 @@ if [ "$misses2" -ne 0 ] || [ "$hits2" -ne 72 ]; then
     exit 1
 fi
 
-echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 warmups (one per group), 132 forks across both passes"
+echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 warmups (one per group), 132 forks across both passes, largest image $largest bytes"
