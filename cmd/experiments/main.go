@@ -44,7 +44,7 @@ func main() {
 		warmup   = flag.Int64("warmup", 0, "warmup cycles per run (0 = default)")
 		measure  = flag.Int64("measure", 0, "measured cycles per run (0 = default)")
 		par      = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		ckptOn   = flag.Bool("ckpt", true, "fork grid cells sharing a (machine, workload, seed) group from one post-prewarm checkpoint")
+		ckptOn   = flag.Bool("ckpt", true, "fork grid cells sharing a (workload, seed) group from one checkpoint of calibrated program cores")
 		ckptDir  = flag.String("ckpt-dir", "", "persist checkpoints in this directory (implies -ckpt), shared across invocations")
 		asJSON   = flag.Bool("json", false, "emit JSON instead of aligned text tables")
 		logLevel = flag.String("log-level", "info", "stderr log verbosity: debug, info, warn, error, off")

@@ -66,8 +66,8 @@ func main() {
 		maxCells  = flag.Int("max-cells", spec.DefaultMaxCells, "largest sweep expansion a -spec file may request")
 		parallel  = flag.Int("parallel", 0, "max concurrent sweep cells with -spec (0 = GOMAXPROCS)")
 		storeDir  = flag.String("store", "", "persist -spec cell results in this directory; rerunning resumes past stored cells")
-		ckptOn    = flag.Bool("ckpt", true, "with -spec, fork sweep cells sharing a (machine, workload, seed) group from one post-prewarm checkpoint instead of warming each cold")
-		ckptDir   = flag.String("ckpt-dir", "", "persist checkpoints in this directory (implies -ckpt); rerunning forks even the first cell of each warm group")
+		ckptOn    = flag.Bool("ckpt", true, "with -spec, fork sweep cells sharing a (workload, seed) group from one checkpoint of calibrated program cores instead of calibrating each cold")
+		ckptDir   = flag.String("ckpt-dir", "", "persist checkpoints in this directory (implies -ckpt); rerunning forks even the first cell of each group")
 		listWork  = flag.Bool("list", false, "list workloads and benchmarks, then exit")
 		metrics   = flag.String("metrics", "", "after the run or sweep, dump the metrics registry to this file in Prometheus text format")
 		tlPath    = flag.String("timeline", "", "sample interval frames during the measured window and write them to this file (.csv extension → CSV, otherwise JSONL)")

@@ -1,77 +1,56 @@
-// Package ckpt is the checkpoint/fork engine's storage layer: it
-// serializes the post-prewarm machine state of a simulation — caches,
-// TLBs, branch predictor, core clock scalars, and per-thread workload
-// source cursors — into a versioned (DWCKPT02), checksummed binary
-// image, content-addressed by the (machine, workload, seed) half of the
-// run fingerprint (sim.CheckpointKey). Sweep cells that differ only in
-// fetch policy or policy parameters share a checkpoint: the first cell
-// of a group builds machine state once and publishes it, and every
-// other cell forks from the image instead of re-running generator
-// construction and cache prewarming.
+// Package ckpt is the checkpoint/fork engine's storage layer. An image
+// holds one (workload, seed) group's calibrated program cores
+// (workload.Core), content-addressed by sim.CheckpointKey. Sweep cells
+// that differ only in machine, fetch policy, policy parameters or run
+// lengths share an image: the group's first cell calibrates the cores
+// and publishes them, and every cell, the first included, builds fresh
+// generators over them, a fresh machine, and prewarms it. A fork skips
+// program synthesis and the two calibration dry runs per thread, the
+// costly part of starting a run; it does not skip generator or machine
+// construction, which are cheap.
 //
-// The caches, DTLBs and BTB arrive already packed (package packed:
-// valid entries only, as varint deltas), so an image is tens of KB. The
-// codec stores those bytes verbatim and walks them in full on decode.
+// The memory tier holds images materialized, hundreds of KB per core.
+// The durable tiers (DirStore, the fabric's checkpoint route) hold the
+// compact versioned (DWCKPT03), checksummed form: per thread the
+// benchmark, thread seed and address base, a digest of the program
+// text, the home region of every load and store slot (two bits each)
+// and the load and store region adjustments, a few KB per image. Decode
+// regenerates each program from its registered profile and seed, checks
+// the digest and applies the calibration, so a disk hit runs no dry
+// run.
 //
 // Correctness contract: a checkpoint is an optimization, never an
-// oracle. Every decode is CRC-verified and its packed tables validated,
-// and every image is shape-checked against the live machine on restore;
-// any mismatch — corruption, truncation, a format bump, a config drift
-// — makes the run fall back to a cold start. A damaged checkpoint can
-// cost time; it can never change a result.
+// oracle. Every decode is CRC-verified and every regenerated program
+// digest-checked; an image whose cores do not fit the run's workload is
+// abandoned for a cold calibration. A damaged checkpoint can cost time;
+// it can never change a result.
 package ckpt
 
 import (
 	"unsafe"
 
-	"dwarn/internal/bpred"
-	"dwarn/internal/mem/cache"
-	"dwarn/internal/mem/tlb"
-	"dwarn/internal/pipeline"
 	"dwarn/internal/workload"
 )
 
-// Image is one decoded checkpoint: everything needed to fork a
-// simulation from its post-prewarm point. Images are immutable once
-// stored — stores may hand the same pointer to every caller, and
-// callers must not modify one.
+// Image is one checkpoint: a (workload, seed) group's calibrated
+// program cores, one per thread in workload order. Images are
+// immutable once stored — stores may hand the same pointer to every
+// caller, and callers must not modify one.
 type Image struct {
 	// Key is the checkpoint key the image was stored under; decode
 	// verifies it so a renamed file cannot impersonate another group.
-	Key string
-	// Seed is the synthetic-randomness seed the state was built from
-	// (diagnostic; the key already covers it).
-	Seed uint64
-	// Core holds the CPU's scalar state at the quiescent snapshot point.
-	Core pipeline.CoreState
-	// Memory hierarchy contents.
-	L1I, L1D, L2 cache.State
-	DTLB         []tlb.State
-	// Bpred is the predictor state (untouched by prewarm today, but
-	// captured so the image stays a complete machine snapshot if
-	// prewarming ever grows a front-end phase).
-	Bpred bpred.State
-	// Sources holds each thread's workload generator cursor state.
-	Sources []workload.SourceState
+	Key   string
+	Cores []*workload.Core
 }
 
-// ApproxBytes is the memory the image holds: its structs plus the
-// capacity of every slice it owns. The MemStore's byte bound and the
-// dwarn_ckpt_bytes gauge count this, so DefaultMemBytes bounds what the
-// memory tier keeps resident.
+// ApproxBytes is the memory the image holds: its struct, its key and
+// every core's materialized program slices. The MemStore's byte bound
+// and the dwarn_ckpt_bytes gauge count this, so DefaultMemBytes bounds
+// what the memory tier keeps resident.
 func (img *Image) ApproxBytes() int {
-	n := int(unsafe.Sizeof(*img)) + len(img.Key)
-	n += cap(img.L1I.Packed) + cap(img.L1D.Packed) + cap(img.L2.Packed)
-	n += cap(img.DTLB) * int(unsafe.Sizeof(tlb.State{}))
-	for _, t := range img.DTLB {
-		n += cap(t.Packed)
+	n := int(unsafe.Sizeof(*img)) + len(img.Key) + cap(img.Cores)*int(unsafe.Sizeof((*workload.Core)(nil)))
+	for _, c := range img.Cores {
+		n += c.ApproxBytes()
 	}
-	b := &img.Bpred
-	n += cap(b.PHT) + cap(b.BTB) + cap(b.History)*4 + cap(b.RASTop)*int(unsafe.Sizeof(0))
-	n += cap(b.RAS) * int(unsafe.Sizeof([]uint64(nil)))
-	for _, r := range b.RAS {
-		n += cap(r) * 8
-	}
-	n += cap(img.Sources) * int(unsafe.Sizeof(workload.SourceState{}))
 	return n
 }

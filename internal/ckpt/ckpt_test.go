@@ -1,83 +1,105 @@
 package ckpt
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
-	"dwarn/internal/bpred"
-	"dwarn/internal/config"
-	"dwarn/internal/isa"
-	"dwarn/internal/mem/cache"
-	"dwarn/internal/mem/tlb"
-	"dwarn/internal/pipeline"
 	"dwarn/internal/workload"
 )
 
-// testImage builds a small but fully-populated image from live
-// structures: every field the codec carries is non-zero somewhere, the
-// caches hold an in-flight line and an invalidated way, and the BTB and
-// a DTLB hold both valid and empty entries, so a round-trip that drops
-// or reorders one fails DeepEqual.
-func testImage() *Image {
-	small := func(sizeBytes int) *cache.Cache {
-		return cache.New(config.CacheConfig{SizeBytes: sizeBytes, Ways: 2, LineBytes: 64, HitLatency: 1})
+// testWorkloads are the workloads whose real images the codec tests
+// use: 2, 4 and 8 threads.
+var testWorkloads = []string{"2-MIX", "4-MIX", "8-MEM"}
+
+// testKey is the key every test image is stored under.
+const testKey = "aabb01"
+
+var images struct {
+	sync.Mutex
+	m map[string]*Image
+}
+
+// testImage returns the image a run of wl at seed 7 publishes, its
+// calibrated cores, under testKey; each is built once per test binary.
+func testImage(tb testing.TB, wl string) *Image {
+	tb.Helper()
+	images.Lock()
+	defer images.Unlock()
+	if img, ok := images.m[wl]; ok {
+		return img
 	}
-	l1i, l1d, l2 := small(256), small(128), small(512)
-	l1i.Access(0x1000, 5, 20) // in flight: readyAt 20
-	l1i.Touch(0x2040)
-	l1d.Touch(0x80)
-	l1d.Touch(0x100)
-	l1d.Invalidate(0x80)
-	for a := uint64(0); a < 0x300; a += 0x40 {
-		l2.Touch(a)
+	w, err := workload.GetWorkload(wl)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	dtlb := []*tlb.TLB{tlb.New(4, 4096), tlb.New(2, 4096)}
-	dtlb[0].Access(0x7000)
-	dtlb[0].Access(0x9000)
-	bp := bpred.New(config.BranchPredictorConfig{
-		GshareEntries: 4, GshareHistoryBits: 2, BTBEntries: 4, BTBWays: 2, RASEntries: 2,
-	}, 2)
-	for _, u := range []*isa.Uop{
-		{PC: 0x40, Class: isa.CondBranch, Branch: isa.BranchInfo{Taken: true, Target: 0x80}},
-		{PC: 0x84, Class: isa.Call, Branch: isa.BranchInfo{Taken: true, Target: 0x400}},
-	} {
-		bp.Resolve(0, u, bp.Predict(0, u))
+	cores, err := w.Cores(7)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return &Image{
-		Key:   "aabb01",
-		Seed:  42,
-		Core:  pipeline.CoreState{Now: 123, AgeCtr: 456, LastCommitAt: 100, NumThreads: 2},
-		L1I:   l1i.State(),
-		L1D:   l1d.State(),
-		L2:    l2.State(),
-		DTLB:  []tlb.State{dtlb[0].State(), dtlb[1].State()},
-		Bpred: bp.State(),
-		Sources: []workload.SourceState{
-			{RNG: 1, Seq: 2, CurSlot: 3, IntWrites: 4, FPWrites: 5, MidCursor: 6, FarCursor: 7, WalkCur: 1, WalkDwell: 2},
-			{RNG: 11, Seq: 12},
-		},
+	if images.m == nil {
+		images.m = map[string]*Image{}
+	}
+	img := &Image{Key: testKey, Cores: cores}
+	images.m[wl] = img
+	return img
+}
+
+func calibrations(img *Image) []workload.Calibration {
+	cals := make([]workload.Calibration, len(img.Cores))
+	for i, c := range img.Cores {
+		cals[i] = c.Calibration()
+	}
+	return cals
+}
+
+// A decoded image holds cores identical to the calibrated ones, and
+// re-encodes to the same bytes; an image is a few KB.
+func TestCodecRoundTrip(t *testing.T) {
+	for _, wl := range testWorkloads {
+		img := testImage(t, wl)
+		data := Encode(img)
+		t.Logf("%s: %d bytes encoded, %d held", wl, len(data), img.ApproxBytes())
+		out, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", wl, err)
+		}
+		if !reflect.DeepEqual(img, out) {
+			t.Fatalf("%s: round trip drifted", wl)
+		}
+		if string(Encode(out)) != string(data) {
+			t.Fatalf("%s: re-encoding drifted", wl)
+		}
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	img := testImage()
-	out, err := Decode(Encode(img))
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+// ApproxBytes counts every materialized program slice: it is the
+// cores' sum plus the image's own few words, and a core of the
+// built-in profiles is hundreds of KB.
+func TestApproxBytesCountsCores(t *testing.T) {
+	img := testImage(t, "4-MIX")
+	sum := 0
+	for i, c := range img.Cores {
+		if n := c.ApproxBytes(); n < 100<<10 {
+			t.Errorf("core %d counts %d bytes, want its program slices (>= 100 KB)", i, n)
+		}
+		sum += c.ApproxBytes()
 	}
-	if !reflect.DeepEqual(img, out) {
-		t.Fatalf("round trip drifted:\n in %+v\nout %+v", img, out)
+	if got := img.ApproxBytes(); got < sum || got > sum+256 {
+		t.Errorf("ApproxBytes %d, cores hold %d", got, sum)
 	}
 }
 
 // Every single-byte flip anywhere in the encoding must fail the CRC (or
 // an earlier structural check) — a damaged checkpoint is a miss, never
-// a wrong machine state.
+// a wrong program.
 func TestDecodeRejectsEveryByteFlip(t *testing.T) {
-	data := Encode(testImage())
+	data := Encode(testImage(t, "2-MIX"))
 	for i := range data {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0xFF
@@ -89,7 +111,7 @@ func TestDecodeRejectsEveryByteFlip(t *testing.T) {
 
 // Every truncation point must fail, as must trailing garbage.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	data := Encode(testImage())
+	data := Encode(testImage(t, "2-MIX"))
 	for n := 0; n < len(data); n++ {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", n, len(data))
@@ -101,14 +123,14 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 // A corrupt or truncated on-disk checkpoint is a miss: the cell
-// re-warms and overwrites it, never restores from it.
+// recalibrates and overwrites it, never forks from it.
 func TestDirStoreCorruptFileIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := NewDirStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := testImage()
+	img := testImage(t, "2-MIX")
 	ds.Put(img.Key, img)
 	if _, ok := ds.Get(img.Key); !ok {
 		t.Fatal("stored checkpoint not readable")
@@ -135,50 +157,57 @@ func TestDirStoreCorruptFileIsMiss(t *testing.T) {
 	}
 }
 
-// malformedImages returns images whose packed tables are CRC-valid once
-// encoded but structurally broken, by name. Each must be a decode error.
-func malformedImages() map[string]*Image {
-	out := map[string]*Image{}
-	mutate := func(name string, f func(img *Image)) {
-		img := testImage()
-		f(img)
-		out[name] = img
+// seal appends the CRC-32C trailer to an image body.
+func seal(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// malformedImages returns encodings that pass the CRC but must not
+// decode, by the defect each one's error names.
+func malformedImages(tb testing.TB) map[string][]byte {
+	img := testImage(tb, "2-MIX")
+	out := map[string][]byte{}
+	mutate := func(defect string, f func(cal *workload.Calibration)) {
+		cals := calibrations(img)
+		f(&cals[1])
+		out[defect] = encode(img.Key, cals)
 	}
-	mutate("cache-way-bit", func(img *Image) { img.L1D.Packed[0] |= 0x80 })
-	// The L2's sets are all full, so its last byte ends a varint.
-	mutate("cache-cut-varint", func(img *Image) { img.L2.Packed[len(img.L2.Packed)-1] |= 0x80 })
-	mutate("cache-trailing", func(img *Image) { img.L2.Packed = append(img.L2.Packed, 0) })
-	mutate("cache-geometry", func(img *Image) { img.L1I.Sets = 1 << 30 })
-	mutate("dtlb-way-bit", func(img *Image) { img.DTLB[1].Packed[0] |= 0x04 })
-	mutate("dtlb-cut-varint", func(img *Image) { img.DTLB[0].Packed = img.DTLB[0].Packed[:len(img.DTLB[0].Packed)-1] })
-	mutate("btb-way-bit", func(img *Image) { img.Bpred.BTB[0] |= 0x80 })
-	mutate("btb-trailing", func(img *Image) { img.Bpred.BTB = append(img.Bpred.BTB, 0) })
+	mutate("program digest", func(cal *workload.Calibration) { cal.Digest ^= 1 })
+	mutate("memory slots", func(cal *workload.Calibration) { cal.Regions = cal.Regions[:len(cal.Regions)-1] })
+	mutate("region value 3", func(cal *workload.Calibration) { cal.Regions[0] = 3 })
+	mutate("unknown benchmark", func(cal *workload.Calibration) { cal.Benchmark = "nosuch" })
+
+	// A thread count whose varint never ends.
+	body := append([]byte(magic), byte(len(img.Key)))
+	body = append(append(body, img.Key...), 0x80)
+	out["varint"] = seal(body)
+
+	valid := Encode(img)
+	out["trailing"] = seal(append(append([]byte(nil), valid[:len(valid)-4]...), 0))
 	return out
 }
 
-// A packed table that passes the CRC but breaks the packed form — a way
-// bit beyond the set, a cut varint, trailing bytes, a geometry the bytes
-// cannot hold — is a decode error, so it stays a miss and is never
-// restored into a machine.
+// A well-framed image that is still wrong — a program that no longer
+// matches its digest, a region count that is not the memory-slot
+// count, a region value past far, an unknown benchmark, a cut varint, a
+// trailing byte — is a decode error, so it stays a miss and no run
+// forks from it.
 func TestDecodeRejectsMalformedPackedState(t *testing.T) {
-	want := map[string]string{
-		"way-bit": "beyond", "cut-varint": "varint", "trailing": "trailing", "geometry": "cannot hold",
-	}
-	for name, img := range malformedImages() {
-		_, err := Decode(Encode(img))
+	for defect, data := range malformedImages(t) {
+		_, err := Decode(data)
 		if err == nil {
-			t.Errorf("%s: decoded cleanly", name)
+			t.Errorf("%s: decoded cleanly", defect)
 			continue
 		}
-		if w := want[name[strings.IndexByte(name, '-')+1:]]; !strings.Contains(err.Error(), w) {
-			t.Errorf("%s: error %q does not name the defect (%q)", name, err, w)
+		if !strings.Contains(err.Error(), defect) {
+			t.Errorf("%s: error %q does not name the defect", defect, err)
 		}
 	}
 }
 
-// A checkpoint written by the previous format (DWCKPT01: one struct per
-// way) is a plain miss in a DirStore, and the re-warmed image that
-// overwrites it reads back.
+// A checkpoint written by an older format (DWCKPT01: a whole machine,
+// one struct per cache way) is a plain miss in a DirStore, and the
+// image that overwrites it reads back.
 func TestDirStoreV1FileIsMiss(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1.ckpt"))
 	if err != nil {
@@ -192,7 +221,7 @@ func TestDirStoreV1FileIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := testImage()
+	img := testImage(t, "2-MIX")
 	if err := os.WriteFile(filepath.Join(dir, img.Key+".ckpt"), v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +230,7 @@ func TestDirStoreV1FileIsMiss(t *testing.T) {
 	}
 	ds.Put(img.Key, img)
 	if got, ok := ds.Get(img.Key); !ok || !reflect.DeepEqual(got, img) {
-		t.Fatal("re-warmed checkpoint did not replace the DWCKPT01 file")
+		t.Fatal("new checkpoint did not replace the DWCKPT01 file")
 	}
 }
 
@@ -213,7 +242,7 @@ func TestDirStoreRejectsRenamedFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := testImage()
+	img := testImage(t, "2-MIX")
 	ds.Put(img.Key, img)
 	other := "ccdd02"
 	if err := os.Rename(filepath.Join(dir, img.Key+".ckpt"), filepath.Join(dir, other+".ckpt")); err != nil {
@@ -227,7 +256,7 @@ func TestDirStoreRejectsRenamedFile(t *testing.T) {
 // The memory tier evicts LRU-by-bytes but always retains at least one
 // entry, and the chain refills earlier tiers on a hit.
 func TestMemStoreBoundAndChainRefill(t *testing.T) {
-	img := testImage()
+	img := testImage(t, "2-MIX")
 	small := NewMemStore(1) // below one image: still keeps the newest
 	small.Put("aa", img)
 	small.Put("bb", img)
@@ -255,40 +284,37 @@ func TestMemStoreBoundAndChainRefill(t *testing.T) {
 
 // FuzzCkptDecode feeds arbitrary bytes through the DirStore read path.
 // Decoding must never panic, and a hit must be an image that survives
-// re-encoding under the same key unchanged.
+// re-encoding under the same key unchanged. Seeds: the 2-MIX, 4-MIX
+// and 8-MEM images, two cuts of the first, and the CRC-valid malformed
+// encodings.
 func FuzzCkptDecode(f *testing.F) {
 	dir := f.TempDir()
 	ds, err := NewDirStore(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	img := testImage()
-	path := filepath.Join(dir, img.Key+".ckpt")
-	ds.Put(img.Key, img)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
+	path := filepath.Join(dir, testKey+".ckpt")
+	for _, wl := range testWorkloads {
+		f.Add(Encode(testImage(f, wl)))
 	}
-	if _, ok := ds.Get(img.Key); !ok {
-		f.Fatal("seed encoding does not read back")
-	}
-	f.Add(raw)
+	raw := Encode(testImage(f, "2-MIX"))
 	f.Add(raw[:len(raw)/2])
 	f.Add(raw[:len(raw)-4])
-	for _, bad := range malformedImages() {
-		f.Add(Encode(bad))
+	bad := malformedImages(f)
+	for _, defect := range []string{"program digest", "memory slots", "region value 3", "unknown benchmark", "varint", "trailing"} {
+		f.Add(bad[defect])
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := ds.Get(img.Key)
+		got, ok := ds.Get(testKey)
 		if !ok {
 			return
 		}
 		back, err := Decode(Encode(got))
 		if err != nil || !reflect.DeepEqual(got, back) {
-			t.Fatalf("decoded image does not round-trip (err %v):\n%+v\n%+v", err, got, back)
+			t.Fatalf("decoded image does not round-trip (err %v)", err)
 		}
 	})
 }

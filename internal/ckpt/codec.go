@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"sync"
 
-	"dwarn/internal/mem/cache"
-	"dwarn/internal/mem/tlb"
 	"dwarn/internal/workload"
 )
 
@@ -15,30 +15,42 @@ import (
 // it. Bumping the format means bumping the magic, which makes every
 // stale on-disk checkpoint an automatic miss — no migration path
 // needed, because a checkpoint is always reproducible from a cold
-// start.
+// start. A change to program synthesis or calibration must bump it too:
+// a regenerated program that no longer matches its digest is only a
+// miss, but a change to calibration alone would apply stale regions.
 const (
-	magic = "DWCKPT02"
+	magic = "DWCKPT03"
 	// MaxEncoded bounds what Decode will even look at (and what the
-	// fabric accepts over HTTP): far above any real machine config,
-	// far below a memory-exhaustion payload.
+	// fabric accepts over HTTP): far above any real image, far below a
+	// memory-exhaustion payload.
 	MaxEncoded = 64 << 20
+	// maxThreads bounds an image's thread count, far above any
+	// machine's hardware contexts, so a forged count cannot make Decode
+	// regenerate programs without end.
+	maxThreads = 256
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type writer struct{ b []byte }
 
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *writer) i32(v int32)  { w.u32(uint32(v)) }
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.b = append(w.b, b...)
-}
+func (w *writer) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *writer) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+func (w *writer) f64(v float64)    { w.u64(math.Float64bits(v)) }
 func (w *writer) str(s string) {
-	w.u32(uint32(len(s)))
+	w.uvarint(uint64(len(s)))
 	w.b = append(w.b, s...)
+}
+
+// regions writes a region count and the regions, packed four to a
+// byte, two bits each, low bits first.
+func (w *writer) regions(rs []uint8) {
+	w.uvarint(uint64(len(rs)))
+	at := len(w.b)
+	w.b = append(w.b, make([]byte, (len(rs)+3)/4)...)
+	for i, r := range rs {
+		w.b[at+i/4] |= r << (2 * (i % 4))
+	}
 }
 
 // reader decodes with a sticky error: after the first failure every
@@ -68,13 +80,19 @@ func (r *reader) take(n int) []byte {
 	return s
 }
 
-func (r *reader) u32() uint32 {
-	s := r.take(4)
-	if s == nil {
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(s)
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("cut or overlong varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
 }
+
 func (r *reader) u64() uint64 {
 	s := r.take(8)
 	if s == nil {
@@ -82,104 +100,88 @@ func (r *reader) u64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(s)
 }
-func (r *reader) i64() int64  { return int64(r.u64()) }
-func (r *reader) i32() int32  { return int32(r.u32()) }
-func (r *reader) str() string { return string(r.take(r.count(1))) }
 
-// bytes reads a length-prefixed byte string into a slice of its own,
-// so an image never pins the buffer it was decoded from.
-func (r *reader) bytes() []byte { return append([]byte(nil), r.take(r.count(1))...) }
-
-// check records the error of validating a decoded field, unless an
-// earlier defect already stands (the field is then zero and invalid).
-func (r *reader) check(err error) {
-	if r.err == nil && err != nil {
-		r.err = fmt.Errorf("ckpt: %w", err)
-	}
-}
+func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) str() string  { return string(r.take(r.count(1))) }
 
 // count reads a length prefix and validates it against the bytes
-// actually remaining (elemSize is a lower bound per element), so a
+// actually remaining (elemBytes is a lower bound per element), so a
 // corrupt length can never drive a giant allocation.
-func (r *reader) count(elemSize int) int {
-	n := int(r.u32())
+func (r *reader) count(elemBytes int) int {
+	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > len(r.b)-r.off {
+	if n > uint64(len(r.b)-r.off)/uint64(elemBytes) {
 		r.fail("length %d exceeds remaining payload", n)
 		return 0
 	}
-	return n
+	return int(n)
 }
 
+// regions reads what writer.regions wrote; the last byte's unused bits
+// must be 0.
+func (r *reader) regions() []uint8 {
+	n := r.uvarint()
+	if r.err == nil && n > 4*uint64(len(r.b)-r.off) {
+		r.fail("%d regions exceed remaining payload", n)
+	}
+	packed := r.take(int(n+3) / 4)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]uint8, n)
+	for i := range out {
+		out[i] = packed[i/4] >> (2 * (i % 4)) & 3
+	}
+	if n%4 != 0 && packed[len(packed)-1]>>(2*(n%4)) != 0 {
+		r.fail("nonzero padding after the last region")
+	}
+	return out
+}
+
+// threadBytes is the least a thread's record can encode to: a one-byte
+// name with its length, the fixed seed and digest, one-byte base and
+// region count, and the eight adjustment words.
+const threadBytes = 2 + 8 + 1 + 8 + 1 + 8*8
+
 // Encode serializes an image into the versioned, checksummed wire/disk
-// format.
+// format: each core's compact Calibration.
 func Encode(img *Image) []byte {
-	w := &writer{b: make([]byte, 0, img.ApproxBytes())}
+	cals := make([]workload.Calibration, len(img.Cores))
+	for i, c := range img.Cores {
+		cals[i] = c.Calibration()
+	}
+	return encode(img.Key, cals)
+}
+
+func encode(key string, cals []workload.Calibration) []byte {
+	w := &writer{b: make([]byte, 0, 64+len(key)+len(cals)*2048)}
 	w.b = append(w.b, magic...)
-	w.str(img.Key)
-	w.u64(img.Seed)
-
-	w.i64(img.Core.Now)
-	w.u64(img.Core.AgeCtr)
-	w.i64(img.Core.LastCommitAt)
-	w.u32(uint32(img.Core.NumThreads))
-
-	encodeCache(w, &img.L1I)
-	encodeCache(w, &img.L1D)
-	encodeCache(w, &img.L2)
-
-	w.u32(uint32(len(img.DTLB)))
-	for i := range img.DTLB {
-		t := &img.DTLB[i]
-		w.u32(uint32(t.Size))
-		w.i64(t.Clock)
-		w.bytes(t.Packed)
-	}
-
-	b := &img.Bpred
-	w.bytes(b.PHT)
-	w.u32(uint32(b.BTBSets))
-	w.u32(uint32(b.BTBWays))
-	w.i64(b.BTBClock)
-	w.bytes(b.BTB)
-	w.u32(uint32(len(b.History)))
-	for _, h := range b.History {
-		w.u32(h)
-	}
-	w.u32(uint32(len(b.RAS)))
-	for _, ras := range b.RAS {
-		w.u32(uint32(len(ras)))
-		for _, v := range ras {
-			w.u64(v)
+	w.str(key)
+	w.uvarint(uint64(len(cals)))
+	for i := range cals {
+		cal := &cals[i]
+		w.str(cal.Benchmark)
+		w.u64(cal.Seed)
+		w.uvarint(cal.Base)
+		w.u64(cal.Digest)
+		w.regions(cal.Regions)
+		for _, a := range []workload.RegionAdjust{cal.Load, cal.Store} {
+			w.f64(a.PFar)
+			w.f64(a.PMid)
+			w.f64(a.LeakFar)
+			w.f64(a.LeakMid)
 		}
 	}
-	w.u32(uint32(len(b.RASTop)))
-	for _, t := range b.RASTop {
-		w.i64(int64(t))
-	}
-
-	w.u32(uint32(len(img.Sources)))
-	for _, s := range img.Sources {
-		w.u64(s.RNG)
-		w.u64(s.Seq)
-		w.i32(s.CurSlot)
-		w.u64(s.IntWrites)
-		w.u64(s.FPWrites)
-		w.u64(s.MidCursor)
-		w.u64(s.FarCursor)
-		w.i32(s.WalkCur)
-		w.i32(s.WalkDwell)
-	}
-
-	w.u32(crc32.Checksum(w.b, castagnoli))
+	w.b = binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, castagnoli))
 	return w.b
 }
 
-// Decode parses and verifies an encoded checkpoint. Any defect — bad
-// magic, truncation, a checksum mismatch, an internal inconsistency —
-// returns an error; callers treat it as a miss and start cold.
+// Decode parses and verifies an encoded checkpoint and rebuilds its
+// cores. Any defect — bad magic, truncation, a checksum mismatch, a
+// malformed field, a program that no longer matches its digest —
+// returns an error; callers treat it as a miss and calibrate cold.
 func Decode(data []byte) (*Image, error) {
 	if len(data) > MaxEncoded {
 		return nil, fmt.Errorf("ckpt: %d bytes exceeds the %d-byte limit", len(data), MaxEncoded)
@@ -193,86 +195,51 @@ func Decode(data []byte) (*Image, error) {
 	}
 
 	r := &reader{b: body, off: len(magic)}
-	img := &Image{}
-	img.Key = r.str()
-	img.Seed = r.u64()
-
-	img.Core.Now = r.i64()
-	img.Core.AgeCtr = r.u64()
-	img.Core.LastCommitAt = r.i64()
-	img.Core.NumThreads = int(r.u32())
-
-	decodeCache(r, &img.L1I)
-	decodeCache(r, &img.L1D)
-	decodeCache(r, &img.L2)
-
-	img.DTLB = make([]tlb.State, r.count(16))
-	for i := range img.DTLB {
-		t := &img.DTLB[i]
-		t.Size = int(r.u32())
-		t.Clock = r.i64()
-		t.Packed = r.bytes()
-		r.check(t.Validate())
+	key := r.str()
+	threads := r.count(threadBytes)
+	if threads > maxThreads {
+		r.fail("%d threads exceed the %d-thread limit", threads, maxThreads)
+		threads = 0
 	}
-
-	b := &img.Bpred
-	b.PHT = r.bytes()
-	b.BTBSets = int(r.u32())
-	b.BTBWays = int(r.u32())
-	b.BTBClock = r.i64()
-	b.BTB = r.bytes()
-	r.check(b.ValidateBTB())
-	b.History = make([]uint32, r.count(4))
-	for i := range b.History {
-		b.History[i] = r.u32()
-	}
-	b.RAS = make([][]uint64, r.count(4))
-	for i := range b.RAS {
-		b.RAS[i] = make([]uint64, r.count(8))
-		for j := range b.RAS[i] {
-			b.RAS[i][j] = r.u64()
+	cals := make([]workload.Calibration, threads)
+	for i := range cals {
+		if r.err != nil {
+			break
+		}
+		cal := &cals[i]
+		cal.Benchmark = r.str()
+		cal.Seed = r.u64()
+		cal.Base = r.uvarint()
+		cal.Digest = r.u64()
+		cal.Regions = r.regions()
+		for _, a := range []*workload.RegionAdjust{&cal.Load, &cal.Store} {
+			a.PFar, a.PMid, a.LeakFar, a.LeakMid = r.f64(), r.f64(), r.f64(), r.f64()
 		}
 	}
-	b.RASTop = make([]int, r.count(8))
-	for i := range b.RASTop {
-		b.RASTop[i] = int(r.i64())
-	}
-
-	img.Sources = make([]workload.SourceState, r.count(60))
-	for i := range img.Sources {
-		img.Sources[i] = workload.SourceState{
-			RNG:       r.u64(),
-			Seq:       r.u64(),
-			CurSlot:   r.i32(),
-			IntWrites: r.u64(),
-			FPWrites:  r.u64(),
-			MidCursor: r.u64(),
-			FarCursor: r.u64(),
-			WalkCur:   r.i32(),
-			WalkDwell: r.i32(),
-		}
-	}
-
 	if r.err == nil && r.off != len(r.b) {
 		r.fail("%d trailing bytes after payload", len(r.b)-r.off)
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
+
+	// Each thread's program regenerates independently, so the rebuilds
+	// run concurrently, each into its own slot.
+	img := &Image{Key: key, Cores: make([]*workload.Core, len(cals))}
+	errs := make([]error, len(cals))
+	var wg sync.WaitGroup
+	for i := range cals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			img.Cores[i], errs[i] = cals[i].Core()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: thread %d: %w", i, err)
+		}
+	}
 	return img, nil
-}
-
-func encodeCache(w *writer, s *cache.State) {
-	w.u32(uint32(s.Sets))
-	w.u32(uint32(s.Ways))
-	w.i64(s.UseClock)
-	w.bytes(s.Packed)
-}
-
-func decodeCache(r *reader, s *cache.State) {
-	s.Sets = int(r.u32())
-	s.Ways = int(r.u32())
-	s.UseClock = r.i64()
-	s.Packed = r.bytes()
-	r.check(s.Validate())
 }

@@ -10,7 +10,7 @@ import (
 // dwarnd merges them into /metrics and `smtsim -metrics` dumps them, so
 // "how many warmups did this sweep actually execute" is answerable from
 // any frontend. Recording happens at the one semantic decision point —
-// sim's restore-or-warm branch — not inside stores, so tiering never
+// sim's fork-or-calibrate branch — not inside stores, so tiering never
 // double-counts.
 var met struct {
 	once      sync.Once
@@ -25,13 +25,13 @@ var met struct {
 func initMetrics() {
 	r := obs.Default
 	met.hits = r.Counter("dwarn_ckpt_hits_total",
-		"Simulations forked from a stored checkpoint instead of warming cold.")
+		"Simulations forked from a stored checkpoint's calibrated program cores instead of calibrating cold.")
 	met.misses = r.Counter("dwarn_ckpt_misses_total",
-		"Simulations that warmed cold and built a checkpoint (one per distinct machine/workload/seed group when stores are shared).")
+		"Simulations that calibrated cold and published a checkpoint (one per distinct workload/seed group when stores are shared).")
 	met.fallbacks = r.Counter("dwarn_ckpt_fallbacks_total",
-		"Checkpoint restores abandoned mid-way (shape mismatch, unsupported source); the run fell back to a cold start.")
+		"Stored checkpoints whose cores did not fit the run's workload; the run fell back to a cold calibration.")
 	met.bytes = r.Gauge("dwarn_ckpt_bytes",
-		"Cumulative in-memory bytes (Image.ApproxBytes) of the checkpoints built by this process; an image's encoding is within a few percent of it.")
+		"Cumulative in-memory bytes (Image.ApproxBytes: materialized program cores) of the checkpoints built by this process; an image's encoding is a few KB.")
 }
 
 // RecordHit counts one simulation forked from a checkpoint.
@@ -40,7 +40,7 @@ func RecordHit() {
 	met.hits.Inc()
 }
 
-// RecordMiss counts one simulation that warmed cold and published a
+// RecordMiss counts one simulation that calibrated cold and published a
 // checkpoint holding bytes in memory.
 func RecordMiss(bytes int) {
 	met.once.Do(initMetrics)
@@ -51,7 +51,8 @@ func RecordMiss(bytes int) {
 	met.mu.Unlock()
 }
 
-// RecordFallback counts a restore that was abandoned for a cold start.
+// RecordFallback counts a stored image that was abandoned for a cold
+// calibration.
 func RecordFallback() {
 	met.once.Do(initMetrics)
 	met.fallbacks.Inc()

@@ -7,18 +7,19 @@ import (
 )
 
 // Store is the checkpoint store, keyed by sim.CheckpointKey (the
-// machine/workload/seed half of the run fingerprint).
+// workload and seed of a run).
 type Store = store.Store[*Image]
 
 // Chain layers checkpoint stores fastest-first: mem over dir, plus the
 // coordinator's remote tier on a fabric worker.
 type Chain = store.Chain[*Image]
 
-// DefaultMemBytes bounds the default in-memory tier: images hold 22–46
-// KB each on the built-in workloads (mostly packed L2 lines), so this
-// keeps thousands of warm workload groups without letting a wide sweep
-// grow the heap unboundedly.
-const DefaultMemBytes = 256 << 20
+// DefaultMemBytes bounds the default in-memory tier: a materialized
+// core holds 143–566 KB on the built-in profiles (339 KB on average), so
+// this keeps about 32–36 cores resident — 4 to 18 groups of the paper's
+// 8- to 2-thread workloads — without letting a wide sweep grow the heap
+// unboundedly.
+const DefaultMemBytes = 12 << 20
 
 // NewMemStore returns the in-memory checkpoint tier (the whole store
 // without -ckpt-dir/-store): an LRU bounded to maxBytes of images as

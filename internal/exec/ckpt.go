@@ -7,16 +7,16 @@ import (
 	"dwarn/internal/ckpt"
 )
 
-// warmGate serializes the cold warmup of each checkpoint group: the
-// first cell of a (machine, workload, seed) group becomes the warm
-// leader while its siblings wait, then fork from the published
-// checkpoint. Unlike the fingerprint single-flight, the gate releases
-// the moment the checkpoint is *published* — mid-run, right after
-// prewarm — so siblings overlap with the leader's measurement phase
-// rather than its completion. A leader that exits without publishing
-// (snapshot failed, run errored, canceled) promotes exactly one waiter
-// to warm leader, so a failed warmup never triggers a thundering herd
-// of redundant cold starts.
+// warmGate serializes the cold calibration of each checkpoint group:
+// the first cell of a (workload, seed) group becomes the warm leader
+// while its siblings wait, then fork from the published checkpoint.
+// Unlike the fingerprint single-flight, the gate releases the moment
+// the checkpoint is *published* — right after calibration, before the
+// leader builds its machine — so siblings overlap with the leader's
+// whole run rather than wait for its completion. A leader that exits
+// without publishing (run errored, canceled) promotes exactly one
+// waiter to warm leader, so a failed calibration never triggers a
+// thundering herd of redundant cold starts.
 type warmGate struct {
 	mu        sync.Mutex
 	warming   map[string]chan struct{}

@@ -65,10 +65,10 @@ type Options struct {
 	Logger *obs.Logger
 	// Checkpoints, when set, enables the checkpoint/fork engine: cells
 	// sharing a spec.CheckpointKey are grouped, the group's first cell
-	// warms cold and publishes its post-prewarm machine state, and the
-	// rest fork from it — one warmup per (machine, workload, seed)
-	// group per store lifetime, wherever the cells run. Run receives
-	// the gated store in res.Options.Checkpoints.
+	// calibrates cold and publishes its program cores, and the rest
+	// fork from them — one calibration per (workload, seed) group per
+	// store lifetime, wherever the cells run. Run receives the gated
+	// store in res.Options.Checkpoints.
 	Checkpoints ckpt.Store
 }
 
@@ -370,10 +370,10 @@ func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, starte
 	}
 
 	runStart := time.Now()
-	// Checkpoint groups warm once: the group's first cell leads while
-	// siblings hold here (before joining the line, so a wide group
+	// Checkpoint groups calibrate once: the group's first cell leads
+	// while siblings hold here (before joining the line, so a wide group
 	// never starves unrelated cells), then fork the instant the leader
-	// publishes its post-prewarm state — wherever the leader runs.
+	// publishes its program cores — wherever the leader runs.
 	if e.ckgate != nil && c.CheckpointKey != "" {
 		leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
 		if gerr != nil {

@@ -39,8 +39,8 @@ type Config struct {
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Checkpoints, when non-nil, enables the checkpoint/fork engine:
-	// grid cells sharing a (machine, workload, seed) group warm once
-	// and fork the group's post-prewarm state from this store.
+	// grid cells sharing a (workload, seed) group calibrate once and
+	// fork the group's program cores from this store.
 	Checkpoints ckpt.Store
 }
 

@@ -14,9 +14,10 @@ import (
 // Checkpoint transfer: the coordinator serves its checkpoint store
 // under /v2/fabric/ckpt/{key}, and remote workers mount it as the last
 // tier of their own store chain. A worker whose cell misses locally
-// pulls the group's post-prewarm image from the coordinator; a worker
-// that warms a group cold pushes the image it built, so sibling cells
-// landing on other workers fork instead of re-warming. Transfers carry
+// pulls the group's image (its calibrated program cores) from the
+// coordinator; a worker that calibrates a group cold pushes the image
+// it built, so sibling cells landing on other workers fork instead of
+// recalibrating. Transfers carry
 // the encoded (CRC-trailed) form and are re-verified on receipt — a
 // truncated or corrupted body decodes to an error and is treated as a
 // miss, never a wrong answer.

@@ -28,8 +28,8 @@ type Config struct {
 	// Logger receives lease lifecycle logs (nil = discard).
 	Logger *obs.Logger
 	// Checkpoints, when non-nil, is served under /v2/fabric/ckpt/{key}:
-	// remote workers pull post-prewarm machine images by checkpoint key
-	// and push the ones they build, so a sweep group warmed anywhere in
+	// remote workers pull calibrated-core images by checkpoint key and
+	// push the ones they build, so a sweep group calibrated anywhere in
 	// the fleet is forked everywhere. Nil disables the endpoint (404).
 	Checkpoints ckpt.Store
 }

@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -202,109 +200,5 @@ func TestQuickStatsBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A snapshot holds only valid lines: the stale tag and stamps an
-// Invalidate leaves in a way are dropped, and SetState zeroes that way.
-// The restored cache must still behave exactly like the original —
-// same outcome and ready cycle on every follow-on access, same probes,
-// and the same final snapshot. A 9-way cache covers multi-byte set
-// bitmaps.
-func TestStateRoundTripBehaviour(t *testing.T) {
-	for _, cfg := range []config.CacheConfig{
-		{SizeBytes: 2 << 10, Ways: 4, LineBytes: 64, HitLatency: 1},
-		{SizeBytes: 9 * 64 * 4, Ways: 9, LineBytes: 64, HitLatency: 1},
-	} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			// 64 lines over a cache of 32 or 36: sets conflict and evict.
-			addr := func() uint64 { return uint64(rng.Intn(64)) * 64 }
-			now := int64(0)
-			// drive applies one random operation to every cache in cs and
-			// checks that they all answer alike.
-			drive := func(cs ...*Cache) {
-				now += int64(rng.Intn(4))
-				a := addr()
-				switch op := rng.Intn(5); {
-				case op < 3:
-					fill := now + 1 + int64(rng.Intn(30))
-					out0, at0 := cs[0].Access(a, now, fill)
-					for _, c := range cs[1:] {
-						if out, at := c.Access(a, now, fill); out != out0 || at != at0 {
-							t.Fatalf("%d-way seed %d: access %#x at %d: %v@%d, original %v@%d",
-								cfg.Ways, seed, a, now, out, at, out0, at0)
-						}
-					}
-				case op == 3:
-					for _, c := range cs {
-						c.Touch(a)
-					}
-				default:
-					was0 := cs[0].Invalidate(a)
-					for _, c := range cs[1:] {
-						if was := c.Invalidate(a); was != was0 {
-							t.Fatalf("%d-way seed %d: invalidate %#x: %v, original %v", cfg.Ways, seed, a, was, was0)
-						}
-					}
-				}
-			}
-			orig := New(cfg)
-			for i := 0; i < 400; i++ {
-				drive(orig)
-			}
-			restored := New(cfg)
-			restored.Touch(0x40) // SetState must overwrite, not rely on a cold cache
-			if err := restored.SetState(orig.State()); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 400; i++ {
-				drive(orig, restored)
-			}
-			for a := uint64(0); a < 64*64; a += 64 {
-				p0, r0 := orig.Probe(a)
-				if p, r := restored.Probe(a); p != p0 || r != r0 {
-					t.Fatalf("%d-way seed %d: probe %#x: %v@%d, original %v@%d", cfg.Ways, seed, a, p, r, p0, r0)
-				}
-			}
-			want, got := orig.State(), restored.State()
-			if want.UseClock != got.UseClock || !bytes.Equal(want.Packed, got.Packed) {
-				t.Fatalf("%d-way seed %d: final snapshots differ", cfg.Ways, seed)
-			}
-		}
-	}
-}
-
-// A snapshot of the wrong geometry, or with a malformed body, is an
-// error: the first leaves the cache as it was, the second leaves it
-// empty rather than half restored.
-func TestSetStateRejects(t *testing.T) {
-	src := tinyCache()
-	src.Touch(0x1000)
-	src.Touch(0x2040)
-	st := src.State()
-
-	c := tinyCache()
-	c.Touch(0x3000)
-	wrong := st
-	wrong.Sets *= 2
-	if err := c.SetState(wrong); err == nil {
-		t.Fatal("geometry mismatch accepted")
-	}
-	if ok, _ := c.Probe(0x3000); !ok {
-		t.Fatal("geometry mismatch changed the cache")
-	}
-	cut := st
-	cut.Packed = st.Packed[:len(st.Packed)-1]
-	if err := c.SetState(cut); err == nil || cut.Validate() == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-	for _, a := range []uint64{0x1000, 0x2040, 0x3000} {
-		if ok, _ := c.Probe(a); ok {
-			t.Fatalf("line %#x survived a malformed restore", a)
-		}
-	}
-	if err := st.Validate(); err != nil {
-		t.Fatalf("good snapshot: %v", err)
 	}
 }

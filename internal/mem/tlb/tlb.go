@@ -3,12 +3,7 @@
 // triggers for the STALL and FLUSH policies.
 package tlb
 
-import (
-	"fmt"
-	"math/bits"
-
-	"dwarn/internal/packed"
-)
+import "math/bits"
 
 // Stats counts TLB accesses.
 type Stats struct {
@@ -95,74 +90,6 @@ func (t *TLB) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-// State is a snapshot of the TLB's translations and LRU clock (Stats
-// are measurement state and excluded). Packed holds the valid entries
-// in package packed's form, as one set of Size ways: each valid entry
-// is its page and lastUse, both as differences from the previous valid
-// entry's. Invalid entries are not stored; no lookup or replacement
-// reads their fields.
-type State struct {
-	Size   int
-	Clock  int64
-	Packed []byte
-}
-
-// entryFields is the varint count of one valid entry in State.Packed.
-const entryFields = 2
-
-// Validate checks that st.Packed is a well-formed Size-entry snapshot.
-func (st *State) Validate() error {
-	if err := packed.Check(st.Packed, 1, st.Size, entryFields); err != nil {
-		return fmt.Errorf("tlb: snapshot: %w", err)
-	}
-	return nil
-}
-
-// State snapshots the TLB's valid entries and replacement clock.
-func (t *TLB) State() State {
-	w := packed.NewWriter()
-	var prev entry
-	w.Set(len(t.entries))
-	for i, e := range t.entries {
-		if e.valid {
-			w.Valid(i)
-			w.Int(int64(e.page - prev.page))
-			w.Int(e.lastUse - prev.lastUse)
-			prev = e
-		}
-	}
-	return State{Size: len(t.entries), Clock: t.clock, Packed: w.Bytes()}
-}
-
-// SetState overwrites the TLB from a snapshot taken on an identically
-// sized TLB, zeroing the entries the snapshot holds none for. A size
-// mismatch is an error and leaves the TLB unchanged; a malformed Packed
-// body (one Validate rejects) is an error that leaves the TLB Reset.
-func (t *TLB) SetState(st State) error {
-	if st.Size != len(t.entries) {
-		return fmt.Errorf("tlb: snapshot has %d entries, TLB has %d", st.Size, len(t.entries))
-	}
-	r := packed.NewReader(st.Packed)
-	var prev entry
-	mask := r.Set(len(t.entries))
-	for i := range t.entries {
-		if !packed.Valid(mask, i) {
-			t.entries[i] = entry{}
-			continue
-		}
-		prev.page += uint64(r.Int())
-		prev.lastUse += r.Int()
-		prev.valid = true
-		t.entries[i] = prev
-	}
-	if err := r.Close(); err != nil {
-		t.Reset()
-		return fmt.Errorf("tlb: snapshot: %w", err)
-	}
-	t.clock = st.Clock
-	return nil
 }
 
 // Reset clears all entries and statistics.

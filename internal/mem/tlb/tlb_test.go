@@ -111,29 +111,3 @@ func TestEmptyStatsMissRate(t *testing.T) {
 		t.Error("empty miss rate not 0")
 	}
 }
-
-// Restoring a partly filled TLB's snapshot into a fresh one gives the
-// same hits and misses from then on, and the same final snapshot.
-func TestStateRoundTripBehaviour(t *testing.T) {
-	orig := New(8, 4096)
-	for _, p := range []uint64{3, 9, 3, 12, 40} {
-		orig.Access(p << 12)
-	}
-	restored := New(8, 4096)
-	restored.Access(77 << 12) // SetState must overwrite it
-	if err := restored.SetState(orig.State()); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range []uint64{77, 3, 5, 6, 7, 8, 9, 10, 11, 40, 12, 3, 77} {
-		if got, want := restored.Access(p<<12), orig.Access(p<<12); got != want {
-			t.Fatalf("access %d (page %d): hit %v, original %v", i, p, got, want)
-		}
-	}
-	want, got := orig.State(), restored.State()
-	if want.Clock != got.Clock || string(want.Packed) != string(got.Packed) {
-		t.Fatal("final snapshots differ")
-	}
-	if err := restored.SetState(State{Size: 4}); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}

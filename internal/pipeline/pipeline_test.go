@@ -351,17 +351,3 @@ func TestQuickInvariantsAcrossSeedsAndWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuiescentRequiresEmptyReadyLists checks that a stray ready-list
-// entry, with every occupancy counter at zero, still makes the core
-// non-quiescent: a snapshot must not drop a queued instruction.
-func TestQuiescentRequiresEmptyReadyLists(t *testing.T) {
-	cpu := newCPU(t, "2-MIX", &icountPolicy{})
-	if err := cpu.Quiescent(); err != nil {
-		t.Fatalf("fresh CPU: %v", err)
-	}
-	cpu.ready[isa.QLS] = append(cpu.ready[isa.QLS], readyEntry{d: &DynInst{}})
-	if err := cpu.Quiescent(); err == nil {
-		t.Error("CPU with a ready-list entry reported quiescent")
-	}
-}

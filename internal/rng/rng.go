@@ -31,13 +31,9 @@ func (s *Source) Split(salt uint64) *Source {
 	return New(s.Uint64() ^ (salt * 0x9e3779b97f4a7c15))
 }
 
-// State returns the generator's internal state word. Together with
-// SetState it makes a Source checkpointable: restoring the word resumes
-// the stream at exactly the same position.
+// State returns the generator's internal state word: New(s.State())
+// resumes the stream at exactly the same position.
 func (s *Source) State() uint64 { return s.state }
-
-// SetState overwrites the generator's internal state word.
-func (s *Source) SetState(state uint64) { s.state = state }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {

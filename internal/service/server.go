@@ -60,8 +60,8 @@ type Options struct {
 	// share cache identity through the filesystem).
 	Store exec.Store
 	// Checkpoints backs the checkpoint/fork engine: sweep cells sharing
-	// a (machine, workload, seed) group warm once and fork the group's
-	// post-prewarm machine state from this store. Nil defaults to a
+	// a (workload, seed) group calibrate once and fork the group's
+	// program cores from this store. Nil defaults to a
 	// bounded in-memory store — checkpointing is always on, because
 	// forked runs are bit-identical to cold starts. dwarnd -store DIR
 	// chains a durable tier under DIR/ckpt so groups survive restarts.

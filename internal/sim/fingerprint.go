@@ -82,8 +82,8 @@ func Fingerprint(opts Options, policyID string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashMachine writes the machine half's machine component: the full
-// resolved processor configuration.
+// hashMachine writes the machine component: the full resolved
+// processor configuration.
 func hashMachine(h io.Writer, cfg *config.Processor) {
 	fmt.Fprintf(h, "machine|%#v\n", *cfg)
 }
@@ -103,36 +103,28 @@ func hashWorkload(h io.Writer, wl workload.Workload) {
 }
 
 // CheckpointKey returns the content-addressed identity of a run's
-// post-prewarm machine state: the (machine, workload, seed) half of
-// Fingerprint, deliberately excluding the policy, its parameters, and
-// the warmup/measure cycle counts — none of which influence the state
-// the snapshot captures (prewarm touches caches and TLBs before any
-// cycle is simulated, under no policy). Every cell of a policy or
-// threshold sweep over one workload therefore shares a key, which is
-// exactly what lets the first cell warm and the rest fork.
+// calibrated program cores: a hash of the workload (with the calibrated
+// profile of every benchmark) and the seed, the only inputs program
+// synthesis and calibration read. The machine, the policy and its
+// parameters, and the warmup/measure cycle counts are deliberately
+// excluded, so every cell of a policy, threshold or machine sweep over
+// one workload and seed shares a key, which is what lets the first cell
+// calibrate and the rest fork.
 //
-// The empty string means "not checkpointable": trace replays (their
-// sources cannot externalize cursors, and replay is already the fast
-// path), recording runs (the writer wrapper must observe the stream
-// from its start), and out-of-registry PolicyInstance runs (the cold
-// fallback could not rebuild the policy).
+// The empty string means "not checkpointable": a trace replay has no
+// synthetic program to calibrate.
 func CheckpointKey(opts Options) string {
-	if opts.Trace != nil || opts.Record != nil || opts.PolicyInstance != nil {
+	if opts.Trace != nil {
 		return ""
-	}
-	cfg := opts.Config
-	if cfg == nil {
-		cfg = config.Baseline()
 	}
 	seed := opts.Seed
 	if seed == 0 {
 		seed = DefaultSeed
 	}
 	h := sha256.New()
-	// The format magic is part of the key: a codec change re-keys every
-	// checkpoint instead of decoding stale images.
-	fmt.Fprintf(h, "ckpt|v1\n")
-	hashMachine(h, cfg)
+	// The version tag is part of the key: a change to what an image
+	// holds re-keys every checkpoint instead of decoding stale ones.
+	fmt.Fprintf(h, "ckpt|v3\n")
 	hashWorkload(h, opts.Workload)
 	fmt.Fprintf(h, "seed=%d\n", seed)
 	return hex.EncodeToString(h.Sum(nil))

@@ -27,7 +27,7 @@ var streamModes = []struct {
 // when t ends.
 func engineSources(t *testing.T, wl workload.Workload, seed uint64, ahead bool) []workload.Source {
 	t.Helper()
-	srcs, _, err := buildSources(Options{Workload: wl}, seed, false)
+	srcs, _, err := buildSources(Options{Workload: wl}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func waitGoroutines(t *testing.T, base int, label string) {
 
 // TestReadAheadProducersEnd: the deferred stop in runContext ends every
 // producer on every exit path — a normal return, a context cancelled
-// mid-measure, and a restore fallback that rebuilt the streams.
+// mid-measure, and a checkpoint fallback that recalibrated the cores.
 func TestReadAheadProducersEnd(t *testing.T) {
 	wl, err := workload.GetWorkload("4-MIX")
 	if err != nil {
@@ -87,7 +87,7 @@ func TestReadAheadProducersEnd(t *testing.T) {
 	}
 	waitGoroutines(t, goroutines, "cancel mid-measure")
 
-	// Restore fallback: a tampered image forces the cold rebuild.
+	// Fallback: an image whose cores do not fit forces a cold calibration.
 	inner := ckpt.NewMemStore(0)
 	warm := base
 	warm.Checkpoints = inner
@@ -97,11 +97,11 @@ func TestReadAheadProducersEnd(t *testing.T) {
 	waitGoroutines(t, goroutines, "checkpoint publish")
 	warm.Checkpoints = tamperStore{inner: inner, tamper: func(img *ckpt.Image) *ckpt.Image {
 		out := *img
-		out.Sources = nil
+		out.Cores = nil
 		return &out
 	}}
 	if _, err := Run(warm); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, goroutines, "restore fallback")
+	waitGoroutines(t, goroutines, "checkpoint fallback")
 }

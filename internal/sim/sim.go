@@ -81,13 +81,15 @@ type Options struct {
 	// or off.
 	CheckEvery int64
 	// Checkpoints, when non-nil, enables the checkpoint/fork engine:
-	// runs sharing a CheckpointKey (same machine, workload, and seed —
+	// runs sharing a CheckpointKey (same workload and seed — machine,
 	// policy and run lengths deliberately excluded) fork their
-	// post-prewarm machine state from the store instead of rebuilding
-	// generators and re-touching caches. Purely an optimization: forked
-	// runs are bit-identical to cold starts, and any restore problem
-	// falls back to a cold start. Runs whose key is empty (trace
-	// replay, recording, out-of-registry policies) ignore the store.
+	// calibrated program cores from the store instead of synthesizing
+	// and calibrating programs; every run still builds its own
+	// generators and machine and prewarms it. Purely an optimization:
+	// forked runs are bit-identical to cold starts, and an image that
+	// does not fit falls back to a cold calibration. Runs whose key is
+	// empty (trace replay, recording, out-of-registry policies) ignore
+	// the store.
 	Checkpoints ckpt.Store
 }
 
@@ -254,20 +256,43 @@ func stopStreams(srcs []workload.Source) {
 }
 
 // buildSources returns the run's per-thread uop sources and benchmark
-// names: trace replayers, or streams over the synthetic generators
-// (over the process-wide program cores when shared).
-func buildSources(opts Options, seed uint64, shared bool) ([]workload.Source, []string, error) {
+// names: trace replayers, or fresh streams over the group's calibrated
+// program cores.
+func buildSources(opts Options, seed uint64) ([]workload.Source, []string, error) {
 	if opts.Trace != nil {
 		return opts.Trace.Sources(), opts.Trace.Benchmarks(), nil
 	}
-	var srcs []workload.Source
-	var err error
-	if shared {
-		srcs, err = opts.Workload.SharedGenerators(seed)
-	} else {
-		srcs, err = opts.Workload.Generators(seed)
+	cores, err := groupCores(opts, seed)
+	if err != nil {
+		return nil, nil, err
 	}
-	return srcs, opts.Workload.Benchmarks, err
+	return workload.Sources(cores), opts.Workload.Benchmarks, nil
+}
+
+// groupCores returns a synthetic run's calibrated program cores. With
+// a checkpoint store they are forked from the group's image when the
+// store holds one whose cores fit the workload; otherwise they are
+// calibrated cold and published for the group's other runs.
+func groupCores(opts Options, seed uint64) ([]*workload.Core, error) {
+	if opts.Checkpoints == nil {
+		return opts.Workload.Cores(seed)
+	}
+	key := CheckpointKey(opts)
+	if img, ok := opts.Checkpoints.Get(key); ok {
+		if opts.Workload.Fits(seed, img.Cores) == nil {
+			ckpt.RecordHit()
+			return img.Cores, nil
+		}
+		ckpt.RecordFallback()
+	}
+	cores, err := opts.Workload.Cores(seed)
+	if err != nil {
+		return nil, err
+	}
+	img := &ckpt.Image{Key: key, Cores: cores}
+	opts.Checkpoints.Put(key, img)
+	ckpt.RecordMiss(img.ApproxBytes())
+	return cores, nil
 }
 
 func runContext(ctx context.Context, opts Options) (*Result, error) {
@@ -297,27 +322,16 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 		}
 	}
 
-	// The checkpoint key covers only the (machine, workload, seed) half
-	// of the run identity; empty means this run class can't fork.
-	ckKey := ""
-	if opts.Checkpoints != nil {
-		ckKey = CheckpointKey(opts)
-	}
-
 	wlName := opts.Workload.Name
 	if opts.Trace != nil && wlName == "" {
 		wlName = "trace:" + opts.Trace.Workload
 	}
-	// Forkable runs share calibrated program cores process-wide:
-	// bit-identical streams, but only the group's first run pays for
-	// program construction and calibration.
-	streams, benchmarks, err := buildSources(opts, seed, ckKey != "")
+	streams, benchmarks, err := buildSources(opts, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Every exit path ends the read-ahead producers, of whichever
-	// streams the run ends up with.
-	defer func() { stopStreams(streams) }()
+	// Every exit path ends the read-ahead producers.
+	defer stopStreams(streams)
 	srcs := streams
 	if opts.Record != nil {
 		srcs = make([]workload.Source, len(streams))
@@ -329,50 +343,7 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Restore-or-warm: fork the post-prewarm state from the store, or
-	// warm cold and publish it. Any restore failure rebuilds the whole
-	// machine from scratch — a half-restored machine must never run.
-	warmed := false
-	if ckKey != "" {
-		if img, ok := opts.Checkpoints.Get(ckKey); ok {
-			if rerr := Restore(img, cpu, srcs); rerr == nil {
-				ckpt.RecordHit()
-				warmed = true
-			} else {
-				ckpt.RecordFallback()
-				pol, err = core.NewPolicyParams(opts.Policy, opts.PolicyParams)
-				if err != nil {
-					return nil, err
-				}
-				streams, err = opts.Workload.Generators(seed)
-				if err != nil {
-					return nil, err
-				}
-				srcs = streams
-				cpu, err = pipeline.New(cfg, pol, srcs)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if !warmed {
-		prewarm(cpu, srcs)
-		if ckKey != "" {
-			if img, serr := Snapshot(ckKey, cpu, srcs, seed); serr == nil {
-				opts.Checkpoints.Put(ckKey, img)
-				ckpt.RecordMiss(img.ApproxBytes())
-			} else {
-				// Unsnapshotable (non-quiescent or opaque source): still a
-				// cold warmup, just nothing published for siblings.
-				ckpt.RecordMiss(0)
-			}
-		}
-	}
-
-	// Snapshot and restore are done, so the streams may run ahead of
-	// fetch from here on.
+	prewarm(cpu, srcs)
 	readAhead(streams)
 
 	var sampler *timeline.Sampler

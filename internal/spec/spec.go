@@ -269,11 +269,9 @@ type Resolved struct {
 	// run's outcome. Baselines is deliberately excluded: it selects
 	// extra metrics over the same simulation.
 	Fingerprint string
-	// CheckpointKey is the (machine, workload, seed) half of the
-	// fingerprint — the identity of the run's post-prewarm machine
-	// state. Cells of a sweep sharing a key can fork one warmup.
-	// Empty when the run can't checkpoint (trace replay, recording,
-	// out-of-registry policies).
+	// CheckpointKey is the identity of the run's calibrated program
+	// cores: its workload and seed (sim.CheckpointKey). Cells of a sweep
+	// sharing a key can fork one calibration. Empty for trace replays.
 	CheckpointKey string
 }
 

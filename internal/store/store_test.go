@@ -12,9 +12,9 @@ import (
 	"dwarn/internal/chaos"
 	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
-	"dwarn/internal/pipeline"
 	"dwarn/internal/sim"
 	"dwarn/internal/store"
+	"dwarn/internal/workload"
 )
 
 // kind is one row of the conformance table: a way to open a store over
@@ -46,15 +46,36 @@ func resultIdx(key string, r *sim.Result) int {
 	return int(r.Cycles)
 }
 
+// ckptCal is one calibrated gzip core in compact form; ckptVal moves
+// its address base to carry i, which rebuilds the core without a
+// calibration run (the base does not reach the program text).
+var ckptCal = sync.OnceValue(func() workload.Calibration {
+	wl, err := workload.Custom("conformance", []string{"gzip"})
+	if err != nil {
+		panic(err)
+	}
+	cores, err := wl.Cores(1)
+	if err != nil {
+		panic(err)
+	}
+	return cores[0].Calibration()
+})
+
 func ckptVal(key string, i int) *ckpt.Image {
-	return &ckpt.Image{Key: key, Seed: uint64(i), Core: pipeline.CoreState{Now: int64(i), NumThreads: 2}}
+	cal := ckptCal()
+	cal.Base = uint64(i)
+	c, err := cal.Core()
+	if err != nil {
+		panic(err)
+	}
+	return &ckpt.Image{Key: key, Cores: []*workload.Core{c}}
 }
 
 func ckptIdx(key string, img *ckpt.Image) int {
-	if img.Key != key || int64(img.Seed) != img.Core.Now || img.Core.NumThreads != 2 {
+	if img.Key != key || len(img.Cores) != 1 {
 		return -1
 	}
-	return int(img.Seed)
+	return int(img.Cores[0].Calibration().Base)
 }
 
 func resultSize(*sim.Result) int64 { return 100 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 
 	"dwarn/internal/isa"
 	"dwarn/internal/rng"
@@ -39,11 +38,8 @@ type Generator struct {
 	midCursor uint64
 	farCursor uint64
 
-	// Region mixture actually used for dynamic accesses.
-	farW, midW   float64
-	sFarW, sMidW float64
-	loadAdj      regionAdjust
-	storeAdj     regionAdjust
+	// Calibrated per-execution region adjustments for dynamic accesses.
+	loadAdj, storeAdj RegionAdjust
 
 	// Integer thresholds (rng.Threshold) of the per-operand draws:
 	// NoSrcFrac, TwoSrcFrac, and the geometric 1/MeanDepDist.
@@ -54,154 +50,10 @@ type Generator struct {
 	meta ReplayMeta
 }
 
-// genCore is everything about a generator that is immutable once built
-// and deterministic in (prof, seed, base): the static program with its
-// assigned data homes, the calibrated region weights and adjustments,
-// the replay metadata, and the walker RNG's initial state. Cores are
-// the expensive part of generator construction (program synthesis plus
-// two 300k-instruction calibration walks), so the checkpoint/fork
-// engine shares one core across every sweep cell of a (workload, seed)
-// group; see NewGeneratorShared.
-type genCore struct {
-	prof *Profile
-	base uint64
-	prog *program
-
-	farW, midW   float64
-	sFarW, sMidW float64
-	loadAdj      regionAdjust
-	storeAdj     regionAdjust
-	meta         ReplayMeta
-	walkRNG      uint64
-}
-
-// buildCore runs the full deterministic construction for (prof, seed,
-// base).
-func buildCore(prof *Profile, seed, base uint64) *genCore {
-	if err := prof.Validate(); err != nil {
-		panic(err)
-	}
-	root := rng.New(seed)
-	progR := root.Split(1)
-	walkR := root.Split(2)
-	prog := buildProgram(prof, progR)
-	c := &genCore{
-		prof:    prof,
-		base:    base,
-		prog:    prog,
-		walkRNG: walkR.State(),
-	}
-	c.farW = prof.L2MissRate / homeFidelity
-	c.midW = (prof.L1MissRate - prof.L2MissRate) / homeFidelity
-	if c.farW+c.midW > 1 {
-		s := c.farW + c.midW
-		c.farW /= s
-		c.midW /= s
-	}
-	c.sFarW = c.farW * prof.StoreMissScale
-	c.sMidW = c.midW * prof.StoreMissScale
-	c.loadAdj, c.storeAdj = prog.assignHomes(prof, progR, c.farW, c.midW, c.sFarW, c.sMidW)
-
-	starts := make([]int32, len(prog.blocks))
-	for i, b := range prog.blocks {
-		starts[i] = int32(b.first)
-	}
-	c.meta = ReplayMeta{
-		Benchmark: prof.Name,
-		Base:      base,
-		LoadFrac:  prof.LoadFrac, StoreFrac: prof.StoreFrac,
-		BranchFrac: prof.BranchFrac, IntMulFrac: prof.IntMulFrac, FPFrac: prof.FPFrac,
-		FarW: c.farW, MidW: c.midW,
-		BlockStarts: starts,
-	}
-	return c
-}
-
-// newFromCore assembles a fresh generator (walker at the entry block,
-// cursors zeroed, walker RNG at its initial state) over a — possibly
-// shared — immutable core.
-func newFromCore(c *genCore) *Generator {
-	g := &Generator{
-		prof: c.prof,
-		prog: c.prog,
-		r:    rng.New(0),
-		base: c.base,
-		farW: c.farW, midW: c.midW,
-		sFarW: c.sFarW, sMidW: c.sMidW,
-		loadAdj:  c.loadAdj,
-		storeAdj: c.storeAdj,
-		tNoSrc:   rng.Threshold(c.prof.NoSrcFrac),
-		tTwoSrc:  rng.Threshold(c.prof.TwoSrcFrac),
-		tDep:     rng.Threshold(1 / c.prof.MeanDepDist),
-		meta:     c.meta,
-	}
-	g.r.SetState(c.walkRNG)
-	g.walk = newWalker(c.prog)
-	g.meta.Footprint = g.Footprint()
-	g.meta.StartPC = g.StartPC()
-	return g
-}
-
 // NewGenerator builds the synthetic benchmark prof at the given address
 // base. The same (prof, seed, base) always yields the same stream.
 func NewGenerator(prof *Profile, seed, base uint64) *Generator {
-	return newFromCore(buildCore(prof, seed, base))
-}
-
-// coreCache memoizes built cores for the checkpoint/fork engine. Keyed
-// by profile identity (the registered *Profile pointer, so a
-// re-registered benchmark never aliases a stale program), seed, and
-// base. Bounded: cores hold the full static program, so the cache keeps
-// the most recent handful — enough for the paper's grids, where every
-// cell of a threshold sweep shares one (workload, seed) group.
-var coreCache struct {
-	sync.Mutex
-	m     map[coreKey]*genCore
-	order []coreKey
-}
-
-type coreKey struct {
-	prof *Profile
-	seed uint64
-	base uint64
-}
-
-const coreCacheMax = 32
-
-// NewGeneratorShared is NewGenerator through the process-wide core
-// cache: the first call for a (prof, seed, base) triple pays for
-// program construction and calibration, and every later call assembles
-// a fresh generator over the shared immutable core. Streams are
-// bit-identical to NewGenerator's. The checkpoint/fork engine uses this
-// so forked sweep cells skip the dominant warmup cost in-process.
-func NewGeneratorShared(prof *Profile, seed, base uint64) *Generator {
-	k := coreKey{prof: prof, seed: seed, base: base}
-	coreCache.Lock()
-	if coreCache.m == nil {
-		coreCache.m = make(map[coreKey]*genCore)
-	}
-	c, ok := coreCache.m[k]
-	coreCache.Unlock()
-	if !ok {
-		// Build outside the lock: construction takes milliseconds and
-		// concurrent cells of different groups must not serialize. A
-		// racing duplicate build is harmless (identical, last one wins).
-		c = buildCore(prof, seed, base)
-		coreCache.Lock()
-		if prev, again := coreCache.m[k]; again {
-			c = prev
-		} else {
-			coreCache.m[k] = c
-			coreCache.order = append(coreCache.order, k)
-			if len(coreCache.order) > coreCacheMax {
-				old := coreCache.order[0]
-				coreCache.order = coreCache.order[1:]
-				delete(coreCache.m, old)
-			}
-		}
-		coreCache.Unlock()
-	}
-	return newFromCore(c)
+	return buildCore(prof, seed, base).Generator()
 }
 
 // ReplayMeta returns the metadata a trace must record so a replayer
@@ -352,7 +204,7 @@ func (g *Generator) fpSrc(r *rng.Source, writes uint64) isa.Reg {
 
 // dataAddr produces the effective address for a memory slot with the
 // given home region, applying the calibrated per-execution adjustment
-// (see regionAdjust in program.go).
+// (see RegionAdjust in program.go).
 func (g *Generator) dataAddr(class isa.Class, home uint8) uint64 {
 	adj := &g.loadAdj
 	if class == isa.Store {
@@ -361,19 +213,19 @@ func (g *Generator) dataAddr(class isa.Class, home uint8) uint64 {
 	region := regionHot
 	switch home {
 	case regionFar:
-		if g.r.Bool(adj.pFar) {
+		if g.r.Bool(adj.PFar) {
 			region = regionFar
 		}
 	case regionMid:
-		if g.r.Bool(adj.pMid) {
+		if g.r.Bool(adj.PMid) {
 			region = regionMid
 		}
 	default:
 		x := g.r.Float64()
 		switch {
-		case x < adj.leakFar:
+		case x < adj.LeakFar:
 			region = regionFar
-		case x < adj.leakFar+adj.leakMid:
+		case x < adj.LeakFar+adj.LeakMid:
 			region = regionMid
 		}
 	}

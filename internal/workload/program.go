@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"cmp"
 	"slices"
 
 	"dwarn/internal/isa"
@@ -339,41 +338,41 @@ func (prog *program) entryLevel0(r *rng.Source) int32 {
 // executes to estimate per-slot dynamic frequencies.
 const dryRunLength = 300_000
 
-// regionAdjust holds the per-execution region probabilities that map
-// home assignments onto the Table 2(a) dynamic targets. pFar/pMid are
+// RegionAdjust holds the per-execution region probabilities that map
+// home assignments onto the Table 2(a) dynamic targets. PFar/PMid are
 // the probabilities that a far-/mid-home slot accesses its home region
-// (otherwise it goes hot); leakFar/leakMid route a fraction of hot-home
+// (otherwise it goes hot); LeakFar/LeakMid route a fraction of hot-home
 // executions to far/mid when the home population alone cannot reach the
 // target.
-type regionAdjust struct {
-	pFar, pMid       float64
-	leakFar, leakMid float64
+type RegionAdjust struct {
+	PFar, PMid       float64
+	LeakFar, LeakMid float64
 }
 
 // solveAdjust computes the adjustment given realized home-mass fractions
 // (fFar, fMid of all executions of the class) and dynamic targets: the
 // home population covers as much of the target as it can; any remainder
 // leaks from hot-home executions.
-func solveAdjust(fFar, fMid, targetFar, targetMid float64) regionAdjust {
-	a := regionAdjust{pFar: 1, pMid: 1}
+func solveAdjust(fFar, fMid, targetFar, targetMid float64) RegionAdjust {
+	a := RegionAdjust{PFar: 1, PMid: 1}
 	fHot := 1 - fFar - fMid
 	if fHot < 1e-9 {
 		fHot = 1e-9
 	}
 	if fFar > 0 && targetFar < fFar {
-		a.pFar = targetFar / fFar
+		a.PFar = targetFar / fFar
 	} else if fFar < targetFar {
-		a.leakFar = (targetFar - fFar) / fHot
+		a.LeakFar = (targetFar - fFar) / fHot
 	}
 	if fMid > 0 && targetMid < fMid {
-		a.pMid = targetMid / fMid
+		a.PMid = targetMid / fMid
 	} else if fMid < targetMid {
-		a.leakMid = (targetMid - fMid) / fHot
+		a.LeakMid = (targetMid - fMid) / fHot
 	}
-	if a.leakFar+a.leakMid > 1 {
-		s := a.leakFar + a.leakMid
-		a.leakFar /= s
-		a.leakMid /= s
+	if a.LeakFar+a.LeakMid > 1 {
+		s := a.LeakFar + a.LeakMid
+		a.LeakFar /= s
+		a.LeakMid /= s
 	}
 	return a
 }
@@ -384,7 +383,7 @@ func solveAdjust(fFar, fMid, targetFar, targetMid float64) regionAdjust {
 // run then measures the realized home mass and solveAdjust closes the
 // residual gap with per-execution probabilities. Returns the load and
 // store adjustments the generator must apply.
-func (prog *program) assignHomes(p *Profile, r *rng.Source, farW, midW, sFarW, sMidW float64) (loadAdj, storeAdj regionAdjust) {
+func (prog *program) assignHomes(p *Profile, r *rng.Source, farW, midW, sFarW, sMidW float64) (loadAdj, storeAdj RegionAdjust) {
 	counts := prog.dryRun(r.Split(0xd27))
 	fit(prog, counts, r, isa.Load, farW, midW)
 	fit(prog, counts, r, isa.Store, sFarW, sMidW)
@@ -423,61 +422,49 @@ func homeMass(prog *program, counts []uint32, class isa.Class) (fFar, fMid float
 
 // fit assigns home regions to all slots of one class.
 func fit(prog *program, counts []uint32, r *rng.Source, class isa.Class, farW, midW float64) {
-	type slot struct {
-		idx int
-		c   float64
-	}
-	n := 0
-	for i := range prog.insts {
-		if prog.insts[i].class == class {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	slots := make([]slot, 0, n)
+	// One key per slot: the count complemented in the high word, the
+	// index in the low one, so ascending keys put the hottest slot first
+	// and break ties by index. Proportional fitting processes hottest
+	// first so it can correct early overshoot with the long tail of
+	// cold slots.
+	var keys []uint64
 	var total float64
 	for i := range prog.insts {
 		if prog.insts[i].class != class {
 			continue
 		}
+		keys = append(keys, uint64(^counts[i])<<32|uint64(i))
 		// +1 smoothing gives never-executed slots a home too.
-		c := float64(counts[i]) + 1
-		slots = append(slots, slot{idx: i, c: c})
-		total += c
+		total += float64(counts[i]) + 1
 	}
-	// Process hottest first so proportional fitting can correct early
-	// overshoot with the long tail of cold slots. Ties break by index,
-	// so the order is total and any sort yields the same one.
-	slices.SortFunc(slots, func(a, b slot) int {
-		if a.c != b.c {
-			return cmp.Compare(b.c, a.c)
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	if len(keys) == 0 {
+		return
+	}
+	slices.Sort(keys)
 	remFar := farW * total
 	remMid := midW * total
 	remTotal := total
-	for _, s := range slots {
+	for _, k := range keys {
+		st := &prog.insts[uint32(k)]
+		c := float64(^uint32(k>>32)) + 1
 		x := r.Float64() * remTotal
 		switch {
 		case x < remFar:
-			prog.insts[s.idx].region = regionFar
-			remFar -= s.c
+			st.region = regionFar
+			remFar -= c
 			if remFar < 0 {
 				remFar = 0
 			}
 		case x < remFar+remMid:
-			prog.insts[s.idx].region = regionMid
-			remMid -= s.c
+			st.region = regionMid
+			remMid -= c
 			if remMid < 0 {
 				remMid = 0
 			}
 		default:
-			prog.insts[s.idx].region = regionHot
+			st.region = regionHot
 		}
-		remTotal -= s.c
+		remTotal -= c
 	}
 }
 
@@ -600,40 +587,99 @@ func (w *walker) advanceTo(target int32) {
 	w.dwell++
 }
 
+// dryTerm is one block in the dry run's compact table: its length and
+// its terminator, with a non-loop conditional branch's bias as the
+// threshold Below draws against.
+type dryTerm struct {
+	n      int32
+	target int32
+	thresh uint64 // rng.Threshold(bias) for non-loop conditional branches
+	class  isa.Class
+	loop   bool
+	trips  uint8
+}
+
 // dryRun walks the CFG for dryRunLength instructions, returning per-slot
 // execution counts. Every slot of a block executes once per visit, so
 // the walk counts block visits and expands them to slots once at the
-// end.
+// end. It is the walker's condTaken and advance, inlined over a compact
+// per-block table, drawing exactly the same numbers.
 func (prog *program) dryRun(r *rng.Source) []uint32 {
-	// The walk reads only each block's length and terminator: copy them
-	// into one compact table instead of touching the block and slot
-	// arrays per visit.
-	type blockTerm struct {
-		n, slot int32
-		term    staticInst
-	}
-	terms := make([]blockTerm, len(prog.blocks))
+	dryRuns.Add(1)
+	terms := make([]dryTerm, len(prog.blocks))
 	for i, b := range prog.blocks {
-		slot := b.first + b.n - 1
-		terms[i] = blockTerm{n: int32(b.n), slot: int32(slot), term: prog.insts[slot]}
+		st := &prog.insts[b.first+b.n-1]
+		terms[i] = dryTerm{n: int32(b.n), target: st.target, class: st.class, loop: st.loop, trips: st.trips}
+		if st.class == isa.CondBranch && !st.loop {
+			terms[i].thresh = rng.Threshold(st.bias)
+		}
 	}
 	visits := make([]uint32, len(prog.blocks))
-	w := newWalker(prog)
-	executed := 0
-	for executed < dryRunLength {
-		bt := &terms[w.cur]
-		visits[w.cur]++
+	// Loop trip counts live per block: each block has one terminator.
+	trips := make([]int32, len(prog.blocks))
+	for i := range trips {
+		trips[i] = -1
+	}
+	stack := make([]walkFrame, 0, 2*callLevels)
+	nBlocks := int32(len(prog.blocks))
+	var cur, dwell int32
+	for executed := 0; executed < dryRunLength; {
+		bt := &terms[cur]
+		visits[cur]++
 		executed += int(bt.n)
-		term := &bt.term
-		taken := true
-		if term.class == isa.CondBranch {
-			taken = w.condTaken(term, int(bt.slot), r)
+		next := cur + 1
+		if next == nBlocks {
+			next = 0
 		}
-		if term.class.IsBranch() {
-			w.advance(term, taken, r)
-		} else {
-			w.advance(&staticInst{class: isa.IntALU}, false, r)
+		switch bt.class {
+		case isa.CondBranch:
+			taken := false
+			switch {
+			case !bt.loop:
+				taken = r.Below(bt.thresh)
+			case dwell > maxFuncDwell:
+				trips[cur] = -1 // drain: the visit has outstayed its budget
+			default:
+				rem := trips[cur]
+				if rem < 0 {
+					rem = int32(bt.trips)
+					switch x := r.Float64(); {
+					case x < 0.10 && rem > 1:
+						rem--
+					case x > 0.90:
+						rem++
+					}
+				}
+				if rem > 0 {
+					trips[cur] = rem - 1
+					taken = true
+				} else {
+					trips[cur] = -1
+				}
+			}
+			if taken {
+				next = bt.target
+			}
+		case isa.Jump:
+			next = bt.target
+		case isa.Call:
+			if len(stack) < 2*callLevels {
+				stack = append(stack, walkFrame{ret: next, dwell: dwell})
+			}
+			dwell = 0
+			next = bt.target
+		case isa.Ret:
+			if n := len(stack); n > 0 {
+				next = stack[n-1].ret
+				dwell = stack[n-1].dwell
+				stack = stack[:n-1]
+			} else {
+				next = prog.entryLevel0(r)
+				dwell = 0
+			}
 		}
+		cur = next
+		dwell++
 	}
 	counts := make([]uint32, len(prog.insts))
 	for bi, v := range visits {

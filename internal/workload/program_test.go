@@ -171,20 +171,20 @@ func TestDryRunCoversHotCode(t *testing.T) {
 func TestSolveAdjust(t *testing.T) {
 	// Home mass above target: scale down, no leak.
 	a := solveAdjust(0.4, 0.1, 0.2, 0.05)
-	if a.pFar != 0.5 || a.leakFar != 0 {
+	if a.PFar != 0.5 || a.LeakFar != 0 {
 		t.Errorf("over-mass far: %+v", a)
 	}
-	if a.pMid != 0.5 || a.leakMid != 0 {
+	if a.PMid != 0.5 || a.LeakMid != 0 {
 		t.Errorf("over-mass mid: %+v", a)
 	}
 	// Home mass below target: full home probability plus a hot leak.
 	b := solveAdjust(0.1, 0.0, 0.2, 0.0)
-	if b.pFar != 1 || b.leakFar <= 0 {
+	if b.PFar != 1 || b.LeakFar <= 0 {
 		t.Errorf("under-mass: %+v", b)
 	}
 	// Leaks must never sum above 1.
 	c := solveAdjust(0.0, 0.0, 0.9, 0.9)
-	if c.leakFar+c.leakMid > 1.0001 {
+	if c.LeakFar+c.LeakMid > 1.0001 {
 		t.Errorf("leaks exceed 1: %+v", c)
 	}
 }

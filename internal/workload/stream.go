@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"fmt"
-
-	"dwarn/internal/isa"
-)
+import "dwarn/internal/isa"
 
 // Producer writes a thread's correct-path uops, in stream order. The
 // synthetic Generator and the trace decoder (internal/trace) are the
@@ -100,9 +96,8 @@ func (s *Stream) refill() {
 }
 
 // ReadAhead hands chunk filling to a producer goroutine, started on the
-// first Next so that checkpoint snapshot and restore still see the
-// producer at the stream's start. Call it before the first Next; the
-// caller must Stop the stream when done with it.
+// first Next. Call it before the first Next; the caller must Stop the
+// stream when done with it.
 func (s *Stream) ReadAhead() {
 	if s.chunks == 0 {
 		s.ahead = true
@@ -188,47 +183,3 @@ func (s *Stream) Footprint() Footprint { return s.meta.Footprint }
 
 // ReplayMeta implements Source.
 func (s *Stream) ReplayMeta() ReplayMeta { return s.meta }
-
-var _ Checkpointable = (*Stream)(nil)
-
-// CheckpointState implements Checkpointable by delegating to the
-// producer. It is valid only before the first fill: afterwards the
-// producer has run ahead of the delivered stream.
-func (s *Stream) CheckpointState() (SourceState, error) {
-	c, err := s.checkpointable()
-	if err != nil {
-		return SourceState{}, err
-	}
-	return c.CheckpointState()
-}
-
-// SetCheckpointState implements Checkpointable: it positions the
-// producer and sets the tracked wrong-path state to match. Valid only
-// before the first fill.
-func (s *Stream) SetCheckpointState(st SourceState) error {
-	c, err := s.checkpointable()
-	if err != nil {
-		return err
-	}
-	if err := c.SetCheckpointState(st); err != nil {
-		return err
-	}
-	s.st = WrongPathState{
-		IntWrites: st.IntWrites,
-		FPWrites:  st.FPWrites,
-		FarCursor: st.FarCursor,
-		MidCursor: st.MidCursor,
-	}
-	return nil
-}
-
-func (s *Stream) checkpointable() (Checkpointable, error) {
-	if s.chunks != 0 {
-		return nil, fmt.Errorf("workload: stream already filled past its checkpointable start")
-	}
-	c, ok := s.prod.(Checkpointable)
-	if !ok {
-		return nil, fmt.Errorf("workload: producer %T is not checkpointable", s.prod)
-	}
-	return c, nil
-}

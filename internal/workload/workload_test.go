@@ -416,7 +416,7 @@ func TestQuickGeneratorNeverPanics(t *testing.T) {
 
 // TestGeneratorsConcurrentBuildDeterministic: the per-thread builds run
 // concurrently, yet every slot must hold its own benchmark's stream,
-// identical across calls and between the plain and shared paths.
+// identical across calls and between fresh cores and shared ones.
 func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
 	wl, err := GetWorkload("8-MEM")
 	if err != nil {
@@ -430,17 +430,18 @@ func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := wl.SharedGenerators(7)
+	cores, err := wl.Cores(7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, s2 := Sources(cores), Sources(cores)
 	for i, name := range wl.Benchmarks {
 		if got := a[i].ReplayMeta().Benchmark; got != name {
 			t.Fatalf("slot %d holds %s, want %s", i, got, name)
 		}
 		for n := 0; n < 500; n++ {
-			ua, ub, us := a[i].Next(), b[i].Next(), s[i].Next()
-			if ua != ub || ua != us {
+			ua, ub, us, us2 := a[i].Next(), b[i].Next(), s[i].Next(), s2[i].Next()
+			if ua != ub || ua != us || ua != us2 {
 				t.Fatalf("slot %d uop %d differs between builds", i, n)
 			}
 		}

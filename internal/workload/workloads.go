@@ -152,50 +152,78 @@ func (w *Workload) Validate() error {
 }
 
 // Generators instantiates one uop source per thread — a Stream over a
-// live synthetic generator walking each benchmark's CFG. Replicated
-// benchmark instances get different seeds (standing in for the paper's
-// one-million-instruction shift) and every thread gets a disjoint
-// address-space base.
-//
-// It returns the Source seam so the pipeline and simulator stay
-// agnostic about where uops come from (a Stream over a trace decoder is
-// a drop-in substitute); every element is a *Stream.
+// live synthetic generator walking each benchmark's CFG. It returns the
+// Source seam so the pipeline and simulator stay agnostic about where
+// uops come from (a Stream over a trace decoder is a drop-in
+// substitute); every element is a *Stream.
 func (w *Workload) Generators(seed uint64) ([]Source, error) {
-	return w.generators(seed, NewGenerator)
+	cores, err := w.Cores(seed)
+	if err != nil {
+		return nil, err
+	}
+	return Sources(cores), nil
 }
 
-// SharedGenerators is Generators through the process-wide program core
-// cache (see NewGeneratorShared): bit-identical streams, but cells that
-// share a (workload, seed) group skip program construction and
-// calibration after the first. The checkpoint/fork engine's path.
-func (w *Workload) SharedGenerators(seed uint64) ([]Source, error) {
-	return w.generators(seed, NewGeneratorShared)
+// Sources builds one fresh stream per core, each over a new generator.
+// Streams over the same cores are bit-identical, however many runs
+// share them.
+func Sources(cores []*Core) []Source {
+	srcs := make([]Source, len(cores))
+	for i, c := range cores {
+		srcs[i] = c.Generator().Stream()
+	}
+	return srcs
 }
 
-func (w *Workload) generators(seed uint64, mk func(*Profile, uint64, uint64) *Generator) ([]Source, error) {
+// threadSeed and threadBase derive thread i's generator seed and
+// address base from the run seed. Replicated benchmark instances get
+// different seeds (standing in for the paper's one-million-instruction
+// shift), and every thread gets a disjoint address space with a
+// pseudo-random line-aligned stagger: without it every thread's regions
+// would start set-aligned and collide pathologically in the shared
+// caches.
+func threadSeed(seed uint64, i int) uint64 { return seed + uint64(i)*0x51ed2701 }
+
+func threadBase(seed uint64, i int) uint64 {
+	stagger := (seed + uint64(i)*0x9e3779b97f4a7c15) >> 13 & 0x3FFFC0
+	return uint64(i+1)<<40 + stagger
+}
+
+// Cores calibrates one program core per thread for the run seed. Each
+// thread's build depends only on its own (profile, seed, base), so the
+// builds run concurrently; each lands in its own slot.
+func (w *Workload) Cores(seed uint64) ([]*Core, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	// Each thread's build depends only on its own (profile, seed, base),
-	// so the builds run concurrently; each lands in its own slot.
-	srcs := make([]Source, len(w.Benchmarks))
+	cores := make([]*Core, len(w.Benchmarks))
 	var wg sync.WaitGroup
 	for i, name := range w.Benchmarks {
 		prof, err := Get(name)
 		if err != nil {
 			return nil, err
 		}
-		// Disjoint address spaces with a pseudo-random line-aligned
-		// stagger: without it every thread's regions would start
-		// set-aligned and collide pathologically in the shared caches.
-		stagger := (seed + uint64(i)*0x9e3779b97f4a7c15) >> 13 & 0x3FFFC0
-		base := uint64(i+1)<<40 + stagger
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srcs[i] = mk(prof, seed+uint64(i)*0x51ed2701, base).Stream()
+			cores[i] = buildCore(prof, threadSeed(seed, i), threadBase(seed, i))
 		}()
 	}
 	wg.Wait()
-	return srcs, nil
+	return cores, nil
+}
+
+// Fits reports whether cores are the ones Cores(seed) would build: one
+// per thread, each of the thread's benchmark at its seed and base.
+func (w *Workload) Fits(seed uint64, cores []*Core) error {
+	if len(cores) != len(w.Benchmarks) {
+		return fmt.Errorf("workload: %d cores for %d threads", len(cores), len(w.Benchmarks))
+	}
+	for i, c := range cores {
+		if c.prof.Name != w.Benchmarks[i] || c.seed != threadSeed(seed, i) || c.base != threadBase(seed, i) {
+			return fmt.Errorf("workload: core %d is %s at seed %d base %#x, thread %d runs %s at seed %d base %#x",
+				i, c.prof.Name, c.seed, c.base, i, w.Benchmarks[i], threadSeed(seed, i), threadBase(seed, i))
+		}
+	}
+	return nil
 }

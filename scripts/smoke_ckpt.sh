@@ -7,10 +7,10 @@
 #
 #   1. A checkpointed parallel run produces per-cell counter digests
 #      bit-identical to a serial run with checkpointing disabled.
-#   2. Exactly one warmup executed per (machine, workload, seed) group:
+#   2. Exactly one calibration per (workload, seed) group:
 #      dwarn_ckpt_misses_total == 12, hits == 60, fallbacks == 0.
 #   3. Every one of the 12 checkpoint files is under 96 KB: images hold
-#      only valid cache lines, DTLB and BTB entries.
+#      each thread's compact calibration, a few KB per group.
 #   4. A second invocation against the same -ckpt-dir forks every cell
 #      (misses == 0) and still matches the reference digests.
 #
@@ -87,4 +87,4 @@ if [ "$misses2" -ne 0 ] || [ "$hits2" -ne 72 ]; then
     exit 1
 fi
 
-echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 warmups (one per group), 132 forks across both passes, largest image $largest bytes"
+echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 calibrations (one per group), 132 forks across both passes, largest image $largest bytes"
