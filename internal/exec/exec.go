@@ -32,13 +32,15 @@ import (
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 	"dwarn/internal/stats"
+	"dwarn/internal/workload"
 )
 
 // RunFunc computes one resolved cell. The default runs the simulator
 // (sim.RunContext); tests substitute failures and delays. The cell a
 // local slot hands Run is the executor's own copy, with
 // Options.Checkpoints already set to the gated checkpoint store (nil
-// when checkpointing is off), so every Run forks the same way.
+// when checkpointing is off), so every Run forks the same way, and
+// Options.Tapes to its group's tape set (see tapes.go).
 type RunFunc func(ctx context.Context, res *spec.Resolved) (*sim.Result, error)
 
 // Options configures an Executor.
@@ -68,7 +70,9 @@ type Options struct {
 	// calibrates cold and publishes its program cores, and the rest
 	// fork from them — one calibration per (workload, seed) group per
 	// store lifetime, wherever the cells run. Run receives the gated
-	// store in res.Options.Checkpoints.
+	// store in res.Options.Checkpoints. It also enables shared tapes:
+	// the local runs of a group read one generated correct path
+	// (res.Options.Tapes).
 	Checkpoints ckpt.Store
 }
 
@@ -158,12 +162,15 @@ type Executor struct {
 	ckgate  *warmGate
 	ckpts   ckpt.Store // gated; nil when checkpointing is off
 
+	tapeBudget *workload.TapeBudget // nil when checkpointing is off
+
 	mu       sync.Mutex
 	inflight map[string]*flight
-	busy     int           // local slots holding a cell
-	line     []*job        // FIFO of leader cells; entries no longer waiting are stale
-	waiting  int           // cells in the line still waiting
-	arrived  chan struct{} // closed and replaced when a takeable cell joins the line
+	busy     int                          // local slots holding a cell
+	line     []*job                       // FIFO of leader cells; entries no longer waiting are stale
+	waiting  int                          // cells in the line still waiting
+	arrived  chan struct{}                // closed and replaced when a takeable cell joins the line
+	tapes    map[string]*workload.TapeSet // by checkpoint key; see tapes.go
 }
 
 // New builds an Executor.
@@ -192,7 +199,7 @@ func New(opts Options) *Executor {
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
 	}
-	return &Executor{
+	e := &Executor{
 		workers: opts.Workers,
 		log:     opts.Logger,
 		ckgate:  ckgate,
@@ -205,7 +212,12 @@ func New(opts Options) *Executor {
 		met:      met,
 		inflight: make(map[string]*flight),
 		arrived:  make(chan struct{}),
+		tapes:    make(map[string]*workload.TapeSet),
 	}
+	if ckgate != nil {
+		e.tapeBudget = workload.NewTapeBudget()
+	}
+	return e
 }
 
 // Store returns the executor's result store.
@@ -373,8 +385,11 @@ func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, starte
 	// Checkpoint groups calibrate once: the group's first cell leads
 	// while siblings hold here (before joining the line, so a wide group
 	// never starves unrelated cells), then fork the instant the leader
-	// publishes its program cores — wherever the leader runs.
+	// publishes its program cores — wherever the leader runs. The
+	// group's tapes are held from here until the cell leaves.
 	if e.ckgate != nil && c.CheckpointKey != "" {
+		e.holdTapes(c.CheckpointKey)
+		defer e.leaveTapes(f, c.CheckpointKey)
 		leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
 		if gerr != nil {
 			return nil, gerr

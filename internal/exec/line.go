@@ -44,12 +44,13 @@ type job struct {
 	startMu sync.Mutex
 	started func() // nil once fired, or once the leader returned
 
-	state jobState
-	slot  bool          // granted a local slot (still held until the leader frees it)
-	grant chan struct{} // closed when a local slot takes the cell
-	done  chan struct{} // closed on the first resolution
-	res   *sim.Result
-	err   error
+	state  jobState
+	slot   bool          // granted a local slot (still held until the leader frees it)
+	remote bool          // handed to a remote taker, its tape hold passed back (tapes.go)
+	grant  chan struct{} // closed when a local slot takes the cell
+	done   chan struct{} // closed on the first resolution
+	res    *sim.Result
+	err    error
 }
 
 // start fires the cell's started event unless it fired already or the
@@ -107,8 +108,9 @@ func (e *Executor) wait(ctx context.Context, f *flight, c *spec.Resolved, starte
 	e.mu.Unlock()
 	if run {
 		j.start()
-		cell := *c // Run's copy forks from the gated store
+		cell := *c // Run's copy forks from the gated store and reads the group's tapes
 		cell.Options.Checkpoints = e.ckpts
+		cell.Options.Tapes = e.groupTapes(c.CheckpointKey)
 		e.met.workersBusy.Inc()
 		res, err := e.run(ctx, &cell)
 		e.met.workersBusy.Dec()
@@ -211,6 +213,7 @@ func (e *Executor) Take(ctx context.Context, n int) ([]Taken, error) {
 				break
 			}
 			j.state = jobTaken
+			e.passTapesLocked(j)
 			js = append(js, j)
 		}
 		arrived := e.arrived
@@ -250,6 +253,7 @@ func (e *Executor) Requeue(fp string) bool {
 	if j == nil || j.state != jobTaken {
 		return false
 	}
+	e.reclaimTapesLocked(j)
 	e.enqueueLocked(j)
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dwarn/internal/obs"
+	"dwarn/internal/workload"
 )
 
 // Run metrics are a cheap end-of-run snapshot recorded once per
@@ -36,6 +37,13 @@ func initRunMetrics() {
 	runMetrics.uops = r.Counter("dwarn_sim_uops_total", "Committed (correct-path retired) uops across all measured intervals.")
 	runMetrics.cyclesSec = r.Gauge("dwarn_sim_cycles_per_second", "Simulated cycles per wall second over the most recent run.")
 	runMetrics.uopsSec = r.Gauge("dwarn_sim_uops_per_second", "Committed uops per wall second over the most recent run's measured interval.")
+	tapeHelp := "Correct-path chunks (512 uops) generated onto shared tapes, read back from them by the runs of their checkpoint group, and generated privately by runs that left their tape (memory bound spent, or no other run of the group to read on)."
+	for i, op := range []string{"generated", "read", "private"} {
+		r.CounterFunc("dwarn_tape_chunks_total", tapeHelp, func() float64 {
+			g, n, p := workload.TapeChunks()
+			return float64([]uint64{g, n, p}[i])
+		}, obs.L("op", op))
+	}
 }
 
 // recordRun folds one finished simulation into the snapshot.

@@ -84,13 +84,25 @@ type Options struct {
 	// runs sharing a CheckpointKey (same workload and seed — machine,
 	// policy and run lengths deliberately excluded) fork their
 	// calibrated program cores from the store instead of synthesizing
-	// and calibrating programs; every run still builds its own
-	// generators and machine and prewarms it. Purely an optimization:
+	// and calibrating programs; every run still builds its own machine
+	// and prewarms it, and reads its correct path from Tapes when set,
+	// through private generators otherwise. Purely an optimization:
 	// forked runs are bit-identical to cold starts, and an image that
 	// does not fit falls back to a cold calibration. Runs whose key is
 	// empty (trace replay, recording, out-of-registry policies) ignore
 	// the store.
 	Checkpoints ckpt.Store
+	// Tapes, when non-nil, is the run's checkpoint group's shared
+	// correct path. The execution layer sets it on its own copy of a
+	// cell's options. The run's streams read the group's tapes instead
+	// of generating privately when the set has company for it: another
+	// of its holders in flight, or tapes already started
+	// (workload.TapeSet.Sources). They decode a tape inline and read
+	// ahead only once they have left it. Purely an optimization: a tape
+	// delivers exactly what a private stream would, and cores that do
+	// not fit the set's tapes get private streams. Trace replays and
+	// recording runs ignore it.
+	Tapes *workload.TapeSet
 }
 
 // Default run lengths: long enough that IPCs are stable to within a few
@@ -256,8 +268,8 @@ func stopStreams(srcs []workload.Source) {
 }
 
 // buildSources returns the run's per-thread uop sources and benchmark
-// names: trace replayers, or fresh streams over the group's calibrated
-// program cores.
+// names: trace replayers, streams over the group's tapes, or fresh
+// streams over the group's calibrated program cores.
 func buildSources(opts Options, seed uint64) ([]workload.Source, []string, error) {
 	if opts.Trace != nil {
 		return opts.Trace.Sources(), opts.Trace.Benchmarks(), nil
@@ -265,6 +277,11 @@ func buildSources(opts Options, seed uint64) ([]workload.Source, []string, error
 	cores, err := groupCores(opts, seed)
 	if err != nil {
 		return nil, nil, err
+	}
+	if opts.Tapes != nil && opts.Record == nil {
+		if srcs, ok := opts.Tapes.Sources(cores); ok {
+			return srcs, opts.Workload.Benchmarks, nil
+		}
 	}
 	return workload.Sources(cores), opts.Workload.Benchmarks, nil
 }

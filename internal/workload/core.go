@@ -106,12 +106,31 @@ func (c *Core) Generator() *Generator {
 		tNoSrc:   rng.Threshold(c.prof.NoSrcFrac),
 		tTwoSrc:  rng.Threshold(c.prof.TwoSrcFrac),
 		tDep:     rng.Threshold(1 / c.prof.MeanDepDist),
-		meta:     c.meta,
+		meta:     c.streamMeta(),
 	}
 	g.walk = newWalker(c.prog)
-	g.meta.Footprint = g.Footprint()
-	g.meta.StartPC = g.StartPC()
 	return g
+}
+
+// streamMeta returns the ReplayMeta of the core's correct-path streams.
+func (c *Core) streamMeta() ReplayMeta {
+	g := Generator{prof: c.prof, prog: c.prog, base: c.base}
+	m := c.meta
+	m.Footprint = g.Footprint()
+	m.StartPC = g.StartPC()
+	return m
+}
+
+// coreID is what makes two cores' programs, and so their streams,
+// identical.
+type coreID struct {
+	prof              *Profile
+	seed, base        uint64
+	loadAdj, storeAdj RegionAdjust
+}
+
+func (c *Core) id() coreID {
+	return coreID{c.prof, c.seed, c.base, c.loadAdj, c.storeAdj}
 }
 
 // ApproxBytes is the memory the core holds: its structs plus every

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"dwarn/internal/isa"
 	"dwarn/internal/rng"
@@ -77,6 +78,26 @@ func (g *Generator) blockPC(b int32) uint64 {
 // slotPC returns the address of slot s in block b.
 func (g *Generator) slotPC(b, s int) uint64 {
 	return g.base + codeOffset + uint64(g.prog.blocks[b].first+s)*4
+}
+
+// clone returns an independent generator at g's position. The program
+// and metadata are immutable and shared; the walker and RNG are copied.
+func (g *Generator) clone() *Generator {
+	c := *g
+	r := *g.r
+	c.r = &r
+	w := *g.walk
+	w.trips = slices.Clone(w.trips)
+	w.stack = slices.Clone(w.stack)
+	c.walk = &w
+	return &c
+}
+
+// rebind points g at prog, an identical copy of its program, or at nil
+// between uses, so a generator kept across runs pins no run's program
+// text.
+func (g *Generator) rebind(prog *program) {
+	g.prog, g.walk.prog = prog, prog
 }
 
 // Fill implements Producer.

@@ -3,8 +3,9 @@ package workload
 import "dwarn/internal/isa"
 
 // Producer writes a thread's correct-path uops, in stream order. The
-// synthetic Generator and the trace decoder (internal/trace) are the
-// two producers; a Stream turns either into a Source.
+// synthetic Generator, a shared tape's reader (tape.go) and the trace
+// decoder (internal/trace) are the producers; a Stream turns any of
+// them into a Source.
 type Producer interface {
 	// Fill overwrites buf with the next len(buf) correct-path uops.
 	Fill(buf []isa.Uop)
@@ -31,7 +32,10 @@ const (
 // can run ahead of the consumer. By default the stream fills each chunk
 // inline when the previous one runs out; after ReadAhead, a producer
 // goroutine fills chunks ahead of fetch, started on the first Next and
-// ended by Stop. Either way the delivered stream is bit-identical.
+// ended by Stop. A stream over a shared tape decodes the tape inline
+// even then, and starts its producer only once it has left the tape
+// and generates privately. Either way the delivered stream is
+// bit-identical.
 //
 // A Stream is used from one goroutine; only the producer it starts
 // touches the Producer concurrently.
@@ -80,19 +84,28 @@ func (s *Stream) Delivered() uint64 {
 func (s *Stream) refill() {
 	s.chunks++
 	s.pos = 0
-	if !s.ahead {
-		if s.buf == nil {
-			s.buf = make([]isa.Uop, chunkUops)
-		}
-		s.prod.Fill(s.buf)
-		return
-	}
 	if s.ra == nil {
+		if !s.ahead || s.onTape() {
+			if s.buf == nil {
+				s.buf = make([]isa.Uop, chunkUops)
+			}
+			s.prod.Fill(s.buf)
+			return
+		}
 		s.ra = startReadAhead(s.prod)
 	} else {
 		s.ra.free <- s.buf
 	}
 	s.buf = <-s.ra.full
+}
+
+// onTape reports whether the stream still reads a shared tape. Reading
+// a tape ahead buys nothing and costs buffers per stream; once off the
+// tape the reader generates privately, and a read-ahead stream then
+// hands it to a producer goroutine like any private generator.
+func (s *Stream) onTape() bool {
+	r, ok := s.prod.(*tapeReader)
+	return ok && r.gen == nil
 }
 
 // ReadAhead hands chunk filling to a producer goroutine, started on the

@@ -11,7 +11,10 @@
 #      dwarn_ckpt_misses_total == 12, hits == 60, fallbacks == 0.
 #   3. Every one of the 12 checkpoint files is under 96 KB: images hold
 #      each thread's compact calibration, a few KB per group.
-#   4. A second invocation against the same -ckpt-dir forks every cell
+#   4. The checkpointed run's policy cells share each group's correct
+#      path: dwarn_tape_chunks_total{op="read"} is at least 3x
+#      {op="generated"} (one generated chunk serves several cells).
+#   5. A second invocation against the same -ckpt-dir forks every cell
 #      (misses == 0) and still matches the reference digests.
 #
 # Usage: scripts/smoke_ckpt.sh   (or `make smoke-ckpt`)
@@ -62,6 +65,12 @@ if [ "$files" -ne 12 ]; then
     echo "smoke_ckpt: FAIL: $files checkpoint files on disk, want 12 (one per group)" >&2
     exit 1
 fi
+generated="$(metric "$tmp/warm.prom" 'dwarn_tape_chunks_total{op="generated"}')"
+read="$(metric "$tmp/warm.prom" 'dwarn_tape_chunks_total{op="read"}')"
+if [ "$generated" -eq 0 ] || [ "$read" -lt $((3 * generated)) ]; then
+    echo "smoke_ckpt: FAIL: tape chunks generated=$generated read=$read, want read >= 3 x generated > 0" >&2
+    exit 1
+fi
 largest=0
 for f in "$tmp/ckpt"/*.ckpt; do
     size="$(wc -c < "$f")"
@@ -87,4 +96,4 @@ if [ "$misses2" -ne 0 ] || [ "$hits2" -ne 72 ]; then
     exit 1
 fi
 
-echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 calibrations (one per group), 132 forks across both passes, largest image $largest bytes"
+echo "smoke_ckpt: PASS — 72/72 digests bit-identical, 12 calibrations (one per group), 132 forks across both passes, largest image $largest bytes, $read tape chunks read of $generated generated"
