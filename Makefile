@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is plain go tool invocations;
 # the Makefile just names the common ones.
 
-.PHONY: build test race bench bench-fabric smoke-ckpt chaos-service alloc-guard
+.PHONY: build test race bench smoke-ckpt chaos-service alloc-guard
 
 build:
 	go build ./...
@@ -15,12 +15,6 @@ race:
 # Full benchmark sweep, one iteration each (regression smoke).
 bench:
 	go test -bench=. -benchtime=1x ./...
-
-# Distributed-fabric perf trajectory: a pure coordinator (`dwarnd
-# -workers 0`) plus 1/2/4 `dwarnd -worker` processes over the 72-cell
-# parallel grid, recorded to BENCH_fabric.json.
-bench-fabric:
-	sh scripts/bench_fabric.sh
 
 # Checkpoint/fork engine correctness smoke: one warmup per group and
 # digests bit-identical to a serial no-checkpoint run.

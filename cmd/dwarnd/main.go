@@ -56,19 +56,16 @@ import (
 	"dwarn/internal/chaos"
 	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
-	"dwarn/internal/fabric"
 	"dwarn/internal/journal"
 	"dwarn/internal/obs"
 	"dwarn/internal/service"
-	"dwarn/internal/sim"
 	"dwarn/internal/spec"
-	"dwarn/internal/store"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "local simulation slots (0 with -fabric = pure coordinator: every cell waits for a remote -worker; a -worker needs at least 1)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation slots: cells simulated at once (at least 1)")
 		queueDepth   = flag.Int("queue", 256, "runs that may wait for an executor slot before submissions fail fast with 503")
 		cacheEntries = flag.Int("cache", 4096, "in-memory result tier entries")
 		maxCycles    = flag.Int64("max-cycles", 5_000_000, "per-request cycle cap (warmup and measure each; <0 = uncapped)")
@@ -81,16 +78,15 @@ func main() {
 		rateLimit    = flag.Float64("rate-limit", 0, "per-client request rate limit in requests/sec, 429 + Retry-After beyond it (0 = unlimited)")
 		rateBurst    = flag.Int("rate-burst", 0, "per-client burst allowance for -rate-limit (0 = derived from the rate)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "server-side handling deadline for non-streaming requests (0 = none)")
-		fabricOn     = flag.Bool("fabric", true, "serve the distributed sweep fabric under /v2/fabric (remote dwarnd -worker processes may join)")
-		leaseTTL     = flag.Duration("lease-ttl", 0, "fabric lease TTL: how long a worker's cell survives missed heartbeats before requeue (0 = default 15s)")
-		workerMode   = flag.Bool("worker", false, "run as a fabric worker: pull cells from -coordinator instead of serving HTTP")
-		coordURL     = flag.String("coordinator", "", "coordinator base URL for -worker mode (e.g. http://host:8080)")
-		workerName   = flag.String("worker-name", "", "worker label in fabric status (default host-pid)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max time to drain runs and sweeps on shutdown")
 		adminAddr    = flag.String("admin", "", "serve the admin mux (/metrics, /debug/pprof/*, /healthz, /buildinfo) on this address (e.g. localhost:6060; empty = disabled)")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, error, off")
 	)
 	flag.Parse()
+	if *workers < 1 {
+		fmt.Fprintln(os.Stderr, "dwarnd: -workers must be at least 1")
+		os.Exit(2)
+	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -112,10 +108,6 @@ func main() {
 		logger.Warn("chaos handler armed", "spec", spec)
 	}
 
-	if *workerMode {
-		os.Exit(runWorker(logger, *coordURL, *workerName, *workers, *cacheEntries, *storeDir, *authToken, *adminAddr))
-	}
-
 	opts := service.Options{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
@@ -128,13 +120,6 @@ func main() {
 		RateBurst:       *rateBurst,
 		RequestTimeout:  *reqTimeout,
 		Logger:          logger,
-	}
-	if *workers <= 0 {
-		if !*fabricOn {
-			fmt.Fprintln(os.Stderr, "dwarnd: -workers 0 needs -fabric: no local slot and no remote worker could run a cell")
-			os.Exit(2)
-		}
-		opts.Workers = -1 // no local slots: a pure coordinator
 	}
 	if opts.Store, opts.Checkpoints, err = openStores(logger, *storeDir); err != nil {
 		logger.Error("store open", "dir", *storeDir, "err", err)
@@ -155,9 +140,6 @@ func main() {
 		logger.Info("journal open", "path", *journalPath, "replayed", len(recs))
 		opts.Journal = j
 		opts.Recovered = recs
-	}
-	if *fabricOn {
-		opts.Fabric = &service.FabricOptions{LeaseTTL: *leaseTTL}
 	}
 	srv := service.New(opts)
 	serveAdmin(logger, *adminAddr, srv.MetricsHandler())
@@ -212,68 +194,6 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
-}
-
-// runWorker is `dwarnd -worker -coordinator=URL`: the same binary as a
-// pull-based fabric worker. It pulls cell leases from the coordinator,
-// runs them on its own executor (-workers local slots, a -cache result
-// tier over -store, checkpoint tiers ending in the coordinator's), and
-// pushes results back; SIGINT/SIGTERM abandons
-// in-flight cells silently (no completion, no more heartbeats) so the
-// coordinator's lease TTL requeues them on a healthy worker. With
-// -store the worker reads and writes the same durable result directory
-// as the coordinator, sharing one cache identity through the
-// filesystem. -auth-token rides on every coordinator RPC; -admin serves
-// the worker's own /metrics (executor and RPC failure series).
-func runWorker(logger *obs.Logger, coordinator, name string, workers, cacheEntries int, storeDir, authToken, adminAddr string) int {
-	if coordinator == "" {
-		fmt.Fprintln(os.Stderr, "dwarnd: -worker requires -coordinator=URL")
-		return 2
-	}
-	if workers <= 0 {
-		fmt.Fprintln(os.Stderr, "dwarnd: -worker needs -workers >= 1: a worker runs its cells on local slots")
-		return 2
-	}
-	durable, ckpts, err := openStores(logger, storeDir)
-	if err != nil {
-		logger.Error("store open", "dir", storeDir, "err", err)
-		return 1
-	}
-	results := exec.Store(store.NewMem[*sim.Result](cacheEntries, 0, nil))
-	if durable != nil {
-		results = store.Chain[*sim.Result]{results, durable}
-	}
-	reg := obs.NewRegistry()
-	ex := exec.New(exec.Options{
-		Workers:  workers,
-		Store:    results,
-		Registry: reg,
-		Logger:   logger,
-		// Last tier: pull checkpoints the fleet already warmed from the
-		// coordinator, and push the ones this worker builds.
-		Checkpoints: append(ckpts, fabric.NewRemoteCkptStore(coordinator, authToken, nil)),
-	})
-	serveAdmin(logger, adminAddr, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	}))
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	w := fabric.NewWorker(fabric.WorkerOptions{
-		Coordinator: coordinator,
-		Name:        name,
-		Executor:    ex,
-		Logger:      logger,
-		AuthToken:   authToken,
-		Registry:    reg,
-	})
-	logger.Info("fabric worker starting", "coordinator", coordinator, "workers", workers)
-	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-		logger.Error("fabric worker", "err", err)
-		return 1
-	}
-	logger.Info("fabric worker stopped")
-	return 0
 }
 
 // openStores opens the durable result directory under -store (nil

@@ -10,14 +10,13 @@
 // construction, which are cheap.
 //
 // The memory tier holds images materialized, hundreds of KB per core.
-// The durable tiers (DirStore, the fabric's checkpoint route) hold the
-// compact versioned (DWCKPT03), checksummed form: per thread the
-// benchmark, thread seed and address base, a digest of the program
-// text, the home region of every load and store slot (two bits each)
-// and the load and store region adjustments, a few KB per image. Decode
-// regenerates each program from its registered profile and seed, checks
-// the digest and applies the calibration, so a disk hit runs no dry
-// run.
+// The durable tier (DirStore) holds the compact versioned (DWCKPT03),
+// checksummed form: per thread the benchmark, thread seed and address
+// base, a digest of the program text, the home region of every load
+// and store slot (two bits each) and the load and store region
+// adjustments, a few KB per image. Decode regenerates each program
+// from its registered profile and seed, checks the digest and applies
+// the calibration, so a disk hit runs no dry run.
 //
 // Correctness contract: a checkpoint is an optimization, never an
 // oracle. Every decode is CRC-verified and every regenerated program

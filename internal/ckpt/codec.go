@@ -20,9 +20,8 @@ import (
 // miss, but a change to calibration alone would apply stale regions.
 const (
 	magic = "DWCKPT03"
-	// MaxEncoded bounds what Decode will even look at (and what the
-	// fabric accepts over HTTP): far above any real image, far below a
-	// memory-exhaustion payload.
+	// MaxEncoded bounds what Decode will even look at: far above any
+	// real image, far below a memory-exhaustion payload.
 	MaxEncoded = 64 << 20
 	// maxThreads bounds an image's thread count, far above any
 	// machine's hardware contexts, so a forged count cannot make Decode

@@ -10,8 +10,7 @@ import (
 // workload and seed of a run).
 type Store = store.Store[*Image]
 
-// Chain layers checkpoint stores fastest-first: mem over dir, plus the
-// coordinator's remote tier on a fabric worker.
+// Chain layers checkpoint stores fastest-first: mem over dir.
 type Chain = store.Chain[*Image]
 
 // DefaultMemBytes bounds the default in-memory tier: a materialized
@@ -40,10 +39,9 @@ type DirStore = store.Dir[*Image]
 // NewDirStore creates the directory if needed and opens a store on it.
 func NewDirStore(dir string) (*DirStore, error) { return store.NewDir(dir, Codec) }
 
-// Codec is an image's bytes under a key, on disk and on the fabric
-// wire: Encode's form, with Decode additionally requiring the image's
-// own key to match, so a renamed file or a misrouted transfer cannot
-// impersonate another group.
+// Codec is an image's bytes under a key on disk: Encode's form, with
+// Decode additionally requiring the image's own key to match, so a
+// renamed file cannot impersonate another group.
 var Codec = store.Codec[*Image]{
 	Kind: "ckpt",
 	Ext:  ".ckpt",

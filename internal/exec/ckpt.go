@@ -17,7 +17,13 @@ import (
 // without publishing (run errored, canceled) promotes exactly one
 // waiter to warm leader, so a failed calibration never triggers a
 // thundering herd of redundant cold starts.
+//
+// The gate is also the checkpoint store the executor hands to sim: it
+// forwards to the shared tiers and learns the moment a key becomes
+// available, from either direction.
 type warmGate struct {
+	inner ckpt.Store
+
 	mu        sync.Mutex
 	warming   map[string]chan struct{}
 	published map[string]bool // at most maxPublished keys
@@ -30,8 +36,9 @@ type warmGate struct {
 // releases the siblings at once.
 const maxPublished = 4096
 
-func newWarmGate() *warmGate {
+func newWarmGate(inner ckpt.Store) *warmGate {
 	return &warmGate{
+		inner:     inner,
 		warming:   make(map[string]chan struct{}),
 		published: make(map[string]bool),
 	}
@@ -41,11 +48,22 @@ func newWarmGate() *warmGate {
 // becomes the group's warm leader. It returns the function to call
 // when the caller's run finishes (a no-op for non-leaders): it
 // promotes the next waiter if the leader never published.
+//
+// A cell that finds its key published checks the store first, because
+// a bounded tier may have evicted the image since; the group's other
+// arrivals wait for that one check, as for a warmup. A hit releases
+// them all. A miss forgets the key and makes the checking cell the warm
+// leader, so after an eviction the group's next cells fork from one
+// new warmup instead of each missing the store and warming cold at
+// once.
 func (g *warmGate) enter(ctx context.Context, key string) (leave func(), err error) {
 	nop := func() {}
+	woken := false
 	for {
 		g.mu.Lock()
-		if g.published[key] {
+		if woken && g.published[key] {
+			// Released by the publish or the check this cell waited
+			// for: the image was just in the store.
 			g.mu.Unlock()
 			return nop, nil
 		}
@@ -53,13 +71,24 @@ func (g *warmGate) enter(ctx context.Context, key string) (leave func(), err err
 		if !ok {
 			ch = make(chan struct{})
 			g.warming[key] = ch
+			check := g.published[key]
 			g.mu.Unlock()
+			if check {
+				if _, hit := g.inner.Get(key); hit {
+					g.release(key)
+					return nop, nil
+				}
+				g.mu.Lock()
+				delete(g.published, key)
+				g.mu.Unlock()
+			}
 			return func() { g.exit(key, ch) }, nil
 		}
 		g.mu.Unlock()
 		select {
 		case <-ch:
 			// Re-check: published → fork; leader died → maybe lead.
+			woken = true
 		case <-ctx.Done():
 			return nop, ctx.Err()
 		}
@@ -67,10 +96,9 @@ func (g *warmGate) enter(ctx context.Context, key string) (leave func(), err err
 }
 
 // release marks the key's checkpoint available and unblocks every
-// waiter. Called by the gated store on both publish and first hit (a
-// hit on a disk tier warmed by an earlier process must flood the gate
-// just like a fresh publish — otherwise waiters would fork one at a
-// time).
+// waiter. Called on both publish and hit (a hit on a disk tier warmed
+// by an earlier process must flood the gate just like a fresh publish
+// — otherwise waiters would fork one at a time).
 func (g *warmGate) release(key string) {
 	g.mu.Lock()
 	if !g.published[key] && len(g.published) >= maxPublished {
@@ -87,15 +115,6 @@ func (g *warmGate) release(key string) {
 	g.mu.Unlock()
 }
 
-// forget unpublishes a key whose image the store no longer holds (a
-// bounded tier evicted it), so the group's next cell leads a new
-// warmup instead of skipping the gate.
-func (g *warmGate) forget(key string) {
-	g.mu.Lock()
-	delete(g.published, key)
-	g.mu.Unlock()
-}
-
 // exit retires a leader that finished without publishing; the closed
 // channel wakes all waiters, and enter's re-check elects one of them
 // the next leader.
@@ -108,26 +127,17 @@ func (g *warmGate) exit(key string, ch chan struct{}) {
 	g.mu.Unlock()
 }
 
-// gatedCkptStore is the checkpoint store the executor hands to sim:
-// it forwards to the shared tiers and tells the warm gate the moment a
-// key becomes available, from either direction, and when a lookup
-// finds a key gone (a bounded tier evicted it).
-type gatedCkptStore struct {
-	inner ckpt.Store
-	gate  *warmGate
-}
-
-func (s gatedCkptStore) Get(key string) (*ckpt.Image, bool) {
-	img, ok := s.inner.Get(key)
+// Get implements ckpt.Store; a hit releases the key's waiters.
+func (g *warmGate) Get(key string) (*ckpt.Image, bool) {
+	img, ok := g.inner.Get(key)
 	if ok {
-		s.gate.release(key)
-	} else {
-		s.gate.forget(key)
+		g.release(key)
 	}
 	return img, ok
 }
 
-func (s gatedCkptStore) Put(key string, img *ckpt.Image) {
-	s.inner.Put(key, img)
-	s.gate.release(key)
+// Put implements ckpt.Store; a publish releases the key's waiters.
+func (g *warmGate) Put(key string, img *ckpt.Image) {
+	g.inner.Put(key, img)
+	g.release(key)
 }

@@ -73,15 +73,16 @@ func TestOneWarmupPerGroup(t *testing.T) {
 // exits without publishing, exactly one waiter takes over rather than
 // all of them stampeding.
 func TestWarmGateLeaderDeath(t *testing.T) {
-	g := newWarmGate()
-	leave, err := g.enter(context.Background(), "k")
+	const k = "0123456789abcdef"
+	g := newWarmGate(ckpt.NewMemStore(0))
+	leave, err := g.enter(context.Background(), k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	promoted := make(chan func(), 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			l, err := g.enter(context.Background(), "k")
+			l, err := g.enter(context.Background(), k)
 			if err != nil {
 				t.Error(err)
 			}
@@ -97,7 +98,7 @@ func TestWarmGateLeaderDeath(t *testing.T) {
 	default:
 	}
 	// The new leader publishes; the remaining waiter floods through.
-	g.release("k")
+	g.Put(k, &ckpt.Image{Key: k})
 	first()
 	<-promoted
 }
@@ -134,54 +135,61 @@ func TestRunReceivesGatedCheckpointStore(t *testing.T) {
 }
 
 // TestWarmGateRewarmsAfterEviction: once a bounded tier has evicted a
-// group's image and a lookup has found it gone, the group warms exactly
-// once again. Here the cell that finds the image gone is canceled
-// before it publishes; the next batch of siblings then elects one warm
-// leader and forks from it, instead of skipping the gate on a stale
-// "published" key and warming cold all at once.
+// group's image, the group warms exactly once again. The next cells of
+// the group elect one warm leader and fork from it, instead of skipping
+// the gate on a stale "published" key and warming cold all at once —
+// whether they come as one batch, or after a cell that found the image
+// gone was canceled before it published.
 func TestWarmGateRewarmsAfterEviction(t *testing.T) {
-	cells := resolveCells(t, []string{"icount", "stall", "dwarn", "flush", "dg", "pdg"}, []uint64{1})
-	key := cells[0].CheckpointKey
-	// A one-byte bound keeps only the newest image.
-	store := &countingCkptStore{inner: ckpt.NewMemStore(1)}
-	e := New(Options{Workers: 4, Checkpoints: store, Registry: obs.NewRegistry(),
-		// sim's restore-or-warm, with a cold warmup long enough that
-		// concurrent siblings all look up the store before it publishes.
-		// The stall cell is canceled mid-warmup.
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			cs := res.Options.Checkpoints
-			if _, ok := cs.Get(res.CheckpointKey); !ok {
-				if res.Spec.Policy.Name == "stall" {
-					return nil, context.Canceled
+	for _, canceled := range []bool{false, true} {
+		cells := resolveCells(t, []string{"icount", "stall", "dwarn", "flush", "dg", "pdg"}, []uint64{1})
+		key := cells[0].CheckpointKey
+		// A one-byte bound keeps only the newest image.
+		store := &countingCkptStore{inner: ckpt.NewMemStore(1)}
+		e := New(Options{Workers: 4, Checkpoints: store, Registry: obs.NewRegistry(),
+			// sim's restore-or-warm, with a cold warmup long enough that
+			// concurrent siblings all look up the store before it
+			// publishes. With canceled set, the stall cell is canceled
+			// mid-warmup.
+			Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+				cs := res.Options.Checkpoints
+				if _, ok := cs.Get(res.CheckpointKey); !ok {
+					if canceled && res.Spec.Policy.Name == "stall" {
+						return nil, context.Canceled
+					}
+					time.Sleep(30 * time.Millisecond)
+					cs.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
 				}
-				time.Sleep(30 * time.Millisecond)
-				cs.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
+				return fakeResult(res), nil
+			}})
+		if err := FirstError(e.Execute(context.Background(), cells[:1], nil)); err != nil {
+			t.Fatal(err)
+		}
+		other := "0123456789abcdef"
+		store.inner.Put(other, &ckpt.Image{Key: other})
+		if _, ok := store.inner.Get(key); ok {
+			t.Fatal("the group's image survived the eviction")
+		}
+		rest := cells[1:]
+		if canceled {
+			if err := FirstError(e.Execute(context.Background(), cells[1:2], nil)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled warmup: err %v", err)
 			}
-			return fakeResult(res), nil
-		}})
-	if err := FirstError(e.Execute(context.Background(), cells[:1], nil)); err != nil {
-		t.Fatal(err)
-	}
-	other := "0123456789abcdef"
-	store.inner.Put(other, &ckpt.Image{Key: other})
-	if _, ok := store.inner.Get(key); ok {
-		t.Fatal("the group's image survived the eviction")
-	}
-	if err := FirstError(e.Execute(context.Background(), cells[1:2], nil)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled warmup: err %v", err)
-	}
-	if err := FirstError(e.Execute(context.Background(), cells[2:], nil)); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.puts.Load(); got != 2 {
-		t.Errorf("publishes = %d, want 2 (the first warmup and one after the eviction)", got)
+			rest = cells[2:]
+		}
+		if err := FirstError(e.Execute(context.Background(), rest, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if got := store.puts.Load(); got != 2 {
+			t.Errorf("canceled=%v: publishes = %d, want 2 (the first warmup and one after the eviction)", canceled, got)
+		}
 	}
 }
 
 // TestWarmGatePublishedSetBounded: the published set stays within
 // maxPublished however many groups the gate sees.
 func TestWarmGatePublishedSetBounded(t *testing.T) {
-	g := newWarmGate()
+	g := newWarmGate(nil)
 	for i := 0; i < maxPublished+100; i++ {
 		g.release(fmt.Sprintf("%x", i))
 	}

@@ -1,10 +1,10 @@
 // Package exec is the one sweep execution layer under every frontend:
 // it takes resolved spec cells (a single run or a whole expanded grid),
 // runs them from one wait line drained by a bounded number of local
-// slots and by remote takers (the fabric), memoizes each cell
-// through a content-addressed Store keyed by sim.Fingerprint, streams
-// per-cell completion events, and assembles results deterministically
-// in input order regardless of completion order.
+// slots, memoizes each cell through a content-addressed Store keyed by
+// sim.Fingerprint, streams per-cell completion events, and assembles
+// results deterministically in input order regardless of completion
+// order.
 //
 // The CLI's -spec sweeps, the dwarnd service's sweep jobs, and the
 // experiment runner all execute through the same Executor, so they
@@ -37,18 +37,16 @@ import (
 
 // RunFunc computes one resolved cell. The default runs the simulator
 // (sim.RunContext); tests substitute failures and delays. The cell a
-// local slot hands Run is the executor's own copy, with
-// Options.Checkpoints already set to the gated checkpoint store (nil
-// when checkpointing is off), so every Run forks the same way, and
-// Options.Tapes to its group's tape set (see tapes.go).
+// slot hands Run is the executor's own copy, with Options.Checkpoints
+// already set to the gated checkpoint store (nil when checkpointing is
+// off), so every Run forks the same way, and Options.Tapes to its
+// group's tape set (see tapes.go).
 type RunFunc func(ctx context.Context, res *spec.Resolved) (*sim.Result, error)
 
 // Options configures an Executor.
 type Options struct {
-	// Workers is the number of local slots: leader cells simulated in
-	// this process at once (0 = GOMAXPROCS). Negative means none, so
-	// every cell waits in the line for a remote taker (see Take) and a
-	// trace-workload cell fails at once with ErrNoLocalSlots.
+	// Workers is the number of local slots: leader cells simulated at
+	// once (≤ 0 = GOMAXPROCS).
 	Workers int
 	// Store memoizes results across Execute calls (nil = fresh MemStore).
 	Store Store
@@ -69,10 +67,9 @@ type Options struct {
 	// sharing a spec.CheckpointKey are grouped, the group's first cell
 	// calibrates cold and publishes its program cores, and the rest
 	// fork from them — one calibration per (workload, seed) group per
-	// store lifetime, wherever the cells run. Run receives the gated
-	// store in res.Options.Checkpoints. It also enables shared tapes:
-	// the local runs of a group read one generated correct path
-	// (res.Options.Tapes).
+	// store lifetime. Run receives the gated store in
+	// res.Options.Checkpoints. It also enables shared tapes: the runs
+	// of a group read one generated correct path (res.Options.Tapes).
 	Checkpoints ckpt.Store
 }
 
@@ -145,50 +142,41 @@ type flight struct {
 	done chan struct{}
 	res  *sim.Result
 	err  error
-	job  *job // the leader's cell once it passed the warm gate; guarded by Executor.mu
 }
 
 // Executor runs cells from one wait line with single-flight
 // memoization. One Executor may serve many concurrent Execute calls —
 // the dwarnd service runs every sweep through one shared Executor so N
-// concurrent sweeps compete for the same local slots and remote takers
-// instead of multiplying them.
+// concurrent sweeps compete for the same local slots instead of
+// multiplying them.
 type Executor struct {
 	workers int
 	store   Store
 	run     RunFunc
 	met     *metrics
 	log     *obs.Logger
-	ckgate  *warmGate
-	ckpts   ckpt.Store // gated; nil when checkpointing is off
+	ckgate  *warmGate // the gated checkpoint store; nil when checkpointing is off
 
 	tapeBudget *workload.TapeBudget // nil when checkpointing is off
 
 	mu       sync.Mutex
 	inflight map[string]*flight
 	busy     int                          // local slots holding a cell
-	line     []*job                       // FIFO of leader cells; entries no longer waiting are stale
-	waiting  int                          // cells in the line still waiting
-	arrived  chan struct{}                // closed and replaced when a takeable cell joins the line
+	line     []chan struct{}              // waiting cells' slot grants, oldest first; see line.go
 	tapes    map[string]*workload.TapeSet // by checkpoint key; see tapes.go
 }
 
 // New builds an Executor.
 func New(opts Options) *Executor {
-	switch {
-	case opts.Workers == 0:
+	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	case opts.Workers < 0:
-		opts.Workers = 0
 	}
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
 	}
 	var ckgate *warmGate
-	var ckpts ckpt.Store
 	if opts.Checkpoints != nil {
-		ckgate = newWarmGate()
-		ckpts = gatedCkptStore{inner: opts.Checkpoints, gate: ckgate}
+		ckgate = newWarmGate(opts.Checkpoints)
 	}
 	if opts.Run == nil {
 		opts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
@@ -203,7 +191,6 @@ func New(opts Options) *Executor {
 		workers: opts.Workers,
 		log:     opts.Logger,
 		ckgate:  ckgate,
-		ckpts:   ckpts,
 		// Every store access — the executor's own memoization and
 		// callers going through Store(), like the service's submit-time
 		// precheck — counts into the hit/miss/put series.
@@ -211,7 +198,6 @@ func New(opts Options) *Executor {
 		run:      opts.Run,
 		met:      met,
 		inflight: make(map[string]*flight),
-		arrived:  make(chan struct{}),
 		tapes:    make(map[string]*workload.TapeSet),
 	}
 	if ckgate != nil {
@@ -223,10 +209,15 @@ func New(opts Options) *Executor {
 // Store returns the executor's result store.
 func (e *Executor) Store() Store { return e.store }
 
-// CheckpointStore returns the executor's gated checkpoint store (the
-// one Run receives in res.Options.Checkpoints), for serving it to
-// remote workers. Nil when checkpointing is off.
-func (e *Executor) CheckpointStore() ckpt.Store { return e.ckpts }
+// CheckpointStore returns the executor's gated checkpoint store, the
+// one Run receives in res.Options.Checkpoints, for a custom Run that
+// builds its own options. Nil when checkpointing is off.
+func (e *Executor) CheckpointStore() ckpt.Store {
+	if e.ckgate == nil {
+		return nil
+	}
+	return e.ckgate
+}
 
 // Workers returns the number of local slots.
 func (e *Executor) Workers() int { return e.workers }
@@ -354,9 +345,8 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 			return r, true, nil
 		}
 
-		// Leader: the cell waits in the line for a local slot or a
-		// remote taker.
-		f.res, f.err = e.lead(ctx, f, c, started)
+		// Leader: the cell waits in the line for a local slot.
+		f.res, f.err = e.lead(ctx, c, started)
 		if f.err == nil {
 			e.store.Put(fp, f.res)
 		}
@@ -368,11 +358,8 @@ func (e *Executor) cell(ctx context.Context, c *spec.Resolved, started func()) (
 // lead executes one leader cell. The cell's span is obs.CellSpan of
 // its fingerprint. The span rides the context into the run, so
 // sim's own "sim run" line carries the same trace/span pair as the
-// worker's lines here — local slot and remote taker alike.
-func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, started func()) (*sim.Result, error) {
-	if e.workers == 0 && c.Options.Trace != nil {
-		return nil, ErrNoLocalSlots
-	}
+// executor's lines here.
+func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (*sim.Result, error) {
 	fp := c.Fingerprint
 	runCtx := obs.WithSpan(ctx, obs.CellSpan(fp))
 	if e.log.Enabled(obs.LevelDebug) {
@@ -385,18 +372,18 @@ func (e *Executor) lead(ctx context.Context, f *flight, c *spec.Resolved, starte
 	// Checkpoint groups calibrate once: the group's first cell leads
 	// while siblings hold here (before joining the line, so a wide group
 	// never starves unrelated cells), then fork the instant the leader
-	// publishes its program cores — wherever the leader runs. The
-	// group's tapes are held from here until the cell leaves.
+	// publishes its program cores. The group's tapes are held from here
+	// until the cell leaves.
 	if e.ckgate != nil && c.CheckpointKey != "" {
 		e.holdTapes(c.CheckpointKey)
-		defer e.leaveTapes(f, c.CheckpointKey)
+		defer e.dropTapes(c.CheckpointKey)
 		leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
 		if gerr != nil {
 			return nil, gerr
 		}
 		defer leave()
 	}
-	res, err := e.wait(runCtx, f, c, started)
+	res, err := e.wait(runCtx, c, started)
 	dur := time.Since(runStart)
 	e.met.cellSeconds(c.Spec.Policy.Name).Observe(dur.Seconds())
 	if e.log.Enabled(obs.LevelDebug) {

@@ -13,8 +13,8 @@ import (
 )
 
 // TestDirStoreFingerprintSanitization: the store refuses keys that are
-// not lowercase-hex digests — it is fed fingerprints from network peers
-// (fabric workers sharing a directory with the coordinator), so a key
+// not lowercase-hex digests — its keys become file names in a directory
+// other processes may share (smtsim -store and dwarnd -store), so a key
 // must never be able to name a path outside the store.
 func TestDirStoreFingerprintSanitization(t *testing.T) {
 	dir := t.TempDir()

@@ -111,65 +111,3 @@ func TestLoneCellReadsPrivately(t *testing.T) {
 		}
 	}
 }
-
-// TestRemoteTakePassesTapeHoldBack: a cell handed to a remote taker
-// stops counting as company for the group's local runs, so a local run
-// whose siblings all run remotely is alone and gets no tape; a requeued
-// cell holds again. Once every cell has resolved the executor holds no
-// tapes.
-func TestRemoteTakePassesTapeHoldBack(t *testing.T) {
-	cells := resolveCells(t, []string{"icount", "stall", "flush"}, []uint64{2})
-	a, b, c := cells[0], cells[1], cells[2]
-	key := a.CheckpointKey
-	if key == "" || b.CheckpointKey != key || c.CheckpointKey != key {
-		t.Fatal("the cells do not share a checkpoint group")
-	}
-	cores, err := a.Options.Workload.Cores(a.Options.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := newBlockingRun(a)
-	ex := New(Options{
-		Workers: 1, Registry: obs.NewRegistry(), Checkpoints: ckpt.NewMemStore(0),
-		// The local leader publishes its group, releasing the siblings
-		// from the warm gate into the line, then holds its slot.
-		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-			res.Options.Checkpoints.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
-			return br.run(ctx, res)
-		},
-	})
-	ctx := context.Background()
-	ra := submit(ctx, ex, a, nil)
-	waitFor(t, "A on the local slot", func() bool { return len(br.ran()) == 1 })
-	rb, rc := submit(ctx, ex, b, nil), submit(ctx, ex, c, nil)
-	waitFor(t, "B and C in the line", func() bool { return ex.Waiting() == 2 })
-	set := ex.groupTapes(key)
-
-	takeOne(t, ex)
-	takeOne(t, ex)
-	if _, ok := set.Sources(cores); ok {
-		t.Fatal("with both siblings taken remotely, the local run still had company")
-	}
-	if !ex.Requeue(b.Fingerprint) {
-		t.Fatal("requeue of a taken cell refused")
-	}
-	if _, ok := set.Sources(cores); !ok {
-		t.Fatal("a requeued sibling did not count as company again")
-	}
-
-	close(br.gates[a.Fingerprint]) // B takes the freed local slot
-	if !ex.Resolve(c.Fingerprint, fakeResult(c), nil) {
-		t.Fatal("remote resolution of C refused")
-	}
-	for _, ch := range []<-chan CellResult{ra, rb, rc} {
-		if r := result(t, ch); r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	ex.mu.Lock()
-	held := len(ex.tapes)
-	ex.mu.Unlock()
-	if held != 0 {
-		t.Errorf("executor holds %d groups' tapes after every cell resolved", held)
-	}
-}

@@ -27,9 +27,7 @@ var ErrSaturated = errors.New("service: saturated")
 // expensive submission routes when the run queue or sweep admission
 // bound is already saturated (503 + Retry-After, before any body is
 // read), a request-body byte cap, and a server-wide handling deadline
-// for non-streaming routes. The fabric lease protocol (/v2/fabric/*)
-// is authenticated but exempt from the rate limiter and deadline —
-// heartbeats are frequent by design and the lease call long-polls.
+// for non-streaming routes.
 
 // retryAfterShed is the Retry-After hint on load-shed 503s: shed
 // clients should back off for at least a queue-drain quantum rather
@@ -161,9 +159,9 @@ func retryAfterHeader(wait time.Duration) string {
 }
 
 // streamingRoute reports routes that legitimately outlive any request
-// deadline: the sweep SSE stream and the fabric long-poll lease call.
+// deadline: the sweep SSE stream.
 func streamingRoute(route string) bool {
-	return route == "GET /v2/sweeps/{id}/events" || route == "POST /v2/fabric/lease"
+	return route == "GET /v2/sweeps/{id}/events"
 }
 
 // admitHandler wraps the API mux with the admission-control chain. It
@@ -187,8 +185,7 @@ func (s *Server) admitHandler() http.Handler {
 			return
 		}
 
-		fabricRPC := strings.HasPrefix(r.URL.Path, "/v2/fabric")
-		if s.limiter != nil && !fabricRPC {
+		if s.limiter != nil {
 			if ok, wait := s.limiter.allow(clientKey(r)); !ok {
 				s.metRateLimited.Inc()
 				w.Header().Set("Retry-After", retryAfterHeader(wait))
@@ -225,7 +222,7 @@ func (s *Server) admitHandler() http.Handler {
 			r.Body = http.MaxBytesReader(w, r.Body, limit)
 		}
 
-		if t := s.opts.RequestTimeout; t > 0 && !streamingRoute(route) && !fabricRPC {
+		if t := s.opts.RequestTimeout; t > 0 && !streamingRoute(route) {
 			ctx, cancel := context.WithTimeout(r.Context(), t)
 			defer cancel()
 			r = r.WithContext(ctx)

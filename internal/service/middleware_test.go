@@ -225,25 +225,6 @@ func TestLoadShedMatrix(t *testing.T) {
 	deleteStatus(t, ts, "/v2/sweeps/"+st.ID)
 }
 
-// Fabric RPC routes authenticate but are exempt from the rate limiter:
-// worker heartbeats are frequent by design.
-func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Workers: 1, RateLimit: 1, RateBurst: 1,
-		Fabric: &FabricOptions{},
-	})
-	// Exhaust the budget on an API route.
-	doGet(t, ts, "/v2/policies", "")
-	for i := 0; i < 5; i++ {
-		resp, _ := postJSON(t, ts, "/v2/fabric/lease", map[string]any{
-			"worker_id": "w-none", "max": 1, "wait_ms": 1,
-		})
-		if resp.StatusCode == http.StatusTooManyRequests {
-			t.Fatalf("fabric lease rate-limited on attempt %d", i)
-		}
-	}
-}
-
 // TestAdmissionRouteLiteralsAreRegistered: admitHandler and
 // streamingRoute compare the mux's matched pattern against string
 // literals. A literal naming no registered pattern never matches, which
@@ -252,7 +233,7 @@ func TestFabricRoutesExemptFromRateLimit(t *testing.T) {
 // functions must resolve to itself, and every path-prefix literal must
 // prefix a registered pattern.
 func TestAdmissionRouteLiteralsAreRegistered(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: 1, Fabric: &FabricOptions{}})
+	srv, _ := newTestServer(t, Options{Workers: 1})
 	f, err := parser.ParseFile(token.NewFileSet(), "middleware.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -277,9 +258,8 @@ func TestAdmissionRouteLiteralsAreRegistered(t *testing.T) {
 			return true
 		})
 	}
-	// The probes, both shed routes, the trace upload, the SSE stream
-	// and the fabric lease call.
-	if len(routes) < 7 || len(prefixes) == 0 {
+	// The probes, both shed routes, the trace upload and the SSE stream.
+	if len(routes) < 6 {
 		t.Fatalf("found routes %q and prefixes %q in middleware.go; the parse lost some", routes, prefixes)
 	}
 	wildcard := regexp.MustCompile(`\{[^}]+\}`)

@@ -14,7 +14,6 @@ import (
 	"dwarn/internal/ckpt"
 	"dwarn/internal/config"
 	"dwarn/internal/exec"
-	"dwarn/internal/fabric"
 	"dwarn/internal/journal"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
@@ -27,9 +26,7 @@ import (
 // Options configures a Server; zero values take the defaults below.
 type Options struct {
 	// Workers is the executor's local slot count, shared by every run
-	// and sweep cell (default 4). Negative means no local slots: with
-	// Fabric set, a pure coordinator whose cells all wait for remote
-	// workers (trace-workload cells then fail at once).
+	// and sweep cell (default 4).
 	Workers int
 	// QueueDepth bounds runs waiting for an executor slot (default
 	// 256); a run submitted beyond it fails fast with a 503.
@@ -66,11 +63,6 @@ type Options struct {
 	// forked runs are bit-identical to cold starts. dwarnd -store DIR
 	// chains a durable tier under DIR/ckpt so groups survive restarts.
 	Checkpoints ckpt.Store
-	// Fabric, when non-nil, embeds a distributed-sweep coordinator:
-	// remote `dwarnd -worker` processes lease cells from the executor's
-	// wait line next to the local slots, over the lease protocol served
-	// under /v2/fabric.
-	Fabric *FabricOptions
 	// Registry receives the server's metrics (HTTP, jobs, sweeps,
 	// cache, executor). Default: a fresh registry per server, so
 	// concurrent servers in one process (tests) never share counters.
@@ -85,14 +77,14 @@ type Options struct {
 	// token (compared in constant time); failures get 401.
 	AuthToken string
 	// RateLimit, when > 0, enforces a per-client token bucket of this
-	// many requests/second on non-fabric routes; rejected requests get
+	// many requests/second; rejected requests get
 	// 429 with a Retry-After hint.
 	RateLimit float64
 	// RateBurst is the rate limiter's bucket capacity (default
 	// max(2×RateLimit, 8)).
 	RateBurst int
-	// RequestTimeout bounds the handling time of non-streaming,
-	// non-fabric requests (0 disables; dwarnd defaults it to 30s).
+	// RequestTimeout bounds the handling time of non-streaming requests
+	// (0 disables; dwarnd defaults it to 30s).
 	RequestTimeout time.Duration
 	// Journal, when non-nil, durably records run and sweep admissions
 	// and terminal states; the Server appends to it as work is admitted
@@ -105,7 +97,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = 4
 	}
 	if o.QueueDepth <= 0 {
@@ -153,8 +145,7 @@ type Server struct {
 	// repeat request marshals the same *sim.Result, byte-for-byte.
 	cache  *store.Mem[*sim.Result]
 	traces *TraceStore
-	exec   *exec.Executor      // the one wait line every run and sweep cell executes from
-	fabric *fabric.Coordinator // non-nil when Options.Fabric is set
+	exec   *exec.Executor // the one wait line every run and sweep cell executes from
 	mux    *http.ServeMux
 	start  time.Time
 	reg    *obs.Registry
@@ -217,8 +208,7 @@ func New(opts Options) *Server {
 	// metrics (store hits/misses, dedup, per-policy cell times) land in
 	// the server's registry. With Options.Store the in-memory tier is
 	// chained over the durable one (misses refill the LRU, puts write
-	// both); with Options.Fabric remote workers take cells from the
-	// same line the local slots drain.
+	// both).
 	results := exec.Store(s.cache)
 	if opts.Store != nil {
 		results = store.Chain[*sim.Result]{s.cache, opts.Store}
@@ -231,16 +221,6 @@ func New(opts Options) *Server {
 		Run:         s.runCell,
 		Checkpoints: opts.Checkpoints,
 	})
-	if fo := opts.Fabric; fo != nil {
-		s.fabric = fabric.NewCoordinator(s.exec, fabric.Config{
-			LeaseTTL: fo.LeaseTTL,
-			Registry: s.reg,
-			Logger:   s.log,
-			// The executor's gated store, so an image a remote worker
-			// publishes releases the group's waiting siblings at once.
-			Checkpoints: s.exec.CheckpointStore(),
-		})
-	}
 	s.registerGauges()
 	s.routes()
 	s.recoverFromJournal()
@@ -289,12 +269,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.stopAll()
 		<-drained
 		err = ctx.Err()
-	}
-	// The fabric closes after the records drain: every cell is resolved
-	// by then, so closing only tells remote workers (on their next RPC)
-	// to back off.
-	if s.fabric != nil {
-		s.fabric.Close()
 	}
 	// Compact the journal down to whatever is still unfinished (after a
 	// clean drain: nothing, leaving just the header) and close it. A

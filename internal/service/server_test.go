@@ -252,27 +252,33 @@ func TestCatalogEndpoints(t *testing.T) {
 }
 
 // TestRetiredAPIRoutesAreGone: every route of the retired first API
-// version answers 404; /v2 is the only HTTP API.
+// version and of the retired distributed fabric answers 404; /v2 is the
+// only HTTP API.
 func TestRetiredAPIRoutesAreGone(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
-	const retired = "/v1"
 	routes := []struct{ method, path string }{
-		{http.MethodGet, "/policies"},
-		{http.MethodGet, "/machines"},
-		{http.MethodGet, "/workloads"},
-		{http.MethodGet, "/benchmarks"},
-		{http.MethodPost, "/simulations"},
-		{http.MethodGet, "/simulations"},
-		{http.MethodGet, "/simulations/sim-000001"},
-		{http.MethodDelete, "/simulations/sim-000001"},
-		{http.MethodPost, "/sweeps"},
-		{http.MethodGet, "/sweeps/sweep-000001"},
-		{http.MethodPost, "/traces"},
-		{http.MethodGet, "/traces"},
-		{http.MethodGet, "/traces/0123456789abcdef"},
+		{http.MethodGet, "/v1/policies"},
+		{http.MethodGet, "/v1/machines"},
+		{http.MethodGet, "/v1/workloads"},
+		{http.MethodGet, "/v1/benchmarks"},
+		{http.MethodPost, "/v1/simulations"},
+		{http.MethodGet, "/v1/simulations"},
+		{http.MethodGet, "/v1/simulations/sim-000001"},
+		{http.MethodDelete, "/v1/simulations/sim-000001"},
+		{http.MethodPost, "/v1/sweeps"},
+		{http.MethodGet, "/v1/sweeps/sweep-000001"},
+		{http.MethodPost, "/v1/traces"},
+		{http.MethodGet, "/v1/traces"},
+		{http.MethodGet, "/v1/traces/0123456789abcdef"},
+		{http.MethodGet, "/v2/fabric"},
+		{http.MethodPost, "/v2/fabric/lease"},
+		{http.MethodPost, "/v2/fabric/heartbeat"},
+		{http.MethodPost, "/v2/fabric/complete"},
+		{http.MethodGet, "/v2/fabric/ckpt/0123456789abcdef"},
+		{http.MethodPost, "/v2/fabric/ckpt/0123456789abcdef"},
 	}
 	for _, rt := range routes {
-		req, err := http.NewRequest(rt.method, ts.URL+retired+rt.path, strings.NewReader(`{"policy":"dwarn","workload":"2-MIX"}`))
+		req, err := http.NewRequest(rt.method, ts.URL+rt.path, strings.NewReader(`{"policy":"dwarn","workload":"2-MIX"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +288,7 @@ func TestRetiredAPIRoutesAreGone(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s %s%s: status %d, want 404", rt.method, retired, rt.path, resp.StatusCode)
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
 		}
 	}
 }

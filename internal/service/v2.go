@@ -47,11 +47,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v2/traces", s.handleUploadTrace)
 	s.mux.HandleFunc("GET /v2/traces", s.handleListTraces)
 	s.mux.HandleFunc("GET /v2/traces/{id}", s.handleGetTrace)
-	if s.fabric != nil {
-		s.fabric.Routes(s.mux)
-	} else {
-		s.mux.HandleFunc("GET /v2/fabric", s.handleFabricDisabled)
-	}
 }
 
 // handlePolicies lists the registry with its declared parameters —

@@ -51,6 +51,22 @@ func waitGoroutines(t *testing.T, base int, label string) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 consecutive 1 ms polls (or after 5 s), so goroutines of earlier
+// tests that are still exiting do not inflate a baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); still < 20 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestReadAheadProducersEnd: the deferred stop in runContext ends every
 // producer on every exit path — a normal return, a context cancelled
 // mid-measure, and a checkpoint fallback that recalibrated the cores.
@@ -60,7 +76,7 @@ func TestReadAheadProducersEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Options{Policy: "dwarn", Workload: wl, Seed: 7, WarmupCycles: 1500, MeasureCycles: 4000}
-	goroutines := runtime.NumGoroutine()
+	goroutines := settledGoroutines()
 
 	// Normal return. The timeline hook observes the producers mid-run.
 	normal := base

@@ -29,8 +29,8 @@ type Store[V any] interface {
 }
 
 // ValidKey is the one gate on keys: 1 to 128 lowercase hex characters.
-// Keys arrive from network peers and become file names, so anything
-// else — path separators, dots, upper case, "" — is refused.
+// Keys become file names in a directory other processes may share, so
+// anything else — path separators, dots, upper case, "" — is refused.
 func ValidKey(key string) bool {
 	if len(key) == 0 || len(key) > 128 {
 		return false

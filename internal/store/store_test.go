@@ -284,8 +284,8 @@ func conform[V any](t *testing.T, k kind[V]) {
 }
 
 // concurrentOpeners hammers one directory through several independently
-// opened stores (the multi-process sharing pattern: a coordinator and
-// fabric workers pointed at the same -store DIR) from many goroutines
+// opened stores (the multi-process sharing pattern: smtsim and dwarnd
+// processes pointed at the same -store DIR) from many goroutines
 // under -race. Every Get must observe either a miss or a complete,
 // self-consistent entry — never a torn write — and the directory must
 // end up holding exactly the final entries with no temp litter.
