@@ -40,7 +40,7 @@ import (
 // slot hands Run is the executor's own copy, with Options.Checkpoints
 // already set to the gated checkpoint store (nil when checkpointing is
 // off), so every Run forks the same way, and Options.Tapes to its
-// group's tape set (see tapes.go).
+// checkpoint group's tape set (see group.go).
 type RunFunc func(ctx context.Context, res *spec.Resolved) (*sim.Result, error)
 
 // Options configures an Executor.
@@ -70,6 +70,7 @@ type Options struct {
 	// store lifetime. Run receives the gated store in
 	// res.Options.Checkpoints. It also enables shared tapes: the runs
 	// of a group read one generated correct path (res.Options.Tapes).
+	// See group.go.
 	Checkpoints ckpt.Store
 }
 
@@ -155,15 +156,15 @@ type Executor struct {
 	run     RunFunc
 	met     *metrics
 	log     *obs.Logger
-	ckgate  *warmGate // the gated checkpoint store; nil when checkpointing is off
+	ckpts   ckpt.Store // the shared checkpoint tiers; nil when checkpointing is off
 
 	tapeBudget *workload.TapeBudget // nil when checkpointing is off
 
 	mu       sync.Mutex
 	inflight map[string]*flight
-	busy     int                          // local slots holding a cell
-	line     []chan struct{}              // waiting cells' slot grants, oldest first; see line.go
-	tapes    map[string]*workload.TapeSet // by checkpoint key; see tapes.go
+	busy     int               // local slots holding a cell
+	line     []chan struct{}   // waiting cells' slot grants, oldest first; see line.go
+	groups   map[string]*group // by checkpoint key; see group.go
 }
 
 // New builds an Executor.
@@ -173,10 +174,6 @@ func New(opts Options) *Executor {
 	}
 	if opts.Store == nil {
 		opts.Store = NewMemStore()
-	}
-	var ckgate *warmGate
-	if opts.Checkpoints != nil {
-		ckgate = newWarmGate(opts.Checkpoints)
 	}
 	if opts.Run == nil {
 		opts.Run = func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
@@ -190,7 +187,7 @@ func New(opts Options) *Executor {
 	e := &Executor{
 		workers: opts.Workers,
 		log:     opts.Logger,
-		ckgate:  ckgate,
+		ckpts:   opts.Checkpoints,
 		// Every store access — the executor's own memoization and
 		// callers going through Store(), like the service's submit-time
 		// precheck — counts into the hit/miss/put series.
@@ -198,9 +195,9 @@ func New(opts Options) *Executor {
 		run:      opts.Run,
 		met:      met,
 		inflight: make(map[string]*flight),
-		tapes:    make(map[string]*workload.TapeSet),
+		groups:   make(map[string]*group),
 	}
-	if ckgate != nil {
+	if e.ckpts != nil {
 		e.tapeBudget = workload.NewTapeBudget()
 	}
 	return e
@@ -213,10 +210,10 @@ func (e *Executor) Store() Store { return e.store }
 // one Run receives in res.Options.Checkpoints, for a custom Run that
 // builds its own options. Nil when checkpointing is off.
 func (e *Executor) CheckpointStore() ckpt.Store {
-	if e.ckgate == nil {
+	if e.ckpts == nil {
 		return nil
 	}
-	return e.ckgate
+	return gatedStore{e}
 }
 
 // Workers returns the number of local slots.
@@ -369,21 +366,23 @@ func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (
 	}
 
 	runStart := time.Now()
+	cell := *c // Run's copy forks from the gated store and reads the group's tapes
+	cell.Options.Checkpoints = e.CheckpointStore()
 	// Checkpoint groups calibrate once: the group's first cell leads
 	// while siblings hold here (before joining the line, so a wide group
 	// never starves unrelated cells), then fork the instant the leader
-	// publishes its program cores. The group's tapes are held from here
-	// until the cell leaves.
-	if e.ckgate != nil && c.CheckpointKey != "" {
-		e.holdTapes(c.CheckpointKey)
-		defer e.dropTapes(c.CheckpointKey)
-		leave, gerr := e.ckgate.enter(ctx, c.CheckpointKey)
+	// publishes its program cores. The cell is in its group's record
+	// from here until it leaves.
+	if e.ckpts != nil && c.CheckpointKey != "" {
+		g := e.join(c.CheckpointKey)
+		lead, gerr := e.gate(ctx, c.CheckpointKey, g)
+		defer e.leave(c.CheckpointKey, g, lead)
 		if gerr != nil {
 			return nil, gerr
 		}
-		defer leave()
+		cell.Options.Tapes = g.tapes
 	}
-	res, err := e.wait(runCtx, c, started)
+	res, err := e.wait(runCtx, &cell, started)
 	dur := time.Since(runStart)
 	e.met.cellSeconds(c.Spec.Policy.Name).Observe(dur.Seconds())
 	if e.log.Enabled(obs.LevelDebug) {

@@ -14,9 +14,9 @@ import (
 // slot whose cell finished hands itself to the cell at the head, so
 // cells start in the order they arrived.
 
-// wait holds a leader cell until a local slot takes it, then runs it on
-// that slot. A cell canceled while it waits leaves the line without
-// starting.
+// wait holds a leader cell (Run's copy, prepared by lead) until a local
+// slot takes it, then runs it on that slot. A cell canceled while it
+// waits leaves the line without starting.
 func (e *Executor) wait(ctx context.Context, c *spec.Resolved, started func()) (*sim.Result, error) {
 	e.mu.Lock()
 	if e.busy < e.workers {
@@ -39,12 +39,9 @@ func (e *Executor) wait(ctx context.Context, c *spec.Resolved, started func()) (
 	if started != nil {
 		started()
 	}
-	cell := *c // Run's copy forks from the gated store and reads the group's tapes
-	cell.Options.Checkpoints = e.CheckpointStore()
-	cell.Options.Tapes = e.groupTapes(c.CheckpointKey)
 	e.met.workersBusy.Inc()
 	defer e.met.workersBusy.Dec()
-	return e.run(ctx, &cell)
+	return e.run(ctx, c)
 }
 
 // leaveLine takes a canceled cell's grant out of the line, or passes on

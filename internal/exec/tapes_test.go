@@ -18,8 +18,8 @@ import (
 // generated is on it (so no chunk was generated twice, and no cell
 // generated its own correct path), the cells read each chunk several
 // times over, and every result matches a private run bit for bit.
-// Once Execute returns, the executor holds no tapes and its budget is
-// empty.
+// Once Execute returns, the executor holds no group record and its
+// budget is empty.
 func TestGroupGeneratesEachChunkOnce(t *testing.T) {
 	var cells []*spec.Resolved
 	for _, p := range core.PaperPolicies() {
@@ -82,10 +82,10 @@ func TestGroupGeneratesEachChunkOnce(t *testing.T) {
 	}
 
 	ex.mu.Lock()
-	held := len(ex.tapes)
+	held := len(ex.groups)
 	ex.mu.Unlock()
 	if held != 0 {
-		t.Errorf("executor holds %d groups' tapes after Execute", held)
+		t.Errorf("executor holds %d group records after Execute", held)
 	}
 	if used := ex.tapeBudget.Used(); used != 0 {
 		t.Errorf("tape budget holds %d bytes after Execute, want 0", used)
