@@ -115,7 +115,7 @@ func BenchmarkSimulatorCycleRate(b *testing.B) {
 		b.Run(wn, func(b *testing.B) {
 			wl, _ := workload.GetWorkload(wn)
 			gens, _ := wl.Generators(42)
-			cpu, err := pipeline.New(config.Baseline(), core.NewICOUNT(), gens)
+			cpu, err := pipeline.New(config.Baseline(), core.MustNewPolicy("icount"), gens)
 			if err != nil {
 				b.Fatal(err)
 			}

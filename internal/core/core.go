@@ -4,11 +4,11 @@
 // (El-Moursy & Albonesi), and the paper's contribution, DWarn, plus a
 // prioritisation-only DWarn variant used for ablation.
 //
-// Every policy is built on top of ICOUNT ordering, as in the paper. The
-// policies differ in their detection moment (fetch-time prediction, L1
-// miss, L2 miss, or a latency threshold) and their response action
-// (gating, flushing, resource limiting, or priority reduction) — the
-// paper's Table 1 taxonomy.
+// Every policy is one Policy: ICOUNT ordering under a shared response,
+// driven by a policy-specific detector. The detector is the paper's
+// Table 1 detection moment (fetch-time prediction, L1 miss, L2 miss, or
+// a latency threshold); it sorts each thread into normal, demoted or
+// gated once per cycle, and Priority turns that into the fetch order.
 package core
 
 import (
@@ -43,8 +43,30 @@ func icountOrder(cpu *pipeline.CPU, now int64, tids []int) {
 	}
 }
 
-// nopEvents provides no-op implementations of the event hooks so simple
-// policies only override what they need.
+// detector is one policy's detection moment: it receives the pipeline
+// events it needs and classifies every thread once per cycle. Gates it
+// sets clear at reset; trained state (PDG's predictor) may persist.
+type detector interface {
+	OnFetch(inst *pipeline.DynInst, now int64)
+	OnLoadAccess(inst *pipeline.DynInst, now int64)
+	OnL2Miss(inst *pipeline.DynInst, now int64)
+	OnLoadReturning(inst *pipeline.DynInst, now int64)
+	OnLoadReturn(inst *pipeline.DynInst, now int64)
+	OnSquash(inst *pipeline.DynInst, now int64)
+	Tick(now int64)
+
+	// attach sizes per-thread state for cpu.
+	attach(cpu *pipeline.CPU)
+	// reset clears every gate.
+	reset()
+	// classify writes every thread's class for this cycle.
+	classify(class []pipeline.GateClass)
+	// params renders the detector's tuning (pipeline.ParameterizedPolicy).
+	params() string
+}
+
+// nopEvents provides no-op event hooks and reset so detectors only
+// override what they need.
 type nopEvents struct{}
 
 func (nopEvents) OnFetch(*pipeline.DynInst, int64)         {}
@@ -54,32 +76,96 @@ func (nopEvents) OnLoadReturning(*pipeline.DynInst, int64) {}
 func (nopEvents) OnLoadReturn(*pipeline.DynInst, int64)    {}
 func (nopEvents) OnSquash(*pipeline.DynInst, int64)        {}
 func (nopEvents) Tick(int64)                               {}
+func (nopEvents) reset()                                   {}
 
-// ICOUNT is the baseline policy: fetch priority to the threads with the
-// fewest in-flight pre-issue instructions (Tullsen et al.). It has no
-// awareness of cache misses.
-type ICOUNT struct {
-	nopEvents
-	cpu *pipeline.CPU
+// Policy is a fetch policy: a detector under the shared ICOUNT-group
+// response. Build one through the registry (NewPolicyParams,
+// MustNewPolicy); each simulation needs its own instance. The
+// detector's event hooks satisfy pipeline.FetchPolicy by promotion.
+type Policy struct {
+	detector
+	name string
+	// keepOne lists the best gated thread when no thread is normal or
+	// demoted (the paper's STALL/FLUSH rule: the mechanism always keeps
+	// one thread running). DG and PDG gate strictly.
+	keepOne bool
+	cpu     *pipeline.CPU
+	// class is each thread's group from the latest Priority call;
+	// demoted is Priority's scratch. Both are sized at Attach so the
+	// per-cycle path never allocates.
+	class   []pipeline.GateClass
+	demoted []int
 }
-
-// NewICOUNT returns the ICOUNT baseline policy.
-func NewICOUNT() *ICOUNT { return &ICOUNT{} }
 
 // Name implements pipeline.FetchPolicy.
-func (p *ICOUNT) Name() string { return "ICOUNT" }
+func (p *Policy) Name() string { return p.name }
+
+// Params implements pipeline.ParameterizedPolicy; it is empty for
+// ICOUNT, which has no parameters.
+func (p *Policy) Params() string { return p.detector.params() }
 
 // Attach implements pipeline.FetchPolicy.
-func (p *ICOUNT) Attach(cpu *pipeline.CPU) { p.cpu = cpu }
+func (p *Policy) Attach(cpu *pipeline.CPU) {
+	n := cpu.NumThreads()
+	p.cpu = cpu
+	p.class = make([]pipeline.GateClass, n)
+	p.demoted = make([]int, 0, n)
+	p.detector.attach(cpu)
+}
 
 // Reset implements pipeline.FetchPolicy.
-func (p *ICOUNT) Reset() {}
+func (p *Policy) Reset() { p.detector.reset() }
 
-// Priority implements pipeline.FetchPolicy: all threads, ICOUNT order.
-func (p *ICOUNT) Priority(now int64, dst []int) []int {
-	for t := 0; t < p.cpu.NumThreads(); t++ {
-		dst = append(dst, t)
+// Priority implements pipeline.FetchPolicy, the shared response: normal
+// threads first, then demoted threads, ICOUNT order within each group;
+// gated threads are left out, except that a keepOne policy lists the
+// best gated thread when nothing else may fetch. That thread stays
+// classified gated: attribution charges the policy's decision, not the
+// liveness escape hatch.
+func (p *Policy) Priority(now int64, dst []int) []int {
+	p.detector.classify(p.class)
+	out := dst
+	demoted := p.demoted[:0]
+	for t, c := range p.class {
+		switch c {
+		case pipeline.GateNormal:
+			out = append(out, t)
+		case pipeline.GateDemoted:
+			demoted = append(demoted, t)
+		}
 	}
-	icountOrder(p.cpu, now, dst)
-	return dst
+	icountOrder(p.cpu, now, out)
+	if len(demoted) > 0 {
+		icountOrder(p.cpu, now, demoted)
+		out = append(out, demoted...)
+	}
+	if len(out) == 0 && p.keepOne {
+		// Nothing is normal or demoted, so every thread is gated.
+		for t := range p.class {
+			out = append(out, t)
+		}
+		icountOrder(p.cpu, now, out)
+		out = out[:1]
+	}
+	return out
 }
+
+// GateClass implements pipeline.ClassifyingPolicy: the thread's class
+// as recorded by the latest Priority call.
+func (p *Policy) GateClass(t int) pipeline.GateClass { return p.class[t] }
+
+// gatedIf is the class of a detector that only gates.
+func gatedIf(gate bool) pipeline.GateClass {
+	if gate {
+		return pipeline.GateGated
+	}
+	return pipeline.GateNormal
+}
+
+// icount is ICOUNT's detector (Tullsen et al.): no trigger, so every
+// thread stays normal and fetch follows the pre-issue count alone.
+type icount struct{ nopEvents }
+
+func (icount) attach(*pipeline.CPU)          {}
+func (icount) classify([]pipeline.GateClass) {} // Attach zeroes class: all normal
+func (icount) params() string                { return "" }

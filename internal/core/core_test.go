@@ -242,24 +242,39 @@ func TestDWarnPrioNeverGates(t *testing.T) {
 	}
 }
 
+// TestThresholdVariantsConstruct builds default and tuned variants
+// through the registry and pins their Name() and Params() renderings:
+// content-addressed caches fold both into their keys.
 func TestThresholdVariantsConstruct(t *testing.T) {
-	if NewSTALLThreshold(25).Name() != "STALL" {
-		t.Error("threshold STALL misnamed")
-	}
-	if NewFLUSHThreshold(25).Name() != "FLUSH" {
-		t.Error("threshold FLUSH misnamed")
-	}
-	if NewDGThreshold(2).Name() != "DG" {
-		t.Error("threshold DG misnamed")
-	}
-	if NewPDGThreshold(2).Name() != "PDG" {
-		t.Error("threshold PDG misnamed")
+	for _, c := range []struct {
+		reg    string
+		params map[string]int64
+		name   string
+		want   string
+	}{
+		{"icount", nil, "ICOUNT", ""},
+		{"stall", nil, "STALL", "threshold=15"},
+		{"stall", map[string]int64{"threshold": 25}, "STALL", "threshold=25"},
+		{"flush", map[string]int64{"threshold": 25}, "FLUSH", "threshold=25"},
+		{"dg", nil, "DG", "n=0"},
+		{"dg", map[string]int64{"n": 2}, "DG", "n=2"},
+		{"pdg", map[string]int64{"n": 2}, "PDG", "n=2"},
+		{"dwarn", nil, "DWarn", "hybrid=true|warn=1"},
+		{"dwarn-prio", map[string]int64{"warn": 2}, "DWarn-Prio", "hybrid=false|warn=2"},
+	} {
+		p, err := NewPolicyParams(c.reg, c.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() != c.name || p.Params() != c.want {
+			t.Errorf("%s %v: Name %q Params %q, want %q %q", c.reg, c.params, p.Name(), p.Params(), c.name, c.want)
+		}
 	}
 }
 
 func TestPDGCountsStayBalanced(t *testing.T) {
 	cpu := buildCPU(t, "4-MEM", "pdg")
-	pdg := cpu.Policy().(*PDG)
+	pdg := cpu.Policy().(*Policy).detector.(*pdg)
 	cpu.Run(40000)
 	for tid, c := range pdg.count {
 		if c < 0 {

@@ -7,172 +7,104 @@ import (
 	"dwarn/internal/pipeline"
 )
 
-// DefaultGateThreshold is the outstanding-miss count above which DG and
-// PDG gate a thread. The paper (following El-Moursy & Albonesi) uses
-// n = 0: a thread is gated on its first outstanding L1 data miss.
-const DefaultGateThreshold = 0
-
-// DG is data gating: a thread with more than n outstanding L1 data
+// dg is data gating: a thread with more than n outstanding L1 data
 // misses is fetch-gated until the misses resolve. The detection moment
-// is the L1 tag check; the response action is a full gate — too strict
-// when thread-level parallelism is low, which is exactly the behaviour
-// the paper exploits in its comparison.
-type DG struct {
+// is the L1 tag check (the same in-flight counter DWarn reads); the
+// response is a full gate — too strict when thread-level parallelism is
+// low, which is exactly the behaviour the paper exploits in its
+// comparison. The paper (after El-Moursy & Albonesi) uses n = 0.
+type dg struct {
 	nopEvents
 	cpu *pipeline.CPU
 	n   int
 }
 
-// NewDG returns DG with the paper's n = 0 threshold.
-func NewDG() *DG { return NewDGThreshold(DefaultGateThreshold) }
+func (d *dg) params() string           { return fmt.Sprintf("n=%d", d.n) }
+func (d *dg) attach(cpu *pipeline.CPU) { d.cpu = cpu }
 
-// NewDGThreshold returns DG gating threads with more than n outstanding
-// L1 data misses (used by the ablation sweep).
-func NewDGThreshold(n int) *DG { return &DG{n: n} }
-
-// Name implements pipeline.FetchPolicy.
-func (p *DG) Name() string { return "DG" }
-
-// Params implements pipeline.ParameterizedPolicy.
-func (p *DG) Params() string { return fmt.Sprintf("n=%d", p.n) }
-
-// Attach implements pipeline.FetchPolicy.
-func (p *DG) Attach(cpu *pipeline.CPU) { p.cpu = cpu }
-
-// Reset implements pipeline.FetchPolicy.
-func (p *DG) Reset() {}
-
-// Priority implements pipeline.FetchPolicy: ICOUNT order over the
-// threads at or below the gating threshold. The in-flight miss counter
-// lives in the pipeline (it is the same hardware counter DWarn uses).
-func (p *DG) Priority(now int64, dst []int) []int {
-	for t := 0; t < p.cpu.NumThreads(); t++ {
-		if p.cpu.L1DMissInFlight(t) <= p.n {
-			dst = append(dst, t)
-		}
+func (d *dg) classify(class []pipeline.GateClass) {
+	for t := range class {
+		class[t] = gatedIf(d.cpu.L1DMissInFlight(t) > d.n)
 	}
-	icountOrder(p.cpu, now, dst)
-	return dst
-}
-
-// GateClass implements pipeline.ClassifyingPolicy: gated strictly
-// above the threshold, never demoted.
-func (p *DG) GateClass(t int) pipeline.GateClass {
-	if p.cpu.L1DMissInFlight(t) > p.n {
-		return pipeline.GateGated
-	}
-	return pipeline.GateNormal
 }
 
 // pdgTableSize is the per-thread L1 miss predictor size (2-bit
 // saturating counters indexed by load PC).
 const pdgTableSize = 2048
 
-// PDG is predictive data gating: an L1 miss predictor consulted at
+// pdg is predictive data gating: an L1 miss predictor consulted at
 // fetch. A thread is gated while (#in-flight loads predicted to miss +
 // #loads predicted to hit that actually missed) exceeds n. Earlier than
 // DG but exposed to predictor error and to load serialisation — the two
 // failure modes the paper measures.
-type PDG struct {
+type pdg struct {
 	nopEvents
-	cpu   *pipeline.CPU
 	n     int
 	table [][]uint8
 	count []int
 }
 
-// NewPDG returns PDG with the paper's n = 0 threshold.
-func NewPDG() *PDG { return NewPDGThreshold(DefaultGateThreshold) }
+func (d *pdg) params() string { return fmt.Sprintf("n=%d", d.n) }
 
-// NewPDGThreshold returns PDG with a custom gating threshold.
-func NewPDGThreshold(n int) *PDG { return &PDG{n: n} }
-
-// Name implements pipeline.FetchPolicy.
-func (p *PDG) Name() string { return "PDG" }
-
-// Params implements pipeline.ParameterizedPolicy.
-func (p *PDG) Params() string { return fmt.Sprintf("n=%d", p.n) }
-
-// Attach implements pipeline.FetchPolicy.
-func (p *PDG) Attach(cpu *pipeline.CPU) {
-	p.cpu = cpu
-	p.table = make([][]uint8, cpu.NumThreads())
-	for i := range p.table {
-		p.table[i] = make([]uint8, pdgTableSize)
+func (d *pdg) attach(cpu *pipeline.CPU) {
+	d.table = make([][]uint8, cpu.NumThreads())
+	for i := range d.table {
+		d.table[i] = make([]uint8, pdgTableSize)
 	}
-	p.count = make([]int, cpu.NumThreads())
+	d.count = make([]int, cpu.NumThreads())
 }
 
-// Reset implements pipeline.FetchPolicy: gates clear, the trained
-// predictor persists (it is microarchitectural state).
-func (p *PDG) Reset() {
-	for i := range p.count {
-		p.count[i] = 0
+// reset clears the gates; the trained predictor persists (it is
+// microarchitectural state).
+func (d *pdg) reset() {
+	for i := range d.count {
+		d.count[i] = 0
 	}
 }
 
-func (p *PDG) idx(pc uint64) int { return int(pc>>2) & (pdgTableSize - 1) }
+func (d *pdg) idx(pc uint64) int { return int(pc>>2) & (pdgTableSize - 1) }
 
-// OnFetch implements pipeline.FetchPolicy: predict each fetched load.
-func (p *PDG) OnFetch(inst *pipeline.DynInst, now int64) {
+// OnFetch predicts each fetched load; a predicted miss counts at once.
+func (d *pdg) OnFetch(inst *pipeline.DynInst, now int64) {
 	if inst.U.Class != isa.Load {
 		return
 	}
-	ctr := p.table[inst.Thread][p.idx(inst.U.PC)]
-	if ctr >= 2 {
-		inst.PredictedMiss = true
+	if d.table[inst.Thread][d.idx(inst.U.PC)] >= 2 {
 		inst.PolicyCounted = true
-		p.count[inst.Thread]++
+		d.count[inst.Thread]++
 	}
 }
 
-// OnLoadAccess implements pipeline.FetchPolicy: train the predictor on
-// the actual outcome; count surprise misses (predicted hit, missed).
-func (p *PDG) OnLoadAccess(inst *pipeline.DynInst, now int64) {
-	tbl := p.table[inst.Thread]
-	i := p.idx(inst.U.PC)
+// OnLoadAccess trains the predictor on the actual outcome and counts
+// surprise misses (predicted hit, missed).
+func (d *pdg) OnLoadAccess(inst *pipeline.DynInst, now int64) {
+	tbl := d.table[inst.Thread]
+	i := d.idx(inst.U.PC)
 	if inst.MemRes.SawMiss() {
 		if tbl[i] < 3 {
 			tbl[i]++
 		}
 		if !inst.PolicyCounted {
 			inst.PolicyCounted = true
-			p.count[inst.Thread]++
+			d.count[inst.Thread]++
 		}
 	} else if tbl[i] > 0 {
 		tbl[i]--
 	}
 }
 
-// OnLoadReturn implements pipeline.FetchPolicy.
-func (p *PDG) OnLoadReturn(inst *pipeline.DynInst, now int64) { p.release(inst) }
+func (d *pdg) OnLoadReturn(inst *pipeline.DynInst, now int64) { d.release(inst) }
+func (d *pdg) OnSquash(inst *pipeline.DynInst, now int64)     { d.release(inst) }
 
-// OnSquash implements pipeline.FetchPolicy.
-func (p *PDG) OnSquash(inst *pipeline.DynInst, now int64) { p.release(inst) }
-
-func (p *PDG) release(inst *pipeline.DynInst) {
+func (d *pdg) release(inst *pipeline.DynInst) {
 	if inst.PolicyCounted {
 		inst.PolicyCounted = false
-		p.count[inst.Thread]--
+		d.count[inst.Thread]--
 	}
 }
 
-// Priority implements pipeline.FetchPolicy.
-func (p *PDG) Priority(now int64, dst []int) []int {
-	for t := 0; t < p.cpu.NumThreads(); t++ {
-		if p.count[t] <= p.n {
-			dst = append(dst, t)
-		}
+func (d *pdg) classify(class []pipeline.GateClass) {
+	for t := range class {
+		class[t] = gatedIf(d.count[t] > d.n)
 	}
-	icountOrder(p.cpu, now, dst)
-	return dst
-}
-
-// GateClass implements pipeline.ClassifyingPolicy: gated while the
-// predicted-miss count exceeds the threshold.
-func (p *PDG) GateClass(t int) pipeline.GateClass {
-	if p.count[t] > p.n {
-		return pipeline.GateGated
-	}
-	return pipeline.GateNormal
 }

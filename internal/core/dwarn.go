@@ -6,155 +6,81 @@ import (
 	"dwarn/internal/pipeline"
 )
 
-// DWarn is the paper's contribution. Detection moment: the L1 data-miss
+// dwarn is the paper's contribution. Detection moment: the L1 data-miss
 // tag check (reliable — every L2 miss was first an L1 miss — and early).
-// Response action: *reduce priority* rather than gate. Each cycle the
-// threads are classified by the per-context in-flight L1 data-miss
-// counter into the Normal group (counter zero) and the Dmiss group
-// (counter positive); fetch serves Normal threads first, ICOUNT order
-// within each group, so Dmiss threads get slots only when the Normal
-// threads cannot fill the fetch bandwidth.
+// Response action: *reduce priority* rather than gate. A thread with at
+// least warn in-flight L1 data misses (the per-context counter) is
+// demoted to the Dmiss group, so it gets fetch slots only when the
+// normal threads cannot fill the fetch bandwidth.
 //
 // Hybrid response (the full DWarn of §3): with fewer than three running
 // threads, priority reduction alone cannot keep a Dmiss thread out of a
 // 2.8 fetch engine's spare slots, so a load that *actually* misses in
 // L2 (the L2 tag-check signal) additionally gates its thread until the
 // data returns. With three or more threads only prioritisation is used;
-// threads are never fully stalled.
-type DWarn struct {
+// threads are never fully stalled. DWarn-Prio, the ablation, never gates.
+type dwarn struct {
 	nopEvents
 	cpu *pipeline.CPU
-	// hybrid enables the <3-thread L2-miss gate; disabled for the
-	// DWarn-Prio ablation variant.
-	hybrid bool
+	// hybrid enables the <3-thread L2-miss gate; gate is whether it
+	// applies on the attached CPU.
+	hybrid, gate bool
 	// warn is the in-flight L1 data-miss count at which a thread is
-	// classified into the Dmiss group. The paper warns on the first miss
-	// (warn = 1); higher values tolerate short miss bursts before
-	// demoting the thread, the §5-style sensitivity axis the registry's
-	// "warn" parameter sweeps.
+	// demoted. The paper warns on the first miss (warn = 1); higher
+	// values tolerate short miss bursts, the sensitivity axis the
+	// registry's "warn" parameter sweeps.
 	warn int
 	// gating counts declared-and-unreturned L2-missing loads per thread
-	// (only maintained when the hybrid gate is active).
+	// (only maintained when the gate applies).
 	gating []int
-	// dmissBuf and gatedBuf are per-cycle scratch for Priority's group
-	// split, sized once at Attach so classification never allocates.
-	dmissBuf []int
-	gatedBuf []int
-	// class records each thread's group from the latest Priority call —
-	// the pipeline's gate-attribution view (ClassifyingPolicy).
-	class []pipeline.GateClass
-	// variant name: "DWarn" or "DWarn-Prio".
-	name string
 }
 
-// DefaultWarnThreshold is the paper's Dmiss classification point: one
-// in-flight L1 data miss demotes the thread.
-const DefaultWarnThreshold = 1
+func (d *dwarn) params() string { return fmt.Sprintf("hybrid=%v|warn=%d", d.hybrid, d.warn) }
 
-// NewDWarn returns the full hybrid DWarn policy with the paper's warn
-// threshold.
-func NewDWarn() *DWarn { return NewDWarnWarn(DefaultWarnThreshold) }
-
-// NewDWarnWarn returns the full hybrid DWarn policy with a custom warn
-// threshold (used by the threshold sweeps).
-func NewDWarnWarn(warn int) *DWarn { return &DWarn{hybrid: true, warn: warn, name: "DWarn"} }
-
-// NewDWarnPrio returns the prioritisation-only variant (no gate with
-// few threads) — the ablation the paper's §3 discussion motivates.
-func NewDWarnPrio() *DWarn { return NewDWarnPrioWarn(DefaultWarnThreshold) }
-
-// NewDWarnPrioWarn returns the prioritisation-only variant with a
-// custom warn threshold.
-func NewDWarnPrioWarn(warn int) *DWarn {
-	return &DWarn{hybrid: false, warn: warn, name: "DWarn-Prio"}
+func (d *dwarn) attach(cpu *pipeline.CPU) {
+	d.cpu = cpu
+	d.gate = d.hybrid && cpu.NumThreads() < 3
+	d.gating = make([]int, cpu.NumThreads())
 }
 
-// Name implements pipeline.FetchPolicy.
-func (p *DWarn) Name() string { return p.name }
-
-// Params implements pipeline.ParameterizedPolicy.
-func (p *DWarn) Params() string { return fmt.Sprintf("hybrid=%v|warn=%d", p.hybrid, p.warn) }
-
-// Attach implements pipeline.FetchPolicy.
-func (p *DWarn) Attach(cpu *pipeline.CPU) {
-	p.cpu = cpu
-	p.gating = make([]int, cpu.NumThreads())
-	p.dmissBuf = make([]int, 0, cpu.NumThreads())
-	p.gatedBuf = make([]int, 0, cpu.NumThreads())
-	p.class = make([]pipeline.GateClass, cpu.NumThreads())
-}
-
-// Reset implements pipeline.FetchPolicy.
-func (p *DWarn) Reset() {
-	for i := range p.gating {
-		p.gating[i] = 0
+func (d *dwarn) reset() {
+	for i := range d.gating {
+		d.gating[i] = 0
 	}
 }
 
-// gateActive reports whether the hybrid L2-miss gate applies: fewer
-// than three running threads.
-func (p *DWarn) gateActive() bool { return p.hybrid && p.cpu.NumThreads() < 3 }
-
-// OnL2Miss implements pipeline.FetchPolicy: the true L2-miss signal
-// gates the thread when the hybrid response is active.
-func (p *DWarn) OnL2Miss(inst *pipeline.DynInst, now int64) {
-	if !p.gateActive() || inst.PolicyCounted {
+// OnL2Miss: the true L2-miss signal gates the thread when the hybrid
+// response applies.
+func (d *dwarn) OnL2Miss(inst *pipeline.DynInst, now int64) {
+	if !d.gate || inst.PolicyCounted {
 		return
 	}
 	inst.PolicyCounted = true
-	p.gating[inst.Thread]++
+	d.gating[inst.Thread]++
 }
 
-// OnLoadReturning implements pipeline.FetchPolicy: release the gate on
-// the advance return indication, like STALL.
-func (p *DWarn) OnLoadReturning(inst *pipeline.DynInst, now int64) { p.release(inst) }
+// OnLoadReturning releases the gate on the advance return indication,
+// like STALL; OnLoadReturn and OnSquash are the safety nets.
+func (d *dwarn) OnLoadReturning(inst *pipeline.DynInst, now int64) { d.release(inst) }
+func (d *dwarn) OnLoadReturn(inst *pipeline.DynInst, now int64)    { d.release(inst) }
+func (d *dwarn) OnSquash(inst *pipeline.DynInst, now int64)        { d.release(inst) }
 
-// OnLoadReturn implements pipeline.FetchPolicy.
-func (p *DWarn) OnLoadReturn(inst *pipeline.DynInst, now int64) { p.release(inst) }
-
-// OnSquash implements pipeline.FetchPolicy.
-func (p *DWarn) OnSquash(inst *pipeline.DynInst, now int64) { p.release(inst) }
-
-func (p *DWarn) release(inst *pipeline.DynInst) {
+func (d *dwarn) release(inst *pipeline.DynInst) {
 	if inst.PolicyCounted {
 		inst.PolicyCounted = false
-		p.gating[inst.Thread]--
+		d.gating[inst.Thread]--
 	}
 }
 
-// Priority implements pipeline.FetchPolicy: Normal threads first, then
-// Dmiss threads, ICOUNT order within each group; hybrid-gated threads
-// are omitted unless that would leave nothing to fetch from.
-func (p *DWarn) Priority(now int64, dst []int) []int {
-	n := p.cpu.NumThreads()
-	normal := dst
-	dmiss, gated := p.dmissBuf[:0], p.gatedBuf[:0]
-	for t := 0; t < n; t++ {
+func (d *dwarn) classify(class []pipeline.GateClass) {
+	for t := range class {
 		switch {
-		case p.gateActive() && p.gating[t] > 0:
-			gated = append(gated, t)
-			p.class[t] = pipeline.GateGated
-		case p.cpu.L1DMissInFlight(t) >= p.warn:
-			dmiss = append(dmiss, t)
-			p.class[t] = pipeline.GateDemoted
+		case d.gate && d.gating[t] > 0:
+			class[t] = pipeline.GateGated
+		case d.cpu.L1DMissInFlight(t) >= d.warn:
+			class[t] = pipeline.GateDemoted
 		default:
-			normal = append(normal, t)
-			p.class[t] = pipeline.GateNormal
+			class[t] = pipeline.GateNormal
 		}
 	}
-	icountOrder(p.cpu, now, normal)
-	icountOrder(p.cpu, now, dmiss)
-	out := append(normal, dmiss...)
-	if len(out) == 0 && len(gated) > 0 {
-		// Keep one thread running, as the related policies do. The
-		// thread stays classified gated: attribution charges the
-		// policy's decision, not the liveness escape hatch.
-		icountOrder(p.cpu, now, gated)
-		out = append(out, gated[0])
-	}
-	return out
 }
-
-// GateClass implements pipeline.ClassifyingPolicy: the thread's group
-// from the latest Priority call.
-func (p *DWarn) GateClass(t int) pipeline.GateClass { return p.class[t] }

@@ -4,13 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"dwarn/internal/pipeline"
 )
-
-// Factory constructs a fresh policy instance. Policies hold per-CPU
-// state, so each simulation needs its own instance.
-type Factory func() pipeline.FetchPolicy
 
 // ParamSpec declares one tunable policy parameter: its identity, its
 // paper-default value, and the range a request may set it to. The specs
@@ -28,59 +22,68 @@ type ParamSpec struct {
 	Doc string `json:"doc"`
 }
 
-// entry is one registered policy: a parameterised constructor plus the
-// declaration of the parameters it accepts. build is called with a full
-// parameter map (every declared parameter present, defaults applied).
+// entry is one registered policy: its display name, whether the shared
+// response keeps one thread running, a detector constructor, and the
+// declaration of the parameters it accepts. detect is called with a
+// full parameter map (every declared parameter present, defaults
+// applied).
 type entry struct {
-	build  func(params map[string]int64) pipeline.FetchPolicy
-	params []ParamSpec
+	name    string
+	keepOne bool
+	detect  func(params map[string]int64) detector
+	params  []ParamSpec
 }
+
+// The paper's defaults: STALL and FLUSH declare a load an L2 miss after
+// 15 cycles in the hierarchy, DG and PDG gate on the first outstanding
+// miss (n = 0), and DWarn demotes on the first in-flight miss.
+var (
+	thresholdParam = []ParamSpec{{
+		Name: "threshold", Default: 15, Min: 1, Max: 10_000,
+		Doc: "cycles in the hierarchy before a load is declared an L2 miss",
+	}}
+	warnParam = []ParamSpec{{
+		Name: "warn", Default: 1, Min: 1, Max: 64,
+		Doc: "in-flight L1 data misses at which a thread drops to the Dmiss group",
+	}}
+)
 
 var registry = map[string]entry{
 	"icount": {
-		build: func(map[string]int64) pipeline.FetchPolicy { return NewICOUNT() },
+		name:   "ICOUNT",
+		detect: func(map[string]int64) detector { return icount{} },
 	},
 	"stall": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewSTALLThreshold(p["threshold"]) },
-		params: []ParamSpec{{
-			Name: "threshold", Default: DefaultL2DeclareThreshold, Min: 1, Max: 10_000,
-			Doc: "cycles in the hierarchy before a load is declared an L2 miss",
-		}},
+		name: "STALL", keepOne: true, params: thresholdParam,
+		detect: func(p map[string]int64) detector { return &threshold{threshold: p["threshold"]} },
 	},
 	"flush": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewFLUSHThreshold(p["threshold"]) },
-		params: []ParamSpec{{
-			Name: "threshold", Default: DefaultL2DeclareThreshold, Min: 1, Max: 10_000,
-			Doc: "cycles in the hierarchy before a load is declared an L2 miss",
-		}},
+		name: "FLUSH", keepOne: true, params: thresholdParam,
+		detect: func(p map[string]int64) detector { return &threshold{threshold: p["threshold"], flush: true} },
 	},
 	"dg": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewDGThreshold(int(p["n"])) },
+		name:   "DG",
+		detect: func(p map[string]int64) detector { return &dg{n: int(p["n"])} },
 		params: []ParamSpec{{
-			Name: "n", Default: int64(DefaultGateThreshold), Min: 0, Max: 64,
+			Name: "n", Default: 0, Min: 0, Max: 64,
 			Doc: "outstanding L1 data misses a thread may have before it is gated",
 		}},
 	},
 	"pdg": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewPDGThreshold(int(p["n"])) },
+		name:   "PDG",
+		detect: func(p map[string]int64) detector { return &pdg{n: int(p["n"])} },
 		params: []ParamSpec{{
-			Name: "n", Default: int64(DefaultGateThreshold), Min: 0, Max: 64,
+			Name: "n", Default: 0, Min: 0, Max: 64,
 			Doc: "predicted outstanding misses a thread may have before it is gated",
 		}},
 	},
 	"dwarn": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewDWarnWarn(int(p["warn"])) },
-		params: []ParamSpec{{
-			Name: "warn", Default: DefaultWarnThreshold, Min: 1, Max: 64,
-			Doc: "in-flight L1 data misses at which a thread drops to the Dmiss group",
-		}},
+		name: "DWarn", keepOne: true, params: warnParam,
+		detect: func(p map[string]int64) detector { return &dwarn{hybrid: true, warn: int(p["warn"])} },
 	},
 	"dwarn-prio": {
-		build: func(p map[string]int64) pipeline.FetchPolicy { return NewDWarnPrioWarn(int(p["warn"])) },
-		params: []ParamSpec{{
-			Name: "warn", Default: DefaultWarnThreshold, Min: 1, Max: 64,
-			Doc: "in-flight L1 data misses at which a thread drops to the Dmiss group",
-		}},
+		name: "DWarn-Prio", keepOne: true, params: warnParam,
+		detect: func(p map[string]int64) detector { return &dwarn{warn: int(p["warn"])} },
 	},
 }
 
@@ -199,23 +202,24 @@ func PolicyID(name string, params map[string]int64) string {
 // NewPolicyParams constructs a policy from a {name, params} reference,
 // validating the parameters against the registry's declarations and
 // applying defaults for the ones not given.
-func NewPolicyParams(name string, params map[string]int64) (pipeline.FetchPolicy, error) {
+func NewPolicyParams(name string, params map[string]int64) (*Policy, error) {
 	full, err := CanonicalParams(name, params)
 	if err != nil {
 		return nil, err
 	}
-	return registry[name].build(full), nil
+	e := registry[name]
+	return &Policy{detector: e.detect(full), name: e.name, keepOne: e.keepOne}, nil
 }
 
 // NewPolicy constructs a policy by registry name with every parameter
 // at its paper default.
-func NewPolicy(name string) (pipeline.FetchPolicy, error) {
+func NewPolicy(name string) (*Policy, error) {
 	return NewPolicyParams(name, nil)
 }
 
 // MustNewPolicy is NewPolicy for static names; it panics on unknown
 // policies.
-func MustNewPolicy(name string) pipeline.FetchPolicy {
+func MustNewPolicy(name string) *Policy {
 	p, err := NewPolicy(name)
 	if err != nil {
 		panic(err)

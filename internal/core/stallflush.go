@@ -6,12 +6,6 @@ import (
 	"dwarn/internal/pipeline"
 )
 
-// DefaultL2DeclareThreshold is the number of cycles a load may spend in
-// the memory hierarchy before STALL and FLUSH declare it an L2 miss.
-// The paper experimented with this parameter and found 15 best for the
-// baseline machine; the ablation bench sweeps it.
-const DefaultL2DeclareThreshold = 15
-
 // trackedLoad is one outstanding L1-missing load being timed by the
 // threshold detector.
 type trackedLoad struct {
@@ -20,44 +14,46 @@ type trackedLoad struct {
 	declared bool
 }
 
-// l2Detector implements the detection machinery shared by STALL and
-// FLUSH: a load that stays in the hierarchy longer than the threshold
-// (or suffers a data-TLB miss) is declared an L2 miss; the 2-cycle
-// advance return indication releases the thread early. It also owns the
-// per-thread gate set and the keep-one-thread-running rule.
-type l2Detector struct {
+// threshold is Tullsen & Brown's detector, shared by STALL and FLUSH: a
+// load that stays in the hierarchy threshold cycles (the paper found 15
+// best for the baseline machine) or suffers a data-TLB miss is declared
+// an L2 miss, and its thread is gated until the 2-cycle advance return
+// indication. With flush set (FLUSH), each declaration also squashes
+// every younger instruction of the thread, freeing the shared resources
+// they held; they are re-fetched when the thread resumes.
+type threshold struct {
+	nopEvents
 	cpu       *pipeline.CPU
 	threshold int64
+	flush     bool
 	// outstanding missing loads per thread.
 	tracked [][]trackedLoad
 	// blocking counts declared-but-unreturned loads per thread; a
 	// thread is gated while its count is positive.
 	blocking []int
-	// onDeclare is invoked once per declared load (FLUSH squashes here).
-	onDeclare func(inst *pipeline.DynInst, now int64)
-	// declareBuf and gatedBuf are reusable scratch for tick and
-	// priority, so the per-cycle path never allocates.
+	// declareBuf is reusable scratch for Tick, so the per-cycle path
+	// never allocates.
 	declareBuf []*pipeline.DynInst
-	gatedBuf   []int
 }
 
-func (d *l2Detector) attach(cpu *pipeline.CPU) {
+func (d *threshold) params() string { return fmt.Sprintf("threshold=%d", d.threshold) }
+
+func (d *threshold) attach(cpu *pipeline.CPU) {
 	d.cpu = cpu
 	d.tracked = make([][]trackedLoad, cpu.NumThreads())
 	d.blocking = make([]int, cpu.NumThreads())
-	d.gatedBuf = make([]int, 0, cpu.NumThreads())
 }
 
-func (d *l2Detector) reset() {
+func (d *threshold) reset() {
 	for i := range d.tracked {
 		d.tracked[i] = d.tracked[i][:0]
 		d.blocking[i] = 0
 	}
 }
 
-// onLoadAccess starts timing a missing load. A DTLB miss triggers the
-// response immediately, as in the paper.
-func (d *l2Detector) onLoadAccess(inst *pipeline.DynInst, now int64) {
+// OnLoadAccess starts timing a missing load. A DTLB miss is declared
+// at once, as in the paper.
+func (d *threshold) OnLoadAccess(inst *pipeline.DynInst, now int64) {
 	if !inst.MemRes.SawMiss() && !inst.MemRes.TLBMiss {
 		return
 	}
@@ -66,18 +62,18 @@ func (d *l2Detector) onLoadAccess(inst *pipeline.DynInst, now int64) {
 	if inst.MemRes.TLBMiss {
 		tl.declared = true
 		d.blocking[t]++
-		if d.onDeclare != nil {
-			d.onDeclare(inst, now)
+		if d.flush {
+			d.cpu.FlushAfter(inst)
 		}
 	}
 	d.tracked[t] = append(d.tracked[t], tl)
 }
 
-// tick advances the timers and declares overdue loads. Declarations are
-// collected first and acted on afterwards: FLUSH's response squashes
+// Tick advances the timers and declares overdue loads. Flushes are
+// collected first and acted on afterwards: a flush squashes
 // instructions, which re-enters the detector through drop and would
 // otherwise invalidate the iteration.
-func (d *l2Detector) tick(now int64) {
+func (d *threshold) Tick(now int64) {
 	for t := range d.tracked {
 		declare := d.declareBuf[:0]
 		for i := range d.tracked[t] {
@@ -87,22 +83,29 @@ func (d *l2Detector) tick(now int64) {
 			}
 			tl.declared = true
 			d.blocking[t]++
-			if d.onDeclare != nil {
+			if d.flush {
 				declare = append(declare, tl.inst)
 			}
 		}
 		for _, inst := range declare {
 			if !inst.Squashed() {
-				d.onDeclare(inst, now)
+				d.cpu.FlushAfter(inst)
 			}
 		}
 		d.declareBuf = declare[:0]
 	}
 }
 
+// OnLoadReturning: the advance return indication un-gates the thread
+// two cycles early. OnLoadReturn is the safety net for loads whose
+// return was too close for an advance indication.
+func (d *threshold) OnLoadReturning(inst *pipeline.DynInst, now int64) { d.drop(inst) }
+func (d *threshold) OnLoadReturn(inst *pipeline.DynInst, now int64)    { d.drop(inst) }
+func (d *threshold) OnSquash(inst *pipeline.DynInst, now int64)        { d.drop(inst) }
+
 // drop stops tracking a load (it returned or was squashed), releasing
 // its gate contribution.
-func (d *l2Detector) drop(inst *pipeline.DynInst) {
+func (d *threshold) drop(inst *pipeline.DynInst) {
 	t := inst.Thread
 	list := d.tracked[t]
 	for i := range list {
@@ -117,149 +120,8 @@ func (d *l2Detector) drop(inst *pipeline.DynInst) {
 	}
 }
 
-// priority returns all threads in ICOUNT order with gated threads
-// omitted — unless that would leave no thread fetching, in which case
-// the best gated thread keeps running (the paper's rule: the mechanism
-// always keeps one thread running).
-func (d *l2Detector) priority(now int64, dst []int) []int {
-	free := dst
-	gated := d.gatedBuf[:0]
-	for t := 0; t < d.cpu.NumThreads(); t++ {
-		if d.blocking[t] > 0 {
-			gated = append(gated, t)
-		} else {
-			free = append(free, t)
-		}
+func (d *threshold) classify(class []pipeline.GateClass) {
+	for t := range class {
+		class[t] = gatedIf(d.blocking[t] > 0)
 	}
-	icountOrder(d.cpu, now, free)
-	if len(free) == 0 && len(gated) > 0 {
-		icountOrder(d.cpu, now, gated)
-		free = append(free, gated[0])
-	}
-	return free
-}
-
-// gateClass reports thread t's fetch-gate class: gated while any of
-// its loads is declared-but-unreturned, normal otherwise (the detector
-// has no demotion concept).
-func (d *l2Detector) gateClass(t int) pipeline.GateClass {
-	if d.blocking[t] > 0 {
-		return pipeline.GateGated
-	}
-	return pipeline.GateNormal
-}
-
-// STALL is Tullsen & Brown's stalling policy: once a load is declared an
-// L2 miss (latency threshold or DTLB miss), its thread stops fetching
-// until the 2-cycle advance return indication.
-type STALL struct {
-	nopEvents
-	det l2Detector
-}
-
-// NewSTALL returns STALL with the paper's 15-cycle declaration threshold.
-func NewSTALL() *STALL { return NewSTALLThreshold(DefaultL2DeclareThreshold) }
-
-// NewSTALLThreshold returns STALL with a custom declaration threshold
-// (used by the ablation sweep).
-func NewSTALLThreshold(threshold int64) *STALL {
-	return &STALL{det: l2Detector{threshold: threshold}}
-}
-
-// Name implements pipeline.FetchPolicy.
-func (p *STALL) Name() string { return "STALL" }
-
-// Params implements pipeline.ParameterizedPolicy.
-func (p *STALL) Params() string { return fmt.Sprintf("threshold=%d", p.det.threshold) }
-
-// Attach implements pipeline.FetchPolicy.
-func (p *STALL) Attach(cpu *pipeline.CPU) { p.det.attach(cpu) }
-
-// Reset implements pipeline.FetchPolicy.
-func (p *STALL) Reset() { p.det.reset() }
-
-// Tick implements pipeline.FetchPolicy.
-func (p *STALL) Tick(now int64) { p.det.tick(now) }
-
-// Priority implements pipeline.FetchPolicy.
-func (p *STALL) Priority(now int64, dst []int) []int { return p.det.priority(now, dst) }
-
-// GateClass implements pipeline.ClassifyingPolicy.
-func (p *STALL) GateClass(t int) pipeline.GateClass { return p.det.gateClass(t) }
-
-// OnLoadAccess implements pipeline.FetchPolicy.
-func (p *STALL) OnLoadAccess(inst *pipeline.DynInst, now int64) { p.det.onLoadAccess(inst, now) }
-
-// OnLoadReturning implements pipeline.FetchPolicy: the advance return
-// indication un-gates the thread two cycles early.
-func (p *STALL) OnLoadReturning(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// OnLoadReturn implements pipeline.FetchPolicy (safety net for loads
-// whose return was too close for an advance indication).
-func (p *STALL) OnLoadReturn(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// OnSquash implements pipeline.FetchPolicy.
-func (p *STALL) OnSquash(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// FLUSH is Tullsen & Brown's flushing policy: STALL's trigger, plus all
-// instructions of the thread younger than the offending load are
-// squashed and later re-fetched, freeing the shared resources they held.
-type FLUSH struct {
-	nopEvents
-	det l2Detector
-	cpu *pipeline.CPU
-}
-
-// NewFLUSH returns FLUSH with the paper's 15-cycle declaration threshold.
-func NewFLUSH() *FLUSH { return NewFLUSHThreshold(DefaultL2DeclareThreshold) }
-
-// NewFLUSHThreshold returns FLUSH with a custom declaration threshold.
-func NewFLUSHThreshold(threshold int64) *FLUSH {
-	p := &FLUSH{det: l2Detector{threshold: threshold}}
-	p.det.onDeclare = p.declare
-	return p
-}
-
-// Name implements pipeline.FetchPolicy.
-func (p *FLUSH) Name() string { return "FLUSH" }
-
-// Params implements pipeline.ParameterizedPolicy.
-func (p *FLUSH) Params() string { return fmt.Sprintf("threshold=%d", p.det.threshold) }
-
-// Attach implements pipeline.FetchPolicy.
-func (p *FLUSH) Attach(cpu *pipeline.CPU) {
-	p.cpu = cpu
-	p.det.attach(cpu)
-}
-
-// Reset implements pipeline.FetchPolicy.
-func (p *FLUSH) Reset() { p.det.reset() }
-
-// Tick implements pipeline.FetchPolicy.
-func (p *FLUSH) Tick(now int64) { p.det.tick(now) }
-
-// Priority implements pipeline.FetchPolicy.
-func (p *FLUSH) Priority(now int64, dst []int) []int { return p.det.priority(now, dst) }
-
-// GateClass implements pipeline.ClassifyingPolicy.
-func (p *FLUSH) GateClass(t int) pipeline.GateClass { return p.det.gateClass(t) }
-
-// OnLoadAccess implements pipeline.FetchPolicy.
-func (p *FLUSH) OnLoadAccess(inst *pipeline.DynInst, now int64) { p.det.onLoadAccess(inst, now) }
-
-// OnLoadReturning implements pipeline.FetchPolicy.
-func (p *FLUSH) OnLoadReturning(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// OnLoadReturn implements pipeline.FetchPolicy.
-func (p *FLUSH) OnLoadReturn(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// OnSquash implements pipeline.FetchPolicy.
-func (p *FLUSH) OnSquash(inst *pipeline.DynInst, now int64) { p.det.drop(inst) }
-
-// declare fires once per declared load: squash everything younger in
-// the thread. The freed issue-queue entries and registers become
-// available to the other threads; the squashed instructions are
-// re-fetched when the thread resumes.
-func (p *FLUSH) declare(inst *pipeline.DynInst, now int64) {
-	p.cpu.FlushAfter(inst)
 }

@@ -81,9 +81,6 @@ type DynInst struct {
 	// once).
 	missCounted bool
 
-	// PredictedMiss is scratch state for the PDG policy: the L1-miss
-	// prediction made at fetch.
-	PredictedMiss bool
 	// PolicyCounted is scratch state for policies that count this load
 	// in a gating counter and must decrement on return/squash.
 	PolicyCounted bool

@@ -30,8 +30,9 @@ import (
 // out-of-registry PolicyInstance runs labelled by the caller. When
 // empty, the canonical {Policy, PolicyParams} identity is used — or,
 // for instance runs, PolicyInstance.Name() with the instance's Params()
-// folded in when it implements pipeline.ParameterizedPolicy — so a
-// threshold sweep never collides with the base policy's cache entries.
+// folded in when it implements pipeline.ParameterizedPolicy and they are
+// non-empty — so a threshold sweep never collides with the base policy's
+// cache entries, and an ICOUNT instance keys as plain "instance:ICOUNT".
 func Fingerprint(opts Options, policyID string) string {
 	cfg := opts.Config
 	if cfg == nil {
@@ -53,7 +54,9 @@ func Fingerprint(opts Options, policyID string) string {
 		if opts.PolicyInstance != nil {
 			policyID = "instance:" + opts.PolicyInstance.Name()
 			if pp, ok := opts.PolicyInstance.(pipeline.ParameterizedPolicy); ok {
-				policyID += "|" + pp.Params()
+				if params := pp.Params(); params != "" {
+					policyID += "|" + params
+				}
 			}
 		} else {
 			// Canonical {name, params} identity: the bare name when every

@@ -65,30 +65,43 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 // TestFingerprintPolicyInstanceParams: a parameterised instance must not
 // collide with the default-parameter instance of the same policy, even
 // though both share a Name() — the bug that made threshold sweeps alias
-// the base policy's cache entries.
+// the base policy's cache entries. An instance without parameters
+// (ICOUNT) keys by its bare name.
 func TestFingerprintPolicyInstanceParams(t *testing.T) {
 	base := testOpts(t)
 	base.Policy = ""
+	instance := func(name string, params map[string]int64) Options {
+		t.Helper()
+		pol, err := core.NewPolicyParams(name, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := base
+		o.PolicyInstance = pol
+		return o
+	}
 
-	def := base
-	def.PolicyInstance = core.NewSTALL()
-	tuned := base
-	tuned.PolicyInstance = core.NewSTALLThreshold(25)
+	if Fingerprint(instance("icount", nil), "") != Fingerprint(base, "instance:ICOUNT") {
+		t.Error(`ICOUNT instance does not key as "instance:ICOUNT"`)
+	}
+	if Fingerprint(instance("stall", nil), "") != Fingerprint(base, "instance:STALL|threshold=15") {
+		t.Error(`default STALL instance does not key as "instance:STALL|threshold=15"`)
+	}
+
+	def := instance("stall", nil)
+	tuned := instance("stall", map[string]int64{"threshold": 25})
 	if Fingerprint(def, "") == Fingerprint(tuned, "") {
 		t.Error("STALL threshold variant collides with default STALL")
 	}
 
-	dgDef := base
-	dgDef.PolicyInstance = core.NewDG()
-	dgTuned := base
-	dgTuned.PolicyInstance = core.NewDGThreshold(2)
+	dgDef := instance("dg", nil)
+	dgTuned := instance("dg", map[string]int64{"n": 2})
 	if Fingerprint(dgDef, "") == Fingerprint(dgTuned, "") {
 		t.Error("DG gate-count variant collides with default DG")
 	}
 
 	// Stability: the same parameters hash identically.
-	tuned2 := base
-	tuned2.PolicyInstance = core.NewSTALLThreshold(25)
+	tuned2 := instance("stall", map[string]int64{"threshold": 25})
 	if Fingerprint(tuned, "") != Fingerprint(tuned2, "") {
 		t.Error("parameterised instance fingerprint unstable")
 	}
