@@ -215,18 +215,43 @@ func TestSTALLNeverSquashes(t *testing.T) {
 	}
 }
 
+// TestKeepOneRunningSoloMEM: a keep-one policy lists a lone thread for
+// fetch in every cycle, also while its detector holds it back. A lone
+// gated mcf would resume once its load returned anyway, so commits
+// alone do not show the rule at work; the fetch order does.
 func TestKeepOneRunningSoloMEM(t *testing.T) {
-	// A lone thread must keep running under every gating policy.
 	wl := workload.Workload{Name: "solo-mcf", Threads: 1, Benchmarks: []string{"mcf"}}
-	for _, pol := range []string{"stall", "flush", "dwarn"} {
+	for _, c := range []struct {
+		pol  string
+		held pipeline.GateClass // the class the detector holds mcf in
+	}{
+		{"stall", pipeline.GateGated},
+		{"flush", pipeline.GateGated},
+		{"dwarn", pipeline.GateGated},
+		{"dwarn-prio", pipeline.GateDemoted},
+	} {
 		gens, _ := wl.Generators(42)
-		cpu, err := pipeline.New(config.Baseline(), MustNewPolicy(pol), gens)
+		pol := MustNewPolicy(c.pol)
+		cpu, err := pipeline.New(config.Baseline(), pol, gens)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu.Run(30000)
+		held := 0
+		for i := 0; i < 30000; i++ {
+			cpu.Step()
+			order := pol.Priority(cpu.Now(), nil)
+			if len(order) != 1 || order[0] != 0 {
+				t.Fatalf("%s at cycle %d: fetch order %v, want [0] (class %v)", c.pol, cpu.Now(), order, pol.GateClass(0))
+			}
+			if pol.GateClass(0) == c.held {
+				held++
+			}
+		}
+		if held == 0 {
+			t.Errorf("%s never held the lone mcf back (%v): the test shows nothing", c.pol, c.held)
+		}
 		if cpu.ThreadStats(0).Committed == 0 {
-			t.Errorf("%s starved a lone mcf", pol)
+			t.Errorf("%s starved a lone mcf", c.pol)
 		}
 	}
 }

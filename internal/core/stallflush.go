@@ -42,6 +42,14 @@ func (d *threshold) attach(cpu *pipeline.CPU) {
 	d.cpu = cpu
 	d.tracked = make([][]trackedLoad, cpu.NumThreads())
 	d.blocking = make([]int, cpu.NumThreads())
+	// A tracked load sits in its thread's ROB until it returns or is
+	// squashed, so the ROB bounds each list and the scratch: sized to
+	// it, the per-cycle path never grows them.
+	rob := cpu.Config().ROBSizePerThread
+	for i := range d.tracked {
+		d.tracked[i] = make([]trackedLoad, 0, rob)
+	}
+	d.declareBuf = make([]*pipeline.DynInst, 0, rob)
 }
 
 func (d *threshold) reset() {

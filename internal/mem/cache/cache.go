@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"dwarn/internal/bufpool"
 	"dwarn/internal/config"
 )
 
@@ -74,8 +75,11 @@ type line struct {
 // Cache is a single set-associative cache level. It is not safe for
 // concurrent use; each simulated core owns its caches.
 type Cache struct {
-	cfg        config.CacheConfig
-	sets       [][]line
+	cfg config.CacheConfig
+	// lines holds every set's ways back to back: set i is
+	// lines[i*ways : (i+1)*ways].
+	lines      []line
+	ways       int
 	offsetBits uint
 	indexBits  uint
 	indexMask  uint64
@@ -85,24 +89,34 @@ type Cache struct {
 	Stats Stats
 }
 
-// New builds a cache from cfg. cfg must validate.
+// linePool recycles line arrays between caches of the same size.
+var linePool bufpool.Slices[line]
+
+// New builds a cache from cfg. cfg must validate. Its line array comes
+// from the pool of released caches when one of its size is there.
 func New(cfg config.CacheConfig) *Cache {
 	if err := cfg.Validate("cache"); err != nil {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	backing := make([]line, nsets*cfg.Ways)
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
-	}
+	lines := linePool.Get(nsets * cfg.Ways)
+	clear(lines)
 	return &Cache{
 		cfg:        cfg,
-		sets:       sets,
+		lines:      lines,
+		ways:       cfg.Ways,
 		offsetBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		indexBits:  uint(bits.TrailingZeros(uint(nsets))),
 		indexMask:  uint64(nsets - 1),
 	}
+}
+
+// Release hands the cache's line array back to the pool for a later
+// New. Nothing may use the cache afterwards; a second Release is a
+// no-op.
+func (c *Cache) Release() {
+	linePool.Put(c.lines)
+	c.lines = nil
 }
 
 // Config returns the cache geometry.
@@ -113,9 +127,11 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr >> c.offsetBits << c.offsetBits
 }
 
-func (c *Cache) split(addr uint64) (idx int, tag uint64) {
+// lookup returns the set addr maps to and addr's tag.
+func (c *Cache) lookup(addr uint64) (set []line, tag uint64) {
 	a := addr >> c.offsetBits
-	return int(a & c.indexMask), a >> c.indexBits
+	i := int(a&c.indexMask) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways], a >> c.indexBits
 }
 
 // Access looks up addr at cycle now. On a miss it allocates the line
@@ -123,8 +139,7 @@ func (c *Cache) split(addr uint64) (idx int, tag uint64) {
 // and the cycle the data is ready (now for a Hit, the pending fill time
 // for a DelayedHit, fillAt for a Miss).
 func (c *Cache) Access(addr uint64, now, fillAt int64) (Outcome, int64) {
-	idx, tag := c.split(addr)
-	set := c.sets[idx]
+	set, tag := c.lookup(addr)
 	c.useClock++
 	for i := range set {
 		ln := &set[i]
@@ -148,9 +163,9 @@ func (c *Cache) Access(addr uint64, now, fillAt int64) (Outcome, int64) {
 // modifying any state. It exists for tests and for policies that need a
 // non-destructive lookup.
 func (c *Cache) Probe(addr uint64) (present bool, readyAt int64) {
-	idx, tag := c.split(addr)
-	for i := range c.sets[idx] {
-		ln := &c.sets[idx][i]
+	set, tag := c.lookup(addr)
+	for i := range set {
+		ln := &set[i]
 		if ln.valid && ln.tag == tag {
 			return true, ln.readyAt
 		}
@@ -161,8 +176,7 @@ func (c *Cache) Probe(addr uint64) (present bool, readyAt int64) {
 // Touch inserts addr as present-and-ready without counting an access.
 // Warmup and tests use it to preload state.
 func (c *Cache) Touch(addr uint64) {
-	idx, tag := c.split(addr)
-	set := c.sets[idx]
+	set, tag := c.lookup(addr)
 	c.useClock++
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -177,9 +191,9 @@ func (c *Cache) Touch(addr uint64) {
 
 // Invalidate drops addr's line if present, returning whether it was.
 func (c *Cache) Invalidate(addr uint64) bool {
-	idx, tag := c.split(addr)
-	for i := range c.sets[idx] {
-		ln := &c.sets[idx][i]
+	set, tag := c.lookup(addr)
+	for i := range set {
+		ln := &set[i]
 		if ln.valid && ln.tag == tag {
 			ln.valid = false
 			return true
@@ -190,11 +204,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 
 // Reset clears all lines and statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.useClock = 0
 	c.Stats = Stats{}
 }

@@ -134,6 +134,15 @@ func New(cfg *config.Processor, nThreads int) *Hierarchy {
 	return h
 }
 
+// Release hands the caches' line arrays back to their pool for the
+// next machine. Nothing may use the hierarchy afterwards; a second
+// Release is a no-op.
+func (h *Hierarchy) Release() {
+	h.L1I.Release()
+	h.L1D.Release()
+	h.L2.Release()
+}
+
 // Load performs a data load for thread at addr starting at cycle now and
 // returns its timing.
 func (h *Hierarchy) Load(thread int, addr uint64, now int64) DataResult {

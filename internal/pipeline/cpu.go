@@ -40,10 +40,22 @@ type readyEntry struct {
 // snapshots the instruction's arena generation, as events do: a waiter
 // squashed while it waited is left on the list, and the mismatch (or a
 // state other than stInQueue) marks the entry stale at wakeup.
+//
+// Every register's list is a chain through one store of waiters that
+// all registers share (CPU.waitNodes), linked by index: next is the
+// following entry of the same list, or of the free chain, and -1 ends a
+// chain. The store is sized once, at New, so neither dispatch nor
+// wakeup grows a per-register array.
 type waiter struct {
-	d   *DynInst
-	gen uint32
+	d    *DynInst
+	gen  uint32
+	next int32
 }
+
+// waitList is one register's chain of waiters in dispatch order: head
+// is woken first, tail is where waitFor appends. Both are -1 when the
+// list is empty.
+type waitList struct{ head, tail int32 }
 
 // CPU is one simulated SMT core running a fixed set of threads under a
 // fetch policy. It is not safe for concurrent use; run one CPU per
@@ -81,9 +93,12 @@ type CPU struct {
 	ready   [isa.NumQueues][]readyEntry
 
 	// Per-physical-register waiter lists, indexed like the ready
-	// bitsets.
-	intWaiters [][]waiter
-	fpWaiters  [][]waiter
+	// bitsets, chained through waitNodes; freeWait heads the chain of
+	// free entries (-1 when none).
+	intWaiters []waitList
+	fpWaiters  []waitList
+	waitNodes  []waiter
+	freeWait   int32
 
 	// Scratch buffers reused across cycles.
 	prioBuf   []int
@@ -162,8 +177,15 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 	for q := range c.ready {
 		c.ready[q] = make([]readyEntry, 0, c.qCap[q])
 	}
-	c.intWaiters = make([][]waiter, cfg.PhysIntRegs)
-	c.fpWaiters = make([][]waiter, cfg.PhysFPRegs)
+	c.intWaiters = newWaitLists(cfg.PhysIntRegs)
+	c.fpWaiters = newWaitLists(cfg.PhysFPRegs)
+	c.freeWait = -1
+	// Live waiters are at most two per queued instruction; squashed
+	// ones linger until their register wakes or is reallocated. Four
+	// times the live bound covers the most ever seen at once on the
+	// paper's workloads (303, FLUSH on 8-MEM), so the store does not
+	// grow once a run is under way.
+	c.waitNodes = make([]waiter, 0, 8*(cfg.IntQueueSize+cfg.FPQueueSize+cfg.LSQueueSize))
 
 	// Physical registers: each running context permanently holds its 32
 	// architectural mappings; the remainder forms the shared rename pool.
@@ -195,6 +217,18 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 
 	policy.Attach(c)
 	return c, nil
+}
+
+// Release hands the machine's large buffers (the caches' line arrays,
+// the event ring with its buckets' capacity, the instruction arena's
+// slabs) back to their pools, where the next New of any shape takes
+// them. Call it once the run's results have been read: nothing may use
+// the CPU, its memory hierarchy or its DynInsts afterwards. A second
+// Release is a no-op.
+func (c *CPU) Release() {
+	c.mem.Release()
+	c.events.release()
+	c.arena.release()
 }
 
 // Config returns the machine description.
@@ -330,12 +364,31 @@ func (c *CPU) regReady(fp bool, p int32) bool {
 	return c.intReady.get(p)
 }
 
+// newWaitLists returns n empty waiter lists.
+func newWaitLists(n int) []waitList {
+	ls := make([]waitList, n)
+	for i := range ls {
+		ls[i] = waitList{head: -1, tail: -1}
+	}
+	return ls
+}
+
 // waiters returns physical register p's waiter list.
-func (c *CPU) waiters(fp bool, p int32) *[]waiter {
+func (c *CPU) waiters(fp bool, p int32) *waitList {
 	if fp {
 		return &c.fpWaiters[p]
 	}
 	return &c.intWaiters[p]
+}
+
+// clearWaiters empties l, splicing its whole chain onto the free chain.
+func (c *CPU) clearWaiters(l *waitList) {
+	if l.head < 0 {
+		return
+	}
+	c.waitNodes[l.tail].next = c.freeWait
+	c.freeWait = l.head
+	*l = waitList{head: -1, tail: -1}
 }
 
 // setRegReady marks physical register p as holding its value and wakes
@@ -350,8 +403,9 @@ func (c *CPU) setRegReady(fp bool, p int32) {
 	} else {
 		c.intReady.set(p)
 	}
-	ws := c.waiters(fp, p)
-	for _, w := range *ws {
+	l := c.waiters(fp, p)
+	for n := l.head; n >= 0; n = c.waitNodes[n].next {
+		w := &c.waitNodes[n]
 		d := w.d
 		if w.gen != d.gen || d.state != stInQueue {
 			continue
@@ -361,7 +415,7 @@ func (c *CPU) setRegReady(fp bool, p int32) {
 			c.insertReady(d)
 		}
 	}
-	*ws = (*ws)[:0]
+	c.clearWaiters(l)
 }
 
 // waitFor puts a just-dispatched d on source register p's waiter list
@@ -370,8 +424,21 @@ func (c *CPU) waitFor(d *DynInst, p int32) {
 	if c.regReady(d.fpRegs, p) {
 		return
 	}
-	ws := c.waiters(d.fpRegs, p)
-	*ws = append(*ws, waiter{d: d, gen: d.gen})
+	n := c.freeWait
+	if n >= 0 {
+		c.freeWait = c.waitNodes[n].next
+	} else {
+		n = int32(len(c.waitNodes))
+		c.waitNodes = append(c.waitNodes, waiter{})
+	}
+	c.waitNodes[n] = waiter{d: d, gen: d.gen, next: -1}
+	l := c.waiters(d.fpRegs, p)
+	if l.tail >= 0 {
+		c.waitNodes[l.tail].next = n
+	} else {
+		l.head = n
+	}
+	l.tail = n
 	d.pending++
 }
 

@@ -1,5 +1,7 @@
 package pipeline
 
+import "dwarn/internal/bufpool"
+
 // event kinds, processed at the top of each cycle.
 type evKind uint8
 
@@ -57,16 +59,47 @@ type eventQueue struct {
 	overflow []event
 }
 
+// ringPool recycles rings between machines with the same horizon. A
+// released ring keeps its buckets' capacity, so the next run's warm-up
+// does not regrow them.
+var ringPool bufpool.Slices[[]event]
+
+// bucketCap is a new ring's capacity per bucket, carved from one array:
+// no bucket outgrew it in steady state on the paper's workloads (2-MIX,
+// 4-MIX and 8-MEM under every policy), so a ring does not grow in the
+// cycle loop.
+const bucketCap = 16
+
 // init sizes the ring to cover horizon cycles of look-ahead and primes
-// the window to start at cycle start.
+// the window to start at cycle start. A recycled ring's buckets are
+// emptied and their old events zeroed, so they pin no DynInst.
 func (q *eventQueue) init(horizon, start int64) {
 	size := int64(64)
 	for size < horizon {
 		size <<= 1
 	}
-	q.buckets = make([][]event, size)
+	q.buckets = ringPool.Get(int(size))
+	var carve []event
+	for i, b := range q.buckets {
+		if b == nil {
+			if carve == nil {
+				carve = make([]event, size*bucketCap)
+			}
+			b = carve[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+		}
+		clear(b[:cap(b)])
+		q.buckets[i] = b[:0]
+	}
 	q.mask = size - 1
 	q.now = start - 1
+}
+
+// release hands the ring back to the pool. The queue must not be used
+// afterwards; a second release is a no-op.
+func (q *eventQueue) release() {
+	ringPool.Put(q.buckets)
+	q.buckets = nil
+	q.overflow = nil
 }
 
 // schedule enqueues an event for cycle at. Events scheduled for the

@@ -13,6 +13,7 @@ package pipeline
 
 import (
 	"dwarn/internal/bpred"
+	"dwarn/internal/bufpool"
 	"dwarn/internal/isa"
 	"dwarn/internal/mem/hierarchy"
 )
@@ -99,14 +100,19 @@ func (d *DynInst) CompleteAt() int64 { return d.completeAt }
 // arenaSlab is how many DynInsts one arena growth step allocates.
 const arenaSlab = 256
 
+// slabPool recycles arena slabs between machines.
+var slabPool bufpool.Slices[DynInst]
+
 // instArena recycles DynInsts through a free list backed by slab
 // allocation, so steady-state fetch performs no heap allocations (the
 // pool stops growing once it covers the peak number of simultaneously
 // live instructions). Freeing bumps the generation counter — it must
 // only happen once every pipeline structure has (or is about to drop)
-// its reference; see retire and squashYounger.
+// its reference; see retire and squashYounger. Slabs come from
+// slabPool, cleared, and go back to it when the machine is released.
 type instArena struct {
-	free []*DynInst
+	free  []*DynInst
+	slabs [][]DynInst
 }
 
 // get returns a zeroed instruction carrying its recycling generation.
@@ -118,7 +124,9 @@ func (a *instArena) get() *DynInst {
 		*d = DynInst{gen: gen}
 		return d
 	}
-	slab := make([]DynInst, arenaSlab)
+	slab := slabPool.Get(arenaSlab)
+	clear(slab)
+	a.slabs = append(a.slabs, slab)
 	for i := 1; i < len(slab); i++ {
 		a.free = append(a.free, &slab[i])
 	}
@@ -134,4 +142,15 @@ func (a *instArena) get() *DynInst {
 func (a *instArena) put(d *DynInst) {
 	d.gen++
 	a.free = append(a.free, d)
+}
+
+// release hands every slab back to slabPool. The arena and every
+// DynInst it handed out must not be used afterwards; a second release
+// is a no-op.
+func (a *instArena) release() {
+	for _, slab := range a.slabs {
+		slabPool.Put(slab)
+	}
+	a.slabs = nil
+	a.free = nil
 }

@@ -346,8 +346,7 @@ func (c *CPU) dispatchOne(t *thread, now int64) bool {
 		}
 		// A free register's waiter list holds only entries squashed
 		// while they waited; start its new life empty.
-		ws := c.waiters(fp, p)
-		*ws = (*ws)[:0]
+		c.clearWaiters(c.waiters(fp, p))
 		d.destPhys = p
 	}
 

@@ -360,6 +360,9 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The machine's buffers go back to their pools once the result and
+	// timeline below have been read out of it, on every exit path.
+	defer cpu.Release()
 	prewarm(cpu, srcs)
 	readAhead(streams)
 

@@ -166,8 +166,9 @@ func TestTimelineOnFrameStreams(t *testing.T) {
 
 // TestStepZeroAllocWithSampling extends the zero-alloc guarantee to the
 // timeline layer: steady-state stepping with gate sampling enabled and
-// interval frames being taken allocates nothing, with the streams
-// filled inline and read ahead.
+// interval frames being taken makes no heap allocation over 30k
+// cycles, with the streams filled inline and read ahead (less the
+// runtime's own, runtimeAllowance).
 func TestStepZeroAllocWithSampling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -177,11 +178,13 @@ func TestStepZeroAllocWithSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range streamModes {
-		t.Run(m.name, func(t *testing.T) { stepSampledZeroAlloc(t, engineSources(t, wl, 42, m.ahead)) })
+		t.Run(m.name, func(t *testing.T) {
+			stepSampledZeroAlloc(t, engineSources(t, wl, 42, m.ahead), runtimeAllowance(m.ahead))
+		})
 	}
 }
 
-func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source) {
+func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source, max uint64) {
 	pol, err := core.NewPolicy("dwarn")
 	if err != nil {
 		t.Fatal(err)
@@ -190,24 +193,25 @@ func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cpu.Release()
 	cpu.EnableGateSampling()
 	sampler := timeline.NewSampler(timeline.Config{IntervalCycles: 100, MaxFrames: 16}, cpu.NumThreads())
 
-	// Warm past cold-start growth (arena, ROB, event queue), exactly as
-	// the base engine guard does.
+	// Warm past cold-start growth (arena, ROB), exactly as the base
+	// engine guard does.
 	cpu.Run(60_000)
 
-	// Measure per step, like TestStepZeroAllocSteadyState, but take a
-	// frame every single cycle: an interval boundary is never cheaper
-	// than a plain cycle, so even one allocation inside Sample would
-	// push the per-step average past zero.
+	// Count over 30k cycles, like TestStepZeroAllocSteadyState, but
+	// take a frame every single cycle: an interval boundary is never
+	// cheaper than a plain cycle, so this covers every sampled run.
 	cycle := int64(60_000)
-	avg := testing.AllocsPerRun(3000, func() {
-		cpu.Step()
-		sampler.Sample(cpu, cycle, cycle+1)
-		cycle++
+	n := mallocsDuring(func() {
+		for end := cycle + 30_000; cycle < end; cycle++ {
+			cpu.Step()
+			sampler.Sample(cpu, cycle, cycle+1)
+		}
 	})
-	if avg != 0 {
-		t.Errorf("steady-state step+sample allocates %.4f per cycle, want 0", avg)
+	if n > max {
+		t.Errorf("steady-state step+sample made %d heap allocations over 30k cycles, want at most %d", n, max)
 	}
 }

@@ -88,7 +88,7 @@ func (g *Generator) clone() *Generator {
 	c.r = &r
 	w := *g.walk
 	w.trips = slices.Clone(w.trips)
-	w.stack = slices.Clone(w.stack)
+	w.stack = append(make([]walkFrame, 0, 2*callLevels), w.stack...)
 	c.walk = &w
 	return &c
 }

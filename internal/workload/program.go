@@ -492,7 +492,12 @@ type walkFrame struct {
 }
 
 func newWalker(prog *program) *walker {
-	w := &walker{prog: prog, trips: make([]int32, len(prog.insts))}
+	w := &walker{
+		prog:  prog,
+		trips: make([]int32, len(prog.insts)),
+		// Sized to its bound up front, so calls never grow it.
+		stack: make([]walkFrame, 0, 2*callLevels),
+	}
 	for i := range w.trips {
 		w.trips[i] = -1
 	}

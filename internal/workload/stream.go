@@ -1,6 +1,9 @@
 package workload
 
-import "dwarn/internal/isa"
+import (
+	"dwarn/internal/bufpool"
+	"dwarn/internal/isa"
+)
 
 // Producer writes a thread's correct-path uops, in stream order. The
 // synthetic Generator, a shared tape's reader (tape.go) and the trace
@@ -19,6 +22,18 @@ const (
 	chunkUops   = 512
 	aheadChunks = 3
 )
+
+// chunkPool recycles stream buffers: one-chunk inline buffers and
+// aheadChunks-long read-ahead backings, keyed by length. Stop returns
+// a stream's buffers.
+var chunkPool bufpool.Slices[isa.Uop]
+
+// getChunks returns a cleared buffer of n chunks from chunkPool.
+func getChunks(n int) []isa.Uop {
+	buf := chunkPool.Get(n * chunkUops)
+	clear(buf)
+	return buf
+}
 
 // Stream is the one Source implementation: a buffered consumer over a
 // Producer's correct-path chunks. It derives wrong-path state from the
@@ -87,11 +102,12 @@ func (s *Stream) refill() {
 	if s.ra == nil {
 		if !s.ahead || s.onTape() {
 			if s.buf == nil {
-				s.buf = make([]isa.Uop, chunkUops)
+				s.buf = getChunks(1)
 			}
 			s.prod.Fill(s.buf)
 			return
 		}
+		chunkPool.Put(s.buf) // the inline buffer of a stream that left its tape
 		s.ra = startReadAhead(s.prod)
 	} else {
 		s.ra.free <- s.buf
@@ -117,15 +133,20 @@ func (s *Stream) ReadAhead() {
 	}
 }
 
-// Stop ends the read-ahead producer, if one is running, and waits for
-// it to exit. The stream must not be used afterwards. Stop is safe to
-// call more than once and on streams that never read ahead.
+// Stop ends the read-ahead producer, if one is running, waits for it
+// to exit, and returns the stream's buffers to chunkPool. The stream
+// must not be used afterwards. Stop is safe to call more than once and
+// on streams that never read ahead.
 func (s *Stream) Stop() {
 	if s.ra != nil {
 		close(s.ra.stop)
 		<-s.ra.done
+		chunkPool.Put(s.ra.back)
 		s.ra = nil
+	} else {
+		chunkPool.Put(s.buf)
 	}
+	s.buf = nil
 }
 
 // readAhead is one running producer goroutine and the chunks it cycles
@@ -134,6 +155,7 @@ func (s *Stream) Stop() {
 // channels are buffered to aheadChunks, the number of chunks, so no
 // send on them ever blocks.
 type readAhead struct {
+	back       []isa.Uop // the aheadChunks chunks, back to back
 	full, free chan []isa.Uop
 	stop       chan struct{} // closed by Stop
 	done       chan struct{} // closed when the producer exits
@@ -141,14 +163,14 @@ type readAhead struct {
 
 func startReadAhead(p Producer) *readAhead {
 	ra := &readAhead{
+		back: getChunks(aheadChunks),
 		full: make(chan []isa.Uop, aheadChunks),
 		free: make(chan []isa.Uop, aheadChunks),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	back := make([]isa.Uop, aheadChunks*chunkUops)
 	for i := 0; i < aheadChunks; i++ {
-		ra.free <- back[i*chunkUops : (i+1)*chunkUops : (i+1)*chunkUops]
+		ra.free <- ra.back[i*chunkUops : (i+1)*chunkUops : (i+1)*chunkUops]
 	}
 	go ra.produce(p)
 	return ra

@@ -29,7 +29,7 @@ type WrongPathState struct {
 type WrongPathSynth struct {
 	meta *ReplayMeta
 
-	r   *rng.Source
+	r   rng.Source // reseeded in place per episode, so Start never allocates
 	pc  uint64
 	seq uint64
 	st  WrongPathState
@@ -38,7 +38,7 @@ type WrongPathSynth struct {
 // NewWrongPathSynth builds a synthesizer over meta. meta must outlive
 // the synthesizer.
 func NewWrongPathSynth(meta *ReplayMeta) WrongPathSynth {
-	return WrongPathSynth{meta: meta, r: rng.New(meta.Base)}
+	return WrongPathSynth{meta: meta, r: *rng.New(meta.Base)}
 }
 
 // Start (re)seeds the stream for a new misprediction episode. salt
@@ -46,7 +46,7 @@ func NewWrongPathSynth(meta *ReplayMeta) WrongPathSynth {
 // replays are deterministic; startPC is where the front end wrongly
 // redirected to; st is the correct path's state at the episode start.
 func (s *WrongPathSynth) Start(salt, startPC uint64, st WrongPathState) {
-	s.r = rng.New(salt*0x9e3779b97f4a7c15 ^ s.meta.Base)
+	s.r = *rng.New(salt*0x9e3779b97f4a7c15 ^ s.meta.Base)
 	s.pc = startPC
 	s.seq = 0
 	s.st = st
@@ -187,7 +187,7 @@ func (s *WrongPathSynth) dataAddr() uint64 {
 		off := (s.st.MidCursor + mid - back%mid) % mid
 		return s.meta.Base + midOffset + off
 	default:
-		return s.meta.Base + hotOffset + hotOffsetSample(s.r, s.meta.Footprint.HotBytes)
+		return s.meta.Base + hotOffset + hotOffsetSample(&s.r, s.meta.Footprint.HotBytes)
 	}
 }
 
