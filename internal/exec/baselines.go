@@ -15,7 +15,7 @@ import (
 // solo under ICOUNT at the cell's own machine, seed and protocol
 // (spec.SoloBaseline). Execute runs each distinct solo of a batch once,
 // alongside the cells and through the same store, single-flight, line
-// and warm gate; a baselines cell is terminal only when its solos are,
+// and start rule; a baselines cell is terminal only when its solos are,
 // and a failed or canceled solo fails or cancels just the cells that
 // divide by it.
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"dwarn/internal/ckpt"
 	"dwarn/internal/core"
+	"dwarn/internal/sim"
 	"dwarn/internal/spec"
 )
 
@@ -15,7 +17,11 @@ import (
 // per-cell counter digests. Parallelism may only change wall-clock
 // time, never a single counter — each cell's simulation is hermetic,
 // which is exactly what the concurrency audit of pipeline/workload/core
-// (no package-level mutable state, no shared RNG) guarantees.
+// (no package-level mutable state, no shared RNG) guarantees. A third,
+// checkpointed executor (8 workers) must match a cold sim.Run of every
+// cell too: forks from a group's calibrated cores, its shared tapes and
+// the line's start rule may only change which work is shared, never a
+// counter.
 func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy grid in -short mode")
@@ -43,11 +49,11 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 
 	serial := New(Options{Workers: 1}).Execute(context.Background(), cells, nil)
 	parallel := New(Options{Workers: 8}).Execute(context.Background(), cells, nil)
-	if err := FirstError(serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FirstError(parallel); err != nil {
-		t.Fatal(err)
+	forked := New(Options{Workers: 8, Checkpoints: ckpt.NewMemStore(0)}).Execute(context.Background(), cells, nil)
+	for _, out := range [][]CellResult{serial, parallel, forked} {
+		if err := FirstError(out); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for i := range cells {
@@ -59,6 +65,14 @@ func TestParallelSweepBitIdenticalToSerial(t *testing.T) {
 		if sd != pd {
 			t.Errorf("cell %d (%s/%s seed %d): parallel digest %s != serial %s",
 				i, s.Spec.Policy.ID(), s.Spec.Workload.ID(), s.Spec.Seed, pd, sd)
+		}
+		cold, err := sim.Run(cells[i].Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fd, cd := forked[i].Result.CounterDigest(), cold.CounterDigest(); fd != cd {
+			t.Errorf("cell %d (%s/%s seed %d): checkpointed digest %s != cold %s",
+				i, s.Spec.Policy.ID(), s.Spec.Workload.ID(), s.Spec.Seed, fd, cd)
 		}
 	}
 }

@@ -163,7 +163,7 @@ type Executor struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 	busy     int               // local slots holding a cell
-	line     []chan struct{}   // waiting cells' slot grants, oldest first; see line.go
+	line     []*waiter         // waiting cells, oldest first; see line.go
 	groups   map[string]*group // by checkpoint key; see group.go
 }
 
@@ -368,21 +368,15 @@ func (e *Executor) lead(ctx context.Context, c *spec.Resolved, started func()) (
 	runStart := time.Now()
 	cell := *c // Run's copy forks from the gated store and reads the group's tapes
 	cell.Options.Checkpoints = e.CheckpointStore()
-	// Checkpoint groups calibrate once: the group's first cell leads
-	// while siblings hold here (before joining the line, so a wide group
-	// never starves unrelated cells), then fork the instant the leader
-	// publishes its program cores. The cell is in its group's record
-	// from here until it leaves.
+	// A checkpoint group's cell is in its group's record from here until
+	// it leaves; the line starts it by the group's start rule (group.go).
+	var g *group
 	if e.ckpts != nil && c.CheckpointKey != "" {
-		g := e.join(c.CheckpointKey)
-		lead, gerr := e.gate(ctx, c.CheckpointKey, g)
-		defer e.leave(c.CheckpointKey, g, lead)
-		if gerr != nil {
-			return nil, gerr
-		}
+		g = e.join(c.CheckpointKey)
+		defer e.leave(c.CheckpointKey, g)
 		cell.Options.Tapes = g.tapes
 	}
-	res, err := e.wait(runCtx, &cell, started)
+	res, err := e.wait(runCtx, &cell, g, started)
 	dur := time.Since(runStart)
 	e.met.cellSeconds(c.Spec.Policy.Name).Observe(dur.Seconds())
 	if e.log.Enabled(obs.LevelDebug) {

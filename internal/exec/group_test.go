@@ -68,55 +68,66 @@ func TestOneWarmupPerGroup(t *testing.T) {
 	}
 }
 
-// TestWarmGateLeaderDeath exercises promotion: when the warm leader
-// leaves without publishing, exactly one waiter takes over rather than
-// all of them stampeding.
+// TestWarmGateLeaderDeath exercises the start rule after a failed
+// calibration: when the group's first cell gives up its slot without
+// publishing, exactly one waiting sibling starts in its place rather
+// than all of them stampeding, and the rest fork once it publishes.
 func TestWarmGateLeaderDeath(t *testing.T) {
-	const k = "0123456789abcdef"
-	ex := New(Options{Workers: 1, Checkpoints: ckpt.NewMemStore(0), Registry: obs.NewRegistry()})
-	g := ex.join(k)
-	lead, err := ex.gate(context.Background(), k, g)
-	if err != nil || lead == nil {
-		t.Fatalf("the group's first cell did not lead: %v", err)
-	}
-	promoted := make(chan chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		ex.join(k)
-		go func() {
-			l, err := ex.gate(context.Background(), k, g)
-			if err != nil {
-				t.Error(err)
+	cells := resolveCells(t, []string{"icount", "stall", "dwarn"}, []uint64{1})
+	store := &countingCkptStore{inner: ckpt.NewMemStore(0)}
+	die, publish := make(chan struct{}), make(chan struct{})
+	var cold, forks atomic.Int64
+	ex := New(Options{Workers: 4, Checkpoints: store, Registry: obs.NewRegistry(),
+		// The first cold cell dies unpublished when die is closed; the
+		// second calibrates and publishes when publish is closed.
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			cs := res.Options.Checkpoints
+			if _, ok := cs.Get(res.CheckpointKey); ok {
+				forks.Add(1)
+				return fakeResult(res), nil
 			}
-			promoted <- l
-		}()
+			if cold.Add(1) == 1 {
+				<-die
+				return nil, errors.New("leader died")
+			}
+			<-publish
+			cs.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
+			return fakeResult(res), nil
+		}})
+	out := make(chan []CellResult, 1)
+	go func() { out <- ex.Execute(context.Background(), cells, nil) }()
+
+	waitFor(t, "the leader on a slot and its siblings in the line", func() bool {
+		return cold.Load() == 1 && ex.waiting() == 2
+	})
+	close(die) // the leader dies without publishing
+	// Exactly one sibling starts in its place; the other still waits.
+	waitFor(t, "a sibling to take over", func() bool { return cold.Load() == 2 })
+	if n := ex.waiting(); n != 1 {
+		t.Fatalf("%d cells in the line after the leader died, want 1", n)
 	}
-	ex.leave(k, g, lead) // leader dies without publishing
-	// Exactly one waiter becomes the new leader; the other still waits.
-	first := <-promoted
-	if first == nil {
-		t.Fatal("a waiter passed the gate unpublished")
+	// The new leader publishes; the remaining sibling forks.
+	close(publish)
+	failed := 0
+	for _, r := range <-out {
+		if r.Err != nil {
+			failed++
+		}
 	}
-	select {
-	case <-promoted:
-		t.Fatal("both waiters promoted at once after leader death")
-	default:
+	if failed != 1 || cold.Load() != 2 || forks.Load() != 1 || store.puts.Load() != 1 {
+		t.Errorf("failed %d, cold starts %d, forks %d, publishes %d; want 1, 2, 1, 1",
+			failed, cold.Load(), forks.Load(), store.puts.Load())
 	}
-	// The new leader publishes; the remaining waiter floods through.
-	ex.CheckpointStore().Put(k, &ckpt.Image{Key: k})
-	ex.leave(k, g, first)
-	if l := <-promoted; l != nil {
-		t.Error("the last waiter led after the publish")
-	}
-	ex.leave(k, g, nil)
 	if n := len(ex.groups); n != 0 {
 		t.Errorf("%d group records after every cell left, want 0", n)
 	}
 }
 
-// TestWarmGateCanceledWaiters: siblings canceled while they wait at the
-// gate report canceled and leave without electing a leader; a later
-// sibling still forks from the leader's publish, and once every cell
-// has left, the executor holds no group record and no tape bytes.
+// TestWarmGateCanceledWaiters: siblings canceled while they wait in the
+// line behind the group's warming leader, with slots free, report
+// canceled and leave without starting; a later sibling still forks from
+// the leader's publish, and once every cell has left, the executor
+// holds no group record and no tape bytes.
 func TestWarmGateCanceledWaiters(t *testing.T) {
 	cells := resolveCells(t, []string{"icount", "stall", "dwarn", "flush", "dg"}, []uint64{1})
 	store := &countingCkptStore{inner: ckpt.NewMemStore(0)}
@@ -141,11 +152,10 @@ func TestWarmGateCanceledWaiters(t *testing.T) {
 	leader := submit(context.Background(), ex, cells[0], nil)
 	<-leading
 
-	// Each cell misses the result store just before it joins its group.
 	ctx, cancel := context.WithCancel(context.Background())
 	waiters := make(chan []CellResult, 1)
 	go func() { waiters <- ex.Execute(ctx, cells[1:4], nil) }()
-	waitFor(t, "the siblings at the gate", func() bool { return ex.met.storeMisses.Value() == 4 })
+	waitFor(t, "the siblings in the line", func() bool { return ex.waiting() == 3 })
 	cancel()
 	for _, r := range <-waiters {
 		if !errors.Is(r.Err, context.Canceled) {
@@ -154,7 +164,7 @@ func TestWarmGateCanceledWaiters(t *testing.T) {
 	}
 
 	later := submit(context.Background(), ex, cells[4], nil)
-	waitFor(t, "the later sibling at the gate", func() bool { return ex.met.storeMisses.Value() == 5 })
+	waitFor(t, "the later sibling in the line", func() bool { return ex.waiting() == 1 })
 	close(finish)
 	for _, ch := range []<-chan CellResult{leader, later} {
 		if r := result(t, ch); r.Err != nil {

@@ -3,11 +3,13 @@ package exec
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dwarn/internal/ckpt"
 	"dwarn/internal/obs"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
@@ -195,5 +197,70 @@ func TestWaitLineCancel(t *testing.T) {
 	}
 	if got := br.ran(); len(got) != 2 || got[1] != d.Fingerprint {
 		t.Fatal("the freed slot did not go to the next cell")
+	}
+}
+
+// TestWaitLineSiblingHoldsUpNoOne: a checkpoint group's sibling that
+// may not start yet (its leader is still calibrating) keeps its place
+// in the line without holding up an unrelated cell behind it, which
+// takes the free slot at once; the sibling starts, and forks, when the
+// leader publishes.
+func TestWaitLineSiblingHoldsUpNoOne(t *testing.T) {
+	group := resolveCells(t, []string{"icount", "stall"}, []uint64{1})
+	other := resolveCells(t, []string{"icount"}, []uint64{2})[0]
+	lead, sib := group[0], group[1]
+	publish := make(chan struct{})
+	var mu sync.Mutex
+	var order []string
+	var forks atomic.Int64
+	ex := New(Options{Workers: 2, Checkpoints: ckpt.NewMemStore(0), Registry: obs.NewRegistry(),
+		// The group's leader calibrates until publish is closed; every
+		// other cell that misses the store publishes at once.
+		Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
+			mu.Lock()
+			order = append(order, res.Fingerprint)
+			mu.Unlock()
+			cs := res.Options.Checkpoints
+			if _, ok := cs.Get(res.CheckpointKey); ok {
+				forks.Add(1)
+				return fakeResult(res), nil
+			}
+			if res.Fingerprint == lead.Fingerprint {
+				<-publish
+			}
+			cs.Put(res.CheckpointKey, &ckpt.Image{Key: res.CheckpointKey})
+			return fakeResult(res), nil
+		}})
+	ran := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), order...)
+	}
+	ctx := context.Background()
+
+	rl := submit(ctx, ex, lead, nil)
+	waitFor(t, "the leader on a slot", func() bool { return len(ran()) == 1 })
+	rs := submit(ctx, ex, sib, nil)
+	waitFor(t, "the sibling in the line", func() bool { return ex.waiting() == 1 })
+	// The unrelated cell is behind the sibling in the line, and a slot
+	// is free: it must run to the end while the leader still calibrates.
+	if r := result(t, submit(ctx, ex, other, nil)); r.Err != nil || r.Cached {
+		t.Fatalf("unrelated cell: %+v", r)
+	}
+	if n := ex.waiting(); n != 1 {
+		t.Fatalf("%d cells in the line while the leader calibrates, want the sibling", n)
+	}
+	close(publish)
+	for _, ch := range []<-chan CellResult{rl, rs} {
+		if r := result(t, ch); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	want := []string{lead.Fingerprint, other.Fingerprint, sib.Fingerprint}
+	if got := ran(); !slices.Equal(got, want) {
+		t.Errorf("start order %v, want leader, unrelated cell, sibling", got)
+	}
+	if forks.Load() != 1 {
+		t.Errorf("forks = %d, want 1 (the sibling)", forks.Load())
 	}
 }

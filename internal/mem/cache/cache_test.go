@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,18 +51,113 @@ func TestSameSetDifferentLines(t *testing.T) {
 	}
 }
 
+// TestLRUEviction infers the replacement policy of the L1D and L2 of
+// every stock machine from black-box Access/Probe sequences, after
+// CacheQuery (Vila et al.): fill one set, order its blocks by touching
+// them, then insert fresh blocks of the same set one at a time and
+// probe which resident block each insert evicted. The eviction order
+// recovered must be LRU's: least recently used first among arrived
+// lines, an in-flight line kept while an arrived one remains, and plain
+// LRU once the whole set is in flight (victim's fallback). Each
+// scenario runs in the first, a middle and the last set, over several
+// touch orders.
 func TestLRUEviction(t *testing.T) {
-	c := tinyCache()
-	c.Access(0x000, 1, 1) // set 0
-	c.Access(0x100, 2, 2) // set 0, other way
-	c.Access(0x000, 3, 3) // touch first: now 0x100 is LRU
-	c.Access(0x200, 4, 4) // set 0: evicts 0x100
-	if present, _ := c.Probe(0x100); present {
-		t.Error("LRU line survived eviction")
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, name := range config.Machines() {
+		m, err := config.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []struct {
+			name string
+			cfg  config.CacheConfig
+		}{{"l1d", m.DCache}, {"l2", m.L2}} {
+			t.Run(name+"/"+level.name, func(t *testing.T) {
+				g := level.cfg
+				ways, sets := g.Ways, g.Sets()
+				for _, set := range []int{0, sets / 2, sets - 1} {
+					// block(i) is the set's i-th distinct line.
+					block := func(i int) uint64 { return uint64((i*sets + set) * g.LineBytes) }
+					for trial := 0; trial < 4; trial++ {
+						order := rng.Perm(ways)
+
+						// Arrived: every resident line's data is in.
+						c := New(g)
+						for i := 0; i < ways; i++ {
+							c.Access(block(i), 1, 1)
+						}
+						touch(t, c, block, order, 10, Hit)
+						if got := probeEvictions(t, c, block, ways, 100, 100); !slices.Equal(got, order) {
+							t.Fatalf("set %d, arrived lines touched %v: evicted %v, want LRU order", set, order, got)
+						}
+
+						// One in flight: block 0 is the oldest line but its
+						// fill is due at 1000, so every arrived line goes
+						// first, least recently used first.
+						c = New(g)
+						c.Access(block(0), 1, 1000)
+						for i := 1; i < ways; i++ {
+							c.Access(block(i), 1+int64(i), 1+int64(i))
+						}
+						arrived := slices.DeleteFunc(slices.Clone(order), func(i int) bool { return i == 0 })
+						touch(t, c, block, arrived, 10, Hit)
+						if got := probeEvictions(t, c, block, ways-1, 100, 100); !slices.Equal(got, arrived) {
+							t.Fatalf("set %d, block 0 in flight, arrived touched %v: evicted %v, want LRU order among arrived lines", set, arrived, got)
+						}
+						if present, _ := c.Probe(block(0)); !present {
+							t.Fatalf("set %d: the in-flight line was evicted while arrived lines remained", set)
+						}
+
+						// Whole set in flight, inserts too: plain LRU.
+						c = New(g)
+						for i := 0; i < ways; i++ {
+							c.Access(block(i), 1+int64(i), 1000)
+						}
+						touch(t, c, block, order, 10, DelayedHit)
+						if got := probeEvictions(t, c, block, ways, 100, 1000); !slices.Equal(got, order) {
+							t.Fatalf("set %d, whole set in flight, touched %v: evicted %v, want LRU order", set, order, got)
+						}
+					}
+				}
+			})
+		}
 	}
-	if present, _ := c.Probe(0x000); !present {
-		t.Error("MRU line was evicted")
+}
+
+// touch accesses the resident blocks in order, one cycle apart from
+// now, each expected to be outcome.
+func touch(t *testing.T, c *Cache, block func(int) uint64, order []int, now int64, want Outcome) {
+	t.Helper()
+	for k, i := range order {
+		if out, _ := c.Access(block(i), now+int64(k), 0); out != want {
+			t.Fatalf("touching block %d: %v, want %v", i, out, want)
+		}
 	}
+}
+
+// probeEvictions inserts n fresh blocks of the set at cycle now, each
+// arriving at fill, and returns which resident block (0..ways-1) each
+// insert evicted, found by probing every resident block after it.
+func probeEvictions(t *testing.T, c *Cache, block func(int) uint64, n int, now, fill int64) []int {
+	t.Helper()
+	ways := c.Config().Ways
+	gone := make([]bool, ways)
+	var evicted []int
+	for j := 0; j < n; j++ {
+		if out, _ := c.Access(block(ways+j), now, fill); out != Miss {
+			t.Fatalf("inserting a fresh block: %v, want miss", out)
+		}
+		for i := 0; i < ways; i++ {
+			if present, _ := c.Probe(block(i)); !present && !gone[i] {
+				gone[i] = true
+				evicted = append(evicted, i)
+			}
+		}
+		if len(evicted) != j+1 {
+			t.Fatalf("insert %d evicted %d resident blocks in all, want %d", j, len(evicted), j+1)
+		}
+	}
+	return evicted
 }
 
 func TestInFlightProtection(t *testing.T) {

@@ -171,6 +171,8 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 		now:    1,
 	}
 	c.events.init(eventHorizon(cfg), c.now)
+	// One squash recycles at most one thread's fetch queue and ROB.
+	c.replayBuf = make([]isa.Uop, 0, cfg.FetchQueueSize+cfg.ROBSizePerThread)
 	c.qCap[isa.QInt] = cfg.IntQueueSize
 	c.qCap[isa.QFP] = cfg.FPQueueSize
 	c.qCap[isa.QLS] = cfg.LSQueueSize
@@ -193,7 +195,11 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 	c.fpReady = newRegBitset(cfg.PhysFPRegs)
 	c.threads = make([]*thread, n)
 	for i, src := range srcs {
-		t := &thread{id: i, src: src}
+		// Fetch and dispatch stop at these bounds, so neither deque
+		// grows once the machine is built.
+		t := &thread{id: i, src: src,
+			feq: newInstDeque(cfg.FetchQueueSize),
+			rob: newInstDeque(cfg.ROBSizePerThread)}
 		for a := 0; a < isa.NumIntRegs; a++ {
 			p := int32(i*isa.NumIntRegs + a)
 			t.intMap[a] = p

@@ -13,6 +13,10 @@ type instDeque struct {
 	head int
 }
 
+// newInstDeque returns a deque that holds up to n entries without
+// growing.
+func newInstDeque(n int) instDeque { return instDeque{buf: make([]*DynInst, 0, n)} }
+
 func (q *instDeque) len() int          { return len(q.buf) - q.head }
 func (q *instDeque) front() *DynInst   { return q.buf[q.head] }
 func (q *instDeque) at(i int) *DynInst { return q.buf[q.head+i] }

@@ -52,10 +52,11 @@ func TestEventQueueMatchesHeapOrder(t *testing.T) {
 		for ; now <= maxAt; now++ {
 			bucket := q.bucketFor(now)
 			for i := 0; i < len(bucket); i++ {
-				if bucket[i].at != now {
-					t.Fatalf("trial %d: cycle %d drained event scheduled for %d", trial, now, bucket[i].at)
+				id := ids[bucket[i].inst]
+				if at := ref[id].at; at != now {
+					t.Fatalf("trial %d: cycle %d drained event scheduled for %d", trial, now, at)
 				}
-				drained = append(drained, ids[bucket[i].inst])
+				drained = append(drained, id)
 			}
 			q.advance(now)
 			if len(ref) < 200 && rng.Intn(2) == 0 {

@@ -22,14 +22,21 @@ const (
 	evBranchResolve
 )
 
+// event is one scheduled event. It carries no cycle: the bucket it sits
+// in is its cycle.
 type event struct {
-	at   int64
-	kind evKind
+	inst *DynInst
 	// gen snapshots inst.gen at schedule time. The arena bumps gen when
 	// an instruction is recycled, so a stale event for a squashed (and
 	// possibly reused) DynInst is detected by a mismatch and skipped.
 	gen  uint32
-	inst *DynInst
+	kind evKind
+}
+
+// lateEvent is an event beyond the ring's window, with its cycle.
+type lateEvent struct {
+	at int64
+	event
 }
 
 // eventQueue is a calendar queue: a ring of per-cycle buckets covering
@@ -56,7 +63,7 @@ type eventQueue struct {
 	// overflow holds events beyond the horizon in schedule order. Empty
 	// for every stock machine configuration; custom configs with longer
 	// latencies than the sized horizon fall back to it for correctness.
-	overflow []event
+	overflow []lateEvent
 }
 
 // ringPool recycles rings between machines with the same horizon. A
@@ -64,11 +71,13 @@ type eventQueue struct {
 // does not regrow them.
 var ringPool bufpool.Slices[[]event]
 
-// bucketCap is a new ring's capacity per bucket, carved from one array:
-// no bucket outgrew it in steady state on the paper's workloads (2-MIX,
-// 4-MIX and 8-MEM under every policy), so a ring does not grow in the
-// cycle loop.
-const bucketCap = 16
+// bucketCap is a new ring's capacity per bucket, carved from one array.
+// A bucket has no static bound: every load that merged into one
+// in-flight fill completes in the fill's cycle. The most seen in one
+// bucket was 20, over 30k steady-state cycles of every stock machine,
+// ten workloads from 2-ILP to 8-MEM, every policy and seeds 1–3 and 42;
+// 16 let a few of those runs grow a bucket in the cycle loop.
+const bucketCap = 32
 
 // init sizes the ring to cover horizon cycles of look-ahead and primes
 // the window to start at cycle start. A recycled ring's buckets are
@@ -110,14 +119,14 @@ func (q *eventQueue) schedule(at int64, kind evKind, inst *DynInst) {
 	if at <= q.now {
 		at = q.now + 1
 	}
-	ev := event{at: at, kind: kind, gen: inst.gen, inst: inst}
+	ev := event{inst: inst, gen: inst.gen, kind: kind}
 	q.count++
 	if at-q.now <= int64(len(q.buckets)) {
 		idx := at & q.mask
 		q.buckets[idx] = append(q.buckets[idx], ev)
 		return
 	}
-	q.overflow = append(q.overflow, ev)
+	q.overflow = append(q.overflow, lateEvent{at, ev})
 }
 
 // bucketFor returns the bucket holding cycle now's events. The caller
@@ -142,7 +151,7 @@ func (q *eventQueue) advance(now int64) {
 	for _, ev := range q.overflow {
 		if ev.at-now <= h {
 			i := ev.at & q.mask
-			q.buckets[i] = append(q.buckets[i], ev)
+			q.buckets[i] = append(q.buckets[i], ev.event)
 		} else {
 			kept = append(kept, ev)
 		}

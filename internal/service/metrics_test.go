@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -265,5 +268,63 @@ func TestMetricsCacheAccounting(t *testing.T) {
 	if cachedFrames != again.Total || otherFrames != 0 {
 		t.Fatalf("SSE replay: %d cached + %d other frames, want %d cached only",
 			cachedFrames, otherFrames, again.Total)
+	}
+}
+
+// TestMetricsReferenceMatchesRegistry: DESIGN.md's metrics reference
+// names every dwarn_* family a server registers, by its exact name, and
+// names nothing else. The server carries a journal, and runs one run,
+// one sweep and one timeline-sampled cell, so every family has
+// registered by the scrape.
+func TestMetricsReferenceMatchesRegistry(t *testing.T) {
+	j, recs := openJournal(t, filepath.Join(t.TempDir(), "journal"))
+	_, ts := newTestServer(t, Options{Workers: 2, Journal: j, Recovered: recs})
+	waitJob(t, ts, submitRun(t, ts, testRun("icount", "2-MIX")).ID, StateDone)
+	runSweepToDone(t, ts, oneGroupSweep("icount", "dwarn"))
+	sampled := testRun("dwarn", "2-MEM")
+	sampled.Timeline = &spec.TimelineSpec{IntervalCycles: 1000}
+	waitJob(t, ts, submitRun(t, ts, sampled).ID, StateDone)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	registered := map[string]bool{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "dwarn_") {
+			registered[f[2]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ref, ok := strings.Cut(string(design), "\n### Metrics reference\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "### Metrics reference" section`)
+	}
+	if end := strings.Index(ref, "\n#"); end >= 0 {
+		ref = ref[:end]
+	}
+	documented := map[string]bool{}
+	for _, name := range regexp.MustCompile(`dwarn_[a-z0-9_]+`).FindAllString(ref, -1) {
+		documented[name] = true
+	}
+
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered but not named in DESIGN.md's metrics reference", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("DESIGN.md's metrics reference names %s, which no family registers", name)
+		}
 	}
 }

@@ -26,14 +26,8 @@ import (
 // traces share a key, and any re-recorded or edited trace gets a new
 // one.
 //
-// policyID overrides the policy component of the key; pass it for
-// out-of-registry PolicyInstance runs labelled by the caller. When
-// empty, the canonical {Policy, PolicyParams} identity is used — or,
-// for instance runs, PolicyInstance.Name() with the instance's Params()
-// folded in when it implements pipeline.ParameterizedPolicy and they are
-// non-empty — so a threshold sweep never collides with the base policy's
-// cache entries, and an ICOUNT instance keys as plain "instance:ICOUNT".
-func Fingerprint(opts Options, policyID string) string {
+// The policy component is policyIdentity(opts).
+func Fingerprint(opts Options) string {
 	cfg := opts.Config
 	if cfg == nil {
 		cfg = config.Baseline()
@@ -50,28 +44,12 @@ func Fingerprint(opts Options, policyID string) string {
 	if measure == 0 {
 		measure = DefaultMeasureCycles
 	}
-	if policyID == "" {
-		if opts.PolicyInstance != nil {
-			policyID = "instance:" + opts.PolicyInstance.Name()
-			if pp, ok := opts.PolicyInstance.(pipeline.ParameterizedPolicy); ok {
-				if params := pp.Params(); params != "" {
-					policyID += "|" + params
-				}
-			}
-		} else {
-			// Canonical {name, params} identity: the bare name when every
-			// parameter is at its default, so explicit defaults share the
-			// cache entries of unparameterised requests.
-			policyID = core.PolicyID(opts.Policy, opts.PolicyParams)
-		}
-	}
-
 	// %#v over value-only structs is deterministic and automatically
 	// covers fields added later, at the cost of keys not being stable
 	// across releases — fine for an in-process/in-memory cache identity.
 	h := sha256.New()
 	hashMachine(h, cfg)
-	fmt.Fprintf(h, "policy|%s\n", policyID)
+	fmt.Fprintf(h, "policy|%s\n", policyIdentity(opts))
 	if opts.Trace != nil {
 		fmt.Fprintf(h, "trace|%s|%d\n", opts.Trace.Digest, len(opts.Trace.Threads))
 		// Replay consumes recorded streams, never the seed — hash a
@@ -83,6 +61,28 @@ func Fingerprint(opts Options, policyID string) string {
 	}
 	fmt.Fprintf(h, "protocol|seed=%d|warmup=%d|measure=%d\n", seed, warmup, measure)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// policyIdentity is the policy component of a fingerprint. For a
+// registered policy it is the canonical {Policy, PolicyParams} identity:
+// the bare name when every parameter is at its default, so explicit
+// defaults share the cache entries of unparameterised requests. For an
+// instance run it is "instance:" + PolicyInstance.Name(), with the
+// instance's Params() folded in when it implements
+// pipeline.ParameterizedPolicy and they are non-empty, so a threshold
+// sweep never collides with the base policy's cache entries, and an
+// ICOUNT instance keys as plain "instance:ICOUNT".
+func policyIdentity(opts Options) string {
+	if opts.PolicyInstance == nil {
+		return core.PolicyID(opts.Policy, opts.PolicyParams)
+	}
+	id := "instance:" + opts.PolicyInstance.Name()
+	if pp, ok := opts.PolicyInstance.(pipeline.ParameterizedPolicy); ok {
+		if params := pp.Params(); params != "" {
+			id += "|" + params
+		}
+	}
+	return id
 }
 
 // hashMachine writes the machine component: the full resolved

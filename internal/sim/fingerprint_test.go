@@ -21,8 +21,8 @@ func testOpts(t *testing.T) Options {
 
 func TestFingerprintStableAndSensitive(t *testing.T) {
 	base := testOpts(t)
-	fp := Fingerprint(base, "")
-	if fp == "" || fp != Fingerprint(base, "") {
+	fp := Fingerprint(base)
+	if fp == "" || fp != Fingerprint(base) {
 		t.Fatal("fingerprint not stable")
 	}
 
@@ -31,7 +31,7 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	explicit := base
 	explicit.Config = config.Baseline()
 	explicit.Seed = DefaultSeed
-	if Fingerprint(explicit, "") != fp {
+	if Fingerprint(explicit) != fp {
 		t.Error("explicit defaults changed the fingerprint")
 	}
 
@@ -52,13 +52,9 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	v.Workload, _ = workload.GetWorkload("2-MEM")
 	variants["workload"] = v
 	for name, opt := range variants {
-		if Fingerprint(opt, "") == fp {
+		if Fingerprint(opt) == fp {
 			t.Errorf("changing %s did not change the fingerprint", name)
 		}
-	}
-
-	if Fingerprint(base, "stall-t6") == fp {
-		t.Error("policyID override did not change the fingerprint")
 	}
 }
 
@@ -81,34 +77,29 @@ func TestFingerprintPolicyInstanceParams(t *testing.T) {
 		return o
 	}
 
-	if Fingerprint(instance("icount", nil), "") != Fingerprint(base, "instance:ICOUNT") {
+	if policyIdentity(instance("icount", nil)) != "instance:ICOUNT" {
 		t.Error(`ICOUNT instance does not key as "instance:ICOUNT"`)
 	}
-	if Fingerprint(instance("stall", nil), "") != Fingerprint(base, "instance:STALL|threshold=15") {
+	if policyIdentity(instance("stall", nil)) != "instance:STALL|threshold=15" {
 		t.Error(`default STALL instance does not key as "instance:STALL|threshold=15"`)
 	}
 
 	def := instance("stall", nil)
 	tuned := instance("stall", map[string]int64{"threshold": 25})
-	if Fingerprint(def, "") == Fingerprint(tuned, "") {
+	if Fingerprint(def) == Fingerprint(tuned) {
 		t.Error("STALL threshold variant collides with default STALL")
 	}
 
 	dgDef := instance("dg", nil)
 	dgTuned := instance("dg", map[string]int64{"n": 2})
-	if Fingerprint(dgDef, "") == Fingerprint(dgTuned, "") {
+	if Fingerprint(dgDef) == Fingerprint(dgTuned) {
 		t.Error("DG gate-count variant collides with default DG")
 	}
 
 	// Stability: the same parameters hash identically.
 	tuned2 := instance("stall", map[string]int64{"threshold": 25})
-	if Fingerprint(tuned, "") != Fingerprint(tuned2, "") {
+	if Fingerprint(tuned) != Fingerprint(tuned2) {
 		t.Error("parameterised instance fingerprint unstable")
-	}
-
-	// An explicit policyID label still wins over instance params.
-	if Fingerprint(tuned, "stall-t25") == Fingerprint(tuned, "") {
-		t.Error("explicit policyID should override the instance identity")
 	}
 }
 

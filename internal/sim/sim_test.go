@@ -174,7 +174,7 @@ func TestCheckEveryObservesOnly(t *testing.T) {
 				t.Errorf("%s (timeline %v): counter digest changed with checks on", policy, tl != nil)
 			}
 		}
-		if Fingerprint(checked, "") != Fingerprint(base, "") {
+		if Fingerprint(checked) != Fingerprint(base) {
 			t.Errorf("%s: CheckEvery changed the fingerprint", policy)
 		}
 	}

@@ -197,15 +197,12 @@ func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source, max uint64) {
 	cpu.EnableGateSampling()
 	sampler := timeline.NewSampler(timeline.Config{IntervalCycles: 100, MaxFrames: 16}, cpu.NumThreads())
 
-	// Warm past cold-start growth (arena, ROB), exactly as the base
-	// engine guard does.
-	cpu.Run(60_000)
-
-	// Count over 30k cycles, like TestStepZeroAllocSteadyState, but
-	// take a frame every single cycle: an interval boundary is never
-	// cheaper than a plain cycle, so this covers every sampled run.
+	// Warm up as the base engine guard does, then count over 30k
+	// cycles like TestStepZeroAllocSteadyState, but take a frame every
+	// single cycle: an interval boundary is never cheaper than a plain
+	// cycle, so this covers every sampled run.
 	cycle := int64(60_000)
-	n := mallocsDuring(func() {
+	n := steadyMallocs(func() { cpu.Run(cycle) }, func() {
 		for end := cycle + 30_000; cycle < end; cycle++ {
 			cpu.Step()
 			sampler.Sample(cpu, cycle, cycle+1)

@@ -159,10 +159,10 @@ func TestTraceFingerprint(t *testing.T) {
 	tr2 := recordTrace(t, "2-ILP", 6, 2000) // different seed → different content
 	wl, _ := workload.GetWorkload("2-ILP")
 
-	synth := Fingerprint(Options{Policy: "dwarn", Workload: wl}, "")
-	a := Fingerprint(Options{Policy: "dwarn", Trace: tr1}, "")
-	b := Fingerprint(Options{Policy: "dwarn", Trace: tr2}, "")
-	a2 := Fingerprint(Options{Policy: "dwarn", Trace: tr1}, "")
+	synth := Fingerprint(Options{Policy: "dwarn", Workload: wl})
+	a := Fingerprint(Options{Policy: "dwarn", Trace: tr1})
+	b := Fingerprint(Options{Policy: "dwarn", Trace: tr2})
+	a2 := Fingerprint(Options{Policy: "dwarn", Trace: tr1})
 	if a == synth || a == b {
 		t.Error("trace fingerprints collide")
 	}
@@ -172,8 +172,8 @@ func TestTraceFingerprint(t *testing.T) {
 
 	// Replay never consumes the seed, so seed must not split the cache:
 	// identical trace runs differing only in Seed share one identity.
-	s1 := Fingerprint(Options{Policy: "dwarn", Trace: tr1, Seed: 1}, "")
-	s2 := Fingerprint(Options{Policy: "dwarn", Trace: tr1, Seed: 2}, "")
+	s1 := Fingerprint(Options{Policy: "dwarn", Trace: tr1, Seed: 1})
+	s2 := Fingerprint(Options{Policy: "dwarn", Trace: tr1, Seed: 2})
 	if s1 != s2 || s1 != a {
 		t.Error("seed leaked into the trace-run fingerprint")
 	}

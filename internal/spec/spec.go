@@ -398,7 +398,7 @@ func (s *RunSpec) resolve(r TraceResolver, static bool) (*Resolved, error) {
 	return &Resolved{
 		Spec:          canonical,
 		Options:       opts,
-		Fingerprint:   sim.Fingerprint(opts, ""),
+		Fingerprint:   sim.Fingerprint(opts),
 		CheckpointKey: sim.CheckpointKey(opts),
 	}, nil
 }
