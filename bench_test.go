@@ -103,43 +103,48 @@ func BenchmarkPolicyThroughput4MIX(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorCycleRate measures raw simulation speed per thread
-// count, the number that bounds every experiment above. Besides the
+// BenchmarkSimulatorCycleRate measures raw simulation speed per fetch
+// policy and thread count, the number that bounds every experiment
+// above: ICOUNT, the threshold detector of STALL and FLUSH (FLUSH adds
+// squash and re-fetch), and DWarn, as <policy>/<workload>. Besides the
 // stock ns/op (= ns/cycle) it reports committed uops/sec and, with
 // -benchmem, allocations per cycle — the zero-alloc engine's headline
 // numbers. The tracked trajectory is cmd/dwarnbench's engine workload:
 // sim.ns_per_cycle, sim.ns_per_committed_uop and
 // runtime.alloc_kb_per_op.
 func BenchmarkSimulatorCycleRate(b *testing.B) {
-	for _, wn := range []string{"2-MIX", "4-MIX", "8-MEM"} {
-		b.Run(wn, func(b *testing.B) {
-			wl, _ := workload.GetWorkload(wn)
-			gens, _ := wl.Generators(42)
-			cpu, err := pipeline.New(config.Baseline(), core.MustNewPolicy("icount"), gens)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cpu.Run(5000) // warm
-			committed := func() uint64 {
-				var sum uint64
-				for t := 0; t < cpu.NumThreads(); t++ {
-					sum += cpu.ThreadStats(t).Committed
+	for _, pol := range []string{"icount", "stall", "flush", "dwarn"} {
+		for _, wn := range []string{"2-MIX", "4-MIX", "8-MEM"} {
+			b.Run(pol+"/"+wn, func(b *testing.B) {
+				wl, _ := workload.GetWorkload(wn)
+				gens, _ := wl.Generators(42)
+				cpu, err := pipeline.New(config.Baseline(), core.MustNewPolicy(pol), gens)
+				if err != nil {
+					b.Fatal(err)
 				}
-				return sum
-			}
-			before := committed()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cpu.Step()
-			}
-			b.StopTimer()
-			delta := float64(committed() - before)
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(delta/secs, "uops/sec")
-			}
-			b.ReportMetric(delta/float64(b.N), "uops/cycle")
-		})
+				defer cpu.Release()
+				cpu.Run(5000) // warm
+				committed := func() uint64 {
+					var sum uint64
+					for t := 0; t < cpu.NumThreads(); t++ {
+						sum += cpu.ThreadStats(t).Committed
+					}
+					return sum
+				}
+				before := committed()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cpu.Step()
+				}
+				b.StopTimer()
+				delta := float64(committed() - before)
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(delta/secs, "uops/sec")
+				}
+				b.ReportMetric(delta/float64(b.N), "uops/cycle")
+			})
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 
 	"dwarn/internal/config"
 	"dwarn/internal/core"
+	"dwarn/internal/isa"
 	"dwarn/internal/obs"
 	"dwarn/internal/out"
 	"dwarn/internal/sim"
@@ -127,10 +128,11 @@ func cmdRecord(args []string) {
 		fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, *seed)
+	var u isa.Uop
 	for _, src := range srcs {
 		rec := w.Record(src)
 		for i := 0; i < *uops; i++ {
-			rec.Next()
+			rec.Next(&u)
 		}
 	}
 

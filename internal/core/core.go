@@ -17,12 +17,13 @@ import (
 
 // icountOrder orders thread IDs by ascending pre-issue instruction count
 // (the ICOUNT heuristic), breaking ties with a rotating offset so equal
-// threads share fetch slots fairly over time. Keys are unique (the
+// threads share fetch slots fairly over time: thread t's tie-break is
+// (t+rot) mod n, where rot is the cycle mod n. Keys are unique (the
 // rotation separates equal counts), so this insertion sort produces
 // exactly the order the previous sort.Slice did — without its per-call
 // closure and interface allocations, which dominated Priority on the
 // per-cycle path. Thread counts are at most 8.
-func icountOrder(cpu *pipeline.CPU, now int64, tids []int) {
+func icountOrder(cpu *pipeline.CPU, rot int, tids []int) {
 	n := cpu.NumThreads()
 	var kbuf [16]int
 	keys := kbuf[:]
@@ -30,7 +31,11 @@ func icountOrder(cpu *pipeline.CPU, now int64, tids []int) {
 		keys = make([]int, n)
 	}
 	for _, t := range tids {
-		keys[t] = cpu.PreIssueCount(t)*16 + (t+int(now))%n
+		tie := t + rot
+		if tie >= n {
+			tie -= n
+		}
+		keys[t] = cpu.PreIssueCount(t)*16 + tie
 	}
 	for i := 1; i < len(tids); i++ {
 		t := tids[i]
@@ -123,6 +128,7 @@ func (p *Policy) Reset() { p.detector.reset() }
 // classified gated: attribution charges the policy's decision, not the
 // liveness escape hatch.
 func (p *Policy) Priority(now int64, dst []int) []int {
+	rot := int(now % int64(len(p.class)))
 	p.detector.classify(p.class)
 	out := dst
 	demoted := p.demoted[:0]
@@ -134,9 +140,9 @@ func (p *Policy) Priority(now int64, dst []int) []int {
 			demoted = append(demoted, t)
 		}
 	}
-	icountOrder(p.cpu, now, out)
+	icountOrder(p.cpu, rot, out)
 	if len(demoted) > 0 {
-		icountOrder(p.cpu, now, demoted)
+		icountOrder(p.cpu, rot, demoted)
 		out = append(out, demoted...)
 	}
 	if len(out) == 0 && p.keepOne {
@@ -144,7 +150,7 @@ func (p *Policy) Priority(now int64, dst []int) []int {
 		for t := range p.class {
 			out = append(out, t)
 		}
-		icountOrder(p.cpu, now, out)
+		icountOrder(p.cpu, rot, out)
 		out = out[:1]
 	}
 	return out

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dwarn/internal/pipeline"
 )
@@ -23,11 +24,17 @@ type trackedLoad struct {
 // they held; they are re-fetched when the thread resumes.
 type threshold struct {
 	nopEvents
-	cpu       *pipeline.CPU
 	threshold int64
 	flush     bool
+	// flushAfter is the FLUSH response, the attached CPU's FlushAfter.
+	flushAfter func(*pipeline.DynInst) int
 	// outstanding missing loads per thread.
 	tracked [][]trackedLoad
+	// due is, per thread, a cycle at or before which Tick must next
+	// scan the thread's loads: no undeclared load comes due earlier. A
+	// load that returns or is squashed leaves it unchanged, so it may
+	// be early, which costs only a scan that declares nothing.
+	due []int64
 	// blocking counts declared-but-unreturned loads per thread; a
 	// thread is gated while its count is positive.
 	blocking []int
@@ -39,22 +46,29 @@ type threshold struct {
 func (d *threshold) params() string { return fmt.Sprintf("threshold=%d", d.threshold) }
 
 func (d *threshold) attach(cpu *pipeline.CPU) {
-	d.cpu = cpu
-	d.tracked = make([][]trackedLoad, cpu.NumThreads())
-	d.blocking = make([]int, cpu.NumThreads())
+	d.flushAfter = cpu.FlushAfter
 	// A tracked load sits in its thread's ROB until it returns or is
 	// squashed, so the ROB bounds each list and the scratch: sized to
 	// it, the per-cycle path never grows them.
-	rob := cpu.Config().ROBSizePerThread
+	d.size(cpu.NumThreads(), cpu.Config().ROBSizePerThread)
+}
+
+// size allocates per-thread state for n threads of rob-entry ROBs.
+func (d *threshold) size(n, rob int) {
+	d.tracked = make([][]trackedLoad, n)
+	d.due = make([]int64, n)
+	d.blocking = make([]int, n)
 	for i := range d.tracked {
 		d.tracked[i] = make([]trackedLoad, 0, rob)
 	}
 	d.declareBuf = make([]*pipeline.DynInst, 0, rob)
+	d.reset()
 }
 
 func (d *threshold) reset() {
 	for i := range d.tracked {
 		d.tracked[i] = d.tracked[i][:0]
+		d.due[i] = math.MaxInt64
 		d.blocking[i] = 0
 	}
 }
@@ -71,22 +85,33 @@ func (d *threshold) OnLoadAccess(inst *pipeline.DynInst, now int64) {
 		tl.declared = true
 		d.blocking[t]++
 		if d.flush {
-			d.cpu.FlushAfter(inst)
+			d.flushAfter(inst)
 		}
+	} else if at := now + d.threshold; at < d.due[t] {
+		d.due[t] = at
 	}
 	d.tracked[t] = append(d.tracked[t], tl)
 }
 
-// Tick advances the timers and declares overdue loads. Flushes are
-// collected first and acted on afterwards: a flush squashes
+// Tick advances the timers and declares overdue loads. A thread is
+// scanned only once its due cycle has come; the scan finds the next one.
+// Flushes are collected first and acted on afterwards: a flush squashes
 // instructions, which re-enters the detector through drop and would
 // otherwise invalidate the iteration.
 func (d *threshold) Tick(now int64) {
 	for t := range d.tracked {
+		if now < d.due[t] {
+			continue
+		}
 		declare := d.declareBuf[:0]
+		next := int64(math.MaxInt64)
 		for i := range d.tracked[t] {
 			tl := &d.tracked[t][i]
-			if tl.declared || now-tl.accessAt < d.threshold {
+			if tl.declared {
+				continue
+			}
+			if at := tl.accessAt + d.threshold; now < at {
+				next = min(next, at)
 				continue
 			}
 			tl.declared = true
@@ -95,9 +120,10 @@ func (d *threshold) Tick(now int64) {
 				declare = append(declare, tl.inst)
 			}
 		}
+		d.due[t] = next
 		for _, inst := range declare {
 			if !inst.Squashed() {
-				d.cpu.FlushAfter(inst)
+				d.flushAfter(inst)
 			}
 		}
 		d.declareBuf = declare[:0]

@@ -68,7 +68,10 @@ type CPU struct {
 
 	threads []*thread
 
-	now    int64
+	now int64
+	// rot is now modulo the thread count, kept by Step: commit's
+	// starting thread and dispatch's fallback order rotate with it.
+	rot    int
 	ageCtr uint64
 	events eventQueue
 	arena  instArena
@@ -100,15 +103,15 @@ type CPU struct {
 	waitNodes  []waiter
 	freeWait   int32
 
-	// Scratch buffers reused across cycles.
-	prioBuf   []int
+	// replayBuf is squashYounger's scratch, reused across cycles.
 	replayBuf []isa.Uop
 
 	// dispatchOrder is the front-end thread order for this cycle: the
 	// policy's fetch priority with any omitted (gated) threads at the
 	// end. The in-order front end is a unit — a thread the policy has
 	// deprioritised should not push buffered instructions into the
-	// shared queues ahead of preferred threads.
+	// shared queues ahead of preferred threads. Fetch asks the policy
+	// for its priority straight into this buffer.
 	dispatchOrder []int
 	// dispatchLive is dispatch's scratch list of threads still able to
 	// dispatch this cycle.
@@ -218,6 +221,9 @@ func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CP
 	for p := int32(n * isa.NumFPRegs); p < int32(cfg.PhysFPRegs); p++ {
 		c.fpFree = append(c.fpFree, p)
 	}
+	c.rot = int(c.now) % n
+	c.dispatchOrder = make([]int, 0, n)
+	c.dispatchLive = make([]int, 0, n)
 	c.issued = make([]uint64, n)
 	c.gateCycles = make([][NumGateClasses]uint64, n)
 
@@ -507,7 +513,7 @@ func (c *CPU) squashYounger(t *thread, age uint64, replay bool) int {
 	// A peeked-but-unfetched uop must not leak: push a correct-path one
 	// back onto the replay stack (it is younger than everything being
 	// squashed, so it is re-fetched after them), drop a wrong-path one.
-	t.dropPeek(wasWP)
+	t.dropPeek(&c.arena, wasWP)
 
 	count := 0
 	// The oldest squashed correct-path branch decides the predictor

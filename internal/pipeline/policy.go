@@ -20,9 +20,10 @@ type FetchPolicy interface {
 	Tick(now int64)
 
 	// Priority appends to dst the threads allowed to fetch this cycle,
-	// highest priority first, and returns the result. Threads omitted
-	// are gated. The pipeline may fetch from fewer threads than listed
-	// (fetch mechanism limits, I-cache misses, full queues).
+	// each at most once, highest priority first, and returns the
+	// result. Threads omitted are gated. The pipeline may fetch from
+	// fewer threads than listed (fetch mechanism limits, I-cache
+	// misses, full queues).
 	Priority(now int64, dst []int) []int
 
 	// OnFetch is called for every fetched uop (including wrong-path

@@ -20,6 +20,9 @@ func (c *CPU) Step() {
 	c.fetch(now)
 	c.Stats.Cycles++
 	c.now = now + 1
+	if c.rot++; c.rot == len(c.threads) {
+		c.rot = 0
+	}
 
 	if now-c.lastCommitAt > livelockWindow {
 		panic(fmt.Sprintf("pipeline: no instruction committed for %d cycles at cycle %d (policy %s)\n%s",
@@ -124,9 +127,12 @@ func (c *CPU) resolveBranch(d *DynInst, now int64) {
 func (c *CPU) commit(now int64) {
 	budget := c.cfg.CommitWidth
 	n := len(c.threads)
-	start := int(now) % n
+	tid := c.rot
 	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(start+i)%n]
+		t := c.threads[tid]
+		if tid++; tid == n {
+			tid = 0
+		}
 		for budget > 0 && t.rob.len() > 0 {
 			d := t.rob.front()
 			if d.state != stDone {
@@ -192,11 +198,13 @@ func (c *CPU) issue(now int64) {
 	for budget > 0 {
 		best := -1
 		var bestAge uint64
-		for q, rl := range c.ready {
-			if units[q] == 0 || idx[q] == len(rl) {
+		// Indexing, not ranging over the array: a range copies all
+		// three slice headers on every slot.
+		for q := range c.ready {
+			if units[q] == 0 || idx[q] == len(c.ready[q]) {
 				continue
 			}
-			if age := rl[idx[q]].age; best < 0 || age < bestAge {
+			if age := c.ready[q][idx[q]].age; best < 0 || age < bestAge {
 				best, bestAge = q, age
 			}
 		}
@@ -276,9 +284,11 @@ func (c *CPU) dispatch(now int64) {
 	if len(c.dispatchOrder) == n {
 		live = append(live, c.dispatchOrder...)
 	} else {
-		start := int(now) % n
-		for i := 0; i < n; i++ {
-			live = append(live, (start+i)%n)
+		for i, tid := 0, c.rot; i < n; i++ {
+			live = append(live, tid)
+			if tid++; tid == n {
+				tid = 0
+			}
 		}
 	}
 	// Each round visits, in order, the threads that dispatched in the
@@ -378,20 +388,21 @@ func (c *CPU) lookupMap(t *thread, fp bool, r isa.Reg) int32 {
 // supply up to FetchWidth total instructions, each thread fetching
 // sequentially until a predicted-taken branch or I-cache line boundary.
 func (c *CPU) fetch(now int64) {
-	order := c.policy.Priority(now, c.prioBuf[:0])
-	c.prioBuf = order[:0]
-
-	// Record the order for next cycle's dispatch, appending any threads
-	// the policy omitted (gated) at the tail.
-	c.dispatchOrder = c.dispatchOrder[:0]
-	seen := 0
-	for _, tid := range order {
-		c.dispatchOrder = append(c.dispatchOrder, tid)
-		seen |= 1 << tid
-	}
-	for t := 0; t < len(c.threads); t++ {
-		if seen&(1<<t) == 0 {
-			c.dispatchOrder = append(c.dispatchOrder, t)
+	// The order is next cycle's dispatch order too (dispatch has
+	// already read this cycle's), with any threads the policy omitted
+	// (gated) appended at the tail.
+	order := c.policy.Priority(now, c.dispatchOrder[:0])
+	c.dispatchOrder = order
+	seen := 1<<len(c.threads) - 1
+	if len(order) < len(c.threads) {
+		seen = 0
+		for _, tid := range order {
+			seen |= 1 << tid
+		}
+		for t := range c.threads {
+			if seen&(1<<t) == 0 {
+				c.dispatchOrder = append(c.dispatchOrder, t)
+			}
 		}
 	}
 	if c.gateSampling {
@@ -444,66 +455,65 @@ func (c *CPU) attributeGates(seen int) {
 // fetchFrom fetches up to budget instructions from t, returning the
 // number fetched.
 func (c *CPU) fetchFrom(t *thread, budget int, now int64) int {
-	first := t.peek()
+	first := t.peek(&c.arena)
 	lineMask := ^uint64(c.cfg.ICache.LineBytes - 1)
-	if t.ifillValid && first.PC&lineMask == t.ifillLine {
+	if t.ifillValid && first.U.PC&lineMask == t.ifillLine {
 		// The outstanding fill carries exactly this line: consume the
 		// forwarded data and refresh the cache copy.
 		t.ifillValid = false
-		c.mem.TouchI(first.PC)
+		c.mem.TouchI(first.U.PC)
 	} else {
 		t.ifillValid = false
-		fr := c.mem.Fetch(t.id, first.PC, now)
+		fr := c.mem.Fetch(t.id, first.U.PC, now)
 		if fr.Miss {
 			t.icacheReadyAt = fr.CompleteAt
-			t.ifillLine = first.PC & lineMask
+			t.ifillLine = first.U.PC & lineMask
 			t.ifillValid = true
 			return 0
 		}
 	}
-	lineStart := first.PC & lineMask
+	lineStart := first.U.PC & lineMask
 
 	n := 0
 	for n < budget && t.feq.len() < c.cfg.FetchQueueSize {
-		u := t.peek()
-		if u.PC&lineMask != lineStart {
+		d := t.peek(&c.arena)
+		if d.U.PC&lineMask != lineStart {
 			break
 		}
-		uop := t.consume()
-		d := c.arena.get()
-		d.U = uop
+		t.next = nil
+		u := &d.U
 		d.Thread = t.id
 		d.Age = c.ageCtr
-		d.fpRegs = usesFPRegs(uop.Class)
+		d.fpRegs = usesFPRegs(u.Class)
 		d.destPhys, d.prevPhys, d.src1Phys, d.src2Phys = -1, -1, -1, -1
 		d.frontEndReadyAt = now + int64(c.cfg.FrontEndLatency)
 		c.ageCtr++
 		t.stats.Fetched++
-		if uop.WrongPath {
+		if u.WrongPath {
 			t.stats.WrongPathFetched++
 		}
 		n++
 		t.feq.push(d)
 		c.policy.OnFetch(d, now)
 
-		if !uop.Class.IsBranch() {
+		if !u.Class.IsBranch() {
 			continue
 		}
 		// Branch handling: wrong-path branches bypass the predictor and
 		// simply steer wrong-path fetch; correct-path branches are
 		// predicted, and a misprediction flips the thread into
 		// wrong-path mode at the bogus next PC.
-		if uop.WrongPath {
-			if uop.Branch.Taken {
+		if u.WrongPath {
+			if u.Branch.Taken {
 				break // fetch stops at a taken branch
 			}
 			continue
 		}
-		d.Pred = c.bp.Predict(t.id, &d.U)
+		d.Pred = c.bp.Predict(t.id, u)
 		if d.Pred.Mispredicted {
 			t.pendingBranch = d
 			t.wrongPath = true
-			t.src.StartWrongPath(uop.Seq, t.src.WrongPathPC(&d.U, d.Pred.Taken))
+			t.src.StartWrongPath(u.Seq, t.src.WrongPathPC(u, d.Pred.Taken))
 		} else if d.Pred.Resteer {
 			// Decode recomputes the direct target: a short fetch bubble.
 			t.redirectAt = now + resteerPenalty

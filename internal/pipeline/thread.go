@@ -78,9 +78,10 @@ type thread struct {
 	src workload.Source
 
 	// Fetch-side state: a one-uop lookahead for the current stream,
-	// held by value so peeking never allocates.
-	peeked    isa.Uop
-	hasPeek   bool
+	// held in the arena instruction it will be fetched as (nil when
+	// nothing is peeked), so each uop is copied once, from its source
+	// straight into its DynInst.
+	next      *DynInst
 	wrongPath bool
 	// pendingBranch is the unresolved mispredicted correct-path branch
 	// this thread is fetching wrong-path behind, if any.
@@ -126,42 +127,39 @@ type thread struct {
 	stats ThreadStats
 }
 
-// nextUop returns the next uop to fetch without consuming it.
-func (t *thread) peek() *isa.Uop {
-	if !t.hasPeek {
+// peek returns the instruction holding the next uop to fetch without
+// consuming it, taking it from a and filling it from the replay stack or
+// the source on first look. Fetch consumes it by clearing t.next.
+func (t *thread) peek(a *instArena) *DynInst {
+	if t.next == nil {
+		d := a.get()
 		switch {
 		case t.wrongPath:
-			t.peeked = t.src.NextWrongPath()
+			t.src.NextWrongPath(&d.U)
 		case len(t.replay) > 0:
-			t.peeked = t.replay[len(t.replay)-1]
+			d.U = t.replay[len(t.replay)-1]
 			t.replay = t.replay[:len(t.replay)-1]
 		default:
-			t.peeked = t.src.Next()
+			t.src.Next(&d.U)
 		}
-		t.hasPeek = true
+		t.next = d
 	}
-	return &t.peeked
+	return t.next
 }
 
-// consume takes the peeked uop.
-func (t *thread) consume() isa.Uop {
-	u := *t.peek()
-	t.hasPeek = false
-	return u
-}
-
-// dropPeekOnModeSwitch discards a peeked uop when the fetch stream
-// changes (entering or leaving wrong-path mode). A peeked correct-path
-// uop must be preserved, not dropped: it is the youngest un-fetched uop,
-// so it goes back on top of the replay stack (re-fetched first — until
-// squashYounger pushes the even older squashed uops above it). A peeked
-// wrong-path uop is simply discarded.
-func (t *thread) dropPeek(wasWrongPath bool) {
-	if !t.hasPeek {
+// dropPeek discards a peeked uop when the fetch stream changes
+// (entering or leaving wrong-path mode), returning its instruction to
+// a. A peeked correct-path uop must be preserved, not dropped: it is
+// the youngest un-fetched uop, so it goes back on top of the replay
+// stack (re-fetched first — until squashYounger pushes the even older
+// squashed uops above it). A peeked wrong-path uop is simply discarded.
+func (t *thread) dropPeek(a *instArena, wasWrongPath bool) {
+	if t.next == nil {
 		return
 	}
 	if !wasWrongPath {
-		t.replay = append(t.replay, t.peeked)
+		t.replay = append(t.replay, t.next.U)
 	}
-	t.hasPeek = false
+	a.put(t.next)
+	t.next = nil
 }

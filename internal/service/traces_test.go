@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"dwarn/internal/isa"
 	"dwarn/internal/spec"
 	"dwarn/internal/trace"
 	"dwarn/internal/workload"
@@ -26,10 +27,11 @@ func recordTestTrace(t *testing.T, wlName string, seed uint64, uops int) []byte 
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, seed)
+	var u isa.Uop
 	for _, src := range srcs {
 		rec := w.Record(src)
 		for i := 0; i < uops; i++ {
-			rec.Next()
+			rec.Next(&u)
 		}
 	}
 	var buf bytes.Buffer

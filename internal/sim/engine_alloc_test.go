@@ -21,7 +21,9 @@ import (
 // rather than an average per Step that rounds a few hundred allocations
 // down to zero; read-ahead runs get runtimeAllowance for the runtime's
 // own. A regression here reintroduces GC pressure on the hot loop that
-// every experiment, sweep, and service request bottoms out in.
+// every experiment, sweep, and service request bottoms out in. Rows
+// marked dtlbMiss must also see a DTLB miss in the window, so the
+// TLB's miss path (victim scan and index update) is inside the guard.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard runs tens of thousands of cycles")
@@ -52,9 +54,17 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 							defer cpu.Release()
 							// Long warmup: the caches, predictor and
 							// policy state settle before measuring.
-							n := steadyMallocs(func() { cpu.Run(60_000) }, func() { cpu.Run(30_000) })
+							var misses uint64
+							n := steadyMallocs(func() { cpu.Run(60_000) }, func() {
+								before := dtlbMisses(cpu)
+								cpu.Run(30_000)
+								misses = dtlbMisses(cpu) - before
+							})
 							if max := runtimeAllowance(m.ahead); n > max {
 								t.Errorf("%s %s %s: %d heap allocations over 30k steady-state cycles, want at most %d", row.machine, row.workload, m.name, n, max)
+							}
+							if row.dtlbMiss && misses == 0 {
+								t.Errorf("%s %s %s: no DTLB miss in the window, so the guard does not cover the TLB's miss path", row.machine, row.workload, m.name)
 							}
 						})
 					}
@@ -76,11 +86,21 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 var allocRows = []struct {
 	machine, workload string
 	seed              uint64
+	dtlbMiss          bool
 }{
-	{"baseline", "4-MIX", DefaultSeed},
-	{"baseline", "4-ILP", 3},
-	{"deep", "8-MEM", DefaultSeed},
-	{"deep", "4-ILP", DefaultSeed},
+	{"baseline", "4-MIX", DefaultSeed, false},
+	{"baseline", "4-ILP", 3, false},
+	{"deep", "8-MEM", DefaultSeed, true},
+	{"deep", "4-ILP", DefaultSeed, false},
+}
+
+// dtlbMisses sums the DTLB misses of every thread of cpu.
+func dtlbMisses(cpu *pipeline.CPU) uint64 {
+	var n uint64
+	for _, st := range cpu.Mem().Threads {
+		n += st.TLBMisses
+	}
+	return n
 }
 
 // runtimeAllowance is how many heap allocations a 30k-cycle window may

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dwarn/internal/core"
+	"dwarn/internal/isa"
 	"dwarn/internal/trace"
 	"dwarn/internal/workload"
 )
@@ -22,10 +23,11 @@ func recordTrace(t testing.TB, wlName string, seed uint64, n int) *trace.Trace {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, seed)
+	var u isa.Uop
 	for _, src := range srcs {
 		rec := w.Record(src)
 		for i := 0; i < n; i++ {
-			rec.Next()
+			rec.Next(&u)
 		}
 	}
 	var buf bytes.Buffer

@@ -67,11 +67,11 @@ func FuzzTraceRead(f *testing.F) {
 			}
 			for _, src := range tr.Sources() {
 				for i := 0; i < 600; i++ {
-					u := src.Next()
+					u := nextUop(src)
 					if u.Class.IsBranch() && i%7 == 0 {
 						src.StartWrongPath(u.Seq, src.WrongPathPC(&u, !u.Branch.Taken))
 						for k := 0; k < 8; k++ {
-							src.NextWrongPath()
+							nextWrongUop(src)
 						}
 					}
 				}

@@ -25,7 +25,7 @@ func recordStandalone(t testing.TB, wlName string, seed uint64, n int) []byte {
 	for _, src := range srcs {
 		rec := w.Record(src)
 		for i := 0; i < n; i++ {
-			rec.Next()
+			nextUop(rec)
 		}
 	}
 	var buf bytes.Buffer
@@ -61,7 +61,7 @@ func TestRoundTripUopStream(t *testing.T) {
 	}
 	for ti, src := range tr.Sources() {
 		for i := 0; i < n; i++ {
-			got, want := src.Next(), fresh[ti].Next()
+			got, want := nextUop(src), nextUop(fresh[ti])
 			if got != want {
 				t.Fatalf("thread %d uop %d:\n got %+v\nwant %+v", ti, i, got, want)
 			}
@@ -120,7 +120,7 @@ func TestWrongPathReplayMatchesGenerator(t *testing.T) {
 		gen := fresh[ti]
 		var branch isa.Uop
 		for i := 0; i < prefix; i++ {
-			a, b := src.Next(), gen.Next()
+			a, b := nextUop(src), nextUop(gen)
 			if a != b {
 				t.Fatalf("thread %d prefix diverged at %d", ti, i)
 			}
@@ -139,7 +139,7 @@ func TestWrongPathReplayMatchesGenerator(t *testing.T) {
 		src.StartWrongPath(branch.Seq, wpPCr)
 		gen.StartWrongPath(branch.Seq, wpPCg)
 		for i := 0; i < episode; i++ {
-			a, b := src.NextWrongPath(), gen.NextWrongPath()
+			a, b := nextWrongUop(src), nextWrongUop(gen)
 			if a != b {
 				t.Fatalf("thread %d wrong-path uop %d:\n got %+v\nwant %+v", ti, i, a, b)
 			}
@@ -156,7 +156,7 @@ func TestReplayerLoops(t *testing.T) {
 	r := NewReplayer(&tr.Threads[0])
 	seen := make(map[uint64]bool)
 	for i := 0; i < 3*n; i++ {
-		u := r.Next()
+		u := nextUop(r)
 		if u.Seq != uint64(i) {
 			t.Fatalf("seq %d at uop %d", u.Seq, i)
 		}
@@ -187,12 +187,12 @@ func TestConcurrentReplayersShareTrace(t *testing.T) {
 			r := NewReplayer(&tr.Threads[0])
 			out := make([]isa.Uop, 0, n)
 			for i := 0; i < n; i++ {
-				out = append(out, r.Next())
+				out = append(out, nextUop(r))
 			}
 			// Exercise wrong-path synthesis concurrently too.
 			r.StartWrongPath(uint64(n), r.StartPC())
 			for i := 0; i < 100; i++ {
-				out = append(out, r.NextWrongPath())
+				out = append(out, nextWrongUop(r))
 			}
 			streams[k] = out
 		}(k)
@@ -282,7 +282,7 @@ func TestHugeFootprintRejected(t *testing.T) {
 	w := NewWriter(wl.Name, 3)
 	rec := w.Record(&metaOverrideSource{Source: srcs[0], meta: meta})
 	for i := 0; i < 100; i++ {
-		rec.Next()
+		nextUop(rec)
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -335,7 +335,19 @@ func BenchmarkReplayerNext(b *testing.B) {
 	r := NewReplayer(&tr.Threads[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Next()
+		nextUop(r)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uops/s")
+}
+
+// nextUop and nextWrongUop return a source's next correct-path and
+// wrong-path uop.
+func nextUop(s workload.Source) (u isa.Uop) {
+	s.Next(&u)
+	return u
+}
+
+func nextWrongUop(s workload.Source) (u isa.Uop) {
+	s.NextWrongPath(&u)
+	return u
 }

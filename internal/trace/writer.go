@@ -129,11 +129,10 @@ type recorder struct {
 }
 
 // Next records and forwards the next correct-path uop.
-func (r *recorder) Next() isa.Uop {
-	u := r.src.Next()
-	r.records = appendUop(r.records, &u, &r.st)
+func (r *recorder) Next(dst *isa.Uop) {
+	r.src.Next(dst)
+	r.records = appendUop(r.records, dst, &r.st)
 	r.count++
-	return u
 }
 
 // The remaining Source methods delegate untouched: wrong paths are
@@ -144,6 +143,6 @@ func (r *recorder) StartWrongPath(salt, startPC uint64) { r.src.StartWrongPath(s
 func (r *recorder) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
 	return r.src.WrongPathPC(u, predictedTaken)
 }
-func (r *recorder) NextWrongPath() isa.Uop          { return r.src.NextWrongPath() }
+func (r *recorder) NextWrongPath(dst *isa.Uop)      { r.src.NextWrongPath(dst) }
 func (r *recorder) Footprint() workload.Footprint   { return r.src.Footprint() }
 func (r *recorder) ReplayMeta() workload.ReplayMeta { return r.meta }

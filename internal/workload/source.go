@@ -14,8 +14,8 @@ import "dwarn/internal/isa"
 // deterministic stream for fetches past a mispredicted branch, seeded
 // per episode so replays reproduce bit-identically.
 type Source interface {
-	// Next produces the next correct-path uop.
-	Next() isa.Uop
+	// Next writes the next correct-path uop to dst.
+	Next(dst *isa.Uop)
 	// StartPC is the first instruction's address.
 	StartPC() uint64
 	// StartWrongPath (re)seeds the wrong-path stream for a new
@@ -25,8 +25,8 @@ type Source interface {
 	// WrongPathPC returns the PC the front end runs off to after
 	// mispredicting branch u.
 	WrongPathPC(u *isa.Uop, predictedTaken bool) uint64
-	// NextWrongPath produces the next wrong-path uop.
-	NextWrongPath() isa.Uop
+	// NextWrongPath writes the next wrong-path uop to dst.
+	NextWrongPath(dst *isa.Uop)
 	// Footprint describes the thread's memory regions for pre-warming.
 	Footprint() Footprint
 	// ReplayMeta captures everything a trace recorder must persist so a
@@ -60,25 +60,45 @@ type ReplayMeta struct {
 	Footprint Footprint
 }
 
-// TrackUop updates st to reflect delivery of correct-path uop u,
-// mirroring the generator's internal counter and cursor updates. A
-// Stream feeds every delivered uop through this so that when a
-// wrong-path episode starts it hands the synthesizer exactly the state
-// the generator had when it produced that uop.
-func (m *ReplayMeta) TrackUop(st *WrongPathState, u *isa.Uop) {
-	switch u.Class {
-	case isa.IntALU, isa.IntMul, isa.Load:
-		st.IntWrites++
-	case isa.FPALU, isa.FPMul:
-		st.FPWrites++
-	}
+// pathTracker follows the delivered correct path for the wrong-path
+// synthesizer, mirroring the generator's register counters and region
+// cursors. Delivery pays one counter increment and, for a memory uop,
+// two compares; state folds the counts and reduces the cursors only
+// when a wrong-path episode starts.
+type pathTracker struct {
+	// classes counts delivered uops per class.
+	classes [isa.NumClasses]uint64
+	// far and mid are the offsets just past the latest far and mid
+	// access, not yet reduced modulo their region's size.
+	far, mid uint64
+}
+
+// track records delivery of correct-path uop u.
+func (m *ReplayMeta) track(tr *pathTracker, u *isa.Uop) {
+	tr.classes[u.Class]++
 	if u.Class.IsMem() {
 		off := u.Mem.Addr - m.Base
 		switch {
 		case off >= farOffset:
-			st.FarCursor = (off - farOffset + lineBytes) % farRegion
+			tr.far = off - farOffset + lineBytes
 		case off >= midOffset:
-			st.MidCursor = (off - midOffset + lineBytes) % uint64(m.Footprint.MidBytes)
+			tr.mid = off - midOffset + lineBytes
 		}
 	}
+}
+
+// state returns the WrongPathState the generator had when it produced
+// the latest uop track saw, so a wrong-path episode starting there gets
+// exactly the generator's state.
+func (m *ReplayMeta) state(tr *pathTracker) WrongPathState {
+	c := &tr.classes
+	st := WrongPathState{
+		IntWrites: c[isa.IntALU] + c[isa.IntMul] + c[isa.Load],
+		FPWrites:  c[isa.FPALU] + c[isa.FPMul],
+		FarCursor: tr.far % farRegion,
+	}
+	if tr.mid != 0 {
+		st.MidCursor = tr.mid % uint64(m.Footprint.MidBytes)
+	}
+	return st
 }

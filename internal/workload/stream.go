@@ -37,7 +37,7 @@ func getChunks(n int) []isa.Uop {
 
 // Stream is the one Source implementation: a buffered consumer over a
 // Producer's correct-path chunks. It derives wrong-path state from the
-// uops it delivers (ReplayMeta.TrackUop) and owns the thread's
+// uops it delivers (pathTracker) and owns the thread's
 // WrongPathSynth, so live generation and trace replay share a single
 // wrong-path derivation: the correct path is the only thing a producer
 // supplies.
@@ -62,7 +62,7 @@ type Stream struct {
 	chunks uint64 // chunks drawn so far, each chunkUops long
 
 	meta ReplayMeta
-	st   WrongPathState
+	path pathTracker
 	wp   WrongPathSynth
 
 	ahead bool       // ReadAhead was requested
@@ -79,15 +79,15 @@ func NewStream(prod Producer, meta ReplayMeta) *Stream {
 
 var _ Source = (*Stream)(nil)
 
-// Next implements Source.
-func (s *Stream) Next() isa.Uop {
+// Next implements Source: the uop is copied once, from the chunk to dst.
+func (s *Stream) Next(dst *isa.Uop) {
 	if s.pos == len(s.buf) {
 		s.refill()
 	}
 	u := &s.buf[s.pos]
 	s.pos++
-	s.meta.TrackUop(&s.st, u)
-	return *u
+	s.meta.track(&s.path, u)
+	*dst = *u
 }
 
 // Delivered returns how many correct-path uops Next has returned.
@@ -202,7 +202,7 @@ func (s *Stream) StartPC() uint64 { return s.meta.StartPC }
 // StartWrongPath implements Source, priming the synthesizer with the
 // state tracked over the delivered correct path.
 func (s *Stream) StartWrongPath(salt, startPC uint64) {
-	s.wp.Start(salt, startPC, s.st)
+	s.wp.Start(salt, startPC, s.meta.state(&s.path))
 }
 
 // WrongPathPC implements Source; see WrongPathSynth.PCAfterMispredict.
@@ -211,7 +211,7 @@ func (s *Stream) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
 }
 
 // NextWrongPath implements Source.
-func (s *Stream) NextWrongPath() isa.Uop { return s.wp.Next() }
+func (s *Stream) NextWrongPath(dst *isa.Uop) { s.wp.Next(dst) }
 
 // Footprint implements Source.
 func (s *Stream) Footprint() Footprint { return s.meta.Footprint }

@@ -147,7 +147,7 @@ func TestTapeReaderLeavesAndTapeRegrows(t *testing.T) {
 // called after each uop with the count read so far.
 func compareStreams(got, want Source, n int, step func(int)) error {
 	for i := 0; i < n; i++ {
-		a, b := got.Next(), want.Next()
+		a, b := nextUop(got), nextUop(want)
 		if a != b {
 			return fmt.Errorf("uop %d: tape %+v, private %+v", i, a, b)
 		}
@@ -158,7 +158,7 @@ func compareStreams(got, want Source, n int, step func(int)) error {
 			got.StartWrongPath(uint64(i), a.PC)
 			want.StartWrongPath(uint64(i), b.PC)
 			for j := 0; j < 5; j++ {
-				if wa, wb := got.NextWrongPath(), want.NextWrongPath(); wa != wb {
+				if wa, wb := nextWrongUop(got), nextWrongUop(want); wa != wb {
 					return fmt.Errorf("uop %d wrong-path %d: tape %+v, private %+v", i, j, wa, wb)
 				}
 			}

@@ -189,13 +189,13 @@ func TestSequenceNumbersMonotonic(t *testing.T) {
 
 func TestSeparateSeqForWrongPath(t *testing.T) {
 	g := NewGenerator(MustGet("gzip"), 9, 1<<40).Stream()
-	g.Next()
+	nextUop(g)
 	g.StartWrongPath(1, g.StartPC())
-	wp := g.NextWrongPath()
+	wp := nextWrongUop(g)
 	if !wp.WrongPath {
 		t.Error("wrong-path uop not flagged")
 	}
-	u := g.Next()
+	u := nextUop(g)
 	if u.Seq != 1 {
 		t.Errorf("correct path advanced by wrong-path fetch: seq %d", u.Seq)
 	}
@@ -211,7 +211,7 @@ func TestStreamReadAheadMatchesInline(t *testing.T) {
 		ahead := NewGenerator(MustGet(name), 3, 1<<40).Stream()
 		ahead.ReadAhead()
 		for i := 0; i < 4*chunkUops+100; i++ {
-			a, b := inline.Next(), ahead.Next()
+			a, b := nextUop(inline), nextUop(ahead)
 			if a != b {
 				t.Fatalf("%s uop %d: read-ahead %+v, inline %+v", name, i, b, a)
 			}
@@ -224,7 +224,7 @@ func TestStreamReadAheadMatchesInline(t *testing.T) {
 			inline.StartWrongPath(uint64(i), a.PC)
 			ahead.StartWrongPath(uint64(i), b.PC)
 			for j := 0; j < 5; j++ {
-				if wa, wb := inline.NextWrongPath(), ahead.NextWrongPath(); wa != wb {
+				if wa, wb := nextWrongUop(inline), nextWrongUop(ahead); wa != wb {
 					t.Fatalf("%s uop %d wrong-path %d: read-ahead %+v, inline %+v", name, i, j, wb, wa)
 				}
 			}
@@ -241,11 +241,11 @@ func TestWrongPathDeterministicPerEpisode(t *testing.T) {
 	g.StartWrongPath(5, 1<<40+64)
 	var first []isa.Uop
 	for i := 0; i < 20; i++ {
-		first = append(first, g.NextWrongPath())
+		first = append(first, nextWrongUop(g))
 	}
 	g.StartWrongPath(5, 1<<40+64)
 	for i := 0; i < 20; i++ {
-		if got := g.NextWrongPath(); got != first[i] {
+		if got := nextWrongUop(g); got != first[i] {
 			t.Fatalf("wrong-path replay diverged at %d", i)
 		}
 	}
@@ -386,7 +386,7 @@ func TestReplicatedInstancesDephased(t *testing.T) {
 	a, b := gens[0], gens[4] // both mcf
 	same := 0
 	for i := 0; i < 1000; i++ {
-		ua, ub := a.Next(), b.Next()
+		ua, ub := nextUop(a), nextUop(b)
 		if ua.Class == ub.Class {
 			same++
 		}
@@ -401,11 +401,11 @@ func TestQuickGeneratorNeverPanics(t *testing.T) {
 		names := Names()
 		g := NewGenerator(MustGet(names[int(pick)%len(names)]), seed, 1<<40).Stream()
 		for i := 0; i < 2000; i++ {
-			g.Next()
+			nextUop(g)
 		}
 		g.StartWrongPath(seed, g.StartPC())
 		for i := 0; i < 200; i++ {
-			g.NextWrongPath()
+			nextWrongUop(g)
 		}
 		return true
 	}
@@ -440,9 +440,41 @@ func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
 			t.Fatalf("slot %d holds %s, want %s", i, got, name)
 		}
 		for n := 0; n < 500; n++ {
-			ua, ub, us, us2 := a[i].Next(), b[i].Next(), s[i].Next(), s2[i].Next()
+			ua, ub, us, us2 := nextUop(a[i]), nextUop(b[i]), nextUop(s[i]), nextUop(s2[i])
 			if ua != ub || ua != us || ua != us2 {
 				t.Fatalf("slot %d uop %d differs between builds", i, n)
+			}
+		}
+	}
+}
+
+// nextUop and nextWrongUop return a source's next correct-path and
+// wrong-path uop.
+func nextUop(s Source) (u isa.Uop) {
+	s.Next(&u)
+	return u
+}
+
+func nextWrongUop(s Source) (u isa.Uop) {
+	s.NextWrongPath(&u)
+	return u
+}
+
+// TestPathTrackerMatchesGenerator: the state a stream derives from the
+// uops it delivered, summed and reduced only when an episode starts,
+// equals the generator's own writer counters and region cursors after
+// every uop, for every profile.
+func TestPathTrackerMatchesGenerator(t *testing.T) {
+	for _, name := range Names() {
+		g := NewGenerator(MustGet(name), 5, 1<<40)
+		meta := g.ReplayMeta()
+		var tr pathTracker
+		for i := 0; i < 3*chunkUops; i++ {
+			u := g.Next()
+			meta.track(&tr, &u)
+			want := WrongPathState{IntWrites: g.intWrites, FPWrites: g.fpWrites, FarCursor: g.farCursor, MidCursor: g.midCursor}
+			if got := meta.state(&tr); got != want {
+				t.Fatalf("%s uop %d (%v): tracked %+v, generator %+v", name, i, u.Class, got, want)
 			}
 		}
 	}

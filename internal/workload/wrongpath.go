@@ -96,9 +96,9 @@ func (s *WrongPathSynth) nearbyBlock(pc, hash uint64) int32 {
 	return int32(b)
 }
 
-// Next produces the next wrong-path uop.
-func (s *WrongPathSynth) Next() isa.Uop {
-	u := isa.Uop{
+// Next writes the next wrong-path uop to u.
+func (s *WrongPathSynth) Next(u *isa.Uop) {
+	*u = isa.Uop{
 		Seq:       s.seq,
 		PC:        s.pc,
 		WrongPath: true,
@@ -152,7 +152,6 @@ func (s *WrongPathSynth) Next() isa.Uop {
 	} else {
 		s.pc += 4
 	}
-	return u
 }
 
 func (s *WrongPathSynth) intSrc() isa.Reg {
