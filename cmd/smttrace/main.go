@@ -123,17 +123,18 @@ func cmdRecord(args []string) {
 	}
 
 	start := time.Now()
-	srcs, err := wl.Generators(*seed)
+	streams, err := wl.Generators(*seed)
 	if err != nil {
 		fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, *seed)
 	var u isa.Uop
-	for _, src := range srcs {
-		rec := w.Record(src)
+	for _, s := range streams {
+		w.Record(s)
 		for i := 0; i < *uops; i++ {
-			rec.Next(&u)
+			s.Next(&u)
 		}
+		s.Stop()
 	}
 
 	f, err := os.Create(*outPath)
@@ -149,10 +150,10 @@ func cmdRecord(args []string) {
 	}
 	logger.Info("trace recorded",
 		"file", *outPath, "workload", wl.Name, "seed", *seed,
-		"threads", len(srcs), "uops_per_thread", *uops, "bytes", n,
+		"threads", len(streams), "uops_per_thread", *uops, "bytes", n,
 		"dur", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("recorded %s: %d threads × %d uops, %d bytes (%.2f bytes/uop)\n",
-		*outPath, len(srcs), *uops, n, float64(n)/float64(len(srcs)**uops))
+		*outPath, len(streams), *uops, n, float64(n)/float64(len(streams)**uops))
 }
 
 func cmdInfo(args []string) {

@@ -66,7 +66,7 @@ type detector interface {
 	reset()
 	// classify writes every thread's class for this cycle.
 	classify(class []pipeline.GateClass)
-	// params renders the detector's tuning (pipeline.ParameterizedPolicy).
+	// params renders the detector's tuning (pipeline.FetchPolicy.Params).
 	params() string
 }
 
@@ -105,8 +105,8 @@ type Policy struct {
 // Name implements pipeline.FetchPolicy.
 func (p *Policy) Name() string { return p.name }
 
-// Params implements pipeline.ParameterizedPolicy; it is empty for
-// ICOUNT, which has no parameters.
+// Params implements pipeline.FetchPolicy; it is empty for ICOUNT,
+// which has no parameters.
 func (p *Policy) Params() string { return p.detector.params() }
 
 // Attach implements pipeline.FetchPolicy.
@@ -156,8 +156,8 @@ func (p *Policy) Priority(now int64, dst []int) []int {
 	return out
 }
 
-// GateClass implements pipeline.ClassifyingPolicy: the thread's class
-// as recorded by the latest Priority call.
+// GateClass implements pipeline.FetchPolicy: the thread's class as
+// recorded by the latest Priority call.
 func (p *Policy) GateClass(t int) pipeline.GateClass { return p.class[t] }
 
 // gatedIf is the class of a detector that only gates.

@@ -124,13 +124,11 @@ type CPU struct {
 	// feeds the golden counter digests, so telemetry-only counters live
 	// here. issued counts instructions launched into execution per
 	// thread; gateCycles attributes each cycle's fetch-gate decision
-	// class per thread, filled only while gate sampling is enabled
-	// (timeline runs) via the policy's ClassifyingPolicy view when it
-	// has one.
+	// class per thread, as the policy's GateClass reports it, filled
+	// only while gate sampling is enabled (timeline runs).
 	issued       []uint64
 	gateCycles   [][NumGateClasses]uint64
 	gateSampling bool
-	classifier   ClassifyingPolicy
 
 	// Stats for the current measurement interval.
 	Stats CPUStats
@@ -151,11 +149,11 @@ func eventHorizon(cfg *config.Processor) int64 {
 	return h + 8
 }
 
-// New builds a CPU running one thread per uop source under the given
-// policy. len(srcs) must not exceed cfg.HardwareContexts. Sources may
-// be live synthetic generators or trace replayers — the pipeline sees
-// only the workload.Source seam.
-func New(cfg *config.Processor, policy FetchPolicy, srcs []workload.Source) (*CPU, error) {
+// New builds a CPU running one thread per uop stream under the given
+// policy. len(srcs) must not exceed cfg.HardwareContexts. A stream's
+// producer may be a live synthetic generator, a shared tape or a trace
+// decoder; the pipeline only reads the stream.
+func New(cfg *config.Processor, policy FetchPolicy, srcs []*workload.Stream) (*CPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -292,7 +290,6 @@ func (c *CPU) IssuedUops(t int) uint64 { return c.issued[t] }
 // sampling pay nothing for it.
 func (c *CPU) EnableGateSampling() {
 	c.gateSampling = true
-	c.classifier, _ = c.policy.(ClassifyingPolicy)
 }
 
 // GateCycles returns thread t's cycles-per-gate-class counters for the

@@ -23,6 +23,8 @@ func (p *icountPolicy) OnLoadReturning(*DynInst, int64) {}
 func (p *icountPolicy) OnLoadReturn(*DynInst, int64)    {}
 func (p *icountPolicy) OnSquash(*DynInst, int64)        {}
 func (p *icountPolicy) Reset()                          {}
+func (p *icountPolicy) GateClass(int) GateClass         { return GateNormal }
+func (p *icountPolicy) Params() string                  { return "" }
 func (p *icountPolicy) Priority(now int64, dst []int) []int {
 	type kv struct{ t, c int }
 	var order []kv

@@ -59,6 +59,17 @@ type FetchPolicy interface {
 	// Reset clears policy state between runs (microarchitectural state
 	// such as PDG's predictor may be preserved; gates must clear).
 	Reset()
+
+	// GateClass reports thread t's fetch-gate class as of the latest
+	// Priority call. The pipeline reads it right after Priority each
+	// cycle while gate sampling is enabled (timeline runs).
+	GateClass(t int) GateClass
+
+	// Params renders the tuning Name does not encode (declaration
+	// thresholds, gate counts) stably and readably; empty when there
+	// is none. Content-addressed caches fold it into their keys so a
+	// threshold sweep never collides with the base policy.
+	Params() string
 }
 
 // GateClass is the fetch-gate treatment a policy applied to one thread
@@ -90,23 +101,4 @@ func (g GateClass) String() string {
 		return "gated"
 	}
 	return "unknown"
-}
-
-// ClassifyingPolicy is optionally implemented by policies that can
-// attribute each thread's fetch-gate decision class. GateClass reports
-// thread t's class as of the latest Priority call; the pipeline reads
-// it immediately after Priority each cycle while gate sampling is
-// enabled. Policies without it fall back to the pipeline's structural
-// view: listed threads are normal, omitted threads are gated.
-type ClassifyingPolicy interface {
-	GateClass(t int) GateClass
-}
-
-// ParameterizedPolicy is optionally implemented by policies whose
-// behaviour is tuned by parameters Name() does not encode (declaration
-// thresholds, gate counts). Params returns a stable, human-readable
-// rendering of those parameters; content-addressed caches fold it into
-// their keys so a threshold sweep never collides with the base policy.
-type ParameterizedPolicy interface {
-	Params() string
 }

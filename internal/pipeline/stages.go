@@ -393,9 +393,8 @@ func (c *CPU) fetch(now int64) {
 	// (gated) appended at the tail.
 	order := c.policy.Priority(now, c.dispatchOrder[:0])
 	c.dispatchOrder = order
-	seen := 1<<len(c.threads) - 1
 	if len(order) < len(c.threads) {
-		seen = 0
+		seen := 0
 		for _, tid := range order {
 			seen |= 1 << tid
 		}
@@ -406,7 +405,7 @@ func (c *CPU) fetch(now int64) {
 		}
 	}
 	if c.gateSampling {
-		c.attributeGates(seen)
+		c.attributeGates()
 	}
 
 	slots := c.cfg.FetchWidth
@@ -435,20 +434,11 @@ func (c *CPU) fetch(now int64) {
 }
 
 // attributeGates charges this cycle to each thread's fetch-gate
-// decision class — the policy's own classification when it exposes
-// one, otherwise the structural view of the priority list (listed =
-// normal, omitted = gated). Called only while gate sampling is
-// enabled; it allocates nothing.
-func (c *CPU) attributeGates(seen int) {
+// decision class, as the policy classified it. Called only while gate
+// sampling is enabled; it allocates nothing.
+func (c *CPU) attributeGates() {
 	for t := range c.threads {
-		cls := GateNormal
-		switch {
-		case c.classifier != nil:
-			cls = c.classifier.GateClass(t)
-		case seen&(1<<t) == 0:
-			cls = GateGated
-		}
-		c.gateCycles[t][cls]++
+		c.gateCycles[t][c.policy.GateClass(t)]++
 	}
 }
 

@@ -75,7 +75,7 @@ func (t *ThreadStats) CommittedL1ToL2Ratio() float64 {
 // thread is the per-hardware-context pipeline state.
 type thread struct {
 	id  int
-	src workload.Source
+	src *workload.Stream
 
 	// Fetch-side state: a one-uop lookahead for the current stream,
 	// held in the arena instruction it will be fetched as (nil when

@@ -22,17 +22,18 @@ func recordTestTrace(t *testing.T, wlName string, seed uint64, uops int) []byte 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := wl.Generators(seed)
+	streams, err := wl.Generators(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, seed)
 	var u isa.Uop
-	for _, src := range srcs {
-		rec := w.Record(src)
+	for _, s := range streams {
+		w.Record(s)
 		for i := 0; i < uops; i++ {
-			rec.Next(&u)
+			s.Next(&u)
 		}
+		s.Stop()
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {

@@ -345,7 +345,7 @@ func startGroupRun(tb testing.TB, cores []*workload.Core) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srcs := workload.Sources(cores)
+	srcs := workload.Streams(cores)
 	cpu, err := pipeline.New(config.Baseline(), pol, srcs)
 	if err != nil {
 		tb.Fatal(err)

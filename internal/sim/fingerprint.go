@@ -8,7 +8,6 @@ import (
 
 	"dwarn/internal/config"
 	"dwarn/internal/core"
-	"dwarn/internal/pipeline"
 	"dwarn/internal/workload"
 )
 
@@ -68,8 +67,7 @@ func Fingerprint(opts Options) string {
 // the bare name when every parameter is at its default, so explicit
 // defaults share the cache entries of unparameterised requests. For an
 // instance run it is "instance:" + PolicyInstance.Name(), with the
-// instance's Params() folded in when it implements
-// pipeline.ParameterizedPolicy and they are non-empty, so a threshold
+// instance's Params() folded in when they are non-empty, so a threshold
 // sweep never collides with the base policy's cache entries, and an
 // ICOUNT instance keys as plain "instance:ICOUNT".
 func policyIdentity(opts Options) string {
@@ -77,10 +75,8 @@ func policyIdentity(opts Options) string {
 		return core.PolicyID(opts.Policy, opts.PolicyParams)
 	}
 	id := "instance:" + opts.PolicyInstance.Name()
-	if pp, ok := opts.PolicyInstance.(pipeline.ParameterizedPolicy); ok {
-		if params := pp.Params(); params != "" {
-			id += "|" + params
-		}
+	if params := opts.PolicyInstance.Params(); params != "" {
+		id += "|" + params
 	}
 	return id
 }

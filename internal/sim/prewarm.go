@@ -21,7 +21,7 @@ import (
 // Touch order interleaves threads line by line so that when the
 // combined footprints exceed a level's capacity the survivors are an
 // arbitrary inter-thread mix, as they would be in steady state.
-func prewarm(cpu *pipeline.CPU, srcs []workload.Source) {
+func prewarm(cpu *pipeline.CPU, srcs []*workload.Stream) {
 	mem := cpu.Mem()
 	fps := make([]workload.Footprint, len(srcs))
 	maxLines := 0

@@ -22,20 +22,21 @@ var streamModes = []struct {
 	{"read-ahead", true},
 }
 
-// engineSources builds wl's sources the way runContext does, with the
-// streams reading ahead when ahead is set. The producers are stopped
-// when t ends.
-func engineSources(t *testing.T, wl workload.Workload, seed uint64, ahead bool) []workload.Source {
+// engineSources builds wl's streams the way runContext does, reading
+// ahead when ahead is set. The producers are stopped when t ends.
+func engineSources(t *testing.T, wl workload.Workload, seed uint64, ahead bool) []*workload.Stream {
 	t.Helper()
-	srcs, _, err := buildSources(Options{Workload: wl}, seed)
+	streams, _, err := buildStreams(Options{Workload: wl}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ahead {
-		readAhead(srcs)
+	for _, s := range streams {
+		if ahead {
+			s.ReadAhead()
+		}
+		t.Cleanup(s.Stop)
 	}
-	t.Cleanup(func() { stopStreams(srcs) })
-	return srcs
+	return streams
 }
 
 // waitGoroutines waits for the goroutine count to fall back to base;

@@ -106,7 +106,7 @@ func TestSecondReleaseIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(srcs []workload.Source) *pipeline.CPU {
+	build := func(srcs []*workload.Stream) *pipeline.CPU {
 		cpu, err := pipeline.New(config.Baseline(), core.MustNewPolicy("flush"), srcs)
 		if err != nil {
 			t.Fatal(err)

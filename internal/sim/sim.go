@@ -50,9 +50,9 @@ type Options struct {
 	// wrong paths are synthesized from its metadata, bit-identical to
 	// the recorded run.
 	Trace *trace.Trace
-	// Record, when set, wraps every thread source in the trace writer
-	// so the run's correct-path uop streams are recorded as a side
-	// effect. The caller serializes the writer after Run returns.
+	// Record, when set, taps every thread's stream with the trace
+	// writer, so the run's correct-path uop streams are recorded as a
+	// side effect. The caller serializes the writer after Run returns.
 	Record *trace.Writer
 	// Seed drives all synthetic randomness; 0 means DefaultSeed.
 	Seed uint64
@@ -88,20 +88,19 @@ type Options struct {
 	// and prewarms it, and reads its correct path from Tapes when set,
 	// through private generators otherwise. Purely an optimization:
 	// forked runs are bit-identical to cold starts, and an image that
-	// does not fit falls back to a cold calibration. Runs whose key is
-	// empty (trace replay, recording, out-of-registry policies) ignore
-	// the store.
+	// does not fit falls back to a cold calibration. Trace replays,
+	// whose key is empty, ignore the store.
 	Checkpoints ckpt.Store
 	// Tapes, when non-nil, is the run's checkpoint group's shared
 	// correct path. The execution layer sets it on its own copy of a
 	// cell's options. The run's streams read the group's tapes instead
 	// of generating privately when the set has company for it: another
 	// of its holders in flight, or tapes already started
-	// (workload.TapeSet.Sources). They decode a tape inline and read
+	// (workload.TapeSet.Streams). They decode a tape inline and read
 	// ahead only once they have left it. Purely an optimization: a tape
 	// delivers exactly what a private stream would, and cores that do
-	// not fit the set's tapes get private streams. Trace replays and
-	// recording runs ignore it.
+	// not fit the set's tapes get private streams. Trace replays ignore
+	// it.
 	Tapes *workload.TapeSet
 }
 
@@ -241,49 +240,23 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// readAheader is the part of workload.Stream (and of trace.Replayer,
-// which embeds one) that runContext drives.
-type readAheader interface {
-	ReadAhead()
-	Stop()
-}
-
-// readAhead switches every stream in srcs to read-ahead; each producer
-// starts on its stream's first Next.
-func readAhead(srcs []workload.Source) {
-	for _, src := range srcs {
-		if r, ok := src.(readAheader); ok {
-			r.ReadAhead()
-		}
-	}
-}
-
-// stopStreams ends every read-ahead producer in srcs.
-func stopStreams(srcs []workload.Source) {
-	for _, src := range srcs {
-		if r, ok := src.(readAheader); ok {
-			r.Stop()
-		}
-	}
-}
-
-// buildSources returns the run's per-thread uop sources and benchmark
-// names: trace replayers, streams over the group's tapes, or fresh
+// buildStreams returns the run's per-thread uop streams and benchmark
+// names: trace replays, streams over the group's tapes, or fresh
 // streams over the group's calibrated program cores.
-func buildSources(opts Options, seed uint64) ([]workload.Source, []string, error) {
+func buildStreams(opts Options, seed uint64) ([]*workload.Stream, []string, error) {
 	if opts.Trace != nil {
-		return opts.Trace.Sources(), opts.Trace.Benchmarks(), nil
+		return opts.Trace.Streams(), opts.Trace.Benchmarks(), nil
 	}
 	cores, err := groupCores(opts, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Tapes != nil && opts.Record == nil {
-		if srcs, ok := opts.Tapes.Sources(cores); ok {
-			return srcs, opts.Workload.Benchmarks, nil
+	if opts.Tapes != nil {
+		if streams, ok := opts.Tapes.Streams(cores); ok {
+			return streams, opts.Workload.Benchmarks, nil
 		}
 	}
-	return workload.Sources(cores), opts.Workload.Benchmarks, nil
+	return workload.Streams(cores), opts.Workload.Benchmarks, nil
 }
 
 // groupCores returns a synthetic run's calibrated program cores. With
@@ -343,28 +316,33 @@ func runContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Trace != nil && wlName == "" {
 		wlName = "trace:" + opts.Trace.Workload
 	}
-	streams, benchmarks, err := buildSources(opts, seed)
+	streams, benchmarks, err := buildStreams(opts, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Every exit path ends the read-ahead producers.
-	defer stopStreams(streams)
-	srcs := streams
+	// Every exit path ends the read-ahead producers and hands a
+	// recording its last, partly delivered chunks.
+	defer func() {
+		for _, s := range streams {
+			s.Stop()
+		}
+	}()
 	if opts.Record != nil {
-		srcs = make([]workload.Source, len(streams))
-		for i, s := range streams {
-			srcs[i] = opts.Record.Record(s)
+		for _, s := range streams {
+			opts.Record.Record(s)
 		}
 	}
-	cpu, err := pipeline.New(cfg, pol, srcs)
+	cpu, err := pipeline.New(cfg, pol, streams)
 	if err != nil {
 		return nil, err
 	}
 	// The machine's buffers go back to their pools once the result and
 	// timeline below have been read out of it, on every exit path.
 	defer cpu.Release()
-	prewarm(cpu, srcs)
-	readAhead(streams)
+	prewarm(cpu, streams)
+	for _, s := range streams {
+		s.ReadAhead() // each producer starts on its stream's first Next
+	}
 
 	var sampler *timeline.Sampler
 	if opts.Timeline != nil {

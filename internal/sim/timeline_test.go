@@ -184,7 +184,7 @@ func TestStepZeroAllocWithSampling(t *testing.T) {
 	}
 }
 
-func stepSampledZeroAlloc(t *testing.T, srcs []workload.Source, max uint64) {
+func stepSampledZeroAlloc(t *testing.T, srcs []*workload.Stream, max uint64) {
 	pol, err := core.NewPolicy("dwarn")
 	if err != nil {
 		t.Fatal(err)

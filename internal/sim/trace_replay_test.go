@@ -14,31 +14,39 @@ import (
 // pipeline), returning the loaded trace.
 func recordTrace(t testing.TB, wlName string, seed uint64, n int) *trace.Trace {
 	t.Helper()
+	tr, err := trace.Read(bytes.NewReader(recordTraceBytes(t, wlName, seed, n)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// recordTraceBytes is recordTrace's file bytes, written as `smttrace
+// record` writes them.
+func recordTraceBytes(t testing.TB, wlName string, seed uint64, n int) []byte {
+	t.Helper()
 	wl, err := workload.GetWorkload(wlName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := wl.Generators(seed)
+	streams, err := wl.Generators(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := trace.NewWriter(wl.Name, seed)
 	var u isa.Uop
-	for _, src := range srcs {
-		rec := w.Record(src)
+	for _, s := range streams {
+		w.Record(s)
 		for i := 0; i < n; i++ {
-			rec.Next(&u)
+			s.Next(&u)
 		}
+		s.Stop()
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.Read(bytes.NewReader(buf.Bytes()), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return buf.Bytes()
 }
 
 // TestTraceReplayMatchesLiveRun is the acceptance property for the

@@ -1,8 +1,8 @@
 // Package trace records and replays binary uop traces. A trace captures
 // one run's correct-path uop streams — one stream per thread, varint and
 // delta encoded, gzip framed — together with the per-thread metadata
-// (workload.ReplayMeta) a replayer needs to reconstruct each thread's
-// wrong-path synthesis byte-exactly. Replaying a trace therefore
+// (workload.ReplayMeta) a replay stream needs to reconstruct each
+// thread's wrong-path synthesis byte-exactly. Replaying a trace therefore
 // reproduces a live synthetic run bit for bit, for any fetch policy,
 // while skipping CFG walking and operand synthesis entirely.
 //

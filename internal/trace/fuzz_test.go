@@ -30,7 +30,7 @@ func framed(t testing.TB, payload []byte) []byte {
 // FuzzTraceRead feeds arbitrary bytes through Read under a small
 // payload cap, both as a whole file and as the payload of a valid
 // frame. Read must never panic and never accept a payload over the
-// cap, and a trace it accepts must replay: each thread's Source yields
+// cap, and a trace it accepts must replay: each thread's stream yields
 // correct-path and wrong-path uops, wrapping past the end of its
 // records, without panicking. Uploaded traces reach Read from the
 // network, so this is the service's trace intake.
@@ -65,7 +65,7 @@ func FuzzTraceRead(f *testing.F) {
 			if n > fuzzMaxPayload {
 				t.Fatalf("accepted %d record bytes under a %d-byte cap", n, fuzzMaxPayload)
 			}
-			for _, src := range tr.Sources() {
+			for _, src := range tr.Streams() {
 				for i := 0; i < 600; i++ {
 					u := nextUop(src)
 					if u.Class.IsBranch() && i%7 == 0 {

@@ -19,9 +19,9 @@ import (
 const DefaultMaxPayload = 1 << 30
 
 // Trace is a fully loaded, validated uop trace. It is immutable after
-// Read and safe for concurrent use: replayers share the decoded record
-// bytes read-only and keep all mutable state to themselves, so one
-// uploaded trace can back many simultaneous simulations.
+// Read and safe for concurrent use: replay streams share the decoded
+// record bytes read-only and keep all mutable state to themselves, so
+// one uploaded trace can back many simultaneous simulations.
 type Trace struct {
 	// Workload is the recorded workload's name; Seed the seed the
 	// recording run used (informational — replay never re-derives).
@@ -73,12 +73,23 @@ func (t *Trace) PayloadBytes() int64 {
 	return n
 }
 
-// Sources returns fresh replayers, one per thread, each starting at the
-// beginning of its stream. Call once per simulation.
-func (t *Trace) Sources() []workload.Source {
-	out := make([]workload.Source, len(t.Threads))
+// Streams returns fresh replay streams, one per thread, each starting
+// at the beginning of its recording. Call once per simulation.
+//
+// A replay stream is a workload.Stream over the thread's record
+// decoder. The decoder supplies only the correct path; the Stream
+// derives wrong-path state from the delivered uops and synthesizes
+// episodes with the same WrongPathSynth a live run uses — so a replayed
+// simulation is bit-identical to the live run it was recorded from,
+// under any fetch policy. A stream that exhausts its recording wraps to
+// the beginning (keeping its counters and cursors), so an
+// under-provisioned trace degrades gracefully instead of crashing a
+// long simulation.
+func (t *Trace) Streams() []*workload.Stream {
+	out := make([]*workload.Stream, len(t.Threads))
 	for i := range t.Threads {
-		out[i] = NewReplayer(&t.Threads[i])
+		th := &t.Threads[i]
+		out[i] = workload.NewStream(&uopDecoder{th: th}, th.Meta)
 	}
 	return out
 }
@@ -243,8 +254,8 @@ func (d *decoder) thread() (Thread, error) {
 		return th, d.err
 	}
 	if th.Uops == 0 || recLen == 0 {
-		// An empty stream would make the replayer wrap forever without
-		// ever producing a uop.
+		// An empty recording would make its replay stream wrap
+		// forever without ever producing a uop.
 		return th, fmt.Errorf("empty uop stream")
 	}
 	if th.Uops > maxUopsPerThread || recLen > uint64(len(d.data)-d.pos) {
@@ -293,41 +304,6 @@ const maxUopsPerThread = 1 << 32
 // every declared line, so an unbounded region would turn prewarming
 // into an unkillable multi-year loop on a hostile upload.
 const maxFootprintBytes = 64 << 20
-
-// Replayer replays one recorded thread as a workload.Source: a
-// workload.Stream over the thread's record decoder. The decoder supplies
-// only the correct path; the Stream derives wrong-path state from the
-// delivered uops and synthesizes episodes with the same WrongPathSynth a
-// live run uses — so a replayed simulation is bit-identical to the live
-// run it was recorded from, under any fetch policy.
-//
-// A replayer that exhausts its stream wraps to the beginning (keeping
-// its counters and cursors), so an under-provisioned trace degrades
-// gracefully instead of crashing a long simulation; Loops reports how
-// often that happened so callers can flag divergence from the recorded
-// run.
-type Replayer struct {
-	*workload.Stream
-	th *Thread
-}
-
-// NewReplayer builds a fresh replayer over a loaded thread stream.
-func NewReplayer(th *Thread) *Replayer {
-	return &Replayer{Stream: workload.NewStream(&uopDecoder{th: th}, th.Meta), th: th}
-}
-
-// Compile-time check: a Replayer is a drop-in uop source.
-var _ workload.Source = (*Replayer)(nil)
-
-// Loops reports how many times the delivered stream wrapped past the
-// end of the recording (0 means the trace covered the whole run).
-func (r *Replayer) Loops() int {
-	d := r.Delivered()
-	if d == 0 {
-		return 0
-	}
-	return int((d - 1) / r.th.Uops)
-}
 
 // uopDecoder is the workload.Producer over one recorded thread: it
 // decodes records in order, numbering them, and wraps at the end (delta

@@ -17,16 +17,17 @@ func recordStandalone(t testing.TB, wlName string, seed uint64, n int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs, err := wl.Generators(seed)
+	streams, err := wl.Generators(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := NewWriter(wl.Name, seed)
-	for _, src := range srcs {
-		rec := w.Record(src)
+	for _, s := range streams {
+		w.Record(s)
 		for i := 0; i < n; i++ {
-			nextUop(rec)
+			nextUop(s)
 		}
+		s.Stop()
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -59,7 +60,7 @@ func TestRoundTripUopStream(t *testing.T) {
 	if len(tr.Threads) != len(fresh) {
 		t.Fatalf("thread count %d, want %d", len(tr.Threads), len(fresh))
 	}
-	for ti, src := range tr.Sources() {
+	for ti, src := range tr.Streams() {
 		for i := 0; i < n; i++ {
 			got, want := nextUop(src), nextUop(fresh[ti])
 			if got != want {
@@ -106,7 +107,7 @@ func TestRoundTripMetadata(t *testing.T) {
 }
 
 // TestWrongPathReplayMatchesGenerator: after consuming the same prefix,
-// the replayer's synthesized wrong-path episode must be bit-identical
+// the replay stream's synthesized wrong-path episode must be bit-identical
 // to the live generator's — including the redirect PC.
 func TestWrongPathReplayMatchesGenerator(t *testing.T) {
 	const prefix, episode = 5000, 200
@@ -116,7 +117,7 @@ func TestWrongPathReplayMatchesGenerator(t *testing.T) {
 	wl, _ := workload.GetWorkload("2-MIX")
 	fresh, _ := wl.Generators(11)
 
-	for ti, src := range tr.Sources() {
+	for ti, src := range tr.Streams() {
 		gen := fresh[ti]
 		var branch isa.Uop
 		for i := 0; i < prefix; i++ {
@@ -147,31 +148,36 @@ func TestWrongPathReplayMatchesGenerator(t *testing.T) {
 	}
 }
 
-// TestReplayerLoops: exhausting the stream wraps instead of crashing,
-// and reports the wrap count.
+// TestReplayerLoops: a replay stream that exhausts its recording wraps
+// to the recording's start instead of crashing, numbering on.
 func TestReplayerLoops(t *testing.T) {
 	const n = 100
 	raw := recordStandalone(t, "2-ILP", 3, n)
 	tr := readTrace(t, raw)
-	r := NewReplayer(&tr.Threads[0])
-	seen := make(map[uint64]bool)
+	s := tr.Streams()[0]
+	recorded := make([]isa.Uop, n)
 	for i := 0; i < 3*n; i++ {
-		u := nextUop(r)
+		u := nextUop(s)
 		if u.Seq != uint64(i) {
 			t.Fatalf("seq %d at uop %d", u.Seq, i)
 		}
-		seen[u.PC] = true
+		if i < n {
+			recorded[i] = u
+			continue
+		}
+		want := recorded[i%n]
+		want.Seq = u.Seq
+		if u != want {
+			t.Fatalf("uop %d after wrapping:\n got %+v\nwant %+v", i, u, want)
+		}
 	}
-	if r.Loops() != 2 {
-		t.Fatalf("loops = %d, want 2", r.Loops())
-	}
-	if len(seen) == 0 {
-		t.Fatal("no PCs seen")
+	if loops := (s.Delivered() - 1) / tr.Threads[0].Uops; loops != 2 {
+		t.Fatalf("delivered %d uops of a %d-uop recording: %d loops, want 2", s.Delivered(), tr.Threads[0].Uops, loops)
 	}
 }
 
-// TestConcurrentReplayersShareTrace: replayers over one Trace must be
-// independent and race-free (run with -race).
+// TestConcurrentReplayersShareTrace: replay streams over one Trace must
+// be independent and race-free (run with -race).
 func TestConcurrentReplayersShareTrace(t *testing.T) {
 	const n = 4000
 	raw := recordStandalone(t, "2-MIX", 21, n)
@@ -184,7 +190,7 @@ func TestConcurrentReplayersShareTrace(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			r := NewReplayer(&tr.Threads[0])
+			r := tr.Streams()[0]
 			out := make([]isa.Uop, 0, n)
 			for i := 0; i < n; i++ {
 				out = append(out, nextUop(r))
@@ -243,14 +249,15 @@ func TestCorruptTraces(t *testing.T) {
 }
 
 // TestEmptyStreamRejected: a thread declaring zero uops must be
-// rejected at load — the replayer would otherwise wrap forever without
+// rejected at load — its replay stream would otherwise wrap forever without
 // producing a uop, and the "unreachable" decode panic would take down
 // whatever service goroutine was running the simulation.
 func TestEmptyStreamRejected(t *testing.T) {
 	wl, _ := workload.GetWorkload("2-ILP")
-	srcs, _ := wl.Generators(3)
+	streams, _ := wl.Generators(3)
 	w := NewWriter(wl.Name, 3)
-	w.Record(srcs[0]) // registered, but no uops ever recorded
+	w.Record(streams[0]) // registered, but no uops ever recorded
+	streams[0].Stop()
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -260,30 +267,26 @@ func TestEmptyStreamRejected(t *testing.T) {
 	}
 }
 
-// metaOverrideSource inflates the recorded metadata to simulate a
-// hostile upload (the stream bytes themselves stay valid).
-type metaOverrideSource struct {
-	workload.Source
-	meta workload.ReplayMeta
-}
-
-func (f *metaOverrideSource) ReplayMeta() workload.ReplayMeta { return f.meta }
-
 // TestHugeFootprintRejected: declared region sizes are capped at load,
 // because the simulator pre-touches every declared line before the
 // first cycle — an unbounded CodeBytes would wedge a worker goroutine
 // beyond the reach of job cancellation.
 func TestHugeFootprintRejected(t *testing.T) {
 	wl, _ := workload.GetWorkload("2-ILP")
-	srcs, _ := wl.Generators(3)
-	meta := srcs[0].ReplayMeta()
+	cores, _ := wl.Cores(3)
+	gen := cores[0].Generator()
+	// Inflated metadata simulates a hostile upload; the stream bytes
+	// themselves stay valid.
+	meta := gen.ReplayMeta()
 	meta.Footprint.CodeBytes = 1 << 50
+	s := workload.NewStream(gen, meta)
 
 	w := NewWriter(wl.Name, 3)
-	rec := w.Record(&metaOverrideSource{Source: srcs[0], meta: meta})
+	w.Record(s)
 	for i := 0; i < 100; i++ {
-		nextUop(rec)
+		nextUop(s)
 	}
+	s.Stop()
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -332,7 +335,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 func BenchmarkReplayerNext(b *testing.B) {
 	raw := recordStandalone(b, "2-ILP", 42, 200000)
 	tr := readTrace(b, raw)
-	r := NewReplayer(&tr.Threads[0])
+	r := tr.Streams()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nextUop(r)
@@ -340,14 +343,14 @@ func BenchmarkReplayerNext(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
-// nextUop and nextWrongUop return a source's next correct-path and
+// nextUop and nextWrongUop return a stream's next correct-path and
 // wrong-path uop.
-func nextUop(s workload.Source) (u isa.Uop) {
+func nextUop(s *workload.Stream) (u isa.Uop) {
 	s.Next(&u)
 	return u
 }
 
-func nextWrongUop(s workload.Source) (u isa.Uop) {
+func nextWrongUop(s *workload.Stream) (u isa.Uop) {
 	s.NextWrongPath(&u)
 	return u
 }

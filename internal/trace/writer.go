@@ -10,19 +10,19 @@ import (
 )
 
 // Writer accumulates per-thread uop streams and serializes them as one
-// trace file. Threads are registered with Record, which returns a
-// pass-through workload.Source: every correct-path uop flowing to the
-// pipeline is encoded as a side effect, so recording a live simulation
-// is just wrapping its sources. Wrong-path uops are deliberately not
+// trace file. Threads are registered with Record, which taps the
+// stream: every correct-path uop it delivers to the pipeline is encoded
+// as a side effect, a chunk at a time, so recording a live simulation
+// is just tapping its streams. Wrong-path uops are deliberately not
 // recorded — replay synthesizes them from the recorded metadata.
 //
 // A Writer is not safe for concurrent use; the simulator runs one CPU
-// per goroutine, and all of a CPU's sources must be recorded by the
+// per goroutine, and all of a CPU's streams must be recorded by the
 // same Writer from that goroutine.
 type Writer struct {
 	workload string
 	seed     uint64
-	threads  []*recorder
+	threads  []*recording
 }
 
 // NewWriter starts an empty trace for the named workload. seed is
@@ -32,20 +32,17 @@ func NewWriter(workloadName string, seed uint64) *Writer {
 	return &Writer{workload: workloadName, seed: seed}
 }
 
-// Record registers src as the next thread and returns a wrapper that
-// records every correct-path uop it delivers.
-func (w *Writer) Record(src workload.Source) workload.Source {
-	meta := src.ReplayMeta()
-	r := &recorder{src: src, meta: meta}
+// Record registers s as the next thread and records every correct-path
+// uop it delivers until it is stopped. Call it before the stream's
+// first Next.
+func (w *Writer) Record(s *workload.Stream) {
+	r := &recording{meta: s.ReplayMeta()}
 	w.threads = append(w.threads, r)
-	return r
+	s.Tap(r.append)
 }
 
-// Uops returns the number of uops recorded so far for thread t.
-func (w *Writer) Uops(t int) uint64 { return w.threads[t].count }
-
-// WriteTo serializes the trace. It may be called once, after the
-// recorded run completes.
+// WriteTo serializes the trace. It may be called once, after every
+// recorded stream has been stopped.
 func (w *Writer) WriteTo(dst io.Writer) (int64, error) {
 	if len(w.threads) == 0 {
 		return 0, fmt.Errorf("trace: no threads recorded")
@@ -119,30 +116,18 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// recorder is the pass-through Source wrapping one recorded thread.
-type recorder struct {
-	src     workload.Source
+// recording is one recorded thread's encoded uops.
+type recording struct {
 	meta    workload.ReplayMeta
 	st      codecState
 	records []byte
 	count   uint64
 }
 
-// Next records and forwards the next correct-path uop.
-func (r *recorder) Next(dst *isa.Uop) {
-	r.src.Next(dst)
-	r.records = appendUop(r.records, dst, &r.st)
-	r.count++
+// append encodes delivered uops; it is the recorded stream's tap.
+func (r *recording) append(delivered []isa.Uop) {
+	for i := range delivered {
+		r.records = appendUop(r.records, &delivered[i], &r.st)
+	}
+	r.count += uint64(len(delivered))
 }
-
-// The remaining Source methods delegate untouched: wrong paths are
-// synthesized identically at replay, so recording them would only
-// bloat the trace.
-func (r *recorder) StartPC() uint64                     { return r.src.StartPC() }
-func (r *recorder) StartWrongPath(salt, startPC uint64) { r.src.StartWrongPath(salt, startPC) }
-func (r *recorder) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
-	return r.src.WrongPathPC(u, predictedTaken)
-}
-func (r *recorder) NextWrongPath(dst *isa.Uop)      { r.src.NextWrongPath(dst) }
-func (r *recorder) Footprint() workload.Footprint   { return r.src.Footprint() }
-func (r *recorder) ReplayMeta() workload.ReplayMeta { return r.meta }

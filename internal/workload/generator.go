@@ -57,11 +57,11 @@ func NewGenerator(prof *Profile, seed, base uint64) *Generator {
 	return buildCore(prof, seed, base).Generator()
 }
 
-// ReplayMeta returns the metadata a trace must record so a replayer
-// reproduces this stream (including wrong paths) byte-exactly.
+// ReplayMeta returns the metadata a trace must record so a replay
+// stream reproduces this one (including wrong paths) byte-exactly.
 func (g *Generator) ReplayMeta() ReplayMeta { return g.meta }
 
-// Stream wraps the generator in the Source its pipeline thread reads.
+// Stream wraps the generator in the stream its pipeline thread reads.
 func (g *Generator) Stream() *Stream { return NewStream(g, g.meta) }
 
 // Profile returns the benchmark profile driving this generator.

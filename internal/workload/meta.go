@@ -2,43 +2,10 @@ package workload
 
 import "dwarn/internal/isa"
 
-// Source delivers one thread's dynamic uop stream to the pipeline. A
-// Stream is the implementation, over either a synthetic Generator or a
-// trace decoder (internal/trace); the trace recorder wraps one. The
-// pipeline depends only on this seam, so workloads are pluggable end to
-// end.
-//
-// The contract mirrors the generator's: Next yields correct-path uops
-// strictly in fetch order and is never rewound (a policy that squashes
-// and re-fetches buffers uops itself); the wrong-path methods produce a
-// deterministic stream for fetches past a mispredicted branch, seeded
-// per episode so replays reproduce bit-identically.
-type Source interface {
-	// Next writes the next correct-path uop to dst.
-	Next(dst *isa.Uop)
-	// StartPC is the first instruction's address.
-	StartPC() uint64
-	// StartWrongPath (re)seeds the wrong-path stream for a new
-	// misprediction episode; salt identifies the episode (the branch's
-	// sequence number) and startPC is where fetch wrongly redirected.
-	StartWrongPath(salt, startPC uint64)
-	// WrongPathPC returns the PC the front end runs off to after
-	// mispredicting branch u.
-	WrongPathPC(u *isa.Uop, predictedTaken bool) uint64
-	// NextWrongPath writes the next wrong-path uop to dst.
-	NextWrongPath(dst *isa.Uop)
-	// Footprint describes the thread's memory regions for pre-warming.
-	Footprint() Footprint
-	// ReplayMeta captures everything a trace recorder must persist so a
-	// replayer can reproduce this source — including its wrong-path
-	// synthesis — byte-exactly.
-	ReplayMeta() ReplayMeta
-}
-
 // ReplayMeta is the per-thread metadata a trace records alongside the
 // uop stream: the address-space base, the static block table (wrong-path
 // targets point at real blocks), and the handful of profile parameters
-// the wrong-path synthesizer draws from. With these, a replayer's
+// the wrong-path synthesizer draws from. With these, a replay stream's
 // WrongPathSynth is bit-identical to the live generator's.
 type ReplayMeta struct {
 	// Benchmark is the profile name this stream was generated from.

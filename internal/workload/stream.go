@@ -7,8 +7,8 @@ import (
 
 // Producer writes a thread's correct-path uops, in stream order. The
 // synthetic Generator, a shared tape's reader (tape.go) and the trace
-// decoder (internal/trace) are the producers; a Stream turns any of
-// them into a Source.
+// decoder (internal/trace) are the producers; a Stream delivers any of
+// them to the pipeline.
 type Producer interface {
 	// Fill overwrites buf with the next len(buf) correct-path uops.
 	Fill(buf []isa.Uop)
@@ -35,16 +35,18 @@ func getChunks(n int) []isa.Uop {
 	return buf
 }
 
-// Stream is the one Source implementation: a buffered consumer over a
-// Producer's correct-path chunks. It derives wrong-path state from the
-// uops it delivers (pathTracker) and owns the thread's
-// WrongPathSynth, so live generation and trace replay share a single
-// wrong-path derivation: the correct path is the only thing a producer
-// supplies.
+// Stream delivers one thread's dynamic uop stream to the pipeline: a
+// buffered consumer over a Producer's correct-path chunks. It derives
+// wrong-path state from the uops it delivers (pathTracker) and owns the
+// thread's WrongPathSynth, so live generation and trace replay share a
+// single wrong-path derivation: the correct path is the only thing a
+// producer supplies. Wrong-path uops are deterministic per episode, so
+// replays reproduce them bit-identically.
 //
-// Because Next is consumed strictly in fetch order and never rewound,
-// the correct path does not depend on pipeline timing, and a producer
-// can run ahead of the consumer. By default the stream fills each chunk
+// Because Next is consumed strictly in fetch order and never rewound (a
+// policy that squashes and re-fetches buffers uops itself), the correct
+// path does not depend on pipeline timing, and a producer can run ahead
+// of the consumer. By default the stream fills each chunk
 // inline when the previous one runs out; after ReadAhead, a producer
 // goroutine fills chunks ahead of fetch, started on the first Next and
 // ended by Stop. A stream over a shared tape decodes the tape inline
@@ -67,6 +69,8 @@ type Stream struct {
 
 	ahead bool       // ReadAhead was requested
 	ra    *readAhead // the running producer, once started
+
+	tap func(delivered []isa.Uop) // set by Tap; nil when not recording
 }
 
 // NewStream builds a stream over prod, whose stream meta describes.
@@ -77,9 +81,8 @@ func NewStream(prod Producer, meta ReplayMeta) *Stream {
 	return s
 }
 
-var _ Source = (*Stream)(nil)
-
-// Next implements Source: the uop is copied once, from the chunk to dst.
+// Next writes the next correct-path uop to dst: the uop is copied once,
+// from the chunk to dst.
 func (s *Stream) Next(dst *isa.Uop) {
 	if s.pos == len(s.buf) {
 		s.refill()
@@ -95,8 +98,17 @@ func (s *Stream) Delivered() uint64 {
 	return s.chunks*chunkUops - uint64(len(s.buf)-s.pos)
 }
 
+// Tap hands every correct-path uop the stream delivers to f, in order:
+// each chunk once Next has moved past it, and the delivered part of the
+// last one at Stop. It costs nothing per uop. Call it before the first
+// Next; f must not keep the slice.
+func (s *Stream) Tap(f func(delivered []isa.Uop)) { s.tap = f }
+
 // refill replaces the drained chunk with the next one.
 func (s *Stream) refill() {
+	if s.tap != nil && s.buf != nil {
+		s.tap(s.buf)
+	}
 	s.chunks++
 	s.pos = 0
 	if s.ra == nil {
@@ -133,11 +145,16 @@ func (s *Stream) ReadAhead() {
 	}
 }
 
-// Stop ends the read-ahead producer, if one is running, waits for it
-// to exit, and returns the stream's buffers to chunkPool. The stream
-// must not be used afterwards. Stop is safe to call more than once and
-// on streams that never read ahead.
+// Stop taps the delivered part of the current chunk, ends the
+// read-ahead producer, if one is running, waits for it to exit, and
+// returns the stream's buffers to chunkPool. The stream must not be
+// used afterwards. Stop is safe to call more than once and on streams
+// that never read ahead.
 func (s *Stream) Stop() {
+	if s.tap != nil {
+		s.tap(s.buf[:s.pos])
+		s.tap = nil
+	}
 	if s.ra != nil {
 		close(s.ra.stop)
 		<-s.ra.done
@@ -196,25 +213,30 @@ func (ra *readAhead) produce(p Producer) {
 	}
 }
 
-// StartPC implements Source.
+// StartPC is the first instruction's address.
 func (s *Stream) StartPC() uint64 { return s.meta.StartPC }
 
-// StartWrongPath implements Source, priming the synthesizer with the
-// state tracked over the delivered correct path.
+// StartWrongPath (re)seeds the wrong-path stream for a new
+// misprediction episode, priming the synthesizer with the state tracked
+// over the delivered correct path. salt identifies the episode (the
+// branch's sequence number) and startPC is where fetch wrongly
+// redirected.
 func (s *Stream) StartWrongPath(salt, startPC uint64) {
 	s.wp.Start(salt, startPC, s.meta.state(&s.path))
 }
 
-// WrongPathPC implements Source; see WrongPathSynth.PCAfterMispredict.
+// WrongPathPC returns the PC the front end runs off to after
+// mispredicting branch u; see WrongPathSynth.PCAfterMispredict.
 func (s *Stream) WrongPathPC(u *isa.Uop, predictedTaken bool) uint64 {
 	return s.wp.PCAfterMispredict(u, predictedTaken)
 }
 
-// NextWrongPath implements Source.
+// NextWrongPath writes the next wrong-path uop to dst.
 func (s *Stream) NextWrongPath(dst *isa.Uop) { s.wp.Next(dst) }
 
-// Footprint implements Source.
+// Footprint describes the thread's memory regions for pre-warming.
 func (s *Stream) Footprint() Footprint { return s.meta.Footprint }
 
-// ReplayMeta implements Source.
+// ReplayMeta is everything a trace must record to replay the stream,
+// wrong paths included, byte-exactly.
 func (s *Stream) ReplayMeta() ReplayMeta { return s.meta }

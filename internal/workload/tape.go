@@ -251,7 +251,7 @@ func (r *tapeReader) Fill(buf []isa.Uop) {
 
 // TapeSet is one (workload, seed) group's tapes, one per thread, and
 // the count of the group's runs in flight that hold it. It is bound to
-// the group's cores by the first Sources call that shares it; every
+// the group's cores by the first Streams call that shares it; every
 // later call with cores of the same identity reads the same tapes. Safe
 // for concurrent use.
 type TapeSet struct {
@@ -276,7 +276,7 @@ func (s *TapeSet) Hold() {
 }
 
 // Drop counts a holder out. The last one releases the set: every tape
-// stops growing and returns its bytes to the budget, and later Sources
+// stops growing and returns its bytes to the budget, and later Streams
 // calls report false. Drop reports whether it released the set.
 func (s *TapeSet) Drop() bool {
 	s.mu.Lock()
@@ -291,14 +291,14 @@ func (s *TapeSet) Drop() bool {
 	return true
 }
 
-// Sources returns one stream per core, each reading that thread's tape.
+// Streams returns one stream per core, each reading that thread's tape.
 // A run shares the set only with company: when another holder is in
 // flight or the set is already bound. ok is false, and the caller
 // should build private streams, for a lone run, for cores of another
 // identity (profile, seed or base) than the bound tapes', and once the
 // set is released. A tape stream decodes the tape inline, and reads
 // ahead, if asked to, only once it has left the tape (Stream.onTape).
-func (s *TapeSet) Sources(cores []*Core) (srcs []Source, ok bool) {
+func (s *TapeSet) Streams(cores []*Core) (streams []*Stream, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
@@ -315,12 +315,12 @@ func (s *TapeSet) Sources(cores []*Core) (srcs []Source, ok bool) {
 	case !s.fits(cores):
 		return nil, false
 	}
-	srcs = make([]Source, len(cores))
+	streams = make([]*Stream, len(cores))
 	for i, t := range s.tapes {
 		c := cores[i]
-		srcs[i] = NewStream(&tapeReader{t: t, c: c}, c.streamMeta())
+		streams[i] = NewStream(&tapeReader{t: t, c: c}, c.streamMeta())
 	}
-	return srcs, true
+	return streams, true
 }
 
 // fits reports whether cores have the identity of the bound tapes'.

@@ -51,12 +51,12 @@ func TestTapeReadersMatchPrivateStream(t *testing.T) {
 					defer release() // a reader that fails early still lets the next one start
 					<-start
 					own := buildCore(MustGet(name), 5, 1<<40)
-					srcs, ok := set.Sources([]*Core{own})
+					streams, ok := set.Streams([]*Core{own})
 					if !ok {
 						errs[i] = fmt.Errorf("reader %d: set refused its own cores", i)
 						return
 					}
-					s := srcs[0].(*Stream)
+					s := streams[0]
 					ahead := i%2 == 1
 					if ahead {
 						s.ReadAhead()
@@ -95,7 +95,7 @@ func TestTapeReadersMatchPrivateStream(t *testing.T) {
 			if got := budget.Used(); got != 0 {
 				t.Errorf("budget used %d after release, want 0", got)
 			}
-			if _, ok := set.Sources([]*Core{core}); ok {
+			if _, ok := set.Streams([]*Core{core}); ok {
 				t.Error("a released set still hands out streams")
 			}
 		})
@@ -113,7 +113,7 @@ func TestTapeReaderLeavesAndTapeRegrows(t *testing.T) {
 	set := NewTapeSet(budget)
 	set.Hold()
 	set.Hold()
-	read := func(name string, chunks int, wantLen int, src Source, want Source) {
+	read := func(name string, chunks int, wantLen int, src, want *Stream) {
 		t.Helper()
 		if err := compareStreams(src, want, chunks*chunkUops, func(int) {}); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -122,12 +122,12 @@ func TestTapeReaderLeavesAndTapeRegrows(t *testing.T) {
 			t.Fatalf("%s: tape holds %d chunks, want %d", name, got, wantLen)
 		}
 	}
-	reader := func() (Source, Source) {
-		srcs, ok := set.Sources([]*Core{buildCore(MustGet("gzip"), 5, 1<<40)})
+	reader := func() (*Stream, *Stream) {
+		streams, ok := set.Streams([]*Core{buildCore(MustGet("gzip"), 5, 1<<40)})
 		if !ok {
 			t.Fatal("set refused its own cores")
 		}
-		return srcs[0], core.Generator().Stream()
+		return streams[0], core.Generator().Stream()
 	}
 
 	a, aWant := reader()
@@ -145,7 +145,7 @@ func TestTapeReaderLeavesAndTapeRegrows(t *testing.T) {
 // compareStreams reads n uops from got and want, with a wrong-path
 // episode every 97 uops, and reports the first difference. step is
 // called after each uop with the count read so far.
-func compareStreams(got, want Source, n int, step func(int)) error {
+func compareStreams(got, want *Stream, n int, step func(int)) error {
 	for i := 0; i < n; i++ {
 		a, b := nextUop(got), nextUop(want)
 		if a != b {
@@ -232,27 +232,70 @@ func TestTapeSetSharesOnlyWithCompany(t *testing.T) {
 	}
 	set := NewTapeSet(NewTapeBudget())
 	set.Hold()
-	if _, ok := set.Sources(a); ok {
+	if _, ok := set.Streams(a); ok {
 		t.Fatal("a lone holder was handed tapes")
 	}
 	set.Hold()
-	if _, ok := set.Sources(a); !ok {
+	if _, ok := set.Streams(a); !ok {
 		t.Fatal("a set with two holders refused its first cores")
 	}
 	if set.Drop() {
 		t.Fatal("the first of two drops released the set")
 	}
-	if _, ok := set.Sources(b); ok {
+	if _, ok := set.Streams(b); ok {
 		t.Error("a set bound to seed 1's cores read seed 2's")
 	}
 	again, err := wl.Cores(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := set.Sources(again); !ok {
+	if _, ok := set.Streams(again); !ok {
 		t.Error("a bound set refused equal cores built separately to its last holder")
 	}
 	if !set.Drop() {
 		t.Error("the last drop did not release the set")
+	}
+}
+
+// TestTapSeesDeliveredUops: a stream hands its tap exactly the uops
+// Next delivered, in order, however it fills its chunks: inline, read
+// ahead, or from a tape it leaves after two chunks to generate inline
+// or ahead. A second Stop taps nothing more.
+func TestTapSeesDeliveredUops(t *testing.T) {
+	const n = 4*chunkUops + 100
+	for _, mode := range []string{"inline", "read-ahead", "tape", "tape then read-ahead"} {
+		t.Run(mode, func(t *testing.T) {
+			c := buildCore(MustGet("mcf"), 5, 1<<40)
+			s := c.Generator().Stream()
+			if strings.HasPrefix(mode, "tape") {
+				set := NewTapeSet(&TapeBudget{limit: 2 * chunkBytes})
+				set.Hold()
+				set.Hold()
+				streams, ok := set.Streams([]*Core{c})
+				if !ok {
+					t.Fatal("set refused its cores")
+				}
+				s = streams[0]
+			}
+			if strings.HasSuffix(mode, "read-ahead") {
+				s.ReadAhead()
+			}
+			var tapped []isa.Uop
+			s.Tap(func(d []isa.Uop) { tapped = append(tapped, d...) })
+			delivered := make([]isa.Uop, n)
+			for i := range delivered {
+				s.Next(&delivered[i])
+			}
+			s.Stop()
+			s.Stop()
+			if len(tapped) != n {
+				t.Fatalf("tapped %d uops, delivered %d", len(tapped), n)
+			}
+			for i := range delivered {
+				if tapped[i] != delivered[i] {
+					t.Fatalf("uop %d: tapped %+v, delivered %+v", i, tapped[i], delivered[i])
+				}
+			}
+		})
 	}
 }

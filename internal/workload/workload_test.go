@@ -434,7 +434,7 @@ func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, s2 := Sources(cores), Sources(cores)
+	s, s2 := Streams(cores), Streams(cores)
 	for i, name := range wl.Benchmarks {
 		if got := a[i].ReplayMeta().Benchmark; got != name {
 			t.Fatalf("slot %d holds %s, want %s", i, got, name)
@@ -448,14 +448,14 @@ func TestGeneratorsConcurrentBuildDeterministic(t *testing.T) {
 	}
 }
 
-// nextUop and nextWrongUop return a source's next correct-path and
+// nextUop and nextWrongUop return a stream's next correct-path and
 // wrong-path uop.
-func nextUop(s Source) (u isa.Uop) {
+func nextUop(s *Stream) (u isa.Uop) {
 	s.Next(&u)
 	return u
 }
 
-func nextWrongUop(s Source) (u isa.Uop) {
+func nextWrongUop(s *Stream) (u isa.Uop) {
 	s.NextWrongPath(&u)
 	return u
 }

@@ -151,28 +151,25 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// Generators instantiates one uop source per thread — a Stream over a
-// live synthetic generator walking each benchmark's CFG. It returns the
-// Source seam so the pipeline and simulator stay agnostic about where
-// uops come from (a Stream over a trace decoder is a drop-in
-// substitute); every element is a *Stream.
-func (w *Workload) Generators(seed uint64) ([]Source, error) {
+// Generators builds one uop stream per thread, each over a live
+// synthetic generator walking its benchmark's CFG.
+func (w *Workload) Generators(seed uint64) ([]*Stream, error) {
 	cores, err := w.Cores(seed)
 	if err != nil {
 		return nil, err
 	}
-	return Sources(cores), nil
+	return Streams(cores), nil
 }
 
-// Sources builds one fresh stream per core, each over a new generator.
+// Streams builds one fresh stream per core, each over a new generator.
 // Streams over the same cores are bit-identical, however many runs
 // share them.
-func Sources(cores []*Core) []Source {
-	srcs := make([]Source, len(cores))
+func Streams(cores []*Core) []*Stream {
+	out := make([]*Stream, len(cores))
 	for i, c := range cores {
-		srcs[i] = c.Generator().Stream()
+		out[i] = c.Generator().Stream()
 	}
-	return srcs
+	return out
 }
 
 // threadSeed and threadBase derive thread i's generator seed and
