@@ -1,12 +1,10 @@
 // Command experiments regenerates the paper's tables and figures from
 // the simulator, printing each as an aligned text table or, with
-// -json, as machine-readable JSON (the exp.Table shape). With -spec it
-// instead runs an arbitrary spec grid (a JSON run or sweep file, see
-// examples/specs/) and renders one generic results table; a failing
-// cell renders an error column while the rest of the grid reports.
-// All simulations fan out over the shared execution layer: -parallel
-// bounds the worker pool (0 = GOMAXPROCS), and grid cells shared
-// between artifacts are simulated once.
+// -json, as machine-readable JSON (the exp.Table shape). All
+// simulations fan out over the shared execution layer: -parallel bounds
+// the worker pool (0 = GOMAXPROCS), and grid cells shared between
+// artifacts are simulated once. Arbitrary spec files (a JSON run or
+// sweep, see examples/specs/) run through `smtsim -spec` instead.
 //
 // Examples:
 //
@@ -14,7 +12,6 @@
 //	experiments -exp fig1a          # one artifact
 //	experiments -exp fig3 -measure 300000 -warmup 120000
 //	experiments -exp table4 -json   # machine-readable output
-//	experiments -spec examples/specs/dwarn-warn-grid.json
 //	experiments -parallel 8         # one worker per core
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for the
@@ -33,13 +30,11 @@ import (
 	"dwarn/internal/obs"
 	"dwarn/internal/out"
 	"dwarn/internal/prof"
-	"dwarn/internal/spec"
 )
 
 func main() {
 	var (
 		expID    = flag.String("exp", "all", "experiment id or 'all': "+strings.Join(exp.Experiments, ", "))
-		specPath = flag.String("spec", "", "run a JSON spec file (one run or a sweep grid) instead of a named experiment")
 		seed     = flag.Uint64("seed", 0, "random seed (0 = default)")
 		warmup   = flag.Int64("warmup", 0, "warmup cycles per run (0 = default)")
 		measure  = flag.Int64("measure", 0, "measured cycles per run (0 = default)")
@@ -86,32 +81,6 @@ func main() {
 		Parallelism:   *par,
 		Checkpoints:   ckpts,
 	})
-
-	if *specPath != "" {
-		f, err := spec.LoadFile(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		cells, err := f.Runs(0)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		t, err := r.RunSpecs(cells)
-		if err != nil {
-			fatal(err)
-		}
-		logger.Info("spec done", "path", *specPath, "cells", len(cells), "dur", time.Since(start).Round(time.Millisecond))
-		dumpMetrics(*metrics)
-		if *asJSON {
-			if err := out.WriteJSON(os.Stdout, []*exp.Table{t}); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		fmt.Println(t.Render())
-		return
-	}
 
 	ids := exp.Experiments
 	if *expID != "all" {

@@ -23,8 +23,11 @@
 //	smtsim -policy dwarn -workload 4-MIX -timeline out.csv -timeline-interval 5000
 //	smtsim -policy flush -workload 8-MEM -check 500         # in-loop invariant checks
 //
-// A trace recorded with -trace replays through `smttrace replay` under
-// any policy, reproducing this run bit for bit.
+// A trace recorded with -trace replays through -spec with a
+// trace-workload run spec ({"workload": {"trace": "run.dwt"}}, see
+// examples/specs/trace-replay.json) under any policy, reproducing this
+// run bit for bit; with "timeline" set in the spec, its interval frames
+// come back in -json's result.Timeline.
 package main
 
 import (

@@ -1,18 +1,16 @@
-// Command smttrace records, inspects, and replays binary uop traces.
+// Command smttrace records and inspects binary uop traces.
 //
 //	smttrace record -workload 4-MIX -uops 400000 -o 4mix.dwt
 //	smttrace record -benchmarks gzip,mcf -seed 7 -o custom.dwt
 //	smttrace info 4mix.dwt
-//	smttrace replay 4mix.dwt -policy dwarn
-//	smttrace replay 4mix.dwt -policy flush -machine deep -json
 //
 // `record` draws each thread's correct-path uop stream straight from
 // the synthetic generators (no pipeline in the loop), so recording is
-// fast and the trace is policy-independent. `replay` feeds a recorded
-// trace back through the full simulator; the run is bit-identical to a
+// fast and the trace is policy-independent. To capture exactly the
+// uops one live run consumed instead, use `smtsim -trace`. A trace
+// replays through `smtsim -spec` with a trace-workload run spec (see
+// examples/specs/trace-replay.json); the run is bit-identical to a
 // live synthetic run of the same workload and seed, under any policy.
-// To capture exactly the uops one live run consumed instead, use
-// `smtsim -trace`.
 package main
 
 import (
@@ -20,32 +18,13 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
-	"dwarn/internal/config"
-	"dwarn/internal/core"
 	"dwarn/internal/isa"
-	"dwarn/internal/obs"
 	"dwarn/internal/out"
 	"dwarn/internal/sim"
-	"dwarn/internal/timeline"
 	"dwarn/internal/trace"
 	"dwarn/internal/workload"
 )
-
-// logger carries record/replay diagnostics as structured key=value
-// lines on stderr, keeping stdout for the command's actual output.
-// SMTTRACE_LOG=debug|warn|error|off overrides the default level.
-var logger = obs.NewLogger(os.Stderr, logLevelFromEnv())
-
-func logLevelFromEnv() obs.Level {
-	if s := os.Getenv("SMTTRACE_LOG"); s != "" {
-		if lvl, err := obs.ParseLevel(s); err == nil {
-			return lvl
-		}
-	}
-	return obs.LevelInfo
-}
 
 func main() {
 	if len(os.Args) < 2 {
@@ -56,8 +35,6 @@ func main() {
 		cmdRecord(os.Args[2:])
 	case "info":
 		cmdInfo(os.Args[2:])
-	case "replay":
-		cmdReplay(os.Args[2:])
 	default:
 		usage()
 	}
@@ -69,7 +46,6 @@ func usage() {
 commands:
   record   record a synthetic workload's uop streams to a trace file
   info     print a trace file's metadata
-  replay   run a simulation from a recorded trace
 
 run 'smttrace <command> -h' for command flags`)
 	os.Exit(2)
@@ -81,7 +57,7 @@ func fatal(err error) {
 }
 
 // splitFileArg allows the trace file to come before the flags
-// (`smttrace replay t.dwt -policy flush`), which the flag package's
+// (`smttrace info t.dwt -json`), which the flag package's
 // stop-at-first-positional rule would otherwise forbid.
 func splitFileArg(args []string) (string, []string) {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -122,7 +98,6 @@ func cmdRecord(args []string) {
 		fatal(fmt.Errorf("-uops must be positive"))
 	}
 
-	start := time.Now()
 	streams, err := wl.Generators(*seed)
 	if err != nil {
 		fatal(err)
@@ -148,10 +123,6 @@ func cmdRecord(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	logger.Info("trace recorded",
-		"file", *outPath, "workload", wl.Name, "seed", *seed,
-		"threads", len(streams), "uops_per_thread", *uops, "bytes", n,
-		"dur", time.Since(start).Round(time.Millisecond))
 	fmt.Printf("recorded %s: %d threads × %d uops, %d bytes (%.2f bytes/uop)\n",
 		*outPath, len(streams), *uops, n, float64(n)/float64(len(streams)**uops))
 }
@@ -208,90 +179,4 @@ func cmdInfo(args []string) {
 			i, th.Meta.Benchmark, th.Uops, th.Meta.Base, len(th.Meta.BlockStarts),
 			th.Meta.Footprint.CodeBytes, th.Meta.Footprint.HotBytes, th.Meta.Footprint.MidBytes)
 	}
-}
-
-func cmdReplay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	var (
-		policy  = fs.String("policy", "dwarn", "fetch policy: "+strings.Join(core.Policies(), ", "))
-		machine = fs.String("machine", "baseline", "machine: baseline, small, deep")
-		warmup  = fs.Int64("warmup", 60000, "warmup cycles")
-		measure = fs.Int64("measure", 150000, "measured cycles")
-		asJSON  = fs.Bool("json", false, "emit the full result record as JSON")
-		tlPath  = fs.String("timeline", "", "sample interval frames during the measured window and write them to this file (.csv extension → CSV, otherwise JSONL)")
-		tlIvl   = fs.Int64("timeline-interval", timeline.DefaultIntervalCycles, "cycles per timeline interval with -timeline")
-	)
-	file, rest := splitFileArg(args)
-	fs.Parse(rest)
-	if file == "" && fs.NArg() == 1 {
-		file = fs.Arg(0)
-	}
-	if file == "" || fs.NArg() > 1 {
-		fatal(fmt.Errorf("replay needs exactly one trace file"))
-	}
-	tr, err := trace.ReadFile(file)
-	if err != nil {
-		fatal(err)
-	}
-	cfg, err := config.ByName(*machine)
-	if err != nil {
-		fatal(err)
-	}
-
-	var tlCfg *timeline.Config
-	if *tlPath != "" {
-		tlCfg = &timeline.Config{IntervalCycles: *tlIvl}
-	}
-
-	start := time.Now()
-	res, err := sim.Run(sim.Options{
-		Config:        cfg,
-		Policy:        *policy,
-		Trace:         tr,
-		WarmupCycles:  *warmup,
-		MeasureCycles: *measure,
-		Timeline:      tlCfg,
-	})
-	if err != nil {
-		logger.Error("replay failed", "file", file, "policy", *policy, "err", err)
-		fatal(err)
-	}
-	if *tlPath != "" {
-		writeTimeline(*tlPath, res.Timeline)
-	}
-	logger.Info("replay finished",
-		"file", file, "workload", tr.Workload, "digest", tr.Digest,
-		"policy", res.Policy, "machine", *machine,
-		"cycles", res.Cycles, "throughput", res.Throughput,
-		"dur", time.Since(start).Round(time.Millisecond))
-	if *asJSON {
-		if err := out.WriteJSON(os.Stdout, res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	out.PrintResult(os.Stdout, res)
-}
-
-// writeTimeline writes a replay's interval frames to path: CSV when the
-// file name ends in .csv, JSONL otherwise. A trace replay's frames are
-// bit-identical to a live run of the same workload and seed under the
-// same policy — the property the timeline determinism tests pin down.
-func writeTimeline(path string, tl *timeline.Timeline) {
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = tl.WriteCSV(f)
-	} else {
-		err = tl.WriteJSONL(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatal(err)
-	}
-	logger.Info("timeline written", "file", path, "frames", len(tl.Frames), "interval", tl.IntervalCycles)
 }

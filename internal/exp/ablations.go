@@ -19,21 +19,17 @@ func ablationID(policy, param string, v int64) string {
 	return core.PolicyID(policy, map[string]int64{param: v})
 }
 
-// paramSweep runs one policy × one parameter's value list over the
-// workloads on the baseline machine.
-func (r *Runner) paramSweep(policies []spec.PolicyAxis, wls []string) error {
+// paramSweep runs the policy axes over the workloads on the baseline
+// machine.
+func (r *Runner) paramSweep(policies []spec.PolicyAxis, wls []string) (grid, error) {
 	var axis []spec.Workload
 	for _, wn := range wls {
 		axis = append(axis, spec.Workload{Name: wn})
 	}
-	specs, err := r.grid(spec.SweepSpec{
+	return r.run(spec.SweepSpec{
 		Policies:  policies,
 		Workloads: axis,
 	})
-	if err != nil {
-		return err
-	}
-	return r.runAll(specs)
 }
 
 // AblateL2Threshold sweeps the cycle threshold at which STALL and FLUSH
@@ -42,7 +38,7 @@ func (r *Runner) paramSweep(policies []spec.PolicyAxis, wls []string) error {
 func (r *Runner) AblateL2Threshold() (*Table, error) {
 	thresholds := []int64{5, 10, 15, 25, 40}
 	wls := []string{"2-MEM", "4-MIX", "4-MEM"}
-	err := r.paramSweep([]spec.PolicyAxis{
+	g, err := r.paramSweep([]spec.PolicyAxis{
 		{Name: "stall", Params: map[string][]int64{"threshold": thresholds}},
 		{Name: "flush", Params: map[string][]int64{"threshold": thresholds}},
 	}, wls)
@@ -61,8 +57,7 @@ func (r *Runner) AblateL2Threshold() (*Table, error) {
 		for _, pol := range []string{"stall", "flush"} {
 			row := []string{wn, pol}
 			for _, th := range thresholds {
-				res := r.get("baseline", ablationID(pol, "threshold", th), wn)
-				row = append(row, cell(res.Throughput))
+				row = append(row, cell(g.at("baseline", ablationID(pol, "threshold", th), wn, r.cfg.Seed).Result.Throughput))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -75,7 +70,7 @@ func (r *Runner) AblateL2Threshold() (*Table, error) {
 func (r *Runner) AblateDGThreshold() (*Table, error) {
 	ns := []int64{0, 1, 2, 4}
 	wls := []string{"2-MEM", "4-MEM", "8-MEM"}
-	err := r.paramSweep([]spec.PolicyAxis{
+	g, err := r.paramSweep([]spec.PolicyAxis{
 		{Name: "dg", Params: map[string][]int64{"n": ns}},
 	}, wls)
 	if err != nil {
@@ -92,7 +87,7 @@ func (r *Runner) AblateDGThreshold() (*Table, error) {
 	for _, wn := range wls {
 		row := []string{wn}
 		for _, n := range ns {
-			row = append(row, cell(r.get("baseline", ablationID("dg", "n", n), wn).Throughput))
+			row = append(row, cell(g.at("baseline", ablationID("dg", "n", n), wn, r.cfg.Seed).Result.Throughput))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -107,7 +102,7 @@ func (r *Runner) AblateDGThreshold() (*Table, error) {
 func (r *Runner) AblateDWarnWarn() (*Table, error) {
 	warns := []int64{1, 2, 4}
 	wls := []string{"2-MEM", "4-MIX", "4-MEM"}
-	err := r.paramSweep([]spec.PolicyAxis{
+	g, err := r.paramSweep([]spec.PolicyAxis{
 		{Name: "dwarn", Params: map[string][]int64{"warn": warns}},
 	}, wls)
 	if err != nil {
@@ -124,7 +119,7 @@ func (r *Runner) AblateDWarnWarn() (*Table, error) {
 	for _, wn := range wls {
 		row := []string{wn}
 		for _, v := range warns {
-			row = append(row, cell(r.get("baseline", ablationID("dwarn", "warn", v), wn).Throughput))
+			row = append(row, cell(g.at("baseline", ablationID("dwarn", "warn", v), wn, r.cfg.Seed).Result.Throughput))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -138,7 +133,7 @@ func (r *Runner) AblateDWarnWarn() (*Table, error) {
 // fetch engine's spare slots.
 func (r *Runner) AblateDWarnHybrid() (*Table, error) {
 	wls := []string{"2-ILP", "2-MIX", "2-MEM", "4-MIX", "4-MEM"}
-	err := r.paramSweep([]spec.PolicyAxis{
+	g, err := r.paramSweep([]spec.PolicyAxis{
 		{Name: "dwarn"},
 		{Name: "dwarn-prio"},
 	}, wls)
@@ -151,8 +146,8 @@ func (r *Runner) AblateDWarnHybrid() (*Table, error) {
 		Header: []string{"workload", "DWarn", "DWarn-Prio", "hybrid gain"},
 	}
 	for _, wn := range wls {
-		full := r.get("baseline", "dwarn", wn).Throughput
-		prio := r.get("baseline", "dwarn-prio", wn).Throughput
+		full := g.at("baseline", "dwarn", wn, r.cfg.Seed).Result.Throughput
+		prio := g.at("baseline", "dwarn-prio", wn, r.cfg.Seed).Result.Throughput
 		t.Rows = append(t.Rows, []string{wn, cell(full), cell(prio), pct(100 * (full - prio) / prio)})
 	}
 	t.Notes = append(t.Notes, "the gate only engages below three threads; 4-thread rows should show ~no difference")

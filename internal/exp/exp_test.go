@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,27 +39,29 @@ func TestMachineFor(t *testing.T) {
 	}
 }
 
+// TestRunnerMemoises: running a grid again answers every cell from the
+// executor's store, with the same result.
 func TestRunnerMemoises(t *testing.T) {
 	r := fastRunner()
-	specs, err := r.grid(spec.SweepSpec{
+	ss := spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "icount"}},
 		Workloads: []spec.Workload{{Name: "2-MIX"}},
-	})
+	}
+	g1, err := r.run(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runAll(specs); err != nil {
+	first := g1.at("baseline", "icount", "2-MIX", r.cfg.Seed)
+	if first == nil || first.Result == nil {
+		t.Fatal("cell missing from its grid")
+	}
+	g2, err := r.run(ss)
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := r.get("baseline", "icount", "2-MIX")
-	if first == nil {
-		t.Fatal("run not indexed")
-	}
-	if err := r.runAll(specs); err != nil {
-		t.Fatal(err)
-	}
-	if second := r.get("baseline", "icount", "2-MIX"); second != first {
-		t.Error("second runAll re-simulated instead of memoising")
+	second := g2.at("baseline", "icount", "2-MIX", r.cfg.Seed)
+	if !second.Cached || second.Result != first.Result {
+		t.Errorf("second run re-simulated instead of memoising (cached %v)", second.Cached)
 	}
 }
 
@@ -68,98 +69,48 @@ func TestRunnerMemoises(t *testing.T) {
 // defaults must reuse the base policy's memo entry, not re-simulate.
 func TestDefaultParamsShareMemo(t *testing.T) {
 	r := fastRunner()
-	base, err := r.grid(spec.SweepSpec{
+	base, err := r.run(spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "stall"}},
 		Workloads: []spec.Workload{{Name: "2-MIX"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runAll(base); err != nil {
-		t.Fatal(err)
-	}
-	first := r.get("baseline", "stall", "2-MIX")
+	first := base.at("baseline", "stall", "2-MIX", r.cfg.Seed).Result
 
-	tuned, err := r.grid(spec.SweepSpec{
+	tuned, err := r.run(spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "stall", Params: map[string][]int64{"threshold": {15, 25}}}},
 		Workloads: []spec.Workload{{Name: "2-MIX"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.runAll(tuned); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.get("baseline", "stall", "2-MIX"); got != first {
+	if c := tuned.at("baseline", "stall", "2-MIX", r.cfg.Seed); c == nil || !c.Cached || c.Result != first {
 		t.Error("threshold=15 (the default) did not share the base policy's memo entry")
 	}
-	if got := r.get("baseline", "stall(threshold=25)", "2-MIX"); got == nil || got == first {
-		t.Error("threshold=25 not indexed as its own run")
+	if c := tuned.at("baseline", "stall(threshold=25)", "2-MIX", r.cfg.Seed); c == nil || c.Result == first {
+		t.Error("threshold=25 not run as its own cell")
 	}
 }
 
-func TestRunSpecsTable(t *testing.T) {
+// TestGridFindsEverySeed: a grid over two seeds answers each seed's
+// cell, and the two are different runs.
+func TestGridFindsEverySeed(t *testing.T) {
 	r := fastRunner()
-	specs, err := r.grid(spec.SweepSpec{
-		Policies:  []spec.PolicyAxis{{Name: "dwarn", Params: map[string][]int64{"warn": {1, 2}}}},
+	g, err := r.run(spec.SweepSpec{
+		Policies:  []spec.PolicyAxis{{Name: "icount"}},
 		Workloads: []spec.Workload{{Name: "2-MIX"}},
+		Seeds:     []uint64{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := r.RunSpecs(specs)
-	if err != nil {
-		t.Fatal(err)
+	a, b := g.at("baseline", "icount", "2-MIX", 1), g.at("baseline", "icount", "2-MIX", 2)
+	if a == nil || b == nil {
+		t.Fatalf("seed cells missing: seed 1 %v, seed 2 %v", a != nil, b != nil)
 	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("%d rows", len(tb.Rows))
-	}
-	if tb.Rows[0][5] == tb.Rows[1][5] {
-		t.Error("warn=1 and warn=2 share a fingerprint")
-	}
-}
-
-// TestRunSpecsSurfacesCellErrors: a failing cell renders its error in
-// the generic table while its siblings still report results — the grid
-// is never aborted by one bad cell.
-func TestRunSpecsSurfacesCellErrors(t *testing.T) {
-	r := fastRunner()
-	// Swap in an executor that fails exactly the stall cell.
-	r.exec = exec.New(exec.Options{Workers: 2, Run: func(ctx context.Context, res *spec.Resolved) (*sim.Result, error) {
-		if res.Spec.Policy.Name == "stall" {
-			return nil, errors.New("injected failure")
-		}
-		return sim.RunContext(ctx, res.Options)
-	}})
-
-	specs, err := r.grid(spec.SweepSpec{
-		Policies:  []spec.PolicyAxis{{Name: "icount"}, {Name: "stall"}, {Name: "dwarn"}},
-		Workloads: []spec.Workload{{Name: "2-MIX"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := r.RunSpecs(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tb.Header[len(tb.Header)-1]; got != "error" {
-		t.Fatalf("no error column (header %v)", tb.Header)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		errCol := row[len(row)-1]
-		if row[1] == "stall" {
-			if !strings.Contains(errCol, "injected failure") || row[4] != "-" {
-				t.Fatalf("failing row %v", row)
-			}
-			continue
-		}
-		if errCol != "" || row[4] == "-" {
-			t.Fatalf("sibling row must carry a result: %v", row)
-		}
+	if a.Fingerprint == b.Fingerprint || a.Result.CounterDigest() == b.Result.CounterDigest() {
+		t.Error("the two seeds' cells are the same run")
 	}
 }
 
@@ -178,7 +129,7 @@ func TestBaselinesGridReusesSolos(t *testing.T) {
 	wls := []spec.Workload{{Name: "2-MIX"}, {Name: "2-MEM"}} // gzip+twolf, mcf+twolf
 	runGrid := func(policy string) {
 		t.Helper()
-		specs, err := r.grid(spec.SweepSpec{
+		g, err := r.run(spec.SweepSpec{
 			Policies:  []spec.PolicyAxis{{Name: policy}},
 			Workloads: wls,
 			Baselines: true,
@@ -186,11 +137,8 @@ func TestBaselinesGridReusesSolos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.runAll(specs); err != nil {
-			t.Fatal(err)
-		}
 		for _, wl := range wls {
-			if s := r.summary("baseline", policy, wl.Name); s == nil || s.Hmean <= 0 {
+			if s := g.at("baseline", policy, wl.Name, r.cfg.Seed).Summary; s == nil || s.Hmean <= 0 {
 				t.Fatalf("%s on %s: summary %+v", policy, wl.Name, s)
 			}
 		}

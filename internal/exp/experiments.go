@@ -32,14 +32,11 @@ func (r *Runner) Table2a() (*Table, error) {
 	for _, b := range names {
 		solos = append(solos, spec.Workload{Solo: b})
 	}
-	specs, err := r.grid(spec.SweepSpec{
+	g, err := r.run(spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "icount"}},
 		Workloads: solos,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.runAll(specs); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -49,8 +46,7 @@ func (r *Runner) Table2a() (*Table, error) {
 	}
 	for _, b := range names {
 		p := workload.MustGet(b)
-		res := r.get("baseline", "icount", "solo-"+b)
-		th := res.Threads[0]
+		th := g.at("baseline", "icount", "solo-"+b, r.cfg.Seed).Result.Threads[0]
 		ratio := 0.0
 		if p.L1MissRate > 0 {
 			ratio = p.L2MissRate / p.L1MissRate
@@ -67,27 +63,23 @@ func (r *Runner) Table2a() (*Table, error) {
 	return t, nil
 }
 
-// runPaperGrid expands and runs the paper-policies × workloads grid
-// for one machine (the default policy axis is exactly the six paper
-// policies). With baselines, every cell also gets its relative-IPC
-// summary (see summary).
-func (r *Runner) runPaperGrid(machine string, wls []workload.Workload, baselines bool) error {
-	specs, err := r.grid(spec.SweepSpec{
+// runPaperGrid runs the paper-policies × workloads grid for one
+// machine (the default policy axis is exactly the six paper policies).
+// With baselines, every cell also carries its relative-IPC Summary.
+func (r *Runner) runPaperGrid(machine string, wls []workload.Workload, baselines bool) (grid, error) {
+	return r.run(spec.SweepSpec{
 		Machines:  []spec.Machine{{Name: machine}},
 		Workloads: workloadSpecs(wls),
 		Baselines: baselines,
 	})
-	if err != nil {
-		return err
-	}
-	return r.runAll(specs)
 }
 
 // Fig1a regenerates Figure 1(a): absolute throughput per workload and
 // policy on the baseline machine.
 func (r *Runner) Fig1a() (*Table, error) {
 	wls := workload.Workloads()
-	if err := r.runPaperGrid("baseline", wls, false); err != nil {
+	g, err := r.runPaperGrid("baseline", wls, false)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -98,7 +90,7 @@ func (r *Runner) Fig1a() (*Table, error) {
 	for _, wl := range wls {
 		row := []string{wl.Name}
 		for _, p := range paperPolicies {
-			row = append(row, cell(r.get("baseline", p, wl.Name).Throughput))
+			row = append(row, cell(g.at("baseline", p, wl.Name, r.cfg.Seed).Result.Throughput))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -116,14 +108,16 @@ func policyHeaders() []string {
 // improvementTable builds a DWarn-over-others table from each cell's
 // throughput, or with hmean from its Hmean of relative IPCs.
 func (r *Runner) improvementTable(id, title, machine string, wls []workload.Workload, hmean bool) (*Table, error) {
-	if err := r.runPaperGrid(machine, wls, hmean); err != nil {
+	g, err := r.runPaperGrid(machine, wls, hmean)
+	if err != nil {
 		return nil, err
 	}
 	metric := func(policy, wl string) float64 {
+		c := g.at(machine, policy, wl, r.cfg.Seed)
 		if hmean {
-			return r.summary(machine, policy, wl).Hmean
+			return c.Summary.Hmean
 		}
-		return r.get(machine, policy, wl).Throughput
+		return c.Result.Throughput
 	}
 	others := make([]string, 0, len(paperPolicies)-1)
 	for _, p := range paperPolicies {
@@ -166,14 +160,11 @@ func (r *Runner) Fig1b() (*Table, error) {
 // as a percentage of fetched instructions.
 func (r *Runner) Fig2() (*Table, error) {
 	wls := workload.Workloads()
-	specs, err := r.grid(spec.SweepSpec{
+	g, err := r.run(spec.SweepSpec{
 		Policies:  []spec.PolicyAxis{{Name: "flush"}},
 		Workloads: workloadSpecs(wls),
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.runAll(specs); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -183,14 +174,14 @@ func (r *Runner) Fig2() (*Table, error) {
 	}
 	byMix := map[workload.Mix][]float64{}
 	for _, wl := range wls {
-		f := 100 * r.get("baseline", "flush", wl.Name).FlushedFraction()
+		f := 100 * g.at("baseline", "flush", wl.Name, r.cfg.Seed).Result.FlushedFraction()
 		byMix[wl.Mix] = append(byMix[wl.Mix], f)
 		t.Rows = append(t.Rows, []string{wl.Name, fmt.Sprintf("%.1f%%", f)})
 	}
 	for _, mix := range []workload.Mix{workload.MixILP, workload.MixMIX, workload.MixMEM} {
 		t.Rows = append(t.Rows, []string{"avg-" + mix.String(), fmt.Sprintf("%.1f%%", stats.Mean(byMix[mix]))})
 	}
-	t.Notes = append(t.Notes, "paper reports averages of roughly 7% ILP, 2%... MIX and 35% MEM")
+	t.Notes = append(t.Notes, "paper reports averages of roughly 7% ILP, 20% MIX and 35% MEM")
 	return t, nil
 }
 
@@ -208,7 +199,8 @@ func (r *Runner) Table4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runPaperGrid("baseline", []workload.Workload{wl}, true); err != nil {
+	g, err := r.runPaperGrid("baseline", []workload.Workload{wl}, true)
+	if err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -222,7 +214,7 @@ func (r *Runner) Table4() (*Table, error) {
 	}
 	t.Header = append(t.Header, "Hmean")
 	for _, p := range paperPolicies {
-		sum := r.summary("baseline", p, wl.Name)
+		sum := g.at("baseline", p, wl.Name, r.cfg.Seed).Summary
 		row := []string{displayName(p)}
 		for _, v := range sum.RelativeIPCs {
 			row = append(row, fmt.Sprintf("%.2f", v))

@@ -7,25 +7,23 @@
 //
 // Every experiment is a spec grid: the builders declare their runs as
 // spec.SweepSpec axes (machines × policies with parameter grids ×
-// workloads × seeds), expand them deterministically, and hand the cells
-// to the shared execution layer (internal/exec). Simulations are
-// memoised by spec fingerprint in the executor's Store — the same
+// workloads × seeds), run them through the shared execution layer
+// (internal/exec), and read the cells back from the grid's own results,
+// looked up by machine, policy id, workload id and seed. Simulations
+// are memoised by spec fingerprint in the executor's Store — the same
 // content-addressed identity the dwarnd service cache uses — and
 // independent cells fan out over the executor's bounded worker pool, so
 // experiments that share grid cells (Figures 1 and 3, Table 4) pay for
-// each simulation once.
+// each simulation once. Arbitrary spec files run through `smtsim -spec`.
 package exp
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"dwarn/internal/ckpt"
 	"dwarn/internal/exec"
 	"dwarn/internal/sim"
 	"dwarn/internal/spec"
-	"dwarn/internal/stats"
 )
 
 // Config controls the measurement protocol for all experiments.
@@ -64,207 +62,72 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Runner executes experiments through the shared execution layer. The
-// executor's Store memoises by spec fingerprint; the runner adds a
-// (machine, policy-id, workload, seed) index on top for the lookups the
-// experiment tables perform, and keeps the relative-IPC summaries the
-// executor returned for baselines cells.
+// Runner executes experiments through the shared execution layer. It
+// keeps no results of its own: the executor's Store memoises cells
+// across grids, and each grid's results come back to the builder that
+// ran it.
 type Runner struct {
-	cfg    Config
-	traces spec.TraceResolver
-	exec   *exec.Executor
-
-	mu        sync.Mutex
-	index     map[runKey]string         // identity quad → fingerprint
-	summaries map[string]*stats.Summary // fingerprint → relative-IPC summary
+	cfg  Config
+	exec *exec.Executor
 }
 
-type runKey struct {
-	machine  string
-	policy   string // canonical compact id: "stall", "dwarn(warn=2)"
-	workload string
-	seed     uint64
-}
-
-// NewRunner builds a Runner with the given protocol. Spec files that
-// reference traces resolve them as filesystem paths.
+// NewRunner builds a Runner with the given protocol.
 func NewRunner(cfg Config) *Runner {
 	cfg = cfg.withDefaults()
 	return &Runner{
-		cfg:       cfg,
-		traces:    spec.FileTraces{},
-		exec:      exec.New(exec.Options{Workers: cfg.Parallelism, Checkpoints: cfg.Checkpoints}),
-		index:     make(map[runKey]string),
-		summaries: make(map[string]*stats.Summary),
+		cfg:  cfg,
+		exec: exec.New(exec.Options{Workers: cfg.Parallelism, Checkpoints: cfg.Checkpoints}),
 	}
 }
 
-// grid expands a sweep under the runner's protocol: the experiment
-// declares the axes, the runner supplies seed and run lengths.
-func (r *Runner) grid(ss spec.SweepSpec) ([]spec.RunSpec, error) {
+// cellKey is a grid cell's identity: machine name, canonical policy id
+// ("stall", "dwarn(warn=2)"), workload id ("4-MIX", "solo-mcf") and
+// seed.
+type cellKey struct {
+	machine, policy, workload string
+	seed                      uint64
+}
+
+// grid is one run grid's results, indexed by cell identity.
+type grid map[cellKey]*exec.CellResult
+
+// at returns the grid's cell for one identity, or nil if the grid did
+// not run it.
+func (g grid) at(machine, policy, wl string, seed uint64) *exec.CellResult {
+	return g[cellKey{machine, policy, wl, seed}]
+}
+
+// run expands a sweep under the runner's protocol — the experiment
+// declares the axes, the runner supplies run lengths and, unless the
+// sweep names its own, the seed — and completes every cell through the
+// executor (memoised, fanned out over its pool). It fails on the first
+// cell error in grid order: the table builders need every cell to
+// render anything. Every spec is compiled before anything runs, so a
+// bad cell is reported before any simulation starts.
+func (r *Runner) run(ss spec.SweepSpec) (grid, error) {
 	ss.WarmupCycles = r.cfg.WarmupCycles
 	ss.MeasureCycles = r.cfg.MeasureCycles
 	if len(ss.Seeds) == 0 {
 		ss.Seeds = []uint64{r.cfg.Seed}
 	}
-	return ss.Expand(0)
-}
-
-// gridCell is one resolved grid point.
-type gridCell struct {
-	res *spec.Resolved
-	key runKey
-}
-
-// resolveAll compiles every spec before anything runs, so a bad cell is
-// reported before any simulation starts.
-func (r *Runner) resolveAll(specs []spec.RunSpec) ([]gridCell, error) {
-	cells := make([]gridCell, len(specs))
-	for i, rs := range specs {
-		res, err := rs.Resolve(r.traces)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = gridCell{res: res, key: cellKey(res)}
-	}
-	return cells, nil
-}
-
-// cellKey derives the index quad from a resolved run.
-func cellKey(res *spec.Resolved) runKey {
-	wl := res.Options.Workload.Name
-	if res.Options.Trace != nil {
-		wl = res.Spec.Workload.ID()
-	}
-	return runKey{
-		machine:  res.Spec.Machine.Name,
-		policy:   res.Spec.Policy.ID(),
-		workload: wl,
-		seed:     res.Spec.Seed,
-	}
-}
-
-// runAll completes all cells through the executor (memoised, fanned out
-// over its pool), failing on the first cell error in grid order — the
-// table builders need every cell to render anything.
-func (r *Runner) runAll(specs []spec.RunSpec) error {
-	cells, err := r.resolveAll(specs)
-	if err != nil {
-		return err
-	}
-	_, err = r.runResolved(cells)
-	return err
-}
-
-// runResolved executes resolved cells and indexes their identities. The
-// returned slice is in input order; its per-cell errors are also folded
-// into the returned error (first in grid order) for callers that need
-// every cell.
-func (r *Runner) runResolved(cells []gridCell) ([]exec.CellResult, error) {
-	resolved := make([]*spec.Resolved, len(cells))
-	r.mu.Lock()
-	for i, c := range cells {
-		resolved[i] = c.res
-		r.index[c.key] = c.res.Fingerprint
-	}
-	r.mu.Unlock()
-	results := r.exec.Execute(context.Background(), resolved, nil)
-	r.mu.Lock()
-	for _, cr := range results {
-		if cr.Summary != nil {
-			r.summaries[cr.Fingerprint] = cr.Summary
-		}
-	}
-	r.mu.Unlock()
-	return results, exec.FirstError(results)
-}
-
-// fingerprint returns the indexed fingerprint of a cell under the
-// runner's own seed.
-func (r *Runner) fingerprint(machine, policy, wl string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.index[runKey{machine: machine, policy: policy, workload: wl, seed: r.cfg.Seed}]
-}
-
-// get returns a memoised result under the runner's own seed; runAll
-// must have succeeded for its cell.
-func (r *Runner) get(machine, policy, wl string) *sim.Result {
-	res, _ := r.exec.Store().Get(r.fingerprint(machine, policy, wl))
-	return res
-}
-
-// summary returns a cell's relative-IPC summary under the runner's own
-// seed; runAll must have succeeded for its cell with baselines set.
-func (r *Runner) summary(machine, policy, wl string) *stats.Summary {
-	fp := r.fingerprint(machine, policy, wl)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.summaries[fp]
-}
-
-// RunSpecs executes an arbitrary spec grid (the -spec path of
-// cmd/experiments) and renders one generic table: a row per cell with
-// its resolved identity, throughput, and fingerprint. Unlike the named
-// experiments, a failing cell does not abort the grid: its row reports
-// the error and every other cell still renders. Cells with baselines
-// set additionally report Hmean and weighted speedup over solo-ICOUNT
-// baselines run at the cell's own machine, seed, and protocol (memoised
-// like everything else).
-func (r *Runner) RunSpecs(cells []spec.RunSpec) (*Table, error) {
-	resolved, err := r.resolveAll(cells)
+	specs, err := ss.Expand(0)
 	if err != nil {
 		return nil, err
 	}
-	results, _ := r.runResolved(resolved) // per-cell errors render as rows
-
-	hasBaselines := false
-	for _, cr := range results {
-		if cr.Summary != nil {
-			hasBaselines = true
-			break
+	resolved := make([]*spec.Resolved, len(specs))
+	for i, rs := range specs {
+		if resolved[i], err = rs.Resolve(nil); err != nil {
+			return nil, err
 		}
 	}
-	hasErrors := exec.FirstError(results) != nil
-
-	t := &Table{
-		ID:     "spec-grid",
-		Title:  "spec grid results",
-		Header: []string{"machine", "policy", "workload", "seed", "throughput", "fingerprint"},
+	results := r.exec.Execute(context.Background(), resolved, nil)
+	if err := exec.FirstError(results); err != nil {
+		return nil, err
 	}
-	if hasBaselines {
-		t.Header = append(t.Header, "hmean", "wspeedup")
+	g := make(grid, len(results))
+	for i := range results {
+		s := &results[i].Spec
+		g[cellKey{s.Machine.Name, s.Policy.ID(), s.Workload.ID(), s.Seed}] = &results[i]
 	}
-	if hasErrors {
-		t.Header = append(t.Header, "error")
-	}
-	for i, c := range resolved {
-		cr := results[i]
-		tp := "-"
-		if cr.Result != nil {
-			tp = cell(cr.Result.Throughput)
-		}
-		row := []string{
-			c.key.machine, c.key.policy, c.key.workload,
-			fmt.Sprintf("%d", c.key.seed),
-			tp,
-			c.res.Fingerprint[:12],
-		}
-		if hasBaselines {
-			hm, ws := "-", "-"
-			if s := cr.Summary; s != nil {
-				hm, ws = cell(s.Hmean), cell(s.WeightedSpeedup)
-			}
-			row = append(row, hm, ws)
-		}
-		if hasErrors {
-			e := ""
-			if cr.Err != nil {
-				e = cr.Err.Error()
-			}
-			row = append(row, e)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return g, nil
 }

@@ -53,11 +53,30 @@ var policyEquivalences = []struct {
 	},
 }
 
-// TestPolicyEquivalences pins policyEquivalences at seed 42 on a
-// 20k-cycle warmup and a 40k-cycle measured window.
+// soloEquivalences relates each paper policy, at its paper parameters,
+// to ICOUNT on every benchmark run alone. Keep-one lists the best gated
+// thread when no other thread may fetch, so for a lone thread a
+// keep-one policy's gate is a no-op, and demotion reorders nothing.
+// These rows are the exact reference for STALL that the multithreaded
+// rows above cannot give.
+var soloEquivalences = []struct {
+	policy string
+	equal  bool
+	why    string
+}{
+	{"stall", true, "keep-one lists the lone gated thread, so STALL never stops its fetch"},
+	{"dwarn", true, "a lone thread's demotion reorders nothing, and keep-one voids the hybrid gate"},
+	{"dwarn-prio", true, "a lone thread's demotion reorders nothing"},
+	{"flush", false, "keep-one keeps the thread fetching, but each declaration still squashes its younger uops"},
+	{"dg", false, "DG gates strictly (no keep-one), so the lone thread stops fetching on a miss"},
+	{"pdg", false, "PDG gates strictly (no keep-one), as DG does"},
+}
+
+// TestPolicyEquivalences pins policyEquivalences and soloEquivalences
+// at seed 42 on a 20k-cycle warmup and a 40k-cycle measured window.
 func TestPolicyEquivalences(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 40 simulations")
+		t.Skip("runs 124 simulations")
 	}
 	run := func(wl workload.Workload, policy string, params map[string]int64) string {
 		t.Helper()
@@ -80,6 +99,15 @@ func TestPolicyEquivalences(t *testing.T) {
 			want := slices.Contains(row.equal, name)
 			if got := run(wl, row.policy, row.params) == icount; got != want {
 				t.Errorf("%s %v on %s: equal to ICOUNT = %v, want %v (%s)", row.policy, row.params, name, got, want, row.why)
+			}
+		}
+	}
+	for _, bench := range workload.Names() {
+		wl := SoloWorkload(bench)
+		icount := run(wl, "icount", nil)
+		for _, row := range soloEquivalences {
+			if got := run(wl, row.policy, nil) == icount; got != row.equal {
+				t.Errorf("%s on %s: equal to ICOUNT = %v, want %v (%s)", row.policy, wl.Name, got, row.equal, row.why)
 			}
 		}
 	}
